@@ -1,9 +1,9 @@
 """Scaling study: time, memory meter, and operation counts against the power.
 
 Prints one row per power for a chosen sample: wall time for the full exact
-computation, the peak auxiliary field elements a single prime run holds (the
-quantity that should grow linearly in p), and the split2 versus generic
-multiplication counters.
+computation (torus engine), the peak auxiliary field elements the torus
+engine holds per prime (the quantity that should grow linearly in p), and
+the reference engine's split2 versus generic multiplication counters.
 """
 
 import argparse
@@ -12,7 +12,8 @@ import time
 
 sys.path.insert(0, "src")
 
-from ctpow.engine import coefficient_mod_prime, make_context
+from ctpow import torus
+from ctpow.engine import AllocationMeter, coefficient_mod_prime, make_context
 from ctpow.fixtures import SAMPLE_NAMES, sample_polynomial
 from ctpow.laurent import normalize
 from ctpow.recurrence import exact_coefficient
@@ -42,14 +43,16 @@ def main():
         dt = time.perf_counter() - t0
 
         target = tuple(p * s for s in nf.shift)
+        tp = torus.plan(nf, target, p)
+        meter = AllocationMeter()
+        one_prime = select_primes(31, p, congruent_to_1_mod=tp.M).primes[:1]
+        torus.coefficient_residues(nf, target, p, one_prime, tp, meter=meter)
+        peak = meter.peak
         counts = {}
-        peak = 0
         for flag in (True, False):
             ctx = make_context(nf, target, p, q, use_split2=flag)
             coefficient_mod_prime(nf, target, p, q, use_split2=flag, ctx=ctx)
             counts[flag] = ctx.counters.mults
-            if flag:
-                peak = ctx.meter.peak
         print(f"{p:>4} {len(str(value)):>7} {dt:>9.2f} {peak:>11} "
               f"{counts[True]:>12} {counts[False]:>12}")
 

@@ -1,14 +1,15 @@
 """Exact coefficients of powers of multivariate Laurent polynomials.
 
-The engine extracts one coefficient of h^p by recursive univariate
-interpolation over prime fields and reassembles the exact integer with a
-residue number system.  On top of that sit constant term series and exact
+The torus engine extracts one coefficient of h^p as an exact sum over roots
+of unity in prime fields and reassembles the exact integer with a residue
+number system; the recursive interpolation engine of the paper stays as the
+reference.  On top of that sit constant term series and exact
 recurrence (differential operator) discovery.
 """
 
 from .engine import (AllocationMeter, Counters, EngineError, ModulusTooSmall,
                      PrimeContext, SplitPrecondition, coefficient_mod_prime,
-                     make_context, pow_mod, top_partial)
+                     make_context, top_partial)
 from .fixtures import (OPERATOR_NAMES, SAMPLE39_POWER150_CONSTANT,
                        SAMPLE_NAMES, sample_operator, sample_polynomial)
 from .interp import InverseRow, interpolate_coefficient, inverse_vandermonde_row
@@ -42,7 +43,7 @@ __all__ = [
     "make_polynomial", "make_recurrence", "mixed_radix_digits",
     "naive_power_coeff", "normalize", "operator_to_recurrence",
     "parse_laurent", "parse_operator_text", "polynomial_from_json",
-    "polynomial_to_json", "pow_mod", "reconstruct", "recurrence_to_operator",
+    "polynomial_to_json", "reconstruct", "recurrence_to_operator",
     "reduce_int", "sample_operator", "sample_polynomial", "search_recurrence",
     "select_primes", "series_from_json", "series_to_json",
     "sort_variables_by_degree", "to_expr_string", "top_partial",

@@ -5,7 +5,7 @@ JSON), findop (recurrence/operator search over a series file), bench (engine
 vs dense oracle table), oracle (dense reference computation), selftest.
 
 Exit codes: 0 success (including "no operator found"), 2 usage error,
-3 input error, 4 resource guard refusal.
+3 input error, 4 resource guard refusal, 5 worker process failed.
 """
 
 from __future__ import annotations
@@ -15,9 +15,11 @@ import json
 import random
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
+from .engine import EngineError
 from .fixtures import SAMPLE_NAMES, sample_polynomial
 from .laurent import LaurentError, parse_laurent, to_expr_string, total_weight
 from .oracle import SizeGuardError, known_family, naive_power_coeff
@@ -259,7 +261,10 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 4
-    except (LaurentError, FitError, KeyError, OSError,
+    except BrokenProcessPool as exc:
+        print(f"error: worker failed: {exc}", file=sys.stderr)
+        return 5
+    except (LaurentError, FitError, EngineError, KeyError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,5 +1,8 @@
 """Coefficient extraction modulo one prime by recursive interpolation.
 
+This is the reference engine that follows the paper; the pipeline in
+recurrence.py runs the torus engine (torus.py) instead.
+
 For f with degree d_k in variable k, the coefficient [f^p]_i is recovered
 one variable at a time: substitute nodes u = 0..N_k for the last variable
 (N_k = p*d_k, the degree of f^p in that variable), recurse on the smaller
@@ -45,39 +48,6 @@ class ModulusTooSmall(EngineError):
 
 class SplitPrecondition(EngineError):
     pass
-
-
-def pow_mod(x: int, p: int, q: int) -> int:
-    """Binary powering: O(log p) multiplications."""
-    if p < 0:
-        raise ValueError("negative exponent")
-    x %= q
-    result = 1
-    while p:
-        if p & 1:
-            result = result * x % q
-        x = x * x % q
-        p >>= 1
-    return result
-
-
-def horner_eval_last_axis(A, u, modulus: int | None = None):
-    """Contract the last axis of a coefficient tensor at the point u.
-
-    Exact over Python integers when modulus is None, otherwise in int64
-    residues.  Returns an array with one axis fewer (a scalar for 1-d input).
-    """
-    A = np.asarray(A, dtype=object if modulus is None else np.int64)
-    if A.ndim == 0:
-        raise ValueError("need at least one axis")
-    B = A[..., -1]
-    for j in range(A.shape[-1] - 2, -1, -1):
-        B = B * u + A[..., j]
-        if modulus is not None:
-            B = B % modulus
-    if B.ndim == 0:
-        return B[()]
-    return B
 
 
 @dataclass
@@ -424,6 +394,8 @@ def coefficient_mod_prime(nf: NormalizedPolynomial, i, p: int, q: int,
         return 1 % q
     if p == 1:
         return nf.tensor[i] % q
+    if nf.n == 0:
+        return pow(nf.tensor[()], p, q)
     return coeff(nf.n, i, ctx.tensor, p, ctx)
 
 

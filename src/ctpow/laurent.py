@@ -55,14 +55,6 @@ class LaurentPolynomial:
             total += v
         return total
 
-    def restrict_to_used_variables(self) -> "LaurentPolynomial":
-        """Drop variables that appear with exponent 0 in every term."""
-        used = [r for r in range(self.n)
-                if any(e[r] != 0 for _, e in self.terms)]
-        vs = tuple(self.variables[r] for r in used)
-        ts = tuple((c, tuple(e[r] for r in used)) for c, e in self.terms)
-        return make_polynomial(vs, ts)
-
 
 @dataclass(frozen=True)
 class CoefficientTensor:

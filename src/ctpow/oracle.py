@@ -98,9 +98,16 @@ def dense_multiply(a: DensePolynomial, b: DensePolynomial,
 
 def dense_power(f: DensePolynomial, p: int,
                 max_entries: int = DEFAULT_MAX_ENTRIES) -> DensePolynomial:
-    """f**p by repeated multiplication (keeps every intermediate exact)."""
+    """f**p by repeated multiplication (keeps every intermediate exact).
+
+    Refuses before multiplying when f**p itself would exceed max_entries.
+    """
     if p < 0:
         raise ValueError("negative power")
+    size = math.prod(p * (s - 1) + 1 for s in f.shape)
+    if size > max_entries:
+        raise SizeGuardError(
+            f"dense power would have {size} entries (limit {max_entries})")
     acc = DensePolynomial((1,) * len(f.shape), (1,))
     for _ in range(p):
         acc = dense_multiply(acc, f, max_entries)

@@ -1,8 +1,9 @@
 """Exact coefficient pipeline, constant-term series, and recurrence fitting.
 
-The pipeline runs the per-prime engine over a deterministic set of 31-bit
-primes sized from the coefficient bound and reassembles the integer by
-mixed radix conversion.  Series of constant terms a_p = [h^p]_0 feed a
+The pipeline runs the torus engine (torus.py) over a deterministic set of
+31-bit primes, all congruent to 1 modulo the engine's grid size and sized
+from the coefficient bound, and reassembles the integer by mixed radix
+conversion.  Series of constant terms a_p = [h^p]_0 feed a
 fitting step that looks for relations
 
     P_0(n) a_n + P_1(n-1) a_(n-1) + ... + P_k(n-k) a_(n-k) = 0
@@ -22,7 +23,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import coefficient_mod_prime, top_partial
+from . import torus
+# the Vandermonde reference engine; ctbench's tracer wraps this name
+from .engine import coefficient_mod_prime  # noqa: F401
 from .laurent import (LaurentPolynomial, normalize, polynomial_from_json,
                       polynomial_to_json, total_weight)
 from .rns import ModulusSet, RnsValue, coefficient_bound_bits, reconstruct, select_primes
@@ -34,19 +37,17 @@ class FitError(ValueError):
 
 # --- exact coefficients over many primes ------------------------------------
 
-def _modulus_floor(nf, p: int) -> int:
-    # every prime must exceed all node counts so nodes stay distinct mod q
-    return max(1, p * max(nf.degrees, default=0))
-
-
-def _primes_for(h_weight: int, nf, p: int, prime_bits: int) -> ModulusSet:
+def _primes_for(h_weight: int, M: int, p: int, prime_bits: int) -> ModulusSet:
+    # q = 1 (mod M) gives the grid's roots of unity; q > p keeps p! invertible
     bits = coefficient_bound_bits(h_weight, p)
-    return select_primes(bits, _modulus_floor(nf, p), prime_bits)
+    return select_primes(bits, max(1, p), prime_bits, congruent_to_1_mod=M)
 
 
-def _coeff_task(args):
-    nf, i, p, q, lo, hi, use_split2 = args
-    return p, q, lo, top_partial(nf, i, p, q, lo, hi, use_split2)
+def _residues_task(args):
+    """One unit of work: (p, residues of [f^p]_target over a block of rows)."""
+    nf, target, p, primes, tp, lo, hi = args
+    return p, torus.coefficient_residues(nf, target, p, primes, tp,
+                                         range(lo, hi))
 
 
 def _resolve_threads(threads: int) -> int:
@@ -56,10 +57,25 @@ def _resolve_threads(threads: int) -> int:
     return max(1, threads)
 
 
+def _map_tasks(tasks, threads: int):
+    """_residues_task over the tasks, in order; a process pool when threads > 1."""
+    if threads == 1 or len(tasks) < 2:
+        yield from map(_residues_task, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        yield from pool.map(_residues_task, tasks, chunksize=1)
+
+
 def exact_coefficient(h: LaurentPolynomial, p: int, index=None,
                       threads: int = 1, use_split2: bool = True,
                       prime_bits: int = 31) -> int:
-    """Exact [h^p]_index (default: the constant term) via the modular engine."""
+    """Exact [h^p]_index (default: the constant term) via the torus engine.
+
+    With use_split2 off no variable is summed exactly: the whole grid is
+    powered pointwise.
+    """
+    if p < 0:
+        raise ValueError("negative power")
     nf = normalize(h)
     if index is None:
         index = (0,) * nf.n
@@ -69,28 +85,17 @@ def exact_coefficient(h: LaurentPolynomial, p: int, index=None,
     target = tuple(ix + p * s for ix, s in zip(index, nf.shift))
     if any(not 0 <= t <= p * d for t, d in zip(target, nf.degrees)):
         return 0
-    ms = _primes_for(total_weight(h), nf, p, prime_bits)
+    tp = torus.plan(nf, target, p, use_split2)
+    ms = _primes_for(total_weight(h), tp.M, p, prime_bits)
     threads = _resolve_threads(threads)
-    if threads == 1 or nf.n < 3 or p < 2:
-        residues = tuple(coefficient_mod_prime(nf, target, p, q, use_split2)
-                         for q in ms.primes)
-        return reconstruct(RnsValue(residues), ms)
-
-    # chunk the top-level node loop so every core has work even for one prime
-    n_top = p * nf.degrees[-1]
-    per_prime = max(1, -(-3 * threads // len(ms.primes)))
-    chunk = max(1, -(-(n_top + 1) // per_prime))
-    tasks = []
-    for q in ms.primes:
-        for lo in range(0, n_top + 1, chunk):
-            tasks.append((nf, target, p, q, lo, min(lo + chunk, n_top + 1),
-                          use_split2))
-    partial: dict[int, int] = {q: 0 for q in ms.primes}
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for _, q, _, value in pool.map(_coeff_task, tasks):
-            partial[q] = (partial[q] + value) % q
-    residues = tuple(partial[q] for q in ms.primes)
-    return reconstruct(RnsValue(residues), ms)
+    # contiguous blocks of grid rows, about three per worker
+    step = tp.rows if threads == 1 else -(-tp.rows // (3 * threads))
+    tasks = [(nf, target, p, ms.primes, tp, lo, min(lo + step, tp.rows))
+             for lo in range(0, tp.rows, step)]
+    residues = [0] * len(ms.primes)
+    for _, part in _map_tasks(tasks, threads):
+        residues = [(a + b) % q for a, b, q in zip(residues, part, ms.primes)]
+    return reconstruct(RnsValue(tuple(residues)), ms)
 
 
 # --- constant term series ----------------------------------------------------
@@ -136,48 +141,25 @@ def constant_term_series(h: LaurentPolynomial, P: int, threads: int = 1,
                          progress=None) -> Series:
     """a_p = [h^p]_0 for p = 0..P, exactly.
 
-    Work is parallelized over (power, prime) tasks; results are identical
-    for any thread count because each task is exact field arithmetic and
-    the reduction order is fixed.
+    Work is parallelized with one task per power, heaviest first; results
+    are identical for any thread count because each task is exact field
+    arithmetic.
     """
     nf = normalize(h)
     w = total_weight(h)
-    plans = [_primes_for(w, nf, p, prime_bits) for p in range(P + 1)]
-    targets = [tuple(p * s for s in nf.shift) for p in range(P + 1)]
-    threads = _resolve_threads(threads)
-
-    terms = []
-    if threads == 1:
-        for p in range(P + 1):
-            ms = plans[p]
-            residues = tuple(
-                coefficient_mod_prime(nf, targets[p], p, q, use_split2)
-                for q in ms.primes)
-            terms.append(reconstruct(RnsValue(residues), ms))
-            if progress:
-                progress(p + 1, P + 1)
-        return Series(h, tuple(terms))
-
-    tasks = [(nf, targets[p], p, q, 0, None, use_split2)
-             for p in range(P + 1) for q in plans[p].primes]
-    # heaviest tasks first so the pool drains evenly
-    tasks.sort(key=lambda t: -t[2])
-    residues: dict[tuple[int, int], int] = {}
-    done_powers = 0
-    seen: dict[int, int] = {}
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for p, q, _, value in pool.map(_coeff_task, tasks, chunksize=1):
-            residues[(p, q)] = value
-            seen[p] = seen.get(p, 0) + 1
-            if seen[p] == len(plans[p].primes):
-                done_powers += 1
-                if progress:
-                    progress(done_powers, P + 1)
-    for p in range(P + 1):
-        ms = plans[p]
-        vals = tuple(residues[(p, q)] for q in ms.primes)
-        terms.append(reconstruct(RnsValue(vals), ms))
-    return Series(h, tuple(terms))
+    tasks = []
+    moduli = {}
+    for p in range(P, -1, -1):
+        target = tuple(p * s for s in nf.shift)
+        tp = torus.plan(nf, target, p, use_split2)
+        moduli[p] = _primes_for(w, tp.M, p, prime_bits)
+        tasks.append((nf, target, p, moduli[p].primes, tp, 0, tp.rows))
+    terms = {}
+    for p, residues in _map_tasks(tasks, _resolve_threads(threads)):
+        terms[p] = reconstruct(RnsValue(residues), moduli[p])
+        if progress:
+            progress(len(terms), P + 1)
+    return Series(h, tuple(terms[p] for p in range(P + 1)))
 
 
 # --- recurrences -------------------------------------------------------------

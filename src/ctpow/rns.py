@@ -88,29 +88,63 @@ def coefficient_bound_bits(weight: int, p: int) -> int:
 
 
 def select_primes(bound_bits: int, min_exclusive: int = 1,
-                  max_bits: int = 31) -> ModulusSet:
+                  max_bits: int = 31, congruent_to_1_mod: int = 1) -> ModulusSet:
     """Smallest set of primes below 2**max_bits whose product exceeds 2**bound_bits.
 
-    Scans downward from 2**max_bits - 1, so the choice is deterministic.
-    Every prime also exceeds min_exclusive (node counts must stay invertible).
+    Scans the candidates q = 1 (mod congruent_to_1_mod) downward from
+    2**max_bits - 1, so the choice is deterministic.  Every prime also
+    exceeds min_exclusive (node counts and factorials must stay invertible).
+    With congruent_to_1_mod = M every prime has an element of order M.
     """
     if not 20 <= max_bits <= 31:
         raise ValueError("prime size must be between 20 and 31 bits")
+    if congruent_to_1_mod < 1:
+        raise ValueError("congruent_to_1_mod must be positive")
     if min_exclusive >= 2 ** max_bits - 1:
         raise ValueError("no primes available above min_exclusive")
+    step = congruent_to_1_mod
     target = 1 << bound_bits
     primes = []
     product = 1
-    candidate = 2 ** max_bits - 1
+    candidate = 2 ** max_bits - 1 - (2 ** max_bits - 2) % step
     while product <= target:
         while candidate > min_exclusive and not _is_prime(candidate):
-            candidate -= 1
+            candidate -= step
         if candidate <= min_exclusive:
             raise ValueError("prime window exhausted before reaching the bound")
         primes.append(candidate)
         product *= candidate
-        candidate -= 1
+        candidate -= step
     return ModulusSet(tuple(primes))
+
+
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def root_of_unity(M: int, q: int) -> int:
+    """The first g**((q-1)/M) mod q, g = 2, 3, ..., of exact order M.
+
+    q must be a prime with q = 1 (mod M).
+    """
+    if M < 1 or (q - 1) % M:
+        raise ValueError(f"{q} - 1 is not a multiple of {M}")
+    factors = _prime_factors(M)
+    for g in range(2, q):
+        w = pow(g, (q - 1) // M, q)
+        if all(pow(w, M // r, q) != 1 for r in factors):
+            return w
+    return 1  # q = 2, M = 1
 
 
 def reduce_int(x: int, ms: ModulusSet) -> RnsValue:

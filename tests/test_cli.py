@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -175,3 +177,43 @@ def test_parser_help_lists_subcommands():
     text = parser.format_help()
     for name in ("coeff", "series", "findop", "bench", "oracle", "selftest"):
         assert name in text
+
+
+def test_coeff_and_series_of_a_constant(tmp_path, capsys):
+    f = tmp_path / "c.txt"
+    f.write_text("5")
+    code, out, err = run(capsys, "coeff", "--poly", str(f), "--power", "3")
+    assert (code, out.strip(), err) == (0, "125", "")
+    code, out, _ = run(capsys, "series", "--poly", str(f), "--count", "3")
+    assert code == 0
+    assert json.loads(out)["terms"] == ["1", "5", "25", "125"]
+
+
+def test_engine_error_exits_3(monkeypatch, capsys):
+    import ctpow.cli
+    from ctpow.engine import EngineError
+
+    def fail(*args, **kwargs):
+        raise EngineError("modulus too small")
+
+    monkeypatch.setattr(ctpow.cli, "exact_coefficient", fail)
+    code, _, err = run(capsys, "coeff", "--fixture", "39", "--power", "2")
+    assert code == 3
+    assert err.startswith("error: modulus too small")
+
+
+def _die(*args, **kwargs):
+    os._exit(1)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="forked workers are needed to see the patched engine")
+def test_dead_worker_exits_5(monkeypatch, capsys):
+    import ctpow.torus
+    monkeypatch.setattr(ctpow.torus, "coefficient_residues", _die)
+    code, out, err = run(capsys, "coeff", "--fixture", "39", "--power", "4",
+                         "--threads", "2")
+    assert code == 5
+    assert out == ""
+    assert "worker failed" in err
+    assert "Traceback" not in err

@@ -5,19 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctpow.engine import (EngineError, ModulusTooSmall, SplitPrecondition,
-                          coefficient_mod_prime, make_context, pow_mod,
-                          split2, top_partial)
+                          coefficient_mod_prime, make_context, split2,
+                          top_partial)
 from ctpow.fixtures import sample_polynomial
 from ctpow.laurent import make_polynomial, normalize, parse_laurent
 from ctpow.oracle import naive_power_coeff
 
 Q = (1 << 31) - 1
-
-
-def test_pow_mod_matches_builtin():
-    for x in (0, 1, 2, 7, 123456):
-        for p in (0, 1, 2, 3, 17, 64):
-            assert pow_mod(x, p, 101) == pow(x, p, 101)
 
 
 def test_univariate_coefficient():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctpow.fixtures import sample_operator, sample_polynomial
-from ctpow.laurent import parse_laurent
+from ctpow.laurent import make_polynomial, parse_laurent
 from ctpow.oracle import known_family, naive_power_coeff
 from ctpow.recurrence import (DifferentialOperator, FitError, Recurrence,
                               Series, constant_term_series, exact_coefficient,
@@ -27,6 +27,20 @@ def test_exact_coefficient_small_cases():
     assert exact_coefficient(h, 0) == 1
     g = parse_laurent("2*X - 3")
     assert exact_coefficient(g, 3, (2,)) == 3 * 4 * (-3)
+
+
+def test_constant_polynomials():
+    five = parse_laurent("5")
+    assert five.n == 0
+    assert exact_coefficient(five, 3) == 125 == naive_power_coeff(five, 3)
+    assert exact_coefficient(five, 0) == 1
+    assert exact_coefficient(parse_laurent("-2"), 5, threads=2) == -32
+    assert constant_term_series(parse_laurent("-2"), 4).terms \
+        == (1, -2, 4, -8, 16)
+    # a constant written in one variable: c^p at the zero index, 0 elsewhere
+    c = make_polynomial(("X",), [(5, (0,))])
+    assert exact_coefficient(c, 3, (0,)) == 125
+    assert exact_coefficient(c, 3, (1,)) == 0
 
 
 def test_exact_coefficient_matches_oracle_with_negative_values():

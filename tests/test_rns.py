@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ctpow.rns import (ModulusSet, RnsValue, coefficient_bound_bits,
                        mixed_radix_digits, reconstruct, reduce_int,
-                       select_primes)
+                       root_of_unity, select_primes)
 
 sympy = pytest.importorskip("sympy")
 
@@ -119,3 +119,35 @@ def test_select_primes_avoid_small_node_collisions():
     ms = select_primes(40, min_exclusive=302)
     assert min(ms.primes) > 302
     assert math.gcd(ms.product, math.prod(range(1, 303))) in (1, *ms.primes)
+
+
+@pytest.mark.parametrize("M", [1, 2, 41, 151, 263, 360])
+def test_select_primes_congruent_to_one(M):
+    ms = select_primes(700, min_exclusive=150, congruent_to_1_mod=M)
+    assert ms.product > 1 << 700
+    for q in ms.primes:
+        assert q % M == 1 % M
+        assert 150 < q < 1 << 31
+        assert sympy.isprime(q)
+    # deterministic: the same request gives the same primes
+    assert select_primes(700, 150, congruent_to_1_mod=M) == ms
+
+
+def test_select_primes_congruence_window_exhausted():
+    # only 2**30 + 1 and 1 are candidates below 2**31; neither is prime
+    with pytest.raises(ValueError, match="exhausted"):
+        select_primes(40, congruent_to_1_mod=1 << 30)
+    with pytest.raises(ValueError):
+        select_primes(40, congruent_to_1_mod=0)
+
+
+@pytest.mark.parametrize("M", [1, 2, 12, 41, 151, 360])
+def test_root_of_unity_has_exact_order(M):
+    for q in select_primes(100, congruent_to_1_mod=M).primes:
+        w = root_of_unity(M, q)
+        assert pow(w, M, q) == 1
+        for d in range(1, M):
+            if M % d == 0:
+                assert pow(w, d, q) != 1, (M, q, d)
+    with pytest.raises(ValueError):
+        root_of_unity(4, 2 ** 31 - 1)  # 2**31 - 2 is not a multiple of 4
