@@ -9,15 +9,14 @@ recurrence (differential operator) discovery.
 
 from .engine import (AllocationMeter, Counters, EngineError, ModulusTooSmall,
                      PrimeContext, SplitPrecondition, coefficient_mod_prime,
-                     make_context, top_partial)
+                     make_context)
 from .fixtures import (OPERATOR_NAMES, SAMPLE39_POWER150_CONSTANT,
                        SAMPLE_NAMES, sample_operator, sample_polynomial)
 from .interp import InverseRow, interpolate_coefficient, inverse_vandermonde_row
 from .laurent import (CoefficientTensor, LaurentError, LaurentPolynomial,
                       NormalizedPolynomial, from_polytope, make_polynomial,
                       normalize, parse_laurent, polynomial_from_json,
-                      polynomial_to_json, sort_variables_by_degree,
-                      to_expr_string, total_weight)
+                      polynomial_to_json, to_expr_string, total_weight)
 from .oracle import SizeGuardError, known_family, naive_power_coeff
 from .recurrence import (DifferentialOperator, FitError, Recurrence, Series,
                          constant_term_series, exact_coefficient,
@@ -45,7 +44,6 @@ __all__ = [
     "parse_laurent", "parse_operator_text", "polynomial_from_json",
     "polynomial_to_json", "reconstruct", "recurrence_to_operator",
     "reduce_int", "sample_operator", "sample_polynomial", "search_recurrence",
-    "select_primes", "series_from_json", "series_to_json",
-    "sort_variables_by_degree", "to_expr_string", "top_partial",
+    "select_primes", "series_from_json", "series_to_json", "to_expr_string",
     "total_weight", "verify_recurrence",
 ]

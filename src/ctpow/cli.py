@@ -72,9 +72,10 @@ def _emit(text: str, cfg: RunConfig):
         print(text)
 
 
-def _progress(label):
+def _progress(label, unit):
     def report(done, total):
-        print(f"\r{label}: {done}/{total}", end="", file=sys.stderr, flush=True)
+        print(f"\r{label}: {done}/{total} {unit}", end="", file=sys.stderr,
+              flush=True)
         if done == total:
             print(file=sys.stderr)
     return report
@@ -97,7 +98,7 @@ def cmd_series(args) -> int:
     h = _load_polynomial(args, cfg)
     s = constant_term_series(h, args.count, threads=cfg.threads,
                              prime_bits=cfg.prime_bits,
-                             progress=_progress("series"))
+                             progress=_progress("series", "row blocks"))
     _emit(json.dumps(series_to_json(s), indent=2, sort_keys=True), cfg)
     return 0
 

@@ -30,6 +30,7 @@ stays linear in sum_k N_k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,53 +113,47 @@ class PrimeContext:
         return row
 
     def multinomials(self) -> np.ndarray:
-        """M_j = p!/(j! j! (p-2j)!) mod q for j = 0..p//2, by the ratio update."""
+        """M_j = p!/(j! j! (p-2j)!) mod q for j = 0..p//2."""
         if self._multinomials is None:
-            p, q = self.p, self.q
-            m = p // 2
-            M = [1] * (m + 1)
-            for j in range(m):
-                num = (p - 2 * j) * (p - 2 * j - 1) % q
-                M[j + 1] = M[j] * num % q * pow(j + 1, -2, q) % q
-            self._multinomials = np.array(M, dtype=np.int64)
+            p, m = self.p, self.p // 2
+            self._multinomials = np.array(
+                [math.comb(p, j) * math.comb(p - j, j) % self.q
+                 for j in range(m + 1)], dtype=np.int64)
             self.meter.take(m + 1)
         return self._multinomials
 
 
 def _vec_pow(v: np.ndarray, p: int, ctx: PrimeContext) -> np.ndarray:
-    """Elementwise v**p mod q by binary powering."""
+    """Elementwise v**p mod q by binary powering (p >= 1)."""
     q = ctx.q
-    width = v.size
+    ctx.counters.mults += v.size * (p.bit_count() + p.bit_length() - 1)
     result = np.ones_like(v)
     base = v % q
     while p:
         if p & 1:
             result = result * base % q
-            ctx.counters.mults += width
         p >>= 1
         if p:
             base = base * base % q
-            ctx.counters.mults += width
     return result
 
 
-def _base_case(i, A, p, ctx, lo, hi):
-    """k = 1: evaluate at the nodes in [lo, hi), power, dot with the row."""
+def _base_case(i, A, p, ctx):
+    """k = 1: evaluate at the nodes, power, dot with the row."""
     q = ctx.q
     N = ctx.level_nodes[0]
-    u = ctx.nodes(N)[lo:hi]
-    width = hi - lo
+    u = ctx.nodes(N)
+    width = N + 1
     ctx.meter.take(3 * width)
     v = np.full(width, int(A[-1]), dtype=np.int64)
     for j in range(A.shape[0] - 2, -1, -1):
         v = (v * u + int(A[j])) % q
-        ctx.counters.mults += width
     w = _vec_pow(v, p, ctx)
+    out = int((w * ctx.row_for(N, i[0]) % q).sum() % q)
+    # Horner steps plus the dot with the row
+    ctx.counters.mults += width * A.shape[0]
     ctx.counters.base_invocations += 1
     ctx.counters.pow_mod_calls += width
-    row = ctx.row_for(N, i[0])[lo:hi]
-    out = int((w * row % q).sum() % q)
-    ctx.counters.mults += width
     ctx.meter.give(3 * width)
     return out
 
@@ -182,38 +177,36 @@ def split2(i1: int, A: np.ndarray, p: int, ctx: PrimeContext) -> int:
     counters.split2_calls += 1
     ctx.meter.take(5 * width)
 
+    # A0, B and C at the nodes, by Horner
     d2 = A.shape[1] - 1
-    a0 = np.full(width, int(A[0, -1]), dtype=np.int64)
-    bv = np.full(width, int(A[1, -1]), dtype=np.int64)
-    cv = np.full(width, int(A[2, -1]), dtype=np.int64)
+    V = np.repeat(A[:, d2][:, None], width, axis=1)
     for j in range(d2 - 1, -1, -1):
-        a0 = (a0 * u + int(A[0, j])) % q
-        bv = (bv * u + int(A[1, j])) % q
-        cv = (cv * u + int(A[2, j])) % q
-    counters.mults += 3 * d2 * width
+        V = (V * u + A[:, j][:, None]) % q
+    acc = _split2_sum(*V, p, ctx)
+    row = ctx.row_for(N, ctx.target[1])
+    out = int((acc * row % q).sum() % q)
+    counters.mults += (3 * d2 + 1) * width      # Horner, then the row
+    ctx.meter.give(5 * width)
+    return out
 
-    g = a0 * cv % q          # (A0*C)(u)
-    h = bv * bv % q          # B(u)^2
-    counters.mults += 2 * width
 
-    # sum_j M_j g^j h^(m-j), homogeneous Horner, times B for odd p
+def _split2_sum(a0, bv, cv, p: int, ctx: PrimeContext) -> np.ndarray:
+    """sum_j M_j g^j h^(m-j) with g = A0*C, h = B^2 and m = p//2, by
+    homogeneous Horner, times B for odd p; elementwise."""
+    q = ctx.q
     M = ctx.multinomials()
     m = p // 2
-    acc = np.full(width, int(M[m]), dtype=np.int64)
-    hp = np.ones(width, dtype=np.int64)
+    g = a0 * cv % q
+    h = bv * bv % q
+    acc = np.full(a0.shape, int(M[m]), dtype=np.int64)
+    hp = np.ones(a0.shape, dtype=np.int64)
     for j in range(m - 1, -1, -1):
         hp = hp * h % q
         acc = (acc * g + int(M[j]) * hp) % q
-        counters.mults += 3 * width
     if p & 1:
         acc = acc * bv % q
-        counters.mults += width
-
-    row = ctx.row_for(N, ctx.target[1])
-    out = int((acc * row % q).sum() % q)
-    counters.mults += width
-    ctx.meter.give(5 * width)
-    return out
+    ctx.counters.mults += a0.size * (2 + 3 * m + (p & 1))
+    return acc
 
 
 def _split2_applies(A, i, p, ctx) -> bool:
@@ -250,19 +243,17 @@ def _base_block(i, A, p, ctx, lo, hi):
         B = np.repeat(A[:, d2][:, None], c, axis=1)
         for j in range(d2 - 1, -1, -1):
             B = (B * s + A[:, j][:, None]) % q
-        ctx.counters.mults += d2 * (d1 + 1) * c
         # evaluate every column at the level-1 nodes, then power and combine
         V = np.repeat(B[d1][:, None], w1, axis=1)
         for j in range(d1 - 1, -1, -1):
             V = (V * u1 + B[j][:, None]) % q
-        ctx.counters.mults += d1 * c * w1
         W = _vec_pow(V, p, ctx)
+        partial = (W * row1 % q).sum(axis=1) % q
+        acc = (acc + int((partial * row2[lo_c:hi_c] % q).sum())) % q
+        # both Horner passes, then the two rows
+        ctx.counters.mults += c * (d2 * (d1 + 1) + d1 * w1 + w1 + 1)
         ctx.counters.base_invocations += c
         ctx.counters.pow_mod_calls += c * w1
-        partial = (W * row1 % q).sum(axis=1) % q
-        ctx.counters.mults += c * w1
-        acc = (acc + int((partial * row2[lo_c:hi_c] % q).sum())) % q
-        ctx.counters.mults += c
         ctx.meter.give((d1 + 1) * c + 3 * c * w1 + c)
     return acc
 
@@ -280,8 +271,6 @@ def _split2_block(i, A, p, ctx, lo, hi):
     d3 = A.shape[2] - 1
     d2 = A.shape[1] - 1
     w2 = N2 + 1
-    M = ctx.multinomials()
-    m = p // 2
     counters = ctx.counters
     acc = 0
     for lo_c in range(lo, hi, _CHUNK):
@@ -294,32 +283,15 @@ def _split2_block(i, A, p, ctx, lo, hi):
         T = np.repeat(A[:, :, d3][:, :, None], c, axis=2)
         for j in range(d3 - 1, -1, -1):
             T = (T * s + A[:, :, j][:, :, None]) % q
-        counters.mults += d3 * 3 * (d2 + 1) * c
-        rows_at_nodes = []
-        for r in range(3):
-            E = np.repeat(T[r, d2][:, None], w2, axis=1)
-            for j in range(d2 - 1, -1, -1):
-                E = (E * u2 + T[r, j][:, None]) % q
-            rows_at_nodes.append(E)
-        counters.mults += 3 * d2 * c * w2
-        a0, bv, cv = rows_at_nodes
-        g = a0 * cv % q
-        h = bv * bv % q
-        counters.mults += 2 * c * w2
-        val = np.full((c, w2), int(M[m]), dtype=np.int64)
-        hp = np.ones((c, w2), dtype=np.int64)
-        for j in range(m - 1, -1, -1):
-            hp = hp * h % q
-            val = (val * g + int(M[j]) * hp) % q
-            counters.mults += 3 * c * w2
-        if p & 1:
-            val = val * bv % q
-            counters.mults += c * w2
-        counters.split2_calls += c
+        E = np.repeat(T[:, d2][:, :, None], w2, axis=2)
+        for j in range(d2 - 1, -1, -1):
+            E = (E * u2 + T[:, j][:, :, None]) % q
+        val = _split2_sum(*E, p, ctx)
         partial = (val * row2 % q).sum(axis=1) % q
-        counters.mults += c * w2
         acc = (acc + int((partial * row3[lo_c:hi_c] % q).sum())) % q
-        counters.mults += c
+        # both Horner passes, then the two rows
+        counters.mults += c * (3 * d3 * (d2 + 1) + 3 * d2 * w2 + w2 + 1)
+        counters.split2_calls += c
         ctx.meter.give(held)
     return acc
 
@@ -354,7 +326,7 @@ def _node_sum(k, i, A, p, ctx, lo, hi):
 def coeff(k: int, i, A, p: int, ctx: PrimeContext) -> int:
     """[A^p]_i mod q for the first k variables of the context."""
     if k == 1:
-        return _base_case(i, A, p, ctx, 0, ctx.level_nodes[0] + 1)
+        return _base_case(i, A, p, ctx)
     if k == 2 and _split2_applies(A, i, p, ctx):
         return split2(i[0], A, p, ctx)
     return _node_sum(k, i, A, p, ctx, 0, ctx.level_nodes[k - 1] + 1)
@@ -397,30 +369,3 @@ def coefficient_mod_prime(nf: NormalizedPolynomial, i, p: int, q: int,
     if nf.n == 0:
         return pow(nf.tensor[()], p, q)
     return coeff(nf.n, i, ctx.tensor, p, ctx)
-
-
-def top_partial(nf: NormalizedPolynomial, i, p: int, q: int,
-                lo: int = 0, hi: int | None = None,
-                use_split2: bool = True) -> int:
-    """Partial sum over top-level nodes [lo, hi); the parallel work unit.
-
-    Summing the partials over a disjoint cover of [0, N_top + 1] and
-    reducing mod q gives coefficient_mod_prime exactly, whatever the split.
-    """
-    i = tuple(int(x) for x in i)
-    ctx = make_context(nf, i, p, q, use_split2)
-    if hi is None:
-        hi = (ctx.level_nodes[-1] if ctx.level_nodes else 0) + 1
-    if not _in_range(i, ctx.level_nodes) or p <= 1:
-        # trivial cases are never chunked: the driver sends one full task
-        if lo != 0:
-            return 0
-        return coefficient_mod_prime(nf, i, p, q, use_split2, ctx)
-    n = nf.n
-    if n == 1:
-        return _base_case(i, ctx.tensor, p, ctx, lo, hi)
-    if n == 2 and _split2_applies(ctx.tensor, i, p, ctx):
-        if lo != 0:
-            return 0
-        return split2(i[0], ctx.tensor, p, ctx)
-    return _node_sum(n, i, ctx.tensor, p, ctx, lo, hi)

@@ -330,23 +330,3 @@ def from_polytope(vertices) -> LaurentPolynomial:
 def total_weight(h: LaurentPolynomial) -> int:
     """Sum of absolute coefficient values; governs coefficient growth of powers."""
     return sum(abs(c) for c, _ in h.terms)
-
-
-def sort_variables_by_degree(h: LaurentPolynomial) -> LaurentPolynomial:
-    """Reorder variables so cleared degrees descend along the axis order.
-
-    The recursion eliminates the last axis first, so this puts the
-    highest-degree variables innermost where evaluation is vectorized.
-    Stable for ties, so the result is deterministic.
-    """
-    if h.is_zero():
-        return h
-    n = h.n
-    spans = []
-    for r in range(n):
-        exps = [e[r] for _, e in h.terms]
-        spans.append(max(exps) + max(0, -min(exps)))
-    order = sorted(range(n), key=lambda r: (-spans[r], r))
-    vs = tuple(h.variables[r] for r in order)
-    ts = [(c, tuple(e[r] for r in order)) for c, e in h.terms]
-    return make_polynomial(vs, ts)

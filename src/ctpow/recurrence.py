@@ -19,9 +19,13 @@ sum_i z^i P_i(theta) annihilating the generating function, theta = z d/dz.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import torus
 # the Vandermonde reference engine; ctbench's tracer wraps this name
@@ -43,27 +47,30 @@ def _primes_for(h_weight: int, M: int, p: int, prime_bits: int) -> ModulusSet:
     return select_primes(bits, max(1, p), prime_bits, congruent_to_1_mod=M)
 
 
-def _residues_task(args):
-    """One unit of work: (p, residues of [f^p]_target over a block of rows)."""
-    nf, target, p, primes, tp, lo, hi = args
-    return p, torus.coefficient_residues(nf, target, p, primes, tp,
-                                         range(lo, hi))
-
-
 def _resolve_threads(threads: int) -> int:
-    if threads == 0:
-        import os
-        return os.cpu_count() or 1
-    return max(1, threads)
+    if threads < 0:
+        raise ValueError("threads must be >= 0")
+    return threads or os.cpu_count() or 1   # 0 means every core
 
 
-def _map_tasks(tasks, threads: int):
-    """_residues_task over the tasks, in order; a process pool when threads > 1."""
-    if threads == 1 or len(tasks) < 2:
-        yield from map(_residues_task, tasks)
-        return
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(_residues_task, tasks, chunksize=1)
+def _sum_row_blocks(fn, args, tp, ms: ModulusSet, threads: int,
+                    progress=None) -> np.ndarray:
+    """fn(*args, primes, tp, rows) over contiguous blocks of grid rows, about
+    three per worker and in a process pool when threads > 1, summed modulo
+    each prime (exact Python ints).  progress(done, total) counts blocks."""
+    step = tp.rows if threads == 1 else -(-tp.rows // (3 * threads))
+    tasks = [(*args, ms.primes, tp, range(lo, min(lo + step, tp.rows)))
+             for lo in range(0, tp.rows, step)]
+    moduli = np.array(ms.primes, dtype=object)
+    total = 0
+    serial = threads == 1 or len(tasks) < 2
+    with nullcontext() if serial else ProcessPoolExecutor(threads) as pool:
+        parts = (pool.map if pool else map)(fn, *zip(*tasks))
+        for done, part in enumerate(parts, 1):
+            total = (total + np.array(part, dtype=object)) % moduli
+            if progress:
+                progress(done, len(tasks))
+    return total
 
 
 def exact_coefficient(h: LaurentPolynomial, p: int, index=None,
@@ -76,6 +83,7 @@ def exact_coefficient(h: LaurentPolynomial, p: int, index=None,
     """
     if p < 0:
         raise ValueError("negative power")
+    threads = _resolve_threads(threads)
     nf = normalize(h)
     if index is None:
         index = (0,) * nf.n
@@ -87,14 +95,8 @@ def exact_coefficient(h: LaurentPolynomial, p: int, index=None,
         return 0
     tp = torus.plan(nf, target, p, use_split2)
     ms = _primes_for(total_weight(h), tp.M, p, prime_bits)
-    threads = _resolve_threads(threads)
-    # contiguous blocks of grid rows, about three per worker
-    step = tp.rows if threads == 1 else -(-tp.rows // (3 * threads))
-    tasks = [(nf, target, p, ms.primes, tp, lo, min(lo + step, tp.rows))
-             for lo in range(0, tp.rows, step)]
-    residues = [0] * len(ms.primes)
-    for _, part in _map_tasks(tasks, threads):
-        residues = [(a + b) % q for a, b, q in zip(residues, part, ms.primes)]
+    residues = _sum_row_blocks(torus.coefficient_residues, (nf, target, p),
+                               tp, ms, threads)
     return reconstruct(RnsValue(tuple(residues)), ms)
 
 
@@ -139,27 +141,24 @@ def series_from_json(obj) -> Series:
 def constant_term_series(h: LaurentPolynomial, P: int, threads: int = 1,
                          use_split2: bool = True, prime_bits: int = 31,
                          progress=None) -> Series:
-    """a_p = [h^p]_0 for p = 0..P, exactly.
+    """a_p = [h^p]_0 for p = 0..P, exactly, in one pass over one grid.
 
-    Work is parallelized with one task per power, heaviest first; results
-    are identical for any thread count because each task is exact field
-    arithmetic.
+    Every power shares the grid planned for a_P (torus.series_residues)
+    and one set of primes whose bound covers a_P.  The grid rows are split
+    into blocks, about three per worker, and each block returns partial sums
+    of all P + 1 terms; results are identical for any thread count because
+    each block is exact field arithmetic.  progress(done, total) counts row
+    blocks.  Raises ValueError unless 0 <= P < torus.MAX_SERIES.
     """
+    if not 0 <= P < torus.MAX_SERIES:
+        raise ValueError(f"series length must be in [0, {torus.MAX_SERIES})")
+    threads = _resolve_threads(threads)
     nf = normalize(h)
-    w = total_weight(h)
-    tasks = []
-    moduli = {}
-    for p in range(P, -1, -1):
-        target = tuple(p * s for s in nf.shift)
-        tp = torus.plan(nf, target, p, use_split2)
-        moduli[p] = _primes_for(w, tp.M, p, prime_bits)
-        tasks.append((nf, target, p, moduli[p].primes, tp, 0, tp.rows))
-    terms = {}
-    for p, residues in _map_tasks(tasks, _resolve_threads(threads)):
-        terms[p] = reconstruct(RnsValue(residues), moduli[p])
-        if progress:
-            progress(len(terms), P + 1)
-    return Series(h, tuple(terms[p] for p in range(P + 1)))
+    tp = torus.plan(nf, tuple(P * s for s in nf.shift), P, use_split2)
+    ms = _primes_for(total_weight(h), tp.M, P, prime_bits)
+    sums = _sum_row_blocks(torus.series_residues, (nf, P), tp, ms, threads,
+                           progress)
+    return Series(h, tuple(reconstruct(RnsValue(tuple(r)), ms) for r in sums))
 
 
 # --- recurrences -------------------------------------------------------------

@@ -17,19 +17,31 @@ polynomials in the other variables, and m = t_x - p >= 0,
     [f^p]_(x^t_x) = B^m * sum_j K_j (B*C)^j A^(p-m-2j),
     K_j = p! / (j! (j+m)! (p-m-2j)!),
 
-with B and C swapped when m < 0.  The sum runs in homogeneous Horner form,
-as in engine.split2.  The remaining g variables run over the grid, walked in
-chunks of _ROWS rows of M points (a row is the last grid variable), and all
-primes of one power share each numpy call, so the live elements per prime
-stay O(M) = O(p).  Without such a variable, or with use_split2 off, every
+with B and C swapped when m < 0, in homogeneous Horner form as in
+engine.split2.  Without such a variable, or with use_split2 off, every
 variable is on the grid and f(omega^s)^p is powered pointwise.
 
-Residues are int64 with every modulus below 2**31: a product of two stays
-below 2**62 and a sum of two products below 2**63.
+A series a_0..a_P takes one pass over the grid planned for a_P, which is
+valid for every p <= P, with the values of h itself (weight 1).  With
+h = C/x + A + B*x in the inner variable x, U_p = p! [x^0] h^p obeys
+
+    U_0 = 1, U_1 = A, U_p = (2p-1) A U_(p-1) - (p-1)^2 (A^2 - 4BC) U_(p-2),
+
+three reductions per point and power, and a_p = M^-g sum_s U_p / p!.  If x
+has exponents of one sign only, A^p alone reaches x^0: BC = 0 gives p! A^p.
+Without the inner variable the pass accumulates the powers h(omega^s)^p.
+
+Both paths share the evaluation of the class values A, B, C (or h) in
+chunks of _ROWS grid rows of M points (a row is the last grid variable),
+with all primes in each numpy call, so the live elements per prime stay
+O(M) = O(p).  Residues are int64 below 2**31: a product of two stays below
+2**62 and a sum of two products below 2**63.  (2p-1)*x and (p-1)^2*y in
+the recurrence stay below 2**63 only while P < MAX_SERIES = 2**16.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +54,8 @@ from .rns import root_of_unity
 _ROWS = 32
 # arrays of chunk size (points x primes) alive at once in one chunk
 _LIVE = 9
+# series lengths P must stay below this (see the module docstring)
+MAX_SERIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -67,20 +81,10 @@ def plan(nf: NormalizedPolynomial, target, p: int,
     largest M on the grid is summed exactly; ties go to the last.
     """
     need = [max(p * d - t, t) for d, t in zip(nf.degrees, target)]
-    inner = None
-    if use_split2:
-        for k, d in enumerate(nf.degrees):
-            if d <= 2 and (inner is None or need[k] >= need[inner]):
-                inner = k
+    inner = max((k for k, d in enumerate(nf.degrees) if use_split2 and d <= 2),
+                key=lambda k: (need[k], k), default=None)
     grid = tuple(k for k in range(nf.n) if k != inner)
     return TorusPlan(inner, grid, 1 + max((need[k] for k in grid), default=0))
-
-
-def _terms(nf: NormalizedPolynomial):
-    """(coefficient, cleared exponent vector) of every nonzero entry."""
-    shape = nf.tensor.shape
-    return [(c, np.unravel_index(flat, shape) if shape else ())
-            for flat, c in enumerate(nf.tensor.data) if c]
 
 
 def _mulmod(a, b, q):
@@ -105,22 +109,13 @@ def _powmod(v, e: int, q):
 def _trinomial_weights(p: int, m: int, primes) -> np.ndarray:
     """K_j = p!/(j! (j+m)! (p-m-2j)!) mod q for j = 0..(p-m)//2, per prime."""
     J = (p - m) // 2
-    K = np.empty((len(primes), J + 1), dtype=np.int64)
-    for r, q in enumerate(primes):
-        fact = [1] * (p + 1)
-        for k in range(1, p + 1):
-            fact[k] = fact[k - 1] * k % q
-        inv = [0] * (p + 1)
-        inv[p] = pow(fact[p], -1, q)
-        for k in range(p, 0, -1):
-            inv[k - 1] = inv[k] * k % q
-        for j in range(J + 1):
-            K[r, j] = fact[p] * inv[j] % q * inv[j + m] % q * inv[p - m - 2 * j] % q
-    return K
+    K = [math.comb(p, j) * math.comb(p - j, j + m) for j in range(J + 1)]
+    return np.array([[k % q for k in K] for q in primes], dtype=np.int64)
 
 
 def _trinomial(a, b, c, p: int, m: int, K, q):
-    """[(c/x + a + b*x)^p]_(x^m) pointwise, given K for |m|."""
+    """[(c/x + a + b*x)^p]_(x^m) pointwise, given K for |m| (primes first,
+    then j, then axes that broadcast against a)."""
     if m < 0:
         b, c = c, b
     L = p - abs(m)
@@ -144,50 +139,43 @@ def _trinomial(a, b, c, p: int, m: int, K, q):
     return acc
 
 
-def coefficient_residues(nf: NormalizedPolynomial, target, p: int, primes,
-                         torus_plan: TorusPlan, rows: range | None = None,
-                         meter: AllocationMeter | None = None) -> tuple[int, ...]:
-    """[f^p]_target mod each prime, summed over the grid rows in `rows`.
+def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
+                  twist, meter: AllocationMeter | None, held_by_caller: int):
+    """The class values of f on the grid rows in `rows`, chunk by chunk.
 
-    Targets outside the support of f^p give 0.  Every prime must be 1
-    modulo torus_plan.M.  Partial results over a disjoint cover of
-    range(torus_plan.rows) add up, modulo each prime, to the full
-    coefficient.  The meter, if given, tracks the live auxiliary
-    elements (input excluded).
+    Yields (vals, w_row, w_outer) for each chunk of R rows of L points: vals,
+    of shape (classes, primes, R, L), holds the sum of each class of terms
+    (by exponent of the inner variable; one class without one) at every
+    point, and w_row (primes, 1, L) times w_outer (primes, R, 1) is
+    omega^(-twist.s) there.  The meter holds the tables, held_by_caller
+    elements, and _LIVE chunk-sized arrays per chunk, enough for the caller.
     """
-    tp = torus_plan
-    M = tp.M
-    target = tuple(int(t) for t in target)
-    if any(not 0 <= t <= p * d for t, d in zip(target, nf.degrees)):
-        return (0,) * len(primes)
-    if rows is None:
-        rows = range(tp.rows)
     meter = meter if meter is not None else AllocationMeter()
+    M = tp.M
     nq = len(primes)
     qs = np.array(primes, dtype=np.int64)[:, None]
+    rows = range(tp.rows) if rows is None else rows
 
     # each term's class (its exponent in the inner variable), its exponent
     # in the last grid variable, and its exponents in the outer ones
-    terms = _terms(nf)
-    g = len(tp.grid)
+    shape = nf.tensor.shape
+    terms = [(c, np.unravel_index(flat, shape) if shape else ())
+             for flat, c in enumerate(nf.tensor.data) if c]
     outer, last = tp.grid[:-1], tp.grid[-1:]
     classes = [int(e[tp.inner]) if tp.inner is not None else 0
                for _, e in terms]
     lasts = [int(e[last[0]]) if last else 0 for _, e in terms]
     E = np.array([[e[k] for k in outer] for _, e in terms],
                  dtype=np.int64).reshape(len(terms), len(outer))
-    weight_outer = np.array([-target[k] % M for k in outer], dtype=np.int64)
+    twist_outer = np.array([-twist[k] % M for k in outer], dtype=np.int64)
     n_classes = 3 if tp.inner is not None else 1
     d_last = max(lasts)
 
     # omega^k for k < M
-    omega = np.empty((nq, M), dtype=np.int64)
-    for r, q in enumerate(primes):
-        w = root_of_unity(M, q)
-        x = 1
-        for k in range(M):
-            omega[r, k] = x
-            x = x * w % q
+    omega = np.ones((nq, M), dtype=np.int64)
+    w = np.array([root_of_unity(M, q) for q in primes], dtype=np.int64)
+    for k in range(1, M):
+        omega[:, k] = omega[:, k - 1] * w % qs[:, 0]
     # each term's coefficient times those powers, and which (class, last
     # exponent) group of P it adds to
     coeffs = np.array([[c % q for c, _ in terms] for q in primes],
@@ -197,21 +185,17 @@ def coefficient_residues(nf: NormalizedPolynomial, target, p: int, primes,
     for t, (cls, e) in enumerate(zip(classes, lasts)):
         group[cls * (d_last + 1) + e, t] = 1
     L = M if last else 1                               # points per row
-    z = omega[:, :L]                                   # last variable
-    weight_last = omega[:, [-target[last[0]] * s % M for s in range(L)]
-                        if last else [0]]
-    tables = nq * M * (1 + len(terms)) + 2 * nq * L
-    if tp.inner is not None:
-        m = target[tp.inner] - p
-        K = _trinomial_weights(p, abs(m), primes)
-        tables += K.size
+    w_row = omega[:, None, [-twist[last[0]] * s % M for s in range(L)]
+                  if last else [0]]
+    tables = nq * M * (1 + len(terms)) + 2 * nq * L + held_by_caller
     meter.take(tables)
 
     q3 = qs[:, :, None]
     strides = [M ** (len(outer) - 1 - k) for k in range(len(outer))]
-    total = np.zeros(nq, dtype=np.int64)
-    for r0 in range(rows.start, rows.stop, _ROWS):
-        r1 = min(r0 + _ROWS, rows.stop)
+    # at most 2**31 points per chunk, so a sum over them stays below 2**62
+    step = max(1, min(_ROWS, (1 << 31) // L))
+    for r0 in range(rows.start, rows.stop, step):
+        r1 = min(r0 + step, rows.stop)
         R = r1 - r0
         held = _LIVE * nq * R * L + 2 * len(terms) * nq * R
         meter.take(held)
@@ -226,20 +210,112 @@ def coefficient_residues(nf: NormalizedPolynomial, target, p: int, primes,
         # ... evaluated along the rows by Horner in omega^s
         acc = np.repeat(P[:, d_last, :, :, None], L, axis=3)
         for e in range(d_last - 1, -1, -1):
-            np.multiply(acc, z[:, None, :], out=acc)
+            np.multiply(acc, omega[:, None, :L], out=acc)  # last variable
             np.add(acc, P[:, e, :, :, None], out=acc)
             np.remainder(acc, q3, out=acc)
-        vals = acc.reshape(n_classes, nq, R * L)
-        if tp.inner is None:
-            value = _powmod(vals[0], p, qs)
-        else:
-            value = _trinomial(vals[1], vals[2], vals[0], p, m, K, qs)
-        # weight omega^(-t.s), split into its last-variable and outer parts
-        value = _mulmod(value.reshape(nq, R, L), weight_last[:, None, :], q3)
-        row_sums = value.sum(axis=2) % qs
-        row_sums = _mulmod(row_sums, omega[:, weight_outer @ O % M], qs)
-        total = (total + row_sums.sum(axis=1)) % qs[:, 0]
+        yield acc, w_row, omega[:, twist_outer @ O % M, None]
         meter.give(held)
     meter.give(tables)
-    return tuple(int(x) * pow(M, -g, q) % q
+
+
+def coefficient_residues(nf: NormalizedPolynomial, target, p: int, primes,
+                         torus_plan: TorusPlan, rows: range | None = None,
+                         meter: AllocationMeter | None = None) -> tuple[int, ...]:
+    """[f^p]_target mod each prime, summed over the grid rows in `rows`.
+
+    Targets outside the support of f^p give 0.  Every prime must be 1
+    modulo torus_plan.M.  Partial results over a disjoint cover of
+    range(torus_plan.rows) add up, modulo each prime, to the full
+    coefficient.  The meter, if given, tracks the live auxiliary
+    elements (input excluded).
+    """
+    tp = torus_plan
+    target = tuple(int(t) for t in target)
+    if any(not 0 <= t <= p * d for t, d in zip(target, nf.degrees)):
+        return (0,) * len(primes)
+    qs = np.array(primes, dtype=np.int64)[:, None]
+    q3 = qs[:, :, None]
+    m = target[tp.inner] - p if tp.inner is not None else 0
+    K = _trinomial_weights(p, abs(m), primes)[:, :, None]
+    total = np.zeros(len(primes), dtype=np.int64)
+    for vals, w_row, w_outer in _class_values(nf, tp, primes, rows, target,
+                                              meter, K.size):
+        if tp.inner is None:
+            value = _powmod(vals[0], p, q3)
+        else:
+            value = _trinomial(vals[1], vals[2], vals[0], p, m, K, q3)
+        # weight omega^(-t.s), split into its last-variable and outer parts
+        row_sums = _mulmod(value, w_row, q3).sum(axis=2, keepdims=True) % q3
+        row_sums = _mulmod(row_sums, w_outer, q3)
+        total = (total + row_sums.sum(axis=(1, 2))) % qs[:, 0]
+    return tuple(int(x) * pow(tp.M, -len(tp.grid), q) % q
                  for x, q in zip(total.tolist(), primes))
+
+
+def _trinomial_powers(a, d, P: int, q):
+    """U_p = p! [(c/x + a + b*x)^p]_(x^0) pointwise for p = 0..P, given
+    d = a^2 - 4bc, by the three-term recurrence; arrays are reused."""
+    u0, u1 = np.ones_like(a), a.copy()
+    x, y = np.empty_like(a), np.empty_like(a)
+    yield from (u0, u1)[:P + 1]
+    for p in range(2, P + 1):
+        np.multiply(a, u1, out=x)
+        np.remainder(x, q, out=x)
+        x *= 2 * p - 1
+        np.multiply(d, u0, out=y)
+        np.remainder(y, q, out=y)
+        y *= (p - 1) ** 2
+        x -= y
+        np.remainder(x, q, out=x)
+        u0, u1, x = u1, x, u0
+        yield u1
+
+
+def _plain_powers(v, P: int, q):
+    """v^p pointwise for p = 0..P; the array is reused."""
+    u = np.ones_like(v)
+    yield u
+    for _ in range(P):
+        np.multiply(u, v, out=u)
+        np.remainder(u, q, out=u)
+        yield u
+
+
+def series_residues(nf: NormalizedPolynomial, P: int, primes,
+                    torus_plan: TorusPlan, rows: range | None = None,
+                    meter: AllocationMeter | None = None) -> list[tuple[int, ...]]:
+    """a_p = [h^p]_0 mod each prime for p = 0..P, summed over `rows`.
+
+    torus_plan is the plan of a_P, plan(nf, P * nf.shift, P, ...); every
+    prime must be 1 modulo its M and exceed P, and P < MAX_SERIES.  Returns
+    P + 1 tuples of residues; partial results over a disjoint cover of
+    range(torus_plan.rows) add up, modulo each prime, to the full terms.
+    The meter works as in coefficient_residues.
+    """
+    tp = torus_plan
+    qs = np.array(primes, dtype=np.int64)[:, None]
+    q3 = qs[:, :, None]
+    S = np.zeros((P + 1, len(primes)), dtype=np.int64)
+    for vals, w_row, w_outer in _class_values(nf, tp, primes, rows, nf.shift,
+                                              meter, S.size):
+        # omega^(-shift.s) gives the values of h, in place to save memory
+        for w in (w_row, w_outer):
+            np.remainder(np.multiply(vals, w, out=vals), q3, out=vals)
+        if tp.inner is None:
+            powers = _plain_powers(vals[0], P, q3)
+        else:
+            # A is the class of x^0; unless x has exponents of both signs
+            # (shift 1: x^-1, x^0, x^1) only A^p reaches x^0, so BC = 0
+            s = nf.shift[tp.inner]
+            d = _mulmod(vals[s], vals[s], q3)
+            if s == 1:
+                d = (d - 4 * _mulmod(vals[0], vals[2], q3)) % q3
+            powers = _trinomial_powers(vals[s], d, P, q3)
+        for p, u in enumerate(powers):
+            S[p] += u.sum(axis=(1, 2))
+        S %= qs[:, 0]
+    # a_p = S_p / (p! M^g), without the p! when h itself was powered
+    return [tuple(x * pow(math.factorial(p if tp.inner is not None else 0)
+                          * tp.M ** len(tp.grid), -1, q) % q
+                  for x, q in zip(row, primes))
+            for p, row in enumerate(S.tolist())]

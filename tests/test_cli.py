@@ -73,6 +73,15 @@ def test_series_dwork(capsys):
     assert obj["terms"][10] == "113400"
     assert obj["poly"]["variables"] == ["X", "Y", "Z", "T"]
     assert "series:" in err  # progress goes to stderr
+    assert err.rstrip().endswith("row blocks")  # counted in grid row blocks
+
+
+def test_series_negative_count_exits_3(capsys):
+    code, out, err = run(capsys, "series", "--fixture", "dwork4",
+                         "--count", "-2")
+    assert code == 3
+    assert out == ""
+    assert "series length" in err
 
 
 def test_series_monomial(tmp_path, capsys):

@@ -3,7 +3,9 @@
 For each case the exact value comes from naive_power_coeff.  The torus
 engine with and without the exact inner sum, the Vandermonde engine with
 and without split2, and exact_coefficient on one and two threads must all
-reproduce it (the engines modulo their primes).
+reproduce it (the engines modulo their primes).  constant_term_series, with
+and without the exact inner sum and on one and two threads, must reproduce
+every term a_0..a_P.
 """
 
 import math
@@ -16,7 +18,7 @@ from ctpow import torus
 from ctpow.engine import coefficient_mod_prime
 from ctpow.laurent import make_polynomial, normalize, parse_laurent
 from ctpow.oracle import naive_power_coeff
-from ctpow.recurrence import exact_coefficient
+from ctpow.recurrence import constant_term_series, exact_coefficient
 from ctpow.rns import select_primes
 
 Q = (1 << 31) - 1
@@ -63,6 +65,21 @@ def test_engines_agree_on_random_polynomials(case):
     check_all_paths(*case)
 
 
+def check_series(h, P):
+    want = tuple(naive_power_coeff(h, p) for p in range(P + 1))
+    for flag in (True, False):
+        for threads in (1, 2):
+            got = constant_term_series(h, P, threads=threads, use_split2=flag)
+            assert got.terms == want, (flag, threads)
+
+
+@given(cases())
+@settings(max_examples=100, deadline=None)
+def test_series_agree_with_the_oracle_on_random_polynomials(case):
+    h, P, _ = case
+    check_series(h, P)
+
+
 DEGENERATE = {
     "single term": make_polynomial(("X", "Y"), [(-3, (2, -1))]),
     "degree-zero variable": make_polynomial(
@@ -71,6 +88,12 @@ DEGENERATE = {
     "negative coefficients": parse_laurent("-2*X + 3*Y^-1 - X^-1*Y - 1"),
     "constant": parse_laurent("-3"),
 }
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_series_agree_with_the_oracle_on_degenerate_shapes(name):
+    for P in (0, 1, 5):
+        check_series(DEGENERATE[name], P)
 
 
 @pytest.mark.parametrize("name", sorted(DEGENERATE))

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctpow.engine import (EngineError, ModulusTooSmall, SplitPrecondition,
-                          coefficient_mod_prime, make_context, split2,
-                          top_partial)
+                          coefficient_mod_prime, make_context, split2)
 from ctpow.fixtures import sample_polynomial
 from ctpow.laurent import make_polynomial, normalize, parse_laurent
 from ctpow.oracle import naive_power_coeff
@@ -147,23 +146,6 @@ def test_split2_does_strictly_less_work():
     assert a == b
     assert on.counters.mults < off.counters.mults
     assert on.counters.split2_calls > 0
-
-
-def test_top_partial_chunks_cover_the_sum():
-    rng = random.Random(3)
-    for name in ("dwork4", "39"):
-        h = sample_polynomial(name)
-        nf = normalize(h)
-        p = 3
-        target = tuple(p * s for s in nf.shift)
-        full = coefficient_mod_prime(nf, target, p, Q)
-        n_top = ctx_nodes = p * nf.degrees[-1]
-        cuts = sorted(rng.sample(range(1, n_top + 1), 3))
-        edges = [0] + cuts + [n_top + 1]
-        total = 0
-        for lo, hi in zip(edges, edges[1:]):
-            total = (total + top_partial(nf, target, p, Q, lo, hi)) % Q
-        assert total == full
 
 
 def test_meter_peak_is_stable_across_runs():

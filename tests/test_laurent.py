@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from ctpow.laurent import (LaurentError, from_polytope, make_polynomial,
                            normalize, parse_laurent, polynomial_from_json,
-                           polynomial_to_json, sort_variables_by_degree,
-                           to_expr_string, total_weight)
+                           polynomial_to_json, to_expr_string, total_weight)
 
 
 def test_parse_simple_sum():
@@ -145,13 +144,3 @@ def test_from_polytope_rejects_duplicates():
 def test_from_polytope_rejects_mixed_dimensions():
     with pytest.raises(LaurentError):
         from_polytope([(1, 0), (0, 1, 2)])
-
-
-def test_sort_variables_by_degree_descending_span():
-    h = parse_laurent("X + Y^3 + Y^-1 + Z^2")
-    g = sort_variables_by_degree(h)
-    nf = normalize(g)
-    assert list(nf.degrees) == sorted(nf.degrees, reverse=True)
-    # same polynomial, relabeled axes
-    assert total_weight(g) == total_weight(h)
-    assert sorted(g.variables) == sorted(h.variables)

@@ -81,6 +81,34 @@ def test_series_of_pure_monomial():
     assert s.terms == (1, 0, 0, 0)
 
 
+def test_series_refuses_negative_and_too_long_counts():
+    h = parse_laurent("X + X^-1")
+    for P in (-1, -2, 1 << 16):
+        with pytest.raises(ValueError, match="series length"):
+            constant_term_series(h, P)
+    assert len(constant_term_series(h, 0)) == 1
+
+
+def test_negative_thread_counts_are_refused():
+    h = parse_laurent("X + X^-1")
+    with pytest.raises(ValueError, match="threads"):
+        exact_coefficient(h, 4, threads=-5)
+    with pytest.raises(ValueError, match="threads"):
+        constant_term_series(h, 4, threads=-2)
+    # 0 still means every core
+    assert exact_coefficient(h, 4, threads=0) == 6
+
+
+def test_series_progress_counts_row_blocks():
+    seen = []
+    s = constant_term_series(sample_polynomial("dwork4"), 10, threads=2,
+                             progress=lambda *counts: seen.append(counts))
+    total = seen[-1][1]
+    assert total > 1
+    assert seen == [(k, total) for k in range(1, total + 1)]
+    assert s.terms[10] == known_family("dwork4", 10)
+
+
 def test_make_recurrence_normalizes():
     rec = make_recurrence([(0, -2), (4, 0), (6,)])
     # content 2 removed, P_0 leading coefficient made positive

@@ -59,6 +59,45 @@ def test_row_blocks_cover_the_sum():
             assert tuple(total) == full
 
 
+def _series_plan(nf, P, flag=True):
+    return torus.plan(nf, tuple(P * s for s in nf.shift), P, flag)
+
+
+def test_series_row_blocks_cover_the_sum():
+    rng = random.Random(6)
+    for name in ("39", "dwork4"):
+        nf = normalize(sample_polynomial(name))
+        P = 5
+        want = [naive_power_coeff(sample_polynomial(name), p)
+                for p in range(P + 1)]
+        for flag in (True, False):
+            tp = _series_plan(nf, P, flag)
+            primes = _primes(tp, P)
+            full = torus.series_residues(nf, P, primes, tp)
+            assert full == [tuple(a % q for q in primes) for a in want]
+            cuts = sorted(rng.sample(range(1, tp.rows), 3))
+            edges = [0] + cuts + [tp.rows]
+            total = [[0] * len(primes) for _ in range(P + 1)]
+            for lo, hi in zip(edges, edges[1:]):
+                part = torus.series_residues(nf, P, primes, tp, range(lo, hi))
+                total = [[(a + b) % q for a, b, q in zip(x, y, primes)]
+                         for x, y in zip(total, part)]
+            assert [tuple(x) for x in total] == full
+
+
+def test_series_with_a_one_signed_inner_variable():
+    # X has exponents {0, 1, 2} only: just the X^0 class reaches X^0
+    h = parse_laurent("X^2*Y + 2*X + Y + Y^-1 - 3")
+    nf = normalize(h)
+    P = 6
+    tp = _series_plan(nf, P)
+    assert tp.inner == 0 and nf.shift[0] == 0 and nf.degrees[0] == 2
+    primes = _primes(tp, P)
+    assert torus.series_residues(nf, P, primes, tp) == [
+        tuple(naive_power_coeff(h, p) % q for q in primes)
+        for p in range(P + 1)]
+
+
 @pytest.mark.parametrize("text,p,index", [
     ("X + X^-1 + Y + Y^-1", 9, (3, -2)),
     ("X + X^-1 + Y + Y^-1", 9, (-3, 2)),
@@ -78,17 +117,28 @@ def test_off_centre_indices_match_the_oracle(text, p, index):
             == tuple(want % q for q in primes)
 
 
+def _coefficient_kernel(nf, p, meter):
+    target = tuple(p * s for s in nf.shift)
+    tp = torus.plan(nf, target, p)
+    torus.coefficient_residues(nf, target, p, _primes(tp, p, 31)[:1], tp,
+                               meter=meter)
+
+
+def _series_kernel(nf, P, meter):
+    tp = _series_plan(nf, P)
+    torus.series_residues(nf, P, _primes(tp, P, 31)[:1], tp, meter=meter)
+
+
 def test_live_elements_per_prime_grow_linearly_in_p():
-    # one prime per run, as criterion 6 meters the Vandermonde engine
+    # one prime per run, as criterion 6 meters the Vandermonde engine, for
+    # the single-power kernel and for the series kernel
     nf = normalize(sample_polynomial("39"))
-    peaks = []
-    for p in (10, 20, 40):
-        target = tuple(p * s for s in nf.shift)
-        tp = torus.plan(nf, target, p)
-        meter = AllocationMeter()
-        torus.coefficient_residues(nf, target, p, _primes(tp, p, 31)[:1], tp,
-                                   meter=meter)
-        assert meter.current == 0
-        peaks.append(meter.peak)
-    for small, big in zip(peaks, peaks[1:]):
-        assert 1.6 <= big / small <= 2.4, peaks
+    for kernel in (_coefficient_kernel, _series_kernel):
+        peaks = []
+        for p in (10, 20, 40):
+            meter = AllocationMeter()
+            kernel(nf, p, meter)
+            assert meter.current == 0
+            peaks.append(meter.peak)
+        for small, big in zip(peaks, peaks[1:]):
+            assert 1.6 <= big / small <= 2.4, (kernel.__name__, peaks)
