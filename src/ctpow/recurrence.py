@@ -42,9 +42,10 @@ class FitError(ValueError):
 # --- exact coefficients over many primes ------------------------------------
 
 def _primes_for(h_weight: int, M: int, p: int, prime_bits: int) -> ModulusSet:
-    # q = 1 (mod M) gives the grid's roots of unity; q > p keeps p! invertible
+    # q = 1 (mod M) gives the grid's roots of unity; q > 2p keeps p! and the
+    # series recurrence's divisors 2p - 1 invertible
     bits = coefficient_bound_bits(h_weight, p)
-    return select_primes(bits, max(1, p), prime_bits, congruent_to_1_mod=M)
+    return select_primes(bits, max(1, 2 * p), prime_bits, congruent_to_1_mod=M)
 
 
 def _resolve_threads(threads: int) -> int:
@@ -143,12 +144,14 @@ def constant_term_series(h: LaurentPolynomial, P: int, threads: int = 1,
                          progress=None) -> Series:
     """a_p = [h^p]_0 for p = 0..P, exactly, in one pass over one grid.
 
-    Every power shares the grid planned for a_P (torus.series_residues)
-    and one set of primes whose bound covers a_P.  The grid rows are split
-    into blocks, about three per worker, and each block returns partial sums
-    of all P + 1 terms; results are identical for any thread count because
-    each block is exact field arithmetic.  progress(done, total) counts row
-    blocks.  Raises ValueError unless 0 <= P < torus.MAX_SERIES.
+    Every power shares the grid planned for a_P and one set of primes whose
+    bound covers a_P; the primes exceed 2P because torus.series_residues
+    runs the trinomial recurrence rescaled by (2p-1)!!, two reductions per
+    grid point and power.  The grid rows are split into blocks, about three
+    per worker, and each block returns partial sums of all P + 1 terms;
+    results are identical for any thread count because each block is exact
+    field arithmetic.  progress(done, total) counts row blocks.  Raises
+    ValueError unless 0 <= P < torus.MAX_SERIES.
     """
     if not 0 <= P < torus.MAX_SERIES:
         raise ValueError(f"series length must be in [0, {torus.MAX_SERIES})")
@@ -197,13 +200,6 @@ def _poly_eval(coeffs, x: int) -> int:
     return acc
 
 
-def _content(vec) -> int:
-    g = 0
-    for v in vec:
-        g = math.gcd(g, v)
-    return g
-
-
 def make_recurrence(polys) -> Recurrence:
     """Normalize to the canonical form (content 1, P_0 leading coeff > 0)."""
     polys = [list(p) for p in polys]
@@ -211,7 +207,7 @@ def make_recurrence(polys) -> Recurrence:
     for p in polys:
         p.extend([0] * (width - len(p)))
     flat = [c for p in polys for c in p]
-    g = _content(flat)
+    g = math.gcd(*flat)
     if g == 0:
         raise ValueError("zero recurrence")
     lead = next((c for c in reversed(polys[0]) if c), 0)
@@ -238,46 +234,41 @@ def verify_recurrence(rec: Recurrence, series) -> bool:
 
 # fitting: exact nullspace of the relation matrix
 
-_FILTER_PRIME = (1 << 61) - 1
+# a 31-bit prime for the rank filter: every product stays below 2**62
+_RANK_PRIME = (1 << 31) - 1
 
 
 def _relation_matrix(terms, k, d):
-    rows = []
-    for n in range(len(terms)):
-        row = []
-        for i in range(k + 1):
-            a = terms[n - i] if n >= i else 0
-            base = n - i
-            pw = 1
-            for _ in range(d + 1):
-                row.append(a * pw)
-                pw *= base
-        rows.append(row)
-    return rows
+    """Row n: a_(n-i) (n-i)^j for i = 0..k, j = 0..d (a_m = 0 for m < 0)."""
+    return [[(terms[n - i] if n >= i else 0) * (n - i) ** j
+             for i in range(k + 1) for j in range(d + 1)]
+            for n in range(len(terms))]
 
 
-def _rank_mod(rows, q) -> int:
-    m = [[v % q for v in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+def _relation_matrix_mod(terms, k, d, q) -> np.ndarray:
+    """_relation_matrix(terms, k, d) mod q as an int64 array."""
+    t = np.array([a % q for a in terms] + [0], dtype=np.int64)
+    base = np.arange(len(terms))[:, None] - np.arange(k + 1)   # n - i
+    cols = [t[np.where(base >= 0, base, -1)]]                  # a_(n-i) or 0
+    for _ in range(d):
+        cols.append(cols[-1] * (base % q) % q)
+    return np.stack(cols, axis=2).reshape(len(terms), -1)
+
+
+def _rank_mod_prime(m: np.ndarray, q: int) -> int:
+    """Rank of m (entries in [0, q), q < 2**31) modulo q; one vectorised
+    fraction-free update of the rows below each pivot."""
+    m = m.copy()
     rank = 0
-    for c in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][c]), None)
-        if piv is None:
+    for c in range(m.shape[1]):
+        nonzero = m[rank:, c].nonzero()[0]
+        if not nonzero.size:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][c], -1, q)
-        prow = m[rank]
-        for r in range(rank + 1, nrows):
-            f = m[r][c]
-            if f:
-                f = f * inv % q
-                mr = m[r]
-                for cc in range(c, ncols):
-                    mr[cc] = (mr[cc] - f * prow[cc]) % q
+        if nonzero[0]:
+            m[[rank, rank + nonzero[0]]] = m[[rank + nonzero[0], rank]]
+        below = m[rank + 1:, c:]
+        below[:] = (below * m[rank, c] - below[:, :1] * m[rank, c:]) % q
         rank += 1
-        if rank == nrows:
-            break
     return rank
 
 
@@ -317,11 +308,9 @@ def _nullspace_1d(rows, ncols):
         s = sum((row[cc] * x[cc] for cc in range(c + 1, ncols) if row[cc]),
                 Fraction(0))
         x[c] = -s / row[c]
-    lcm = 1
-    for v in x:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+    lcm = math.lcm(*(v.denominator for v in x))
     ints = [int(v * lcm) for v in x]
-    g = _content(ints)
+    g = math.gcd(*ints)
     ints = [v // g for v in ints]
     lead = next(v for v in ints if v)
     if lead < 0:
@@ -342,18 +331,16 @@ def fit_recurrence(series, k: int, d: int, extra: int = 5):
         raise FitError("need at least one withheld equation")
     if len(terms) < ncols + extra:
         raise FitError(f"series too short: need {ncols + extra} terms, have {len(terms)}")
+    cut = len(terms) - extra
+    # cheap certificate: full column rank mod a prime means empty nullspace
+    if _rank_mod_prime(_relation_matrix_mod(terms[:cut], k, d, _RANK_PRIME),
+                       _RANK_PRIME) == ncols:
+        return None
     rows = _relation_matrix(terms, k, d)
-    cut = rows[:len(rows) - extra]
-    # cheap certificate: full column rank mod a big prime means empty nullspace
-    if _rank_mod(cut, _FILTER_PRIME) == ncols:
+    nullity, v = _nullspace_1d(rows[:cut], ncols)
+    if nullity != 1 or _nullspace_1d(rows, ncols) != (1, v):
         return None
-    nullity_cut, v_cut = _nullspace_1d(cut, ncols)
-    if nullity_cut != 1:
-        return None
-    nullity_full, v_full = _nullspace_1d(rows, ncols)
-    if nullity_full != 1 or v_cut != v_full:
-        return None
-    polys = [tuple(v_full[i * (d + 1):(i + 1) * (d + 1)]) for i in range(k + 1)]
+    polys = [tuple(v[i * (d + 1):(i + 1) * (d + 1)]) for i in range(k + 1)]
     if not any(polys[0]):
         return None
     return make_recurrence(polys)

@@ -24,19 +24,23 @@ variable is on the grid and f(omega^s)^p is powered pointwise.
 A series a_0..a_P takes one pass over the grid planned for a_P, which is
 valid for every p <= P, with the values of h itself (weight 1).  With
 h = C/x + A + B*x in the inner variable x, U_p = p! [x^0] h^p obeys
+U_p = (2p-1) A U_(p-1) - (p-1)^2 D U_(p-2), D = A^2 - 4BC.  The pass runs
+it on V_p = U_p / (2p-1)!!, which needs two reductions per point and power:
 
-    U_0 = 1, U_1 = A, U_p = (2p-1) A U_(p-1) - (p-1)^2 (A^2 - 4BC) U_(p-2),
+    V_0 = 1, V_1 = A, V_p = A V_(p-1) + g_p (D V_(p-2) mod q) mod q,
+    g_p = -(p-1)^2 / ((2p-1)(2p-3)) mod q,
 
-three reductions per point and power, and a_p = M^-g sum_s U_p / p!.  If x
-has exponents of one sign only, A^p alone reaches x^0: BC = 0 gives p! A^p.
+and a_p = M^-g (2p-1)!!/p! sum_s V_p, so every prime must exceed 2P.  If x
+has exponents of one sign only, A^p alone reaches x^0: BC = 0, D = A^2.
 Without the inner variable the pass accumulates the powers h(omega^s)^p.
 
 Both paths share the evaluation of the class values A, B, C (or h) in
 chunks of _ROWS grid rows of M points (a row is the last grid variable),
 with all primes in each numpy call, so the live elements per prime stay
 O(M) = O(p).  Residues are int64 below 2**31: a product of two stays below
-2**62 and a sum of two products below 2**63.  (2p-1)*x and (p-1)^2*y in
-the recurrence stay below 2**63 only while P < MAX_SERIES = 2**16.
+2**62 and a sum of two products below 2**63, at any P.  P < MAX_SERIES =
+2**16 is a size guard against work too large to finish: every grid
+variable has more than P points.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from .rns import root_of_unity
 _ROWS = 32
 # arrays of chunk size (points x primes) alive at once in one chunk
 _LIVE = 9
-# series lengths P must stay below this (see the module docstring)
+# series lengths P must stay below this size guard
 MAX_SERIES = 1 << 16
 
 
@@ -78,12 +82,14 @@ def plan(nf: NormalizedPolynomial, target, p: int,
     """Pick the exactly summed variable and the smallest valid M.
 
     Among the variables of degree at most 2 the one that would need the
-    largest M on the grid is summed exactly; ties go to the last.
+    largest M on the grid is summed exactly; ties go to the last.  Variables
+    absent from f with target 0 are left off the grid.
     """
     need = [max(p * d - t, t) for d, t in zip(nf.degrees, target)]
     inner = max((k for k, d in enumerate(nf.degrees) if use_split2 and d <= 2),
                 key=lambda k: (need[k], k), default=None)
-    grid = tuple(k for k in range(nf.n) if k != inner)
+    grid = tuple(k for k, (d, t) in enumerate(zip(nf.degrees, target))
+                 if k != inner and (d, t) != (0, 0))
     return TorusPlan(inner, grid, 1 + max((need[k] for k in grid), default=0))
 
 
@@ -252,23 +258,22 @@ def coefficient_residues(nf: NormalizedPolynomial, target, p: int, primes,
                  for x, q in zip(total.tolist(), primes))
 
 
-def _trinomial_powers(a, d, P: int, q):
-    """U_p = p! [(c/x + a + b*x)^p]_(x^0) pointwise for p = 0..P, given
-    d = a^2 - 4bc, by the three-term recurrence; arrays are reused."""
-    u0, u1 = np.ones_like(a), a.copy()
+def _trinomial_powers(a, d, g, q):
+    """V_p = p!/(2p-1)!! [(c/x + a + b*x)^p]_(x^0) pointwise for p = 0..P,
+    given d = a^2 - 4bc and g_p = -(p-1)^2 / ((2p-1)(2p-3)) mod q in g[p]
+    (shaped like q; g_0 and g_1 unused); arrays are reused."""
+    v0, v1 = np.ones_like(a), a.copy()
     x, y = np.empty_like(a), np.empty_like(a)
-    yield from (u0, u1)[:P + 1]
-    for p in range(2, P + 1):
-        np.multiply(a, u1, out=x)
-        np.remainder(x, q, out=x)
-        x *= 2 * p - 1
-        np.multiply(d, u0, out=y)
+    yield from (v0, v1)[:len(g)]
+    for g_p in g[2:]:
+        np.multiply(a, v1, out=x)
+        np.multiply(d, v0, out=y)
         np.remainder(y, q, out=y)
-        y *= (p - 1) ** 2
-        x -= y
+        y *= g_p
+        x += y
         np.remainder(x, q, out=x)
-        u0, u1, x = u1, x, u0
-        yield u1
+        v0, v1, x = v1, x, v0
+        yield v1
 
 
 def _plain_powers(v, P: int, q):
@@ -287,17 +292,21 @@ def series_residues(nf: NormalizedPolynomial, P: int, primes,
     """a_p = [h^p]_0 mod each prime for p = 0..P, summed over `rows`.
 
     torus_plan is the plan of a_P, plan(nf, P * nf.shift, P, ...); every
-    prime must be 1 modulo its M and exceed P, and P < MAX_SERIES.  Returns
-    P + 1 tuples of residues; partial results over a disjoint cover of
-    range(torus_plan.rows) add up, modulo each prime, to the full terms.
+    prime must be 1 modulo its M and exceed 2P, and P < MAX_SERIES.
+    Returns P + 1 tuples of residues; partial results over a disjoint cover
+    of range(torus_plan.rows) add up, modulo each prime, to the full terms.
     The meter works as in coefficient_residues.
     """
     tp = torus_plan
     qs = np.array(primes, dtype=np.int64)[:, None]
     q3 = qs[:, :, None]
     S = np.zeros((P + 1, len(primes)), dtype=np.int64)
+    g = np.zeros((P + 1, len(primes), 1, 1), dtype=np.int64)
+    for p in range(2, P + 1):
+        g[p, :, 0, 0] = [-(p - 1) ** 2 * pow((2 * p - 1) * (2 * p - 3), -1, q)
+                         % q for q in primes]
     for vals, w_row, w_outer in _class_values(nf, tp, primes, rows, nf.shift,
-                                              meter, S.size):
+                                              meter, S.size + g.size):
         # omega^(-shift.s) gives the values of h, in place to save memory
         for w in (w_row, w_outer):
             np.remainder(np.multiply(vals, w, out=vals), q3, out=vals)
@@ -310,12 +319,16 @@ def series_residues(nf: NormalizedPolynomial, P: int, primes,
             d = _mulmod(vals[s], vals[s], q3)
             if s == 1:
                 d = (d - 4 * _mulmod(vals[0], vals[2], q3)) % q3
-            powers = _trinomial_powers(vals[s], d, P, q3)
+            powers = _trinomial_powers(vals[s], d, g, q3)
         for p, u in enumerate(powers):
             S[p] += u.sum(axis=(1, 2))
         S %= qs[:, 0]
-    # a_p = S_p / (p! M^g), without the p! when h itself was powered
-    return [tuple(x * pow(math.factorial(p if tp.inner is not None else 0)
-                          * tp.M ** len(tp.grid), -1, q) % q
-                  for x, q in zip(row, primes))
-            for p, row in enumerate(S.tolist())]
+    # a_p = S_p (2p-1)!! / (p! M^g), without (2p-1)!!/p! when h was powered
+    scale = [pow(tp.M, -len(tp.grid), q) for q in primes]
+    out = []
+    for p, row in enumerate(S.tolist()):
+        if p and tp.inner is not None:
+            scale = [c * (2 * p - 1) * pow(p, -1, q) % q
+                     for c, q in zip(scale, primes)]
+        out.append(tuple(x * c % q for x, c, q in zip(row, scale, primes)))
+    return out

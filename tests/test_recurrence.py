@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,8 @@ from ctpow.recurrence import (DifferentialOperator, FitError, Recurrence,
                               recurrence_to_operator, search_recurrence,
                               series_from_json, series_to_json,
                               verify_recurrence)
-from ctpow.recurrence import _nullspace_1d, _relation_matrix
+from ctpow.recurrence import (_RANK_PRIME, _nullspace_1d, _rank_mod_prime,
+                              _relation_matrix, _relation_matrix_mod)
 
 
 def test_exact_coefficient_small_cases():
@@ -248,6 +250,61 @@ def test_relation_matrix_layout():
     assert rows[0] == [3, 0, 0, 0]
     assert rows[1] == [5, 5, 3, 0]
     assert rows[2] == [7, 14, 5, 5]
+
+
+def _sympy_rank(rows):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix(rows).rank()
+
+
+def _planted_terms(rng, k, d, N):
+    """Integer terms with n a_n + sum_(i=1..k) P_i(n-i) a_(n-i) = 0 for
+    every n >= 0, P_i random of degree d >= 1: a dependent column."""
+    polys = [[rng.randint(-9, 9) for _ in range(d + 1)] for _ in range(k)]
+    a = [Fraction(rng.randrange(1, 2 ** 200))]
+    for n in range(1, N):
+        a.append(-sum(sum(c * (n - i) ** j for j, c in enumerate(pi))
+                      * a[n - i] for i, pi in enumerate(polys, 1) if n >= i)
+                 / n)
+    lcm = math.lcm(*(x.denominator for x in a))
+    return [int(x * lcm) for x in a]
+
+
+def test_rank_filter_matches_sympy_on_relation_matrices():
+    # random terms up to 2**200 give full column rank; planted ones do not
+    rng = random.Random(11)
+    q = _RANK_PRIME
+    for k, d, N in ((1, 1, 8), (2, 2, 14), (3, 1, 12)):
+        rand = [rng.randrange(-2 ** 200, 2 ** 200) for _ in range(N)]
+        planted = _planted_terms(rng, k, d, N)
+        for terms, full in ((rand, True), (planted, False)):
+            rows = _relation_matrix(terms, k, d)
+            m = _relation_matrix_mod(terms, k, d, q)
+            assert m.tolist() == [[v % q for v in row] for row in rows]
+            rank = _rank_mod_prime(m, q)
+            assert rank == _sympy_rank(rows)
+            assert (rank == (k + 1) * (d + 1)) == full
+
+
+def test_rank_filter_matches_sympy_on_random_matrices():
+    rng = random.Random(12)
+    q = _RANK_PRIME
+    for nrows, ncols, dependent, zeros in (
+            (6, 6, 0, 0), (9, 5, 0, 0), (9, 6, 2, 0), (7, 7, 3, 0),
+            (4, 6, 0, 0), (8, 6, 0, 0.6), (8, 6, 1, 0.5)):
+        # with zeros, pivots must be searched for below the first row
+        cols = [[0 if rng.random() < zeros
+                 else rng.randrange(-2 ** 200, 2 ** 200) for _ in range(nrows)]
+                for _ in range(ncols - dependent)]
+        for _ in range(dependent):
+            w = [rng.randint(-5, 5) for _ in cols]
+            cols.append([sum(x * row[r] for x, row in zip(w, cols))
+                         for r in range(nrows)])
+        rows = [list(r) for r in zip(*cols)]
+        m = np.array([[v % q for v in row] for row in rows], dtype=np.int64)
+        rank = _rank_mod_prime(m, q)
+        assert rank == _sympy_rank(rows)
+        assert rank == min(nrows, ncols - dependent) or zeros
 
 
 def test_operator_text_rendering():

@@ -1,11 +1,13 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
 from ctpow import torus
 from ctpow.engine import AllocationMeter
 from ctpow.fixtures import sample_polynomial
-from ctpow.laurent import normalize, parse_laurent
+from ctpow.laurent import make_polynomial, normalize, parse_laurent
 from ctpow.oracle import naive_power_coeff
 from ctpow.rns import select_primes
 
@@ -28,6 +30,41 @@ def test_plan_sums_the_neediest_trinomial_variable_exactly():
     assert off.inner is None
     assert off.grid == (0, 1, 2)
     assert off.M >= tp.M
+
+
+def test_degree_zero_variables_stay_off_the_grid():
+    # Y has exponent 0 in every term: its sum over the grid is just M times
+    # one value, so it is left off
+    h = make_polynomial(("X", "Y", "Z"),
+                        [(1, (1, 0, 1)), (2, (-1, 0, 0)), (-1, (0, 0, -1))])
+    nf = normalize(h)
+    p = 8
+    target = tuple(p * s for s in nf.shift)
+    tp = torus.plan(nf, target, p)
+    assert (tp.inner, tp.grid, tp.M, tp.rows) == (2, (0,), 9, 1)
+    assert torus.plan(nf, target, p, use_split2=False).grid == (0, 2)
+    want = [naive_power_coeff(h, k) for k in range(p + 1)]
+    for flag in (True, False):
+        tp = torus.plan(nf, target, p, flag)
+        primes = _primes(tp, 2 * p)
+        assert torus.coefficient_residues(nf, target, p, primes, tp) \
+            == tuple(want[p] % q for q in primes)
+        assert torus.series_residues(nf, p, primes, tp) \
+            == [tuple(a % q for q in primes) for a in want]
+
+
+def test_a_shifted_degree_zero_variable_stays_on_the_grid():
+    # Y^-1 in every term: the sum over Y's grid is what makes a_p = 0, p >= 1
+    h = parse_laurent("X*Y^-1 + X^-1*Y^-1 + 3*Y^-1")
+    nf = normalize(h)
+    assert nf.degrees[1] == 0 and nf.shift[1] == 1
+    P = 6
+    assert _series_plan(nf, P, False).grid == (0, 1)
+    for flag in (True, False):
+        tp = _series_plan(nf, P, flag)
+        primes = _primes(tp, 2 * P)
+        assert torus.series_residues(nf, P, primes, tp) \
+            == [(1,) * len(primes)] + [(0,) * len(primes)] * P
 
 
 def test_constant_polynomial_has_an_empty_grid():
@@ -96,6 +133,42 @@ def test_series_with_a_one_signed_inner_variable():
     assert torus.series_residues(nf, P, primes, tp) == [
         tuple(naive_power_coeff(h, p) % q for q in primes)
         for p in range(P + 1)]
+
+
+def _central_trinomial(a, b, c, p, q):
+    """[x^0](c/x + a + b*x)^p mod q with Python ints."""
+    return sum(math.factorial(p) // (math.factorial(j) ** 2
+                                     * math.factorial(p - 2 * j))
+               * pow(b * c, j, q) * pow(a, p - 2 * j, q)
+               for j in range(p // 2 + 1)) % q
+
+
+def test_rescaled_trinomial_recurrence_to_high_powers():
+    # V_p (2p-1)!!/p! = [x^0](c/x + a + bx)^p for every p <= 200, for two
+    # primes at once, with both signs present (b, c != 0) and with BC = 0
+    P = 200
+    primes = select_primes(62, 2 * P, congruent_to_1_mod=12).primes[:2]
+    q3 = np.array(primes, dtype=np.int64)[:, None, None]
+    rng = random.Random(7)
+    a, b, c = ([[rng.randrange(1, q) for _ in range(4)] for q in primes]
+               for _ in range(3))
+    for row in c:
+        row[3] = 0                               # the last point has BC = 0
+    A, B, C = (np.array(x, dtype=np.int64)[:, None, :] for x in (a, b, c))
+    D = (A * A % q3 - 4 * (B * C % q3)) % q3
+    g = np.zeros((P + 1, 2, 1, 1), dtype=np.int64)
+    for p in range(2, P + 1):
+        g[p, :, 0, 0] = [-(p - 1) ** 2 * pow((2 * p - 1) * (2 * p - 3), -1, q)
+                         % q for q in primes]
+    for p, v in enumerate(torus._trinomial_powers(A, D, g, q3)):
+        for i, q in enumerate(primes):
+            # (2p-1)!! / p!
+            scale = math.prod(range(1, 2 * p, 2)) \
+                * pow(math.factorial(p), -1, q)
+            for k in range(4):
+                assert int(v[i, 0, k]) * scale % q == _central_trinomial(
+                    a[i][k], b[i][k], c[i][k], p, q), (p, q, k)
+    assert p == P
 
 
 @pytest.mark.parametrize("text,p,index", [
