@@ -10,13 +10,31 @@ thread instead and prints the nanoseconds per grid point, power (p = 1..P)
 and prime:
 
     python scripts/bench_scaling.py --fixture 39 --series 10,20,40
+
+With --json FILE it times the north-star cases on one thread instead:
+exact_coefficient of sample 39 at p = 40, 80 and 150, its constant term
+series to p = 59, and search_recurrence on those 60 terms.  The times go
+into one column of FILE (created if missing; other columns are kept) with
+the git revision, the Python and numpy versions and the core count.  --src
+picks the source tree to time, so that one file can compare two checkouts:
+
+    python scripts/bench_scaling.py --json BENCH_6.json --column parent \
+        --src ../parent/src
+    python scripts/bench_scaling.py --json BENCH_6.json --column change
 """
 
 import argparse
+import json
+import os
+import platform
+import subprocess
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+SRC = (sys.argv[sys.argv.index("--src") + 1] if "--src" in sys.argv
+       else "src")
+sys.path.insert(0, SRC)
 
 from ctpow import torus
 from ctpow.engine import AllocationMeter, coefficient_mod_prime, make_context
@@ -34,7 +52,15 @@ def main():
     ap.add_argument("--threads", type=int, default=0)
     ap.add_argument("--series", metavar="P1,P2,...",
                     help="time one-thread constant term series instead")
+    ap.add_argument("--json", metavar="FILE",
+                    help="time the north-star cases into FILE instead")
+    ap.add_argument("--column", default="change",
+                    help="column of the --json file to write")
+    ap.add_argument("--src", default="src", help="source tree to time")
     args = ap.parse_args()
+    if args.json:
+        north_star(Path(args.json), args.column)
+        return
 
     h = sample_polynomial(args.fixture)
     nf = normalize(h)
@@ -87,6 +113,55 @@ def series_table(name, h, nf, counts):
         ns = 1e9 * dt / (points * P * primes) if P else float("nan")
         print(f"{P:>4} {tp.M:>4} {points:>9} {primes:>6} {dt:>8.3f} "
               f"{ns:>20.1f}")
+
+
+def _timed(fn, *args, **kwargs):
+    """(result, seconds): the best of three runs, or of one past 5 s."""
+    times = []
+    while len(times) < (1 if times and times[0] > 5 else 3):
+        t0 = time.perf_counter()
+        out = fn(*args, **kwargs)
+        times.append(time.perf_counter() - t0)
+    return out, min(times)
+
+
+def north_star(path: Path, column: str):
+    import numpy
+
+    from ctpow import fixtures
+    from ctpow.recurrence import search_recurrence
+    h = sample_polynomial("39")
+    seconds = {}
+    for p in (40, 80, 150):
+        value, seconds[f"coeff39_p{p}"] = _timed(exact_coefficient, h, p,
+                                                 threads=1)
+        if p == 150:
+            assert value == fixtures.SAMPLE39_POWER150_CONSTANT
+    s, seconds["series39_P59"] = _timed(constant_term_series, h, 59,
+                                        threads=1)
+    hits, seconds["search39_8_4"] = _timed(search_recurrence, s.terms, 8, 4)
+    assert len(hits) == 1
+    root = Path(SRC).resolve().parent
+    git = ["git", "-C", str(root)]
+    try:
+        rev = subprocess.run(git + ["rev-parse", "--short", "HEAD"],
+                             capture_output=True, text=True).stdout.strip()
+        dirty = subprocess.run(git + ["status", "--porcelain", "src"],
+                               capture_output=True, text=True).stdout.strip()
+    except OSError:
+        rev, dirty = "", ""
+    record = json.loads(path.read_text()) if path.exists() else {}
+    record["cases"] = {
+        "coeff39_pN": "exact_coefficient(sample 39, N), constant term",
+        "series39_P59": "constant_term_series(sample 39, 59)",
+        "search39_8_4": "search_recurrence(those 60 terms, 8, 4)",
+        "threads": 1, "unit": "s, best of 3 (of 1 past 5 s)"}
+    record.setdefault("columns", {})[column] = {
+        "revision": (rev or "unknown") + ("+uncommitted" if dirty else ""),
+        "python": platform.python_version(), "numpy": numpy.__version__,
+        "cores": os.cpu_count(), "seconds": seconds}
+    path.write_text(json.dumps(record, indent=2) + "\n")
+    print(json.dumps(seconds))
 
 
 if __name__ == "__main__":

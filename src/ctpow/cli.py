@@ -2,7 +2,8 @@
 
 Subcommands: coeff (one exact coefficient), series (constant term series as
 JSON), findop (recurrence/operator search over a series file), bench (engine
-vs dense oracle table), oracle (dense reference computation), selftest.
+vs dense oracle table, with the torus plan of each power), oracle (dense
+reference computation), selftest.
 
 Exit codes: 0 success (including "no operator found"), 2 usage error,
 3 input error, 4 resource guard refusal, 5 worker process failed.
@@ -19,9 +20,11 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import torus
 from .engine import EngineError
 from .fixtures import SAMPLE_NAMES, sample_polynomial
-from .laurent import LaurentError, parse_laurent, to_expr_string, total_weight
+from .laurent import (LaurentError, normalize, parse_laurent, to_expr_string,
+                      total_weight)
 from .oracle import SizeGuardError, known_family, naive_power_coeff
 from .recurrence import (FitError, constant_term_series, exact_coefficient,
                          recurrence_to_operator, search_recurrence,
@@ -123,7 +126,14 @@ def cmd_bench(args) -> int:
     lines = [f"polynomial: {to_expr_string(h)}",
              f"terms: {len(h.terms)}  weight: {total_weight(h)}",
              ""]
+    nf = normalize(h)
     for p in powers:
+        tp = torus.plan(nf, tuple(p * s for s in nf.shift), p)
+        inner = (tp.U[0] if tp.U else None if tp.inner is None
+                 else h.variables[tp.inner])
+        lines.append(f"plan p={p}: U={'yes' if tp.U else 'no'} inner={inner} "
+                     f"M={tp.M} |H|={max(len(tp.H), 1)} points="
+                     f"{torus.representatives(tp)}/{tp.M ** len(tp.grid)}")
         t0 = time.perf_counter()
         value = exact_coefficient(h, p, threads=cfg.threads,
                                   prime_bits=cfg.prime_bits)

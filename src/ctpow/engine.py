@@ -341,10 +341,6 @@ def make_context(nf: NormalizedPolynomial, i, p: int, q: int,
     return ctx
 
 
-def _in_range(i, level_nodes) -> bool:
-    return all(0 <= ik <= Nk for ik, Nk in zip(i, level_nodes))
-
-
 def coefficient_mod_prime(nf: NormalizedPolynomial, i, p: int, q: int,
                           use_split2: bool = True,
                           ctx: PrimeContext | None = None) -> int:
@@ -360,7 +356,7 @@ def coefficient_mod_prime(nf: NormalizedPolynomial, i, p: int, q: int,
         raise EngineError("index dimension mismatch")
     if ctx is None:
         ctx = make_context(nf, i, p, q, use_split2)
-    if not _in_range(i, ctx.level_nodes):
+    if not all(0 <= ik <= Nk for ik, Nk in zip(i, ctx.level_nodes)):
         return 0
     if p == 0:
         return 1 % q

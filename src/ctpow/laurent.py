@@ -12,9 +12,14 @@ powers of f shifted by p*s, which is what the rest of the package computes.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+# normalize refuses dense tensors larger than this before allocating them
+MAX_TENSOR = 1 << 24
 
 
 class LaurentError(ValueError):
@@ -63,10 +68,7 @@ class CoefficientTensor:
     data: tuple[int, ...]
 
     def __post_init__(self):
-        size = 1
-        for s in self.shape:
-            size *= s
-        if size != len(self.data):
+        if math.prod(self.shape) != len(self.data):
             raise LaurentError("tensor data length does not match shape")
 
     def __getitem__(self, index):
@@ -263,30 +265,25 @@ def parse_laurent(text: str, fmt: str = "expr") -> LaurentPolynomial:
     raise LaurentError(f"unknown format {fmt!r}")
 
 
+def signed_sum(terms) -> str:
+    """'2*X - Y + 1' from (coefficient, monomial text) pairs; '0' if none."""
+    out = ""
+    for c, mono in terms:
+        m = abs(c)
+        body = f"{m}*{mono}" if mono and m != 1 else mono or str(m)
+        out += (f" {'-' if c < 0 else '+'} " if out else "-" * (c < 0)) + body
+    return out or "0"
+
+
 def to_expr_string(h: LaurentPolynomial) -> str:
-    if h.is_zero():
-        return "0"
-    parts = []
-    for c, e in h.terms:
-        factors = [v if k == 1 else f"{v}^{k}"
-                   for v, k in zip(h.variables, e) if k != 0]
-        mag = abs(c)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
-        parts.append(("-" if c < 0 else "+", body))
-    sign0, body0 = parts[0]
-    out = ("-" if sign0 == "-" else "") + body0
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+    return signed_sum((c, "*".join(v if k == 1 else f"{v}^{k}"
+                                   for v, k in zip(h.variables, e) if k))
+                      for c, e in h.terms)
 
 
 def normalize(h: LaurentPolynomial) -> NormalizedPolynomial:
-    """Clear denominators: f = X^s * h with minimal s, stored densely."""
+    """Clear denominators: f = X^s * h with minimal s, stored densely
+    (at most MAX_TENSOR entries, else LaurentError)."""
     if h.is_zero():
         raise LaurentError("cannot normalize the zero polynomial")
     n = h.n
@@ -295,9 +292,10 @@ def normalize(h: LaurentPolynomial) -> NormalizedPolynomial:
     shift = tuple(max(0, -m) for m in mins)
     degrees = tuple(mx + s for mx, s in zip(maxs, shift))
     shape = tuple(d + 1 for d in degrees)
-    size = 1
-    for s in shape:
-        size *= s
+    size = math.prod(shape)
+    if size > MAX_TENSOR:
+        raise LaurentError(f"cleared coefficient tensor of shape {shape} "
+                           f"exceeds {MAX_TENSOR} entries")
     data = [0] * size
     for c, e in h.terms:
         flat = 0

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from . import torus
 # the Vandermonde reference engine; ctbench's tracer wraps this name
 from .engine import coefficient_mod_prime  # noqa: F401
 from .laurent import (LaurentPolynomial, normalize, polynomial_from_json,
-                      polynomial_to_json, total_weight)
+                      polynomial_to_json, signed_sum, total_weight)
 from .rns import ModulusSet, RnsValue, coefficient_bound_bits, reconstruct, select_primes
 
 
@@ -56,12 +57,13 @@ def _resolve_threads(threads: int) -> int:
 
 def _sum_row_blocks(fn, args, tp, ms: ModulusSet, threads: int,
                     progress=None) -> np.ndarray:
-    """fn(*args, primes, tp, rows) over contiguous blocks of grid rows, about
-    three per worker and in a process pool when threads > 1, summed modulo
-    each prime (exact Python ints).  progress(done, total) counts blocks."""
-    step = tp.rows if threads == 1 else -(-tp.rows // (3 * threads))
-    tasks = [(*args, ms.primes, tp, range(lo, min(lo + step, tp.rows)))
-             for lo in range(0, tp.rows, step)]
+    """fn(*args, primes, tp, rows) over blocks of grid rows, about three per
+    worker and in a process pool when threads > 1, summed modulo each prime
+    (exact Python ints).  Block k takes every n-th row from row k: the orbit
+    representatives crowd into the first rows, and so each block gets about
+    as many.  progress(done, total) counts blocks."""
+    n = 1 if threads == 1 else min(tp.rows, 3 * threads)
+    tasks = [(*args, ms.primes, tp, range(k, tp.rows, n)) for k in range(n)]
     moduli = np.array(ms.primes, dtype=object)
     total = 0
     serial = threads == 1 or len(tasks) < 2
@@ -120,14 +122,10 @@ def series_to_json(s: Series) -> dict:
 
 
 def series_from_json(obj) -> Series:
-    if isinstance(obj, list):
-        terms = obj
-        poly = None
-    elif isinstance(obj, dict) and "terms" in obj:
-        terms = obj["terms"]
-        poly = obj.get("poly")
-    else:
+    obj = {"terms": obj} if isinstance(obj, list) else obj
+    if not isinstance(obj, dict) or "terms" not in obj:
         raise FitError("series JSON needs a 'terms' list")
+    terms, poly = obj["terms"], obj.get("poly")
     poly_obj = polynomial_from_json(poly) if poly else None
     out = []
     for t in terms:
@@ -193,13 +191,6 @@ class Recurrence:
         return len(self.polys[0]) - 1
 
 
-def _poly_eval(coeffs, x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def make_recurrence(polys) -> Recurrence:
     """Normalize to the canonical form (content 1, P_0 leading coeff > 0)."""
     polys = [list(p) for p in polys]
@@ -226,7 +217,8 @@ def verify_recurrence(rec: Recurrence, series) -> bool:
         for i, poly in enumerate(rec.polys):
             if i > n:
                 break
-            total += _poly_eval(poly, n - i) * terms[n - i]
+            total += sum(c * (n - i) ** j
+                         for j, c in enumerate(poly)) * terms[n - i]
         if total != 0:
             return False
     return True
@@ -284,15 +276,12 @@ def _nullspace_1d(rows, ncols):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        for rr in range(r + 1, nrows):
-            factor = m[rr][c]
-            prow = m[r]
-            mr = m[rr]
-            pivval = prow[c]
-            for cc in range(c + 1, ncols):
-                mr[cc] = (pivval * mr[cc] - factor * prow[cc]) // prev
+        prow = m[r]
+        for mr in m[r + 1:]:
+            mr[c + 1:] = [(prow[c] * x - mr[c] * y) // prev
+                          for x, y in zip(mr[c + 1:], prow[c + 1:])]
             mr[c] = 0
-        prev = m[r][c]
+        prev = prow[c]
         pivots.append((r, c))
         r += 1
         if r == nrows:
@@ -308,14 +297,10 @@ def _nullspace_1d(rows, ncols):
         s = sum((row[cc] * x[cc] for cc in range(c + 1, ncols) if row[cc]),
                 Fraction(0))
         x[c] = -s / row[c]
-    lcm = math.lcm(*(v.denominator for v in x))
-    ints = [int(v * lcm) for v in x]
-    g = math.gcd(*ints)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return 1, tuple(ints)
+    scale = math.lcm(*(v.denominator for v in x))
+    ints = [int(v * scale) for v in x]
+    g = math.gcd(*ints) * (1 if next(v for v in ints if v) > 0 else -1)
+    return 1, tuple(v // g for v in ints)
 
 
 def fit_recurrence(series, k: int, d: int, extra: int = 5):
@@ -384,22 +369,8 @@ class DifferentialOperator:
 
 
 def _theta_poly_text(coeffs) -> str:
-    parts = []
-    for j in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[j]
-        if c == 0:
-            continue
-        mono = "θ^%d" % j if j > 1 else ("θ" if j == 1 else "")
-        mag = abs(c)
-        body = (f"{mag}*{mono}" if mono and mag != 1 else (mono or str(mag)))
-        parts.append(("-" if c < 0 else "+", body))
-    if not parts:
-        return "0"
-    sign0, body0 = parts[0]
-    text = ("-" if sign0 == "-" else "") + body0
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    return signed_sum((c, "θ^%d" % j if j > 1 else "θ" * j)
+                      for j, c in reversed(list(enumerate(coeffs))) if c)
 
 
 def recurrence_to_operator(rec: Recurrence) -> DifferentialOperator:
@@ -411,44 +382,23 @@ def operator_to_recurrence(op: DifferentialOperator) -> Recurrence:
 
 
 def parse_operator_text(text: str) -> DifferentialOperator:
-    import re
+    """The inverse of DifferentialOperator.to_text."""
     polys: dict[int, dict[int, int]] = {}
-    for line in text.strip().splitlines():
-        line = line.strip()
-        if not line:
-            continue
+    for line in filter(None, map(str.strip, text.splitlines())):
         m = re.fullmatch(r"z\^(\d+)\s*\*\s*\(\s*(.*?)\s*\)", line)
         if not m:
             raise FitError(f"bad operator line: {line!r}")
-        i = int(m.group(1))
-        coeffs: dict[int, int] = {}
-        body = m.group(2)
-        if body != "0":
-            for piece in body.replace("-", "+-").split("+"):
-                piece = piece.strip()
-                if not piece:
-                    continue
-                neg = piece.startswith("-")
-                if neg:
-                    piece = piece[1:].strip()
-                if "θ" in piece:
-                    coef_part, _, theta_part = piece.partition("θ")
-                    coef_part = coef_part.strip().rstrip("*").strip()
-                    c = int(coef_part) if coef_part else 1
-                    theta_part = theta_part.strip()
-                    j = int(theta_part[1:]) if theta_part.startswith("^") else 1
-                else:
-                    c = int(piece)
-                    j = 0
-                if neg:
-                    c = -c
-                coeffs[j] = coeffs.get(j, 0) + c
-        polys[i] = coeffs
+        coeffs = polys[int(m[1])] = {}
+        for piece in filter(None, map(str.strip,
+                                      m[2].replace("-", "+-").split("+"))):
+            t = re.fullmatch(r"(-?)\s*(\d*)\s*\*?\s*(θ(?:\^(\d+))?)?", piece)
+            if not t or not (t[2] or t[3]):
+                raise FitError(f"bad operator term: {piece!r}")
+            j = int(t[4] or 1) if t[3] else 0
+            coeffs[j] = coeffs.get(j, 0) + (-1) ** len(t[1]) * int(t[2] or 1)
     if not polys:
         raise FitError("empty operator text")
-    k = max(polys)
-    width = max((max(c, default=0) for c in polys.values()), default=0) + 1
-    table = tuple(
+    width = max(max(c, default=0) for c in polys.values()) + 1
+    return DifferentialOperator(tuple(
         tuple(polys.get(i, {}).get(j, 0) for j in range(width))
-        for i in range(k + 1))
-    return DifferentialOperator(table)
+        for i in range(max(polys) + 1)))

@@ -9,6 +9,7 @@ the moduli.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,10 +61,7 @@ class ModulusSet:
 
     @property
     def product(self) -> int:
-        m = 1
-        for p in self.primes:
-            m *= p
-        return m
+        return math.prod(self.primes)
 
 
 @dataclass(frozen=True)

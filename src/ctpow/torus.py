@@ -34,30 +34,46 @@ and a_p = M^-g (2p-1)!!/p! sum_s V_p, so every prime must exceed 2P.  If x
 has exponents of one sign only, A^p alone reaches x^0: BC = 0, D = A^2.
 Without the inner variable the pass accumulates the powers h(omega^s)^p.
 
-Both paths share the evaluation of the class values A, B, C (or h) in
-chunks of _ROWS grid rows of M points (a row is the last grid variable),
-with all primes in each numpy call, so the live elements per prime stay
-O(M) = O(p).  Residues are int64 below 2**31: a product of two stays below
-2**62 and a sum of two products below 2**63, at any P.  P < MAX_SERIES =
-2**16 is a size guard against work too large to finish: every grid
-variable has more than P points.
+Both paths sum over one grid point per orbit of the polynomial's lattice
+symmetries.  An automorphism B (symmetry.py) gives h(omega^(B^T s)) =
+h(omega^s), and the summand at a grid point is the same on its orbit under
+the subgroup H of the automorphisms that map the inner variable's fibres
+to fibres (row inner of B is +-e_inner; without an inner variable, all of
+them) and fix the target index; H acts as s -> B[grid, grid]^T s mod M.
+The point of least flat index stands for its orbit, with the weight
+|H| / #{A in H : A s = s}.  The planner may first change coordinates by a
+unimodular U, [h^p]_i = [(h o U)^p]_(U i), to make a direction with a
+larger stabiliser the inner variable.
+
+The class values A, B, C (or h) are evaluated in chunks of _ROWS grid rows
+of M points (a row is the last grid variable), with all primes in each
+numpy call, and only at the representatives, gathered into batches of
+_BATCH * M points, so the live elements per prime stay O(M) = O(p).
+Residues are int64 below 2**31: a product of two stays below 2**62 and a
+sum of two products below 2**63, at any P; a batch's weights add up to
+less than 2**31.  P < MAX_SERIES = 2**16 is a size guard against work too
+large to finish: every grid variable has more than P points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import symmetry
 from .engine import AllocationMeter
-from .laurent import NormalizedPolynomial
+from .laurent import NormalizedPolynomial, make_polynomial, normalize
 from .rns import root_of_unity
+from .symmetry import Matrix
 
 # grid rows per chunk; one row holds M points for every prime
 _ROWS = 32
-# arrays of chunk size (points x primes) alive at once in one chunk
+# arrays of batch size (points x primes) alive at once in the caller
 _LIVE = 9
+# orbit representatives per batch, in grid rows of M points
+_BATCH = 16
 # series lengths P must stay below this size guard
 MAX_SERIES = 1 << 16
 
@@ -66,31 +82,86 @@ MAX_SERIES = 1 << 16
 class TorusPlan:
     """Which variable is summed exactly, which run over the grid, and M.
 
-    The grid is walked in rows along its last variable.
+    The grid is walked in rows along its last variable.  A plan with U is
+    for h o U (exponent e -> Ue) at the index U i.  H holds A = B[grid,
+    grid]^T for the automorphisms B that act on the grid as s -> A s mod M,
+    identity included (empty: the identity alone).
     """
     inner: int | None
     grid: tuple[int, ...]
     M: int
+    U: Matrix | None = None
+    H: tuple[Matrix, ...] = ()
 
     @property
     def rows(self) -> int:
         return self.M ** max(len(self.grid) - 1, 0)
 
 
-def plan(nf: NormalizedPolynomial, target, p: int,
-         use_split2: bool = True) -> TorusPlan:
-    """Pick the exactly summed variable and the smallest valid M.
-
-    Among the variables of degree at most 2 the one that would need the
-    largest M on the grid is summed exactly; ties go to the last.  Variables
-    absent from f with target 0 are left off the grid.
-    """
+def _layout(nf: NormalizedPolynomial, target, p: int, inners) -> TorusPlan:
     need = [max(p * d - t, t) for d, t in zip(nf.degrees, target)]
-    inner = max((k for k, d in enumerate(nf.degrees) if use_split2 and d <= 2),
+    inner = max((k for k in inners if nf.degrees[k] <= 2),
                 key=lambda k: (need[k], k), default=None)
     grid = tuple(k for k, (d, t) in enumerate(zip(nf.degrees, target))
                  if k != inner and (d, t) != (0, 0))
     return TorusPlan(inner, grid, 1 + max((need[k] for k in grid), default=0))
+
+
+def _laurent_terms(nf: NormalizedPolynomial):
+    """((c, e), ...) with e the exponents of h = X^-shift f."""
+    return tuple((c, tuple(int(x) - s for x, s in zip(
+        np.unravel_index(flat, nf.tensor.shape), nf.shift)))
+        for flat, c in enumerate(nf.tensor.data) if c)
+
+
+def _change(nf: NormalizedPolynomial, target, p: int, U):
+    """h o U normalized, and the target U i in its cleared coordinates."""
+    U = np.array(U, dtype=np.int64)
+    nf2 = normalize(make_polynomial(nf.variables, [
+        (c, U @ e) for c, e in _laurent_terms(nf)]))
+    index = U @ (np.array(target) - p * np.array(nf.shift))
+    return nf2, tuple(int(i) + p * s for i, s in zip(index, nf2.shift))
+
+
+def _acting(G, tp: TorusPlan, index) -> tuple[Matrix, ...]:
+    """A = B[grid, grid]^T for the B in G that fix the index and map the
+    inner variable's fibres to fibres (row inner of B is +-e_inner)."""
+    ok = (G @ index == index).all(axis=1)
+    if tp.inner is not None:
+        ok &= ~np.delete(G[:, tp.inner], tp.inner, axis=1).any(axis=1)
+    A = G[ok][:, tp.grid][:, :, tp.grid].transpose(0, 2, 1)
+    if (len(tp.grid) + (tp.inner is not None) < len(index) or not tp.grid
+            or len(A) < 2 or _BATCH * tp.M * len(A) >= 1 << 31):
+        return ()                  # a variable off the grid, or the weights
+    return tuple(tuple(map(tuple, a)) for a in A.tolist())
+
+
+def plan(nf: NormalizedPolynomial, target, p: int,
+         use_split2: bool = True) -> TorusPlan:
+    """Pick the exactly summed variable, the smallest valid M, and H.
+
+    Among the variables of degree at most 2 the one that would need the
+    largest M on the grid is summed exactly; ties go to the last.  Variables
+    absent from f with target 0 are left off the grid.  With use_split2 the
+    first U of symmetry.coordinate_changes that strictly enlarges H and
+    does not raise M changes the coordinates, its first row made inner.
+    """
+    tp = _layout(nf, target, p, range(nf.n) if use_split2 else ())
+    terms = _laurent_terms(nf)
+    G = symmetry.automorphisms(terms)
+    G = np.array(G, dtype=np.int64).reshape(len(G), nf.n, nf.n)
+    index = np.array(target, dtype=np.int64) - p * np.array(nf.shift)
+    tp = replace(tp, H=_acting(G, tp, index))
+    least = max(len(tp.H), 1)
+    for U in symmetry.coordinate_changes(terms, G, index, least) \
+            if use_split2 and len(G) > least else ():
+        nf2, target2 = _change(nf, target, p, U)
+        tp2 = _layout(nf2, target2, p, (0,))
+        Ui = np.linalg.inv(U).round().astype(np.int64)
+        H2 = _acting(U @ G @ Ui, tp2, U @ index)
+        if len(H2) > least and tp2.M <= tp.M:
+            return replace(tp2, U=tuple(map(tuple, U.tolist())), H=H2)
+    return tp
 
 
 def _mulmod(a, b, q):
@@ -145,23 +216,56 @@ def _trinomial(a, b, c, p: int, m: int, K, q):
     return acc
 
 
+def _chunks(tp: TorusPlan, rows):
+    """The grid rows in `rows` (default: all) in chunks of _ROWS."""
+    rows = range(tp.rows) if rows is None else rows
+    for i in range(0, len(rows), _ROWS):
+        c = rows[i:i + _ROWS]
+        yield np.arange(c.start, c.stop, c.step, dtype=np.int64)
+
+
+def _orbits(tp: TorusPlan, row, L: int):
+    """The outer coordinates O of the grid rows `row`, the points of those
+    rows (flat within them) whose flat index is the least of their orbit
+    under tp.H, and the orbit sizes |H| / #{A in H : A s = s}."""
+    strides = tp.M ** np.arange(len(tp.grid) - 1, -1, -1, dtype=np.int64)
+    cols = np.arange(L, dtype=np.int64)
+    O = row // strides[1:, None] % tp.M
+    flat = row[:, None] * L + cols
+    keep, stab = np.ones(flat.shape, dtype=bool), np.zeros_like(flat)
+    for A in np.array(tp.H, dtype=np.int64):
+        img = (A[:, :-1] @ O)[:, :, None] + A[:, -1:, None] * cols
+        img = np.tensordot(strides, img % tp.M, 1)
+        keep &= img >= flat
+        stab += img == flat
+    kept = np.flatnonzero(keep)
+    return O, kept, (len(tp.H) // stab.ravel()[kept] if tp.H
+                     else np.ones_like(kept))
+
+
+def representatives(tp: TorusPlan) -> int:
+    """The number of orbits of tp.H on the grid: the points summed."""
+    L = tp.M if tp.grid else 1
+    return sum(len(_orbits(tp, row, L)[1]) for row in _chunks(tp, None))
+
+
 def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
                   twist, meter: AllocationMeter | None, held_by_caller: int):
-    """The class values of f on the grid rows in `rows`, chunk by chunk.
+    """The class values of f at the orbit representatives (see _orbits) of
+    the grid rows in `rows`, in batches of _BATCH * M points.
 
-    Yields (vals, w_row, w_outer) for each chunk of R rows of L points: vals,
-    of shape (classes, primes, R, L), holds the sum of each class of terms
-    (by exponent of the inner variable; one class without one) at every
-    point, and w_row (primes, 1, L) times w_outer (primes, R, 1) is
-    omega^(-twist.s) there.  The meter holds the tables, held_by_caller
-    elements, and _LIVE chunk-sized arrays per chunk, enough for the caller.
+    Yields (vals, w, weight): vals (classes, primes, K) holds the sum of
+    each class of terms (by exponent of the inner variable; one class
+    without one) at the K points, w (primes, K) is omega^(-twist.s) there,
+    and weight (K,) the orbit sizes, which add up to less than 2**31.  The
+    meter holds the tables, held_by_caller elements, the arrays made per
+    chunk and batch, and _LIVE batch-sized arrays for the caller.
     """
     meter = meter if meter is not None else AllocationMeter()
     M = tp.M
     nq = len(primes)
     qs = np.array(primes, dtype=np.int64)[:, None]
     rows = range(tp.rows) if rows is None else rows
-
     # each term's class (its exponent in the inner variable), its exponent
     # in the last grid variable, and its exponents in the outer ones
     shape = nf.tensor.shape
@@ -174,14 +278,15 @@ def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
     E = np.array([[e[k] for k in outer] for _, e in terms],
                  dtype=np.int64).reshape(len(terms), len(outer))
     twist_outer = np.array([-twist[k] % M for k in outer], dtype=np.int64)
+    twist_last = -twist[last[0]] % M if last else 0
     n_classes = 3 if tp.inner is not None else 1
     d_last = max(lasts)
 
     # omega^k for k < M
     omega = np.ones((nq, M), dtype=np.int64)
-    w = np.array([root_of_unity(M, q) for q in primes], dtype=np.int64)
+    root = np.array([root_of_unity(M, q) for q in primes], dtype=np.int64)
     for k in range(1, M):
-        omega[:, k] = omega[:, k - 1] * w % qs[:, 0]
+        omega[:, k] = omega[:, k - 1] * root % qs[:, 0]
     # each term's coefficient times those powers, and which (class, last
     # exponent) group of P it adds to
     coeffs = np.array([[c % q for c, _ in terms] for q in primes],
@@ -191,37 +296,55 @@ def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
     for t, (cls, e) in enumerate(zip(classes, lasts)):
         group[cls * (d_last + 1) + e, t] = 1
     L = M if last else 1                               # points per row
-    w_row = omega[:, None, [-twist[last[0]] * s % M for s in range(L)]
-                  if last else [0]]
-    tables = nq * M * (1 + len(terms)) + 2 * nq * L + held_by_caller
+    tables = nq * M * (1 + len(terms)) + held_by_caller
     meter.take(tables)
 
-    q3 = qs[:, :, None]
-    strides = [M ** (len(outer) - 1 - k) for k in range(len(outer))]
-    # at most 2**31 points per chunk, so a sum over them stays below 2**62
-    step = max(1, min(_ROWS, (1 << 31) // L))
-    for r0 in range(rows.start, rows.stop, step):
-        r1 = min(r0 + step, rows.stop)
-        R = r1 - r0
-        held = _LIVE * nq * R * L + 2 * len(terms) * nq * R
+    # one batch of T points, refilled from the chunks: class values, twist
+    # and weight at each point; the caller holds _LIVE more such arrays
+    T = min(_BATCH, len(rows)) * L
+    vals = np.empty((n_classes, nq, T), dtype=np.int64)
+    w, wt = np.empty((nq, T), dtype=np.int64), np.empty(T, dtype=np.int64)
+    batch = (n_classes * nq + nq + 1 + _LIVE * nq) * T
+    meter.take(batch)
+    filled = 0
+    for row in _chunks(tp, rows):
+        R = len(row)
+        held = (len(tp.grid) + 4) * R * L + 2 * (len(terms) * R + T) * nq
         meter.take(held)
-        row = np.arange(r0, r1, dtype=np.int64)
-        O = np.array([row // st % M for st in strides],
-                     dtype=np.int64).reshape(len(outer), R)
+        O, kept, orbit = _orbits(tp, row, L)
+        if not len(kept):
+            meter.give(held)
+            continue
+        r_idx, l_idx = np.divmod(kept, L)
+        twist_s = ((twist_outer @ O)[r_idx] + twist_last * l_idx) % M
         # the coefficients of each class in the last variable, per row ...
         ph = E @ O % M
         gathered = term_tab[:, np.arange(len(terms))[:, None], ph]
         P = (group @ gathered.transpose(1, 0, 2).reshape(len(terms), -1))
         P = P.reshape(n_classes, d_last + 1, nq, R) % qs
-        # ... evaluated along the rows by Horner in omega^s
-        acc = np.repeat(P[:, d_last, :, :, None], L, axis=3)
-        for e in range(d_last - 1, -1, -1):
-            np.multiply(acc, omega[:, None, :L], out=acc)  # last variable
-            np.add(acc, P[:, e, :, :, None], out=acc)
-            np.remainder(acc, q3, out=acc)
-        yield acc, w_row, omega[:, twist_outer @ O % M, None]
+        # ... evaluated at the kept points by Horner in omega^s, as many at
+        # a time as fill the batch
+        a = 0
+        while a < len(kept):
+            n = min(len(kept) - a, T - filled)
+            sel, out = slice(a, a + n), slice(filled, filled + n)
+            om = omega[:, l_idx[sel]]                  # last variable
+            acc = vals[..., out]
+            acc[...] = P[:, d_last][..., r_idx[sel]]
+            for e in range(d_last - 1, -1, -1):
+                np.multiply(acc, om, out=acc)
+                np.add(acc, P[:, e][..., r_idx[sel]], out=acc)
+                np.remainder(acc, qs, out=acc)
+            w[:, out] = omega[:, twist_s[sel]]
+            wt[out] = orbit[sel]
+            a, filled = a + n, filled + n
+            if filled == T:
+                yield vals, w, wt
+                filled = 0
         meter.give(held)
-    meter.give(tables)
+    if filled:
+        yield vals[..., :filled], w[:, :filled], wt[:filled]
+    meter.give(tables + batch)
 
 
 def coefficient_residues(nf: NormalizedPolynomial, target, p: int, primes,
@@ -230,30 +353,30 @@ def coefficient_residues(nf: NormalizedPolynomial, target, p: int, primes,
     """[f^p]_target mod each prime, summed over the grid rows in `rows`.
 
     Targets outside the support of f^p give 0.  Every prime must be 1
-    modulo torus_plan.M.  Partial results over a disjoint cover of
-    range(torus_plan.rows) add up, modulo each prime, to the full
-    coefficient.  The meter, if given, tracks the live auxiliary
-    elements (input excluded).
+    modulo torus_plan.M.  The value omega^(-t.s) [x^t_x] f(x, omega^s)^p is
+    the same on every orbit of torus_plan.H, so each orbit adds its size
+    times the value at its representative, the point of least flat index.
+    Partial results over a disjoint cover of range(torus_plan.rows) add up,
+    modulo each prime, to the full coefficient.  The meter, if given,
+    tracks the live auxiliary elements (input excluded).
     """
     tp = torus_plan
     target = tuple(int(t) for t in target)
+    if tp.U is not None:
+        nf, target = _change(nf, target, p, tp.U)
     if any(not 0 <= t <= p * d for t, d in zip(target, nf.degrees)):
         return (0,) * len(primes)
     qs = np.array(primes, dtype=np.int64)[:, None]
-    q3 = qs[:, :, None]
     m = target[tp.inner] - p if tp.inner is not None else 0
-    K = _trinomial_weights(p, abs(m), primes)[:, :, None]
+    K = _trinomial_weights(p, abs(m), primes)
     total = np.zeros(len(primes), dtype=np.int64)
-    for vals, w_row, w_outer in _class_values(nf, tp, primes, rows, target,
-                                              meter, K.size):
+    for vals, w, weight in _class_values(nf, tp, primes, rows, target,
+                                         meter, K.size):
         if tp.inner is None:
-            value = _powmod(vals[0], p, q3)
+            value = _powmod(vals[0], p, qs)
         else:
-            value = _trinomial(vals[1], vals[2], vals[0], p, m, K, q3)
-        # weight omega^(-t.s), split into its last-variable and outer parts
-        row_sums = _mulmod(value, w_row, q3).sum(axis=2, keepdims=True) % q3
-        row_sums = _mulmod(row_sums, w_outer, q3)
-        total = (total + row_sums.sum(axis=(1, 2))) % qs[:, 0]
+            value = _trinomial(vals[1], vals[2], vals[0], p, m, K, qs)
+        total = (total + _mulmod(value, w, qs) @ weight) % qs[:, 0]
     return tuple(int(x) * pow(tp.M, -len(tp.grid), q) % q
                  for x, q in zip(total.tolist(), primes))
 
@@ -293,35 +416,38 @@ def series_residues(nf: NormalizedPolynomial, P: int, primes,
 
     torus_plan is the plan of a_P, plan(nf, P * nf.shift, P, ...); every
     prime must be 1 modulo its M and exceed 2P, and P < MAX_SERIES.
-    Returns P + 1 tuples of residues; partial results over a disjoint cover
-    of range(torus_plan.rows) add up, modulo each prime, to the full terms.
+    [x^0] h(x, omega^s)^p is the same on every orbit of torus_plan.H, for
+    every p, so each orbit adds its size times the value at its
+    representative, as in coefficient_residues.  Returns P + 1 tuples of
+    residues; partial results over a disjoint cover of
+    range(torus_plan.rows) add up, modulo each prime, to the full terms.
     The meter works as in coefficient_residues.
     """
     tp = torus_plan
+    if tp.U is not None:
+        nf, _ = _change(nf, tuple(P * s for s in nf.shift), P, tp.U)
     qs = np.array(primes, dtype=np.int64)[:, None]
-    q3 = qs[:, :, None]
     S = np.zeros((P + 1, len(primes)), dtype=np.int64)
-    g = np.zeros((P + 1, len(primes), 1, 1), dtype=np.int64)
+    g = np.zeros((P + 1, len(primes), 1), dtype=np.int64)
     for p in range(2, P + 1):
-        g[p, :, 0, 0] = [-(p - 1) ** 2 * pow((2 * p - 1) * (2 * p - 3), -1, q)
-                         % q for q in primes]
-    for vals, w_row, w_outer in _class_values(nf, tp, primes, rows, nf.shift,
-                                              meter, S.size + g.size):
+        g[p, :, 0] = [-(p - 1) ** 2 * pow((2 * p - 1) * (2 * p - 3), -1, q)
+                      % q for q in primes]
+    for vals, w, weight in _class_values(nf, tp, primes, rows, nf.shift,
+                                         meter, S.size + g.size):
         # omega^(-shift.s) gives the values of h, in place to save memory
-        for w in (w_row, w_outer):
-            np.remainder(np.multiply(vals, w, out=vals), q3, out=vals)
+        np.remainder(np.multiply(vals, w, out=vals), qs, out=vals)
         if tp.inner is None:
-            powers = _plain_powers(vals[0], P, q3)
+            powers = _plain_powers(vals[0], P, qs)
         else:
             # A is the class of x^0; unless x has exponents of both signs
             # (shift 1: x^-1, x^0, x^1) only A^p reaches x^0, so BC = 0
             s = nf.shift[tp.inner]
-            d = _mulmod(vals[s], vals[s], q3)
+            d = _mulmod(vals[s], vals[s], qs)
             if s == 1:
-                d = (d - 4 * _mulmod(vals[0], vals[2], q3)) % q3
-            powers = _trinomial_powers(vals[s], d, g, q3)
+                d = (d - 4 * _mulmod(vals[0], vals[2], qs)) % qs
+            powers = _trinomial_powers(vals[s], d, g, qs)
         for p, u in enumerate(powers):
-            S[p] += u.sum(axis=(1, 2))
+            S[p] += u @ weight
         S %= qs[:, 0]
     # a_p = S_p (2p-1)!! / (p! M^g), without (2p-1)!!/p! when h was powered
     scale = [pow(tp.M, -len(tp.grid), q) for q in primes]

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import random
+import time
 
 import pytest
 
@@ -124,6 +125,16 @@ def test_oracle_refuses_huge_power(capsys):
     assert "refused" in err
 
 
+def test_coeff_refuses_a_huge_sparse_tensor(tmp_path, capsys):
+    f = tmp_path / "h.txt"
+    f.write_text("X^30000*Y^30000 + X^-1 + Y^-1")
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "coeff", "--poly", str(f), "--power", "2")
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 3
+    assert "exceeds" in err and "Traceback" not in err
+
+
 def test_missing_poly_file(capsys):
     code, _, err = run(capsys, "coeff", "--poly", "/nonexistent/h.txt",
                        "--power", "2")
@@ -179,6 +190,17 @@ def test_bench(capsys):
     assert code == 0
     assert out.count("agree=yes") == 2
     assert "p=2" in out and "p=3" in out
+
+
+def test_bench_prints_the_plan(capsys):
+    code, out, _ = run(capsys, "bench", "--fixture", "39", "--power", "10",
+                       "--threads", "1")
+    assert code == 0
+    assert ("plan p=10: U=yes inner=(1, 0, 1, -1) M=11 |H|=6 "
+            "points=231/1331") in out
+    code, out, _ = run(capsys, "bench", "--fixture", "dwork4", "--power", "5",
+                       "--threads", "1")
+    assert "plan p=5: U=no inner=T M=6 |H|=12 points=56/216" in out
 
 
 def test_parser_help_lists_subcommands():

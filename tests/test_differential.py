@@ -6,20 +6,28 @@ and without split2, and exact_coefficient on one and two threads must all
 reproduce it (the engines modulo their primes).  constant_term_series, with
 and without the exact inner sum and on one and two threads, must reproduce
 every term a_0..a_P.
+
+Polynomials symmetrised under a small group (orbit sums under -I, a signed
+permutation, or both) drive the torus engine's orbit sums: those must agree
+with the oracle too, at indices fixed by the group and not, and the torus
+residues of the samples must equal the Vandermonde engine's full sums.
 """
 
 import math
 
 import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctpow import torus
 from ctpow.engine import coefficient_mod_prime
+from ctpow.fixtures import sample_polynomial
 from ctpow.laurent import make_polynomial, normalize, parse_laurent
 from ctpow.oracle import naive_power_coeff
 from ctpow.recurrence import constant_term_series, exact_coefficient
 from ctpow.rns import select_primes
+from ctpow.symmetry import automorphisms
 
 Q = (1 << 31) - 1
 DENSE_LIMIT = 20_000  # entries of the oracle's dense power, to keep it quick
@@ -103,3 +111,71 @@ def test_engines_agree_on_degenerate_shapes(name):
         indices = {(0,) * h.n, (1,) * h.n, (-p,) * h.n, (p + 1,) * h.n}
         for index in sorted(indices):
             check_all_paths(h, p, index)
+
+
+def _generated(gens, n):
+    """The group generated by the integer matrices gens (finite order)."""
+    group = {tuple(map(tuple, np.eye(n, dtype=np.int64)))}
+    frontier = list(group)
+    while frontier:
+        a = np.array(frontier.pop())
+        for g in gens:
+            b = tuple(map(tuple, (g @ a).tolist()))
+            if b not in group:
+                group.add(b)
+                frontier.append(b)
+    return [np.array(b) for b in group]
+
+
+@st.composite
+def symmetric_cases(draw):
+    n = draw(st.integers(1, 4))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    sigma = np.zeros((n, n), dtype=np.int64)
+    for i, (j, sg) in enumerate(zip(perm, signs)):
+        sigma[j, i] = sg
+    gens = draw(st.sampled_from([[-np.eye(n, dtype=np.int64)], [sigma],
+                                 [sigma, -np.eye(n, dtype=np.int64)]]))
+    group = _generated(gens, n)
+    exponent = st.tuples(*[st.integers(-2, 2)] * n)
+    coeff = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    seeds = draw(st.lists(st.tuples(coeff, exponent), min_size=1, max_size=3))
+    terms = [(c, B @ e) for c, e in seeds for B in group]
+    h = make_polynomial([f"X{k + 1}" for k in range(n)], terms)
+    if h.is_zero():
+        h = parse_laurent("1")
+    degrees = normalize(h).degrees
+    p_max = max(p for p in range(7)
+                if math.prod(p * d + 1 for d in degrees) <= DENSE_LIMIT)
+    p = draw(st.integers(0, p_max))
+    v = np.array(draw(exponent), dtype=np.int64)
+    # an index fixed by the group (0 if -I is in it), or one that may not be
+    fixed = sum(B @ v for B in group) // len(group)
+    index = tuple(int(x) for x in draw(st.sampled_from([v, fixed])))
+    return h, group, p, index[:h.n]
+
+
+@given(symmetric_cases())
+@settings(max_examples=150, deadline=None)
+def test_orbit_sums_agree_on_symmetrised_polynomials(case):
+    h, group, p, index = case
+    pts = np.array([e for _, e in h.terms]).reshape(len(h.terms), h.n)
+    if h.n and np.linalg.matrix_rank(pts) == h.n:
+        # the symmetrising group is a subgroup of the one found
+        assert len(automorphisms(h.terms)) % len(group) == 0
+    check_all_paths(h, p, index)
+    check_series(h, min(p, 4))
+
+
+@pytest.mark.parametrize("name", ["39", "24", "38", "dwork4"])
+def test_torus_orbit_sums_equal_the_full_vandermonde_sums(name):
+    h = sample_polynomial(name)
+    nf = normalize(h)
+    for p, index in [(6, (1, 0, 0, 0)), (9, (1, -1, 0, 1)),
+                     (12, (0, 1, 1, -1))]:
+        target = tuple(i + p * s for i, s in zip(index, nf.shift))
+        tp = torus.plan(nf, target, p)
+        q = select_primes(31, p, congruent_to_1_mod=tp.M).primes[0]
+        got = torus.coefficient_residues(nf, target, p, [q], tp)
+        assert got == (coefficient_mod_prime(nf, target, p, q),), (p, index)

@@ -1,12 +1,14 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctpow.laurent import (LaurentError, from_polytope, make_polynomial,
-                           normalize, parse_laurent, polynomial_from_json,
-                           polynomial_to_json, to_expr_string, total_weight)
+from ctpow.laurent import (MAX_TENSOR, LaurentError, from_polytope,
+                           make_polynomial, normalize, parse_laurent,
+                           polynomial_from_json, polynomial_to_json,
+                           to_expr_string, total_weight)
 
 
 def test_parse_simple_sum():
@@ -111,6 +113,20 @@ def test_normalize_shift_and_degrees():
     assert nf.tensor[(0, 1)] == 1   # X^-2 -> X^0 Y^1
     assert nf.tensor[(2, 2)] == 1   # Y    -> X^2 Y^2
     assert nf.tensor[(3, 0)] == 1   # X/Y  -> X^3 Y^0
+
+
+def test_normalize_refuses_a_huge_sparse_tensor_before_allocating():
+    # 30001^2 = 9 * 10^8 entries; refused from the shape alone
+    h = parse_laurent("X^30000*Y^30000 + X^-1 + Y^-1")
+    t0 = time.perf_counter()
+    with pytest.raises(LaurentError, match="exceeds"):
+        normalize(h)
+    assert time.perf_counter() - t0 < 0.5
+    # a tensor one row past the limit is refused too
+    side = 1 << 12
+    assert side * side == MAX_TENSOR
+    with pytest.raises(LaurentError, match="exceeds"):
+        normalize(parse_laurent(f"X^{side} + Y^{side - 1}"))
 
 
 def test_normalize_no_negative_exponents_is_identity_shift():

@@ -135,6 +135,47 @@ def test_series_with_a_one_signed_inner_variable():
         for p in range(P + 1)]
 
 
+def test_a_coordinate_change_enlarges_the_acting_group():
+    # sample 39: the axes leave an acting group of order 2, the direction
+    # (1, 0, 1, -1) one of order 6, at the same M
+    h = sample_polynomial("39")
+    nf = normalize(h)
+    P = 6
+    tp = _series_plan(nf, P)
+    assert tp.U is not None and tp.U[0] == (1, 0, 1, -1)
+    assert (tp.inner, len(tp.H), tp.M) == (0, 6, P + 1)
+    assert len(torus.plan(nf, tuple(P * s for s in nf.shift), P,
+                          use_split2=False).H) == 12
+    primes = _primes(tp, 2 * P)
+    assert torus.series_residues(nf, P, primes, tp) == [
+        tuple(naive_power_coeff(h, p) % q for q in primes)
+        for p in range(P + 1)]
+    # a target that no map of order 6 fixes, and one off the support
+    for index in [(1, 0, 1, 0), (1, -1, 0, 1), (4, 0, 0, 0)]:
+        target = tuple(i + P * s for i, s in zip(index, nf.shift))
+        tp = torus.plan(nf, target, P)
+        primes = _primes(tp, P)
+        want = naive_power_coeff(h, P, index)
+        assert torus.coefficient_residues(nf, target, P, primes, tp) \
+            == tuple(want % q for q in primes), (index, tp)
+
+
+def test_orbit_weights_cover_the_grid():
+    # every grid point is counted once: the weights of the representatives
+    # add up to M^g, for each plan and any cover of the rows
+    for name in ("39", "24", "dwork4"):
+        nf = normalize(sample_polynomial(name))
+        P = 9
+        tp = _series_plan(nf, P)
+        if tp.U is not None:
+            nf = torus._change(nf, tuple(P * s for s in nf.shift), P, tp.U)[0]
+        primes = _primes(tp, P)[:1]
+        seen = sum(int(wt.sum()) for k in range(3) for _, _, wt in
+                   torus._class_values(nf, tp, primes, range(k, tp.rows, 3),
+                                       nf.shift, None, 0))
+        assert len(tp.H) > 1 and seen == tp.M ** len(tp.grid), name
+
+
 def _central_trinomial(a, b, c, p, q):
     """[x^0](c/x + a + b*x)^p mod q with Python ints."""
     return sum(math.factorial(p) // (math.factorial(j) ** 2
