@@ -4,16 +4,16 @@ An automorphism of h = sum_e c_e X^e is a B in GL_n(Z) with c_(Be) = c_e:
 it permutes the support and keeps the coefficients.  Then h(omega^(B^T s))
 = h(omega^s) at every torus point and [h^p]_(Bi) = [h^p]_i (see torus.py).
 
-B is fixed by the images of n linearly independent support points.  The
-search maps them one at a time to points of the same coefficient and
-signature (the coefficients at v + w and v - w over the support), prunes on
-the sums and differences of the points mapped so far, and keeps B when it
-is integral and maps every term to a like term.  A support of rank < n gets
-the identity only.
+B is fixed by the images of n independent support points.  The search maps
+them one at a time to points of the same coefficient and signature (the
+coefficients at v + w and v - w over the support), prunes on the sums and
+differences of the points mapped so far, and keeps B if it is integral and
+permutes the terms.  A support of rank < n gets the identity only.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import product
 
@@ -41,12 +41,21 @@ def _basis(pts, order=None):
     return None
 
 
-def _inverse(rows):
-    """(A, d) with A / d the inverse of rows, in floating point: callers
-    check whatever they derive from it exactly."""
-    m = np.array(rows, dtype=float)
-    d = round(abs(np.linalg.det(m)))
-    return np.rint(np.linalg.inv(m) * d).astype(np.int64), d
+def inverse(rows):
+    """(A, d) with A / d the inverse of the integer matrix rows, d > 0."""
+    n = len(rows)
+    a = [[int(x) for x in r] + [int(i == j) for j in range(n)]
+         for i, r in enumerate(rows)]
+    for c in range(n):                           # Gauss-Jordan in integers
+        r = next(r for r in range(c, n) if a[r][c])
+        a[c], a[r] = a[r], a[c]
+        for r in range(n):
+            if r != c and a[r][c]:
+                f, g = a[c][c], a[r][c]
+                a[r] = [f * x - g * y for x, y in zip(a[r], a[c])]
+    d = math.lcm(*(abs(r[i]) // math.gcd(*r[i:]) for i, r in enumerate(a)))
+    return np.array([[x * d // r[i] for x in r[n:]] for i, r in enumerate(a)],
+                    dtype=np.int64).reshape(n, n), d
 
 
 @lru_cache(maxsize=32)
@@ -54,27 +63,22 @@ def automorphisms(terms) -> tuple[Matrix, ...]:
     """Every B in GL_n(Z) with c_(Be) = c_e; terms is ((c, e), ...)."""
     n = len(terms[0][1])
     E = np.array([e for _, e in terms], dtype=np.int64).reshape(len(terms), n)
-    span = 2 * int(np.abs(E).max(initial=0)) + 1
-    if not n or (2 * span + 1) ** n >= 1 << 62 or not _basis(E.tolist()):
-        return (identity(n),)                    # (or the keys overflow)
+    if not n or not _basis(E.tolist()):
+        return (identity(n),)
+    where = {e: i for i, e in enumerate(map(tuple, E.tolist()))}
     coeffs = sorted({c for c, _ in terms})
-    cls = np.array([coeffs.index(c) + 1 for c, _ in terms])
-    radix = (2 * span + 1) ** np.arange(n, dtype=np.int64)
-    keys = (E + span) @ radix
-    cls_by_key, keys = cls[np.argsort(keys)], np.sort(keys)
+    cls = np.array([coeffs.index(c) + 1 for c, _ in terms] + [0])
 
-    def lookup(X):
-        """The coefficient class of each vector of X, 0 off the support."""
-        k = (X + span) @ radix
-        pos = np.searchsorted(keys, k).clip(max=len(keys) - 1)
-        hit = (keys[pos] == k) & (np.abs(X) < span).all(-1)
-        return np.where(hit, cls_by_key[pos], 0)
+    def find(X):
+        """The index of each vector of X in the support, -1 off it."""
+        return np.array([where.get(tuple(x), -1) for x in
+                         X.reshape(-1, n).tolist()]).reshape(X.shape[:-1])
 
     sums = E[:, None] + E[None]
-    rel = (np.where(sums.any(-1), lookup(sums), -1) * (len(coeffs) + 1)
-           + lookup(E[:, None] - E[None]))
+    rel = (np.where(sums.any(-1), cls[find(sums)], -1) * len(cls)
+           + cls[find(E[:, None] - E[None])])
     R = rel.tolist()
-    sig = [(c, *r) for c, r in zip(cls.tolist(), np.sort(rel).tolist())]
+    sig = [(c, *sorted(r)) for c, r in zip(cls.tolist(), R)]
     cands = {s: [i for i, t in enumerate(sig) if t == s] for s in sig}
     basis = _basis(E.tolist(), sorted(range(len(E)),
                                       key=lambda i: len(cands[sig[i]])))
@@ -92,12 +96,14 @@ def automorphisms(terms) -> tuple[Matrix, ...]:
                 extend(images + [j])
 
     extend([])
-    adj, det = _inverse(E[basis])
+    adj, det = inverse(E[basis])
     bt = adj @ E[np.array(leaves)]               # det * B^T, one per leaf
     bt = bt[~(bt % det).any(axis=(1, 2))] // det
-    bt = bt[np.abs(np.linalg.det(bt)).round() == 1]   # a bijection of Z^n
-    keep = (lookup(E @ bt) == cls).all(axis=1)   # every term to a like term
-    return tuple(tuple(map(tuple, b.T.tolist())) for b in bt[keep])
+    # a map that sends the terms to distinct like terms permutes the
+    # support, which spans Q^n, so det B = +-1
+    return tuple(tuple(map(tuple, b.T.tolist()))
+                 for b, im in zip(bt, find(E @ bt).tolist())
+                 if (cls[im] == cls[:-1]).all() and len(set(im)) == len(E))
 
 
 def coordinate_changes(terms, G: np.ndarray, index, least: int):
@@ -110,19 +116,20 @@ def coordinate_changes(terms, G: np.ndarray, index, least: int):
     basis = _basis(pts)
     if basis is None or len(pts[0]) > 8:
         return
-    adj, det = _inverse([pts[i] for i in basis])
+    adj, det = inverse([pts[i] for i in basis])
     u = np.array(list(product((-1, 0, 1), repeat=len(pts[0])))) @ adj.T
     u = u[~(u % det).any(axis=1)] // det
     u = u[(np.abs(np.array(pts) @ u.T) <= 1).all(axis=0)]
     u = u[u[np.arange(len(u)), (u != 0).argmax(axis=1)] > 0]   # u or -u
-    W = u[np.argsort(np.abs(u).sum(axis=1), kind="stable")]
-    BtW = G.transpose(0, 2, 1) @ W.T             # B^T u for every B and u
-    stab = (((BtW == W.T).all(axis=1) | (BtW == -W.T).all(axis=1))
-            & (G @ index == index).all(axis=1)[:, None]).sum(axis=0)
-    for k in np.argsort(-stab, kind="stable"):
+    W = sorted(map(tuple, u.tolist()), key=lambda r: sum(map(abs, r)))
+    Wt = np.array(W, dtype=np.int64).reshape(-1, len(pts[0])).T
+    BtW = G.transpose(0, 2, 1) @ Wt              # B^T u for every B and u
+    stab = (((BtW == Wt).all(axis=1) | (BtW == -Wt).all(axis=1))
+            & (G @ index == index).all(axis=1)[:, None]).sum(axis=0).tolist()
+    for k in sorted(range(len(W)), key=lambda k: -stab[k]):
         if stab[k] <= least:
             return
-        rows = np.concatenate([W[k:k + 1], W])
-        picked = _basis(rows.tolist())
-        if picked and abs(round(np.linalg.det(rows[picked]))) == 1:
-            yield rows[picked]
+        rows = [W[k]] + W
+        picked = _basis(rows)
+        if picked and inverse([rows[i] for i in picked])[1] == 1:
+            yield np.array([rows[i] for i in picked], dtype=np.int64)

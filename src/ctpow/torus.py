@@ -157,8 +157,7 @@ def plan(nf: NormalizedPolynomial, target, p: int,
             if use_split2 and len(G) > least else ():
         nf2, target2 = _change(nf, target, p, U)
         tp2 = _layout(nf2, target2, p, (0,))
-        Ui = np.linalg.inv(U).round().astype(np.int64)
-        H2 = _acting(U @ G @ Ui, tp2, U @ index)
+        H2 = _acting(U @ G @ symmetry.inverse(U)[0], tp2, U @ index)
         if len(H2) > least and tp2.M <= tp.M:
             return replace(tp2, U=tuple(map(tuple, U.tolist())), H=H2)
     return tp
@@ -216,14 +215,6 @@ def _trinomial(a, b, c, p: int, m: int, K, q):
     return acc
 
 
-def _chunks(tp: TorusPlan, rows):
-    """The grid rows in `rows` (default: all) in chunks of _ROWS."""
-    rows = range(tp.rows) if rows is None else rows
-    for i in range(0, len(rows), _ROWS):
-        c = rows[i:i + _ROWS]
-        yield np.arange(c.start, c.stop, c.step, dtype=np.int64)
-
-
 def _orbits(tp: TorusPlan, row, L: int):
     """The outer coordinates O of the grid rows `row`, the points of those
     rows (flat within them) whose flat index is the least of their orbit
@@ -245,8 +236,9 @@ def _orbits(tp: TorusPlan, row, L: int):
 
 def representatives(tp: TorusPlan) -> int:
     """The number of orbits of tp.H on the grid: the points summed."""
-    L = tp.M if tp.grid else 1
-    return sum(len(_orbits(tp, row, L)[1]) for row in _chunks(tp, None))
+    return sum(len(_orbits(tp, np.arange(r, min(r + _ROWS, tp.rows)),
+                           tp.M if tp.grid else 1)[1])
+               for r in range(0, tp.rows, _ROWS))
 
 
 def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
@@ -307,7 +299,8 @@ def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
     batch = (n_classes * nq + nq + 1 + _LIVE * nq) * T
     meter.take(batch)
     filled = 0
-    for row in _chunks(tp, rows):
+    for i in range(0, len(rows), _ROWS):
+        row = np.array(rows[i:i + _ROWS], dtype=np.int64)
         R = len(row)
         held = (len(tp.grid) + 4) * R * L + 2 * (len(terms) * R + T) * nq
         meter.take(held)
