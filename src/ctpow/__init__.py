@@ -8,6 +8,9 @@ recurrence (differential operator) discovery.  The package root holds the
 names the README uses; everything else lives in the submodules.
 """
 
+# engine first: numpy, and with it OpenBLAS, whose worker thread spins for
+# a while after it loads, is imported before the rest of the package compiles
+from .engine import EngineError
 from .fixtures import (SAMPLE39_POWER150_CONSTANT, SAMPLE_NAMES,
                        sample_operator, sample_polynomial)
 from .laurent import LaurentError, LaurentPolynomial, parse_laurent
@@ -20,8 +23,8 @@ from .recurrence import (constant_term_series, exact_coefficient,
 __version__ = "0.1.0"
 
 __all__ = [
-    "LaurentError", "LaurentPolynomial", "SAMPLE39_POWER150_CONSTANT",
-    "SAMPLE_NAMES", "constant_term_series", "exact_coefficient",
+    "EngineError", "LaurentError", "LaurentPolynomial", "SAMPLE_NAMES",
+    "SAMPLE39_POWER150_CONSTANT", "constant_term_series", "exact_coefficient",
     "make_recurrence", "naive_power_coeff", "operator_to_recurrence",
     "parse_laurent", "recurrence_to_operator", "sample_operator",
     "sample_polynomial", "search_recurrence", "verify_recurrence",

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-# normalize refuses dense tensors larger than this before allocating them
-MAX_TENSOR = 1 << 24
+MAX_TENSOR = 1 << 24        # entries; normalize refuses larger tensors
 
 
 class LaurentError(ValueError):

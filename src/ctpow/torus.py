@@ -84,8 +84,7 @@ class TorusPlan:
 
     The grid is walked in rows along its last variable.  A plan with U is
     for h o U (exponent e -> Ue) at the index U i.  H holds A = B[grid,
-    grid]^T for the automorphisms B that act on the grid as s -> A s mod M,
-    identity included (empty: the identity alone).
+    grid]^T, identity included, for the B that act as s -> A s mod M.
     """
     inner: int | None
     grid: tuple[int, ...]
@@ -143,9 +142,8 @@ def plan(nf: NormalizedPolynomial, target, p: int,
     Among the variables of degree at most 2 the one that would need the
     largest M on the grid is summed exactly; ties go to the last.  Variables
     absent from f with target 0 are left off the grid.  With use_split2 the
-    first U of symmetry.coordinate_changes that strictly enlarges H and
-    does not raise M changes the coordinates, its first row made inner.
-    """
+    first U of symmetry.coordinate_changes that strictly enlarges H without
+    raising M changes the coordinates; its first row is summed exactly."""
     tp = _layout(nf, target, p, range(nf.n) if use_split2 else ())
     terms = _laurent_terms(nf)
     G = symmetry.automorphisms(terms)
