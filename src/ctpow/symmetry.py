@@ -106,10 +106,10 @@ def automorphisms(terms) -> tuple[Matrix, ...]:
                  if (cls[im] == cls[:-1]).all() and len(set(im)) == len(E))
 
 
-def coordinate_changes(terms, G: np.ndarray, index, least: int):
+def coordinate_changes(terms, G: np.ndarray, least: int):
     """Unimodular U whose rows u have u.e in {-1, 0, 1} on the support, by
-    the order of the stabiliser {B in G : B^T u = +-u, B i = i} of the
-    first row, while it exceeds `least`.  Such u are fixed by their values
+    the order of the stabiliser {B in G : B^T u = +-u} of the first row,
+    while it exceeds `least`.  Such u are fixed by their values
     on a basis, so 3^n candidates cover all (none tried past n = 8).  The
     other rows are picked greedily; a u without a completion is skipped."""
     pts = [e for _, e in terms]
@@ -124,8 +124,8 @@ def coordinate_changes(terms, G: np.ndarray, index, least: int):
     W = sorted(map(tuple, u.tolist()), key=lambda r: sum(map(abs, r)))
     Wt = np.array(W, dtype=np.int64).reshape(-1, len(pts[0])).T
     BtW = G.transpose(0, 2, 1) @ Wt              # B^T u for every B and u
-    stab = (((BtW == Wt).all(axis=1) | (BtW == -Wt).all(axis=1))
-            & (G @ index == index).all(axis=1)[:, None]).sum(axis=0).tolist()
+    stab = ((BtW == Wt).all(axis=1)
+            | (BtW == -Wt).all(axis=1)).sum(axis=0).tolist()
     for k in sorted(range(len(W)), key=lambda k: -stab[k]):
         if stab[k] <= least:
             return

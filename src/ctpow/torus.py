@@ -122,14 +122,13 @@ def _change(nf: NormalizedPolynomial, target, p: int, U):
     return nf2, tuple(int(i) + p * s for i, s in zip(index, nf2.shift))
 
 
-def _acting(G, tp: TorusPlan, index) -> tuple[Matrix, ...]:
-    """A = B[grid, grid]^T for the B in G that fix the index and map the
-    inner variable's fibres to fibres (row inner of B is +-e_inner)."""
-    ok = (G @ index == index).all(axis=1)
+def _acting(G, tp: TorusPlan) -> tuple[Matrix, ...]:
+    """A = B[grid, grid]^T for the B in G that map the inner variable's
+    fibres to fibres (row inner of B is +-e_inner)."""
     if tp.inner is not None:
-        ok &= ~np.delete(G[:, tp.inner], tp.inner, axis=1).any(axis=1)
-    A = G[ok][:, tp.grid][:, :, tp.grid].transpose(0, 2, 1)
-    if (len(tp.grid) + (tp.inner is not None) < len(index) or not tp.grid
+        G = G[~np.delete(G[:, tp.inner], tp.inner, axis=1).any(axis=1)]
+    A = G[:, tp.grid][:, :, tp.grid].transpose(0, 2, 1)
+    if (len(tp.grid) + (tp.inner is not None) < G.shape[1] or not tp.grid
             or len(A) < 2 or _BATCH * tp.M * len(A) >= 1 << 31):
         return ()                  # a variable off the grid, or the weights
     return tuple(tuple(map(tuple, a)) for a in A.tolist())
@@ -149,13 +148,14 @@ def plan(nf: NormalizedPolynomial, target, p: int,
     G = symmetry.automorphisms(terms)
     G = np.array(G, dtype=np.int64).reshape(len(G), nf.n, nf.n)
     index = np.array(target, dtype=np.int64) - p * np.array(nf.shift)
-    tp = replace(tp, H=_acting(G, tp, index))
+    G = G[(G @ index == index).all(axis=1)]      # those that fix the index
+    tp = replace(tp, H=_acting(G, tp))
     least = max(len(tp.H), 1)
-    for U in symmetry.coordinate_changes(terms, G, index, least) \
+    for U in symmetry.coordinate_changes(terms, G, least) \
             if use_split2 and len(G) > least else ():
         nf2, target2 = _change(nf, target, p, U)
         tp2 = _layout(nf2, target2, p, (0,))
-        H2 = _acting(U @ G @ symmetry.inverse(U)[0], tp2, U @ index)
+        H2 = _acting(U @ G @ symmetry.inverse(U)[0], tp2)
         if len(H2) > least and tp2.M <= tp.M:
             return replace(tp2, U=tuple(map(tuple, U.tolist())), H=H2)
     return tp

@@ -110,7 +110,8 @@ def test_coordinate_changes_come_by_stabiliser_order(name):
     pts = np.array([e for _, e in h.terms])
     for index in (np.zeros(4, dtype=np.int64), np.array([1, 0, 0, 0])):
         orders = []
-        for U in coordinate_changes(h.terms, G, index, 1):
+        fixing = G[[(B @ index == index).all() for B in G]]
+        for U in coordinate_changes(h.terms, fixing, 1):
             assert round(abs(np.linalg.det(U))) == 1
             assert np.abs(pts @ U.T).max() == 1     # every row has width 2
             orders.append(_stabiliser(G, U[0], index))
@@ -125,6 +126,6 @@ def test_coordinate_changes_on_sample_39():
     # the axes X..T each have a stabiliser of order 2; one direction has 6
     assert [_stabiliser(G, u, index) for u in np.eye(4, dtype=np.int64)] \
         == [2, 2, 2, 2]
-    U = next(coordinate_changes(h.terms, G, index, 2))
+    U = next(coordinate_changes(h.terms, G, 2))
     assert _stabiliser(G, U[0], index) == 6
-    assert next(coordinate_changes(h.terms, G, index, 6), None) is None
+    assert next(coordinate_changes(h.terms, G, 6), None) is None
