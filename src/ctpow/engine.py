@@ -209,11 +209,6 @@ def _split2_sum(a0, bv, cv, p: int, ctx: PrimeContext) -> np.ndarray:
     return acc
 
 
-def _split2_applies(A, i, p, ctx) -> bool:
-    return (ctx.use_split2 and p >= 2 and A.ndim == 2
-            and A.shape[0] == 3 and i[0] == p)
-
-
 # Node loops at the two innermost levels are processed in fixed-size chunks:
 # a chunk of nodes shares each numpy call, so the Python overhead per node
 # drops by the chunk factor while the live buffers stay O(chunk * N), still
@@ -327,7 +322,8 @@ def coeff(k: int, i, A, p: int, ctx: PrimeContext) -> int:
     """[A^p]_i mod q for the first k variables of the context."""
     if k == 1:
         return _base_case(i, A, p, ctx)
-    if k == 2 and _split2_applies(A, i, p, ctx):
+    if (k == 2 and ctx.use_split2 and p >= 2 and A.ndim == 2
+            and A.shape[0] == 3 and i[0] == p):
         return split2(i[0], A, p, ctx)
     return _node_sum(k, i, A, p, ctx, 0, ctx.level_nodes[k - 1] + 1)
 

@@ -8,7 +8,8 @@ B is fixed by the images of n independent support points.  The search maps
 them one at a time to points of the same coefficient and signature (the
 coefficients at v + w and v - w over the support), prunes on the sums and
 differences of the points mapped so far, and keeps B if it is integral and
-permutes the terms.  A support of rank < n gets the identity only.
+permutes the terms.  More than 8 variables, or a support of rank < n, get
+the identity only.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def automorphisms(terms) -> tuple[Matrix, ...]:
     """Every B in GL_n(Z) with c_(Be) = c_e; terms is ((c, e), ...)."""
     n = len(terms[0][1])
     E = np.array([e for _, e in terms], dtype=np.int64).reshape(len(terms), n)
-    if not n or not _basis(E.tolist()):
+    if not 0 < n <= 8 or not _basis(E.tolist()):
         return (identity(n),)
     where = {e: i for i, e in enumerate(map(tuple, E.tolist()))}
     coeffs = sorted({c for c, _ in terms})

@@ -35,7 +35,7 @@ has exponents of one sign only, A^p alone reaches x^0: BC = 0, D = A^2.
 Without the inner variable the pass accumulates the powers h(omega^s)^p.
 
 Both paths sum over one grid point per orbit of the polynomial's lattice
-symmetries.  An automorphism B (symmetry.py) gives h(omega^(B^T s)) =
+symmetries, on grids of two or more variables (one row is overhead-bound).  An automorphism B (symmetry.py) gives h(omega^(B^T s)) =
 h(omega^s), and the summand at a grid point is the same on its orbit under
 the subgroup H of the automorphisms that map the inner variable's fibres
 to fibres (row inner of B is +-e_inner; without an inner variable, all of
@@ -128,8 +128,8 @@ def _acting(G, tp: TorusPlan) -> tuple[Matrix, ...]:
     if tp.inner is not None:
         G = G[~np.delete(G[:, tp.inner], tp.inner, axis=1).any(axis=1)]
     A = G[:, tp.grid][:, :, tp.grid].transpose(0, 2, 1)
-    if (len(tp.grid) + (tp.inner is not None) < G.shape[1] or not tp.grid
-            or len(A) < 2 or _BATCH * tp.M * len(A) >= 1 << 31):
+    if (len(tp.grid) + (tp.inner is not None) < G.shape[1] or len(A) < 2
+            or _BATCH * tp.M * len(A) >= 1 << 31):
         return ()                  # a variable off the grid, or the weights
     return tuple(tuple(map(tuple, a)) for a in A.tolist())
 
@@ -140,10 +140,13 @@ def plan(nf: NormalizedPolynomial, target, p: int,
 
     Among the variables of degree at most 2 the one that would need the
     largest M on the grid is summed exactly; ties go to the last.  Variables
-    absent from f with target 0 are left off the grid.  With use_split2 the
-    first U of symmetry.coordinate_changes that strictly enlarges H without
-    raising M changes the coordinates; its first row is summed exactly."""
+    absent from f with target 0 are left off the grid.  A grid of two or
+    more variables gets H, and with use_split2 the first U of
+    symmetry.coordinate_changes that strictly enlarges H without raising M
+    changes the coordinates; its first row is summed exactly."""
     tp = _layout(nf, target, p, range(nf.n) if use_split2 else ())
+    if len(tp.grid) < 2:           # one row: numpy call overhead dominates
+        return tp
     terms = _laurent_terms(nf)
     G = symmetry.automorphisms(terms)
     G = np.array(G, dtype=np.int64).reshape(len(G), nf.n, nf.n)

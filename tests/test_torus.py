@@ -150,14 +150,26 @@ def test_a_coordinate_change_enlarges_the_acting_group():
     assert torus.series_residues(nf, P, primes, tp) == [
         tuple(naive_power_coeff(h, p) % q for q in primes)
         for p in range(P + 1)]
+    # at this index U would enlarge H but raise M from 8 to 9: no change
+    index = (-2, 0, 1, 0)
+    tp = torus.plan(nf, tuple(i + P * s for i, s in zip(index, nf.shift)), P)
+    assert (tp.U, tp.M) == (None, 8)
     # a target that no map of order 6 fixes, and one off the support
-    for index in [(1, 0, 1, 0), (1, -1, 0, 1), (4, 0, 0, 0)]:
+    for index in [(1, 0, 1, 0), (1, -1, 0, 1), (4, 0, 0, 0), (-2, 0, 1, 0)]:
         target = tuple(i + P * s for i, s in zip(index, nf.shift))
         tp = torus.plan(nf, target, P)
         primes = _primes(tp, P)
         want = naive_power_coeff(h, P, index)
         assert torus.coefficient_residues(nf, target, P, primes, tp) \
             == tuple(want % q for q in primes), (index, tp)
+
+
+def test_a_one_variable_grid_skips_the_symmetry_search():
+    # the walk has 8 automorphisms, but its grid is one row
+    nf = normalize(parse_laurent("X + X^-1 + Y + Y^-1"))
+    for target in [(9, 9), (11, 7)]:
+        tp = torus.plan(nf, target, 9)
+        assert (len(tp.grid), tp.U, tp.H) == (1, None, ())
 
 
 def test_orbit_weights_cover_the_grid():
