@@ -20,11 +20,9 @@ from itertools import product
 
 import numpy as np
 
+from .laurent import make_polynomial, normalize
+
 Matrix = tuple[tuple[int, ...], ...]
-
-
-def identity(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _basis(pts, order=None):
@@ -65,7 +63,7 @@ def automorphisms(terms) -> tuple[Matrix, ...]:
     n = len(terms[0][1])
     E = np.array([e for _, e in terms], dtype=np.int64).reshape(len(terms), n)
     if not 0 < n <= 8 or not _basis(E.tolist()):
-        return (identity(n),)
+        return (tuple(map(tuple, np.eye(n, dtype=int).tolist())),)
     where = {e: i for i, e in enumerate(map(tuple, E.tolist()))}
     coeffs = sorted({c for c, _ in terms})
     cls = np.array([coeffs.index(c) + 1 for c, _ in terms] + [0])
@@ -134,3 +132,39 @@ def coordinate_changes(terms, G: np.ndarray, least: int):
         picked = _basis(rows)
         if picked and inverse([rows[i] for i in picked])[1] == 1:
             yield np.array([rows[i] for i in picked], dtype=np.int64)
+
+
+def laurent_terms(nf) -> tuple:
+    """((c, e), ...) with e the exponents of h = X^-shift f."""
+    return tuple((c, tuple(int(x) - s for x, s in zip(
+        np.unravel_index(flat, nf.tensor.shape), nf.shift)))
+        for flat, c in enumerate(nf.tensor.data) if c)
+
+
+def in_coordinates(nf, target, p: int, U):
+    """h o U (exponent e -> Ue) normalized, and the target U i in its
+    cleared coordinates, so that [h^p]_i = [(h o U)^p]_(U i)."""
+    U = np.array(U, dtype=np.int64)
+    nf2 = normalize(make_polynomial(nf.variables, [
+        (c, U @ e) for c, e in laurent_terms(nf)]))
+    index = U @ (np.array(target) - p * np.array(nf.shift))
+    return nf2, tuple(int(i) + p * s for i, s in zip(index, nf2.shift))
+
+
+def orbits(H, M: int, g: int, row, L: int):
+    """Rows `row` of Z_M^g (L points each) under s -> A s mod M, A in H:
+    their outer coordinates O, the points (flat within them) whose flat
+    index is the least of their orbit, and |H| / #{A in H : A s = s}."""
+    strides = M ** np.arange(g - 1, -1, -1, dtype=np.int64)
+    cols = np.arange(L, dtype=np.int64)
+    O = row // strides[1:, None] % M
+    flat = row[:, None] * L + cols
+    keep, stab = np.ones(flat.shape, dtype=bool), np.zeros_like(flat)
+    for A in np.array(H, dtype=np.int64):
+        img = (A[:, :-1] @ O)[:, :, None] + A[:, -1:, None] * cols
+        img = np.tensordot(strides, img % M, 1)
+        keep &= img >= flat
+        stab += img == flat
+    kept = np.flatnonzero(keep)
+    return O, kept, (len(H) // stab.ravel()[kept] if H
+                     else np.ones_like(kept))

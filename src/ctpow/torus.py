@@ -64,7 +64,7 @@ import numpy as np
 
 from . import symmetry
 from .engine import AllocationMeter
-from .laurent import NormalizedPolynomial, make_polynomial, normalize
+from .laurent import NormalizedPolynomial
 from .rns import root_of_unity
 from .symmetry import Matrix
 
@@ -106,22 +106,6 @@ def _layout(nf: NormalizedPolynomial, target, p: int, inners) -> TorusPlan:
     return TorusPlan(inner, grid, 1 + max((need[k] for k in grid), default=0))
 
 
-def _laurent_terms(nf: NormalizedPolynomial):
-    """((c, e), ...) with e the exponents of h = X^-shift f."""
-    return tuple((c, tuple(int(x) - s for x, s in zip(
-        np.unravel_index(flat, nf.tensor.shape), nf.shift)))
-        for flat, c in enumerate(nf.tensor.data) if c)
-
-
-def _change(nf: NormalizedPolynomial, target, p: int, U):
-    """h o U normalized, and the target U i in its cleared coordinates."""
-    U = np.array(U, dtype=np.int64)
-    nf2 = normalize(make_polynomial(nf.variables, [
-        (c, U @ e) for c, e in _laurent_terms(nf)]))
-    index = U @ (np.array(target) - p * np.array(nf.shift))
-    return nf2, tuple(int(i) + p * s for i, s in zip(index, nf2.shift))
-
-
 def _acting(G, tp: TorusPlan) -> tuple[Matrix, ...]:
     """A = B[grid, grid]^T for the B in G that map the inner variable's
     fibres to fibres (row inner of B is +-e_inner)."""
@@ -147,7 +131,7 @@ def plan(nf: NormalizedPolynomial, target, p: int,
     tp = _layout(nf, target, p, range(nf.n) if use_split2 else ())
     if len(tp.grid) < 2:           # one row: numpy call overhead dominates
         return tp
-    terms = _laurent_terms(nf)
+    terms = symmetry.laurent_terms(nf)
     G = symmetry.automorphisms(terms)
     G = np.array(G, dtype=np.int64).reshape(len(G), nf.n, nf.n)
     index = np.array(target, dtype=np.int64) - p * np.array(nf.shift)
@@ -156,7 +140,7 @@ def plan(nf: NormalizedPolynomial, target, p: int,
     least = max(len(tp.H), 1)
     for U in symmetry.coordinate_changes(terms, G, least) \
             if use_split2 and len(G) > least else ():
-        nf2, target2 = _change(nf, target, p, U)
+        nf2, target2 = symmetry.in_coordinates(nf, target, p, U)
         tp2 = _layout(nf2, target2, p, (0,))
         H2 = _acting(U @ G @ symmetry.inverse(U)[0], tp2)
         if len(H2) > least and tp2.M <= tp.M:
@@ -216,36 +200,17 @@ def _trinomial(a, b, c, p: int, m: int, K, q):
     return acc
 
 
-def _orbits(tp: TorusPlan, row, L: int):
-    """The outer coordinates O of the grid rows `row`, the points of those
-    rows (flat within them) whose flat index is the least of their orbit
-    under tp.H, and the orbit sizes |H| / #{A in H : A s = s}."""
-    strides = tp.M ** np.arange(len(tp.grid) - 1, -1, -1, dtype=np.int64)
-    cols = np.arange(L, dtype=np.int64)
-    O = row // strides[1:, None] % tp.M
-    flat = row[:, None] * L + cols
-    keep, stab = np.ones(flat.shape, dtype=bool), np.zeros_like(flat)
-    for A in np.array(tp.H, dtype=np.int64):
-        img = (A[:, :-1] @ O)[:, :, None] + A[:, -1:, None] * cols
-        img = np.tensordot(strides, img % tp.M, 1)
-        keep &= img >= flat
-        stab += img == flat
-    kept = np.flatnonzero(keep)
-    return O, kept, (len(tp.H) // stab.ravel()[kept] if tp.H
-                     else np.ones_like(kept))
-
-
 def representatives(tp: TorusPlan) -> int:
     """The number of orbits of tp.H on the grid: the points summed."""
-    return sum(len(_orbits(tp, np.arange(r, min(r + _ROWS, tp.rows)),
-                           tp.M if tp.grid else 1)[1])
+    return sum(len(symmetry.orbits(tp.H, tp.M, len(tp.grid), np.arange(
+        r, min(r + _ROWS, tp.rows)), tp.M if tp.grid else 1)[1])
                for r in range(0, tp.rows, _ROWS))
 
 
 def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
                   twist, meter: AllocationMeter | None, held_by_caller: int):
-    """The class values of f at the orbit representatives (see _orbits) of
-    the grid rows in `rows`, in batches of _BATCH * M points.
+    """The class values of f at the orbit representatives (symmetry.orbits)
+    of the grid rows in `rows`, in batches of _BATCH * M points.
 
     Yields (vals, w, weight): vals (classes, primes, K) holds the sum of
     each class of terms (by exponent of the inner variable; one class
@@ -305,7 +270,7 @@ def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
         R = len(row)
         held = (len(tp.grid) + 4) * R * L + 2 * (len(terms) * R + T) * nq
         meter.take(held)
-        O, kept, orbit = _orbits(tp, row, L)
+        O, kept, orbit = symmetry.orbits(tp.H, M, len(tp.grid), row, L)
         if not len(kept):
             meter.give(held)
             continue
@@ -357,7 +322,7 @@ def coefficient_residues(nf: NormalizedPolynomial, target, p: int, primes,
     tp = torus_plan
     target = tuple(int(t) for t in target)
     if tp.U is not None:
-        nf, target = _change(nf, target, p, tp.U)
+        nf, target = symmetry.in_coordinates(nf, target, p, tp.U)
     if any(not 0 <= t <= p * d for t, d in zip(target, nf.degrees)):
         return (0,) * len(primes)
     qs = np.array(primes, dtype=np.int64)[:, None]
@@ -419,7 +384,7 @@ def series_residues(nf: NormalizedPolynomial, P: int, primes,
     """
     tp = torus_plan
     if tp.U is not None:
-        nf, _ = _change(nf, tuple(P * s for s in nf.shift), P, tp.U)
+        nf = symmetry.in_coordinates(nf, P * np.array(nf.shift), P, tp.U)[0]
     qs = np.array(primes, dtype=np.int64)[:, None]
     S = np.zeros((P + 1, len(primes)), dtype=np.int64)
     g = np.zeros((P + 1, len(primes), 1), dtype=np.int64)

@@ -10,6 +10,7 @@ from ctpow.fixtures import sample_polynomial
 from ctpow.laurent import make_polynomial, normalize, parse_laurent
 from ctpow.oracle import naive_power_coeff
 from ctpow.rns import select_primes
+from ctpow.symmetry import in_coordinates
 
 
 def _primes(tp, p, bits=62):
@@ -180,7 +181,7 @@ def test_orbit_weights_cover_the_grid():
         P = 9
         tp = _series_plan(nf, P)
         if tp.U is not None:
-            nf = torus._change(nf, tuple(P * s for s in nf.shift), P, tp.U)[0]
+            nf = in_coordinates(nf, tuple(P * s for s in nf.shift), P, tp.U)[0]
         primes = _primes(tp, P)[:1]
         seen = sum(int(wt.sum()) for k in range(3) for _, _, wt in
                    torus._class_values(nf, tp, primes, range(k, tp.rows, 3),
