@@ -32,22 +32,10 @@ import sys
 import time
 from pathlib import Path
 
-SRC = (sys.argv[sys.argv.index("--src") + 1] if "--src" in sys.argv
-       else "src")
-sys.path.insert(0, SRC)
-
-from ctpow import torus
-from ctpow.engine import AllocationMeter, coefficient_mod_prime, make_context
-from ctpow.fixtures import SAMPLE_NAMES, sample_polynomial
-from ctpow.laurent import normalize, total_weight
-from ctpow.recurrence import (_primes_for, constant_term_series,
-                              exact_coefficient)
-from ctpow.rns import select_primes
-
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--fixture", default="39", choices=SAMPLE_NAMES)
+    ap.add_argument("--fixture", default="39")
     ap.add_argument("--powers", default="5,10,20,40,80")
     ap.add_argument("--threads", type=int, default=0)
     ap.add_argument("--series", metavar="P1,P2,...",
@@ -58,10 +46,20 @@ def main():
                     help="column of the --json file to write")
     ap.add_argument("--src", default="src", help="source tree to time")
     args = ap.parse_args()
+    sys.path.insert(0, args.src)
     if args.json:
-        north_star(Path(args.json), args.column)
+        north_star(Path(args.json), args.column, Path(args.src))
         return
 
+    from ctpow import torus
+    from ctpow.engine import (AllocationMeter, coefficient_mod_prime,
+                              make_context)
+    from ctpow.fixtures import SAMPLE_NAMES, sample_polynomial
+    from ctpow.laurent import normalize
+    from ctpow.recurrence import exact_coefficient
+    from ctpow.rns import select_primes
+    if args.fixture not in SAMPLE_NAMES:
+        ap.error(f"--fixture must be one of {', '.join(SAMPLE_NAMES)}")
     h = sample_polynomial(args.fixture)
     nf = normalize(h)
     if args.series:
@@ -82,10 +80,11 @@ def main():
         dt = time.perf_counter() - t0
 
         target = tuple(p * s for s in nf.shift)
-        tp = torus.plan(nf, target, p)
+        tp, nf_u, target_u = torus.plan(nf, target, p)
         meter = AllocationMeter()
         one_prime = select_primes(31, p, congruent_to_1_mod=tp.M).primes[:1]
-        torus.coefficient_residues(nf, target, p, one_prime, tp, meter=meter)
+        torus.coefficient_residues(nf_u, target_u, p, one_prime, tp,
+                                   meter=meter)
         peak = meter.peak
         counts = {}
         for flag in (True, False):
@@ -97,6 +96,9 @@ def main():
 
 
 def series_table(name, h, nf, counts):
+    from ctpow import torus
+    from ctpow.laurent import total_weight
+    from ctpow.recurrence import _primes_for, constant_term_series
     print(f"sample {name} series, cleared shape {nf.tensor.shape}, one thread")
     header = (f"{'P':>4} {'M':>4} {'grid pts':>9} {'primes':>6} "
               f"{'total s':>8} {'ns/(pt*power*prime)':>20}")
@@ -104,7 +106,7 @@ def series_table(name, h, nf, counts):
     print("-" * len(header))
     for P in counts:
         # the plan and primes that constant_term_series uses
-        tp = torus.plan(nf, tuple(P * s for s in nf.shift), P)
+        tp = torus.plan(nf, tuple(P * s for s in nf.shift), P)[0]
         primes = len(_primes_for(total_weight(h), tp.M, P, 31).primes)
         points = tp.M ** len(tp.grid)
         t0 = time.perf_counter()
@@ -125,11 +127,13 @@ def _timed(fn, *args, **kwargs):
     return out, min(times)
 
 
-def north_star(path: Path, column: str):
+def north_star(path: Path, column: str, src: Path):
     import numpy
 
     from ctpow import fixtures
-    from ctpow.recurrence import search_recurrence
+    from ctpow.fixtures import sample_polynomial
+    from ctpow.recurrence import (constant_term_series, exact_coefficient,
+                                  search_recurrence)
     h = sample_polynomial("39")
     seconds = {}
     for p in (40, 80, 150):
@@ -141,7 +145,7 @@ def north_star(path: Path, column: str):
                                         threads=1)
     hits, seconds["search39_8_4"] = _timed(search_recurrence, s.terms, 8, 4)
     assert len(hits) == 1
-    root = Path(SRC).resolve().parent
+    root = src.resolve().parent
     git = ["git", "-C", str(root)]
     try:
         rev = subprocess.run(git + ["rev-parse", "--short", "HEAD"],

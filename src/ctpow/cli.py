@@ -128,7 +128,7 @@ def cmd_bench(args) -> int:
              ""]
     nf = normalize(h)
     for p in powers:
-        tp = torus.plan(nf, tuple(p * s for s in nf.shift), p)
+        tp = torus.plan(nf, tuple(p * s for s in nf.shift), p)[0]
         inner = (tp.U[0] if tp.U else None if tp.inner is None
                  else h.variables[tp.inner])
         lines.append(f"plan p={p}: U={'yes' if tp.U else 'no'} inner={inner} "

@@ -209,6 +209,11 @@ def _split2_sum(a0, bv, cv, p: int, ctx: PrimeContext) -> np.ndarray:
     return acc
 
 
+def _split2_applies(A, i, p, ctx) -> bool:
+    return (ctx.use_split2 and p >= 2 and A.ndim == 2
+            and A.shape[0] == 3 and i[0] == p)
+
+
 # Node loops at the two innermost levels are processed in fixed-size chunks:
 # a chunk of nodes shares each numpy call, so the Python overhead per node
 # drops by the chunk factor while the live buffers stay O(chunk * N), still
@@ -322,8 +327,7 @@ def coeff(k: int, i, A, p: int, ctx: PrimeContext) -> int:
     """[A^p]_i mod q for the first k variables of the context."""
     if k == 1:
         return _base_case(i, A, p, ctx)
-    if (k == 2 and ctx.use_split2 and p >= 2 and A.ndim == 2
-            and A.shape[0] == 3 and i[0] == p):
+    if k == 2 and _split2_applies(A, i, p, ctx):
         return split2(i[0], A, p, ctx)
     return _node_sum(k, i, A, p, ctx, 0, ctx.level_nodes[k - 1] + 1)
 
@@ -335,6 +339,10 @@ def make_context(nf: NormalizedPolynomial, i, p: int, q: int,
     data = [c % q for c in nf.tensor.data]
     ctx.tensor = np.array(data, dtype=np.int64).reshape(nf.tensor.shape)
     return ctx
+
+
+def _in_range(i, level_nodes) -> bool:
+    return all(0 <= ik <= Nk for ik, Nk in zip(i, level_nodes))
 
 
 def coefficient_mod_prime(nf: NormalizedPolynomial, i, p: int, q: int,
@@ -352,7 +360,7 @@ def coefficient_mod_prime(nf: NormalizedPolynomial, i, p: int, q: int,
         raise EngineError("index dimension mismatch")
     if ctx is None:
         ctx = make_context(nf, i, p, q, use_split2)
-    if not all(0 <= ik <= Nk for ik, Nk in zip(i, ctx.level_nodes)):
+    if not _in_range(i, ctx.level_nodes):
         return 0
     if p == 0:
         return 1 % q

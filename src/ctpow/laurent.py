@@ -12,7 +12,6 @@ powers of f shifted by p*s, which is what the rest of the package computes.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,7 +66,10 @@ class CoefficientTensor:
     data: tuple[int, ...]
 
     def __post_init__(self):
-        if math.prod(self.shape) != len(self.data):
+        size = 1
+        for s in self.shape:
+            size *= s
+        if size != len(self.data):
             raise LaurentError("tensor data length does not match shape")
 
     def __getitem__(self, index):
@@ -264,20 +266,26 @@ def parse_laurent(text: str, fmt: str = "expr") -> LaurentPolynomial:
     raise LaurentError(f"unknown format {fmt!r}")
 
 
-def signed_sum(terms) -> str:
-    """'2*X - Y + 1' from (coefficient, monomial text) pairs; '0' if none."""
-    out = ""
-    for c, mono in terms:
-        m = abs(c)
-        body = f"{m}*{mono}" if mono and m != 1 else mono or str(m)
-        out += (f" {'-' if c < 0 else '+'} " if out else "-" * (c < 0)) + body
-    return out or "0"
-
-
 def to_expr_string(h: LaurentPolynomial) -> str:
-    return signed_sum((c, "*".join(v if k == 1 else f"{v}^{k}"
-                                   for v, k in zip(h.variables, e) if k))
-                      for c, e in h.terms)
+    if h.is_zero():
+        return "0"
+    parts = []
+    for c, e in h.terms:
+        factors = [v if k == 1 else f"{v}^{k}"
+                   for v, k in zip(h.variables, e) if k != 0]
+        mag = abs(c)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        parts.append(("-" if c < 0 else "+", body))
+    sign0, body0 = parts[0]
+    out = ("-" if sign0 == "-" else "") + body0
+    for sign, body in parts[1:]:
+        out += f" {sign} {body}"
+    return out
 
 
 def normalize(h: LaurentPolynomial) -> NormalizedPolynomial:
@@ -291,7 +299,9 @@ def normalize(h: LaurentPolynomial) -> NormalizedPolynomial:
     shift = tuple(max(0, -m) for m in mins)
     degrees = tuple(mx + s for mx, s in zip(maxs, shift))
     shape = tuple(d + 1 for d in degrees)
-    size = math.prod(shape)
+    size = 1
+    for s in shape:
+        size *= s
     if size > MAX_TENSOR:
         raise LaurentError(f"cleared coefficient tensor of shape {shape} "
                            f"exceeds {MAX_TENSOR} entries")

@@ -30,7 +30,10 @@ class DensePolynomial:
 
     @property
     def size(self) -> int:
-        return math.prod(self.shape)
+        n = 1
+        for s in self.shape:
+            n *= s
+        return n
 
 
 def _strides(shape):
@@ -50,7 +53,9 @@ def dense_multiply(a: DensePolynomial, b: DensePolynomial,
     if len(a.shape) != len(b.shape):
         raise ValueError("dimension mismatch")
     out_shape = tuple(sa + sb - 1 for sa, sb in zip(a.shape, b.shape))
-    out_size = math.prod(out_shape)
+    out_size = 1
+    for s in out_shape:
+        out_size *= s
     if out_size > max_entries:
         raise SizeGuardError(
             f"dense product would have {out_size} entries (limit {max_entries})")

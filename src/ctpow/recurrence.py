@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-import re
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from . import torus
 # the Vandermonde reference engine; ctbench's tracer wraps this name
 from .engine import coefficient_mod_prime  # noqa: F401
 from .laurent import (LaurentPolynomial, normalize, polynomial_from_json,
-                      polynomial_to_json, signed_sum, total_weight)
+                      polynomial_to_json, total_weight)
 from .rns import ModulusSet, RnsValue, coefficient_bound_bits, reconstruct, select_primes
 
 
@@ -96,7 +95,7 @@ def exact_coefficient(h: LaurentPolynomial, p: int, index=None,
     target = tuple(ix + p * s for ix, s in zip(index, nf.shift))
     if any(not 0 <= t <= p * d for t, d in zip(target, nf.degrees)):
         return 0
-    tp = torus.plan(nf, target, p, use_split2)
+    tp, nf, target = torus.plan(nf, target, p, use_split2)
     ms = _primes_for(total_weight(h), tp.M, p, prime_bits)
     residues = _sum_row_blocks(torus.coefficient_residues, (nf, target, p),
                                tp, ms, threads)
@@ -122,10 +121,14 @@ def series_to_json(s: Series) -> dict:
 
 
 def series_from_json(obj) -> Series:
-    obj = {"terms": obj} if isinstance(obj, list) else obj
-    if not isinstance(obj, dict) or "terms" not in obj:
+    if isinstance(obj, list):
+        terms = obj
+        poly = None
+    elif isinstance(obj, dict) and "terms" in obj:
+        terms = obj["terms"]
+        poly = obj.get("poly")
+    else:
         raise FitError("series JSON needs a 'terms' list")
-    terms, poly = obj["terms"], obj.get("poly")
     poly_obj = polynomial_from_json(poly) if poly else None
     out = []
     for t in terms:
@@ -155,7 +158,7 @@ def constant_term_series(h: LaurentPolynomial, P: int, threads: int = 1,
         raise ValueError(f"series length must be in [0, {torus.MAX_SERIES})")
     threads = _resolve_threads(threads)
     nf = normalize(h)
-    tp = torus.plan(nf, tuple(P * s for s in nf.shift), P, use_split2)
+    tp, nf, _ = torus.plan(nf, tuple(P * s for s in nf.shift), P, use_split2)
     ms = _primes_for(total_weight(h), tp.M, P, prime_bits)
     sums = _sum_row_blocks(torus.series_residues, (nf, P), tp, ms, threads,
                            progress)
@@ -191,6 +194,13 @@ class Recurrence:
         return len(self.polys[0]) - 1
 
 
+def _poly_eval(coeffs, x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def make_recurrence(polys) -> Recurrence:
     """Normalize to the canonical form (content 1, P_0 leading coeff > 0)."""
     polys = [list(p) for p in polys]
@@ -217,8 +227,7 @@ def verify_recurrence(rec: Recurrence, series) -> bool:
         for i, poly in enumerate(rec.polys):
             if i > n:
                 break
-            total += sum(c * (n - i) ** j
-                         for j, c in enumerate(poly)) * terms[n - i]
+            total += _poly_eval(poly, n - i) * terms[n - i]
         if total != 0:
             return False
     return True
@@ -276,12 +285,15 @@ def _nullspace_1d(rows, ncols):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        prow = m[r]
-        for mr in m[r + 1:]:
-            mr[c + 1:] = [(prow[c] * x - mr[c] * y) // prev
-                          for x, y in zip(mr[c + 1:], prow[c + 1:])]
+        for rr in range(r + 1, nrows):
+            factor = m[rr][c]
+            prow = m[r]
+            mr = m[rr]
+            pivval = prow[c]
+            for cc in range(c + 1, ncols):
+                mr[cc] = (pivval * mr[cc] - factor * prow[cc]) // prev
             mr[c] = 0
-        prev = prow[c]
+        prev = m[r][c]
         pivots.append((r, c))
         r += 1
         if r == nrows:
@@ -297,10 +309,14 @@ def _nullspace_1d(rows, ncols):
         s = sum((row[cc] * x[cc] for cc in range(c + 1, ncols) if row[cc]),
                 Fraction(0))
         x[c] = -s / row[c]
-    scale = math.lcm(*(v.denominator for v in x))
-    ints = [int(v * scale) for v in x]
-    g = math.gcd(*ints) * (1 if next(v for v in ints if v) > 0 else -1)
-    return 1, tuple(v // g for v in ints)
+    lcm = math.lcm(*(v.denominator for v in x))
+    ints = [int(v * lcm) for v in x]
+    g = math.gcd(*ints)
+    ints = [v // g for v in ints]
+    lead = next(v for v in ints if v)
+    if lead < 0:
+        ints = [-v for v in ints]
+    return 1, tuple(ints)
 
 
 def fit_recurrence(series, k: int, d: int, extra: int = 5):
@@ -369,8 +385,22 @@ class DifferentialOperator:
 
 
 def _theta_poly_text(coeffs) -> str:
-    return signed_sum((c, "θ^%d" % j if j > 1 else "θ" * j)
-                      for j, c in reversed(list(enumerate(coeffs))) if c)
+    parts = []
+    for j in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[j]
+        if c == 0:
+            continue
+        mono = "θ^%d" % j if j > 1 else ("θ" if j == 1 else "")
+        mag = abs(c)
+        body = (f"{mag}*{mono}" if mono and mag != 1 else (mono or str(mag)))
+        parts.append(("-" if c < 0 else "+", body))
+    if not parts:
+        return "0"
+    sign0, body0 = parts[0]
+    text = ("-" if sign0 == "-" else "") + body0
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text
 
 
 def recurrence_to_operator(rec: Recurrence) -> DifferentialOperator:
@@ -382,23 +412,44 @@ def operator_to_recurrence(op: DifferentialOperator) -> Recurrence:
 
 
 def parse_operator_text(text: str) -> DifferentialOperator:
-    """The inverse of DifferentialOperator.to_text."""
+    import re
     polys: dict[int, dict[int, int]] = {}
-    for line in filter(None, map(str.strip, text.splitlines())):
+    for line in text.strip().splitlines():
+        line = line.strip()
+        if not line:
+            continue
         m = re.fullmatch(r"z\^(\d+)\s*\*\s*\(\s*(.*?)\s*\)", line)
         if not m:
             raise FitError(f"bad operator line: {line!r}")
-        coeffs = polys[int(m[1])] = {}
-        for piece in filter(None, map(str.strip,
-                                      m[2].replace("-", "+-").split("+"))):
-            t = re.fullmatch(r"(-?)\s*(\d*)\s*\*?\s*(θ(?:\^(\d+))?)?", piece)
-            if not t or not (t[2] or t[3]):
-                raise FitError(f"bad operator term: {piece!r}")
-            j = int(t[4] or 1) if t[3] else 0
-            coeffs[j] = coeffs.get(j, 0) + (-1) ** len(t[1]) * int(t[2] or 1)
+        i = int(m.group(1))
+        coeffs: dict[int, int] = {}
+        body = m.group(2)
+        if body != "0":
+            for piece in body.replace("-", "+-").split("+"):
+                piece = piece.strip()
+                if not piece:
+                    continue
+                neg = piece.startswith("-")
+                if neg:
+                    piece = piece[1:].strip()
+                if "θ" in piece:
+                    coef_part, _, theta_part = piece.partition("θ")
+                    coef_part = coef_part.strip().rstrip("*").strip()
+                    c = int(coef_part) if coef_part else 1
+                    theta_part = theta_part.strip()
+                    j = int(theta_part[1:]) if theta_part.startswith("^") else 1
+                else:
+                    c = int(piece)
+                    j = 0
+                if neg:
+                    c = -c
+                coeffs[j] = coeffs.get(j, 0) + c
+        polys[i] = coeffs
     if not polys:
         raise FitError("empty operator text")
-    width = max(max(c, default=0) for c in polys.values()) + 1
-    return DifferentialOperator(tuple(
+    k = max(polys)
+    width = max((max(c, default=0) for c in polys.values()), default=0) + 1
+    table = tuple(
         tuple(polys.get(i, {}).get(j, 0) for j in range(width))
-        for i in range(max(polys) + 1)))
+        for i in range(k + 1))
+    return DifferentialOperator(table)

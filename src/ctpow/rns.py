@@ -9,7 +9,6 @@ the moduli.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,7 +60,10 @@ class ModulusSet:
 
     @property
     def product(self) -> int:
-        return math.prod(self.primes)
+        m = 1
+        for p in self.primes:
+            m *= p
+        return m
 
 
 @dataclass(frozen=True)

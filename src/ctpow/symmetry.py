@@ -8,8 +8,9 @@ B is fixed by the images of n independent support points.  The search maps
 them one at a time to points of the same coefficient and signature (the
 coefficients at v + w and v - w over the support), prunes on the sums and
 differences of the points mapped so far, and keeps B if it is integral and
-permutes the terms.  More than 8 variables, or a support of rank < n, get
-the identity only.
+permutes the terms.  More than 8 variables, a support of rank < n, more
+than MAX_TERMS terms (the set-up is O(N^2) in N terms) or a search of more
+nodes than its budget (which bounds the group order) get the identity only.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ import numpy as np
 from .laurent import make_polynomial, normalize
 
 Matrix = tuple[tuple[int, ...], ...]
+
+# more terms than this, or more search nodes, give the identity only
+MAX_TERMS = 128
+MAX_STEPS = 1 << 14
 
 
 def _basis(pts, order=None):
@@ -58,32 +63,43 @@ def inverse(rows):
 
 
 @lru_cache(maxsize=32)
-def automorphisms(terms) -> tuple[Matrix, ...]:
-    """Every B in GL_n(Z) with c_(Be) = c_e; terms is ((c, e), ...)."""
+def automorphisms(terms, steps: int = MAX_STEPS) -> tuple[Matrix, ...]:
+    """Every B in GL_n(Z) with c_(Be) = c_e; terms is ((c, e), ...).  A
+    search of more than `steps` nodes gives the identity only."""
     n = len(terms[0][1])
     E = np.array([e for _, e in terms], dtype=np.int64).reshape(len(terms), n)
-    if not 0 < n <= 8 or not _basis(E.tolist()):
-        return (tuple(map(tuple, np.eye(n, dtype=int).tolist())),)
-    where = {e: i for i, e in enumerate(map(tuple, E.tolist()))}
+    identity = (tuple(map(tuple, np.eye(n, dtype=int).tolist())),)
+    if not 0 < n <= 8 or len(E) > MAX_TERMS or not _basis(E.tolist()):
+        return identity
+    lo, hi = E.min(axis=0), E.max(axis=0)
+    strides = np.cumprod(np.r_[1, hi[:-1] - lo[:-1] + 1])
+    codes = (E - lo) @ strides
+    order = np.argsort(codes)
     coeffs = sorted({c for c, _ in terms})
     cls = np.array([coeffs.index(c) + 1 for c, _ in terms] + [0])
 
     def find(X):
         """The index of each vector of X in the support, -1 off it."""
-        return np.array([where.get(tuple(x), -1) for x in
-                         X.reshape(-1, n).tolist()]).reshape(X.shape[:-1])
+        k = order[np.searchsorted(codes[order], (np.clip(X, lo, hi) - lo)
+                                  @ strides).clip(max=len(E) - 1)]
+        return np.where((E[k] == X).all(axis=-1), k, -1)
 
     sums = E[:, None] + E[None]
     rel = (np.where(sums.any(-1), cls[find(sums)], -1) * len(cls)
            + cls[find(E[:, None] - E[None])])
     R = rel.tolist()
-    sig = [(c, *sorted(r)) for c, r in zip(cls.tolist(), R)]
-    cands = {s: [i for i, t in enumerate(sig) if t == s] for s in sig}
+    sig = list(map(tuple, np.c_[cls[:-1], np.sort(rel, axis=1)].tolist()))
+    cands = {}
+    for i, t in enumerate(sig):
+        cands.setdefault(t, []).append(i)
     basis = _basis(E.tolist(), sorted(range(len(E)),
                                       key=lambda i: len(cands[sig[i]])))
-    leaves = []
+    leaves, left = [], [steps]
 
     def extend(images):
+        left[0] -= 1
+        if left[0] < 0:
+            return
         if len(images) == n:
             leaves.append(images)
             return
@@ -95,13 +111,16 @@ def automorphisms(terms) -> tuple[Matrix, ...]:
                 extend(images + [j])
 
     extend([])
+    if left[0] < 0:
+        return identity
     adj, det = inverse(E[basis])
     bt = adj @ E[np.array(leaves)]               # det * B^T, one per leaf
     bt = bt[~(bt % det).any(axis=(1, 2))] // det
     # a map that sends the terms to distinct like terms permutes the
-    # support, which spans Q^n, so det B = +-1
+    # support, which spans Q^n, so det B = +-1; 256 maps at a time
     return tuple(tuple(map(tuple, b.T.tolist()))
-                 for b, im in zip(bt, find(E @ bt).tolist())
+                 for k in range(0, len(bt), 256) for b, im in zip(
+                     bt[k:k + 256], find(E @ bt[k:k + 256]).tolist())
                  if (cls[im] == cls[:-1]).all() and len(set(im)) == len(E))
 
 
@@ -151,20 +170,28 @@ def in_coordinates(nf, target, p: int, U):
     return nf2, tuple(int(i) + p * s for i, s in zip(index, nf2.shift))
 
 
-def orbits(H, M: int, g: int, row, L: int):
-    """Rows `row` of Z_M^g (L points each) under s -> A s mod M, A in H:
-    their outer coordinates O, the points (flat within them) whose flat
-    index is the least of their orbit, and |H| / #{A in H : A s = s}."""
+def orbits(H: np.ndarray, M: int, row, L: int):
+    """Rows `row` of Z_M^g (L points each) under s -> A s mod M, A in H
+    (shape (|H|, g, g)): their outer coordinates O, the row r and column l
+    (r, l within the rows) of each point whose flat index is the least of
+    its orbit, and |H| / #{A in H : A s = s} there.  The maps go in blocks
+    of k, applied only to the c points that no earlier map has sent lower,
+    with k * c <= 2 * len(row) * L: the block arrays stay O(len(row) * L)
+    and a large H takes few numpy calls, as c falls fast."""
+    g = H.shape[1]
     strides = M ** np.arange(g - 1, -1, -1, dtype=np.int64)
-    cols = np.arange(L, dtype=np.int64)
     O = row // strides[1:, None] % M
-    flat = row[:, None] * L + cols
-    keep, stab = np.ones(flat.shape, dtype=bool), np.zeros_like(flat)
-    for A in np.array(H, dtype=np.int64):
-        img = (A[:, :-1] @ O)[:, :, None] + A[:, -1:, None] * cols
-        img = np.tensordot(strides, img % M, 1)
-        keep &= img >= flat
-        stab += img == flat
-    kept = np.flatnonzero(keep)
-    return O, kept, (len(H) // stab.ravel()[kept] if H
-                     else np.ones_like(kept))
+    r, l = np.divmod(np.arange(len(row) * L, dtype=np.int64), L)
+    flat, stab = row[r] * L + l, np.zeros_like(r)
+    i = 0
+    while i < len(H) and len(r):
+        A = H[i:i + max(1, 2 * len(row) * L // len(r))]
+        img = A[:, :, :-1] @ O[:, r]
+        img += A[:, :, -1:] * l
+        img %= M
+        img = strides @ img                      # (k, c) flat images
+        keep = (img >= flat).all(axis=0)
+        stab = (stab + (img == flat).sum(axis=0))[keep]
+        r, l, flat = r[keep], l[keep], flat[keep]
+        i += len(A)
+    return O, r, l, len(H) // stab if len(H) else np.ones_like(r)

@@ -35,11 +35,15 @@ has exponents of one sign only, A^p alone reaches x^0: BC = 0, D = A^2.
 Without the inner variable the pass accumulates the powers h(omega^s)^p.
 
 Both paths sum over one grid point per orbit of the polynomial's lattice
-symmetries, on grids of two or more variables (one row is overhead-bound).  An automorphism B (symmetry.py) gives h(omega^(B^T s)) =
-h(omega^s), and the summand at a grid point is the same on its orbit under
-the subgroup H of the automorphisms that map the inner variable's fibres
-to fibres (row inner of B is +-e_inner; without an inner variable, all of
-them) and fix the target index; H acts as s -> B[grid, grid]^T s mod M.
+symmetries, on grids of two or more variables (one row is overhead-bound)
+and for at most symmetry.MAX_TERMS terms.  An automorphism B (symmetry.py)
+gives h(omega^(B^T s)) = h(omega^s), and the summand at a grid point is
+the same on its orbit under the subgroup H of the automorphisms that map
+the inner variable's fibres to fibres (row inner of B is +-e_inner;
+without an inner variable, all of them) and fix the target index; H acts
+as s -> B[grid, grid]^T s mod M.  The search for them stops after one
+node per grid point (at least 1024, at most symmetry.MAX_STEPS), so that
+it costs little next to the grid; a search cut short gives no symmetry.
 The point of least flat index stands for its orbit, with the weight
 |H| / #{A in H : A s = s}.  The planner may first change coordinates by a
 unimodular U, [h^p]_i = [(h o U)^p]_(U i), to make a direction with a
@@ -82,8 +86,9 @@ MAX_SERIES = 1 << 16
 class TorusPlan:
     """Which variable is summed exactly, which run over the grid, and M.
 
-    The grid is walked in rows along its last variable.  A plan with U is
-    for h o U (exponent e -> Ue) at the index U i.  H holds A = B[grid,
+    The grid is walked in rows along its last variable.  U, if set, is the
+    coordinate change plan applied (exponent e -> Ue); the plan is for the
+    polynomial and target that plan returns with it.  H holds A = B[grid,
     grid]^T, identity included, for the B that act as s -> A s mod M.
     """
     inner: int | None
@@ -95,6 +100,12 @@ class TorusPlan:
     @property
     def rows(self) -> int:
         return self.M ** max(len(self.grid) - 1, 0)
+
+    @property
+    def maps(self) -> np.ndarray:
+        """H as an array of shape (|H|, g, g)."""
+        g = len(self.grid)
+        return np.array(self.H, dtype=np.int64).reshape(len(self.H), g, g)
 
 
 def _layout(nf: NormalizedPolynomial, target, p: int, inners) -> TorusPlan:
@@ -118,8 +129,8 @@ def _acting(G, tp: TorusPlan) -> tuple[Matrix, ...]:
     return tuple(tuple(map(tuple, a)) for a in A.tolist())
 
 
-def plan(nf: NormalizedPolynomial, target, p: int,
-         use_split2: bool = True) -> TorusPlan:
+def plan(nf: NormalizedPolynomial, target, p: int, use_split2: bool = True
+         ) -> tuple[TorusPlan, NormalizedPolynomial, tuple[int, ...]]:
     """Pick the exactly summed variable, the smallest valid M, and H.
 
     Among the variables of degree at most 2 the one that would need the
@@ -127,12 +138,17 @@ def plan(nf: NormalizedPolynomial, target, p: int,
     absent from f with target 0 are left off the grid.  A grid of two or
     more variables gets H, and with use_split2 the first U of
     symmetry.coordinate_changes that strictly enlarges H without raising M
-    changes the coordinates; its first row is summed exactly."""
+    changes the coordinates; its first row is summed exactly.  Returns the
+    plan with the polynomial and target the kernels take: h o U and U i
+    (symmetry.in_coordinates) if the plan has a U, else nf and target."""
     tp = _layout(nf, target, p, range(nf.n) if use_split2 else ())
-    if len(tp.grid) < 2:           # one row: numpy call overhead dominates
-        return tp
+    data = nf.tensor.data
+    if len(tp.grid) < 2 or len(data) - data.count(0) > symmetry.MAX_TERMS:
+        return tp, nf, target      # one row: numpy call overhead dominates
     terms = symmetry.laurent_terms(nf)
-    G = symmetry.automorphisms(terms)
+    # a search budget of one node per grid point, at least 1024
+    G = symmetry.automorphisms(terms, min(symmetry.MAX_STEPS, max(
+        1 << 10, tp.M ** len(tp.grid))))
     G = np.array(G, dtype=np.int64).reshape(len(G), nf.n, nf.n)
     index = np.array(target, dtype=np.int64) - p * np.array(nf.shift)
     G = G[(G @ index == index).all(axis=1)]      # those that fix the index
@@ -144,8 +160,9 @@ def plan(nf: NormalizedPolynomial, target, p: int,
         tp2 = _layout(nf2, target2, p, (0,))
         H2 = _acting(U @ G @ symmetry.inverse(U)[0], tp2)
         if len(H2) > least and tp2.M <= tp.M:
-            return replace(tp2, U=tuple(map(tuple, U.tolist())), H=H2)
-    return tp
+            return (replace(tp2, U=tuple(map(tuple, U.tolist())), H=H2),
+                    nf2, target2)
+    return tp, nf, target
 
 
 def _mulmod(a, b, q):
@@ -202,8 +219,8 @@ def _trinomial(a, b, c, p: int, m: int, K, q):
 
 def representatives(tp: TorusPlan) -> int:
     """The number of orbits of tp.H on the grid: the points summed."""
-    return sum(len(symmetry.orbits(tp.H, tp.M, len(tp.grid), np.arange(
-        r, min(r + _ROWS, tp.rows)), tp.M if tp.grid else 1)[1])
+    return sum(len(symmetry.orbits(tp.maps, tp.M, np.arange(
+        r, min(r + _ROWS, tp.rows)), tp.M if tp.grid else 1)[3])
                for r in range(0, tp.rows, _ROWS))
 
 
@@ -265,16 +282,16 @@ def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
     batch = (n_classes * nq + nq + 1 + _LIVE * nq) * T
     meter.take(batch)
     filled = 0
+    H = tp.maps
     for i in range(0, len(rows), _ROWS):
         row = np.array(rows[i:i + _ROWS], dtype=np.int64)
         R = len(row)
-        held = (len(tp.grid) + 4) * R * L + 2 * (len(terms) * R + T) * nq
+        held = (4 * len(tp.grid) + 12) * R * L + 2 * (len(terms) * R + T) * nq
         meter.take(held)
-        O, kept, orbit = symmetry.orbits(tp.H, M, len(tp.grid), row, L)
-        if not len(kept):
+        O, r_idx, l_idx, orbit = symmetry.orbits(H, M, row, L)
+        if not len(orbit):
             meter.give(held)
             continue
-        r_idx, l_idx = np.divmod(kept, L)
         twist_s = ((twist_outer @ O)[r_idx] + twist_last * l_idx) % M
         # the coefficients of each class in the last variable, per row ...
         ph = E @ O % M
@@ -284,8 +301,8 @@ def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
         # ... evaluated at the kept points by Horner in omega^s, as many at
         # a time as fill the batch
         a = 0
-        while a < len(kept):
-            n = min(len(kept) - a, T - filled)
+        while a < len(orbit):
+            n = min(len(orbit) - a, T - filled)
             sel, out = slice(a, a + n), slice(filled, filled + n)
             om = omega[:, l_idx[sel]]                  # last variable
             acc = vals[..., out]
@@ -311,8 +328,9 @@ def coefficient_residues(nf: NormalizedPolynomial, target, p: int, primes,
                          meter: AllocationMeter | None = None) -> tuple[int, ...]:
     """[f^p]_target mod each prime, summed over the grid rows in `rows`.
 
-    Targets outside the support of f^p give 0.  Every prime must be 1
-    modulo torus_plan.M.  The value omega^(-t.s) [x^t_x] f(x, omega^s)^p is
+    nf, target and torus_plan are as plan returns them.  Targets outside
+    the support of f^p give 0.  Every prime must be 1 modulo
+    torus_plan.M.  The value omega^(-t.s) [x^t_x] f(x, omega^s)^p is
     the same on every orbit of torus_plan.H, so each orbit adds its size
     times the value at its representative, the point of least flat index.
     Partial results over a disjoint cover of range(torus_plan.rows) add up,
@@ -321,8 +339,6 @@ def coefficient_residues(nf: NormalizedPolynomial, target, p: int, primes,
     """
     tp = torus_plan
     target = tuple(int(t) for t in target)
-    if tp.U is not None:
-        nf, target = symmetry.in_coordinates(nf, target, p, tp.U)
     if any(not 0 <= t <= p * d for t, d in zip(target, nf.degrees)):
         return (0,) * len(primes)
     qs = np.array(primes, dtype=np.int64)[:, None]
@@ -373,8 +389,9 @@ def series_residues(nf: NormalizedPolynomial, P: int, primes,
                     meter: AllocationMeter | None = None) -> list[tuple[int, ...]]:
     """a_p = [h^p]_0 mod each prime for p = 0..P, summed over `rows`.
 
-    torus_plan is the plan of a_P, plan(nf, P * nf.shift, P, ...); every
-    prime must be 1 modulo its M and exceed 2P, and P < MAX_SERIES.
+    torus_plan and nf are as plan(nf, P * nf.shift, P, ...) returns them,
+    for a_P; every prime must be 1 modulo its M and exceed 2P, and
+    P < MAX_SERIES.
     [x^0] h(x, omega^s)^p is the same on every orbit of torus_plan.H, for
     every p, so each orbit adds its size times the value at its
     representative, as in coefficient_residues.  Returns P + 1 tuples of
@@ -383,8 +400,6 @@ def series_residues(nf: NormalizedPolynomial, P: int, primes,
     The meter works as in coefficient_residues.
     """
     tp = torus_plan
-    if tp.U is not None:
-        nf = symmetry.in_coordinates(nf, P * np.array(nf.shift), P, tp.U)[0]
     qs = np.array(primes, dtype=np.int64)[:, None]
     S = np.zeros((P + 1, len(primes)), dtype=np.int64)
     g = np.zeros((P + 1, len(primes), 1), dtype=np.int64)

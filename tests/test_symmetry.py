@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -6,7 +7,7 @@ import pytest
 
 from ctpow.fixtures import sample_polynomial
 from ctpow.laurent import make_polynomial, parse_laurent
-from ctpow.symmetry import automorphisms, coordinate_changes
+from ctpow.symmetry import MAX_TERMS, automorphisms, coordinate_changes
 
 
 def identity(n):
@@ -86,8 +87,10 @@ def test_no_integral_map_for_a_rational_symmetry():
     assert all(B[0][1] == 0 and B[1][0] == 0 for B in G)
 
 
-@pytest.mark.parametrize("name,budget", [("39", 5e-3), ("24", 5e-3),
-                                         ("38", 5e-3), ("walk", 1e-3)])
+# ten times the budgets (5 ms per sample, 1 ms on the walk), so that a
+# loaded machine does not fail them
+@pytest.mark.parametrize("name,budget", [("39", 5e-2), ("24", 5e-2),
+                                         ("38", 5e-2), ("walk", 1e-2)])
 def test_search_time(name, budget):
     h = (parse_laurent("X + X^-1 + Y + Y^-1") if name == "walk"
          else sample_polynomial(name))
@@ -100,6 +103,27 @@ def _timed(h):
     t0 = time.perf_counter()
     _group(h)
     return time.perf_counter() - t0
+
+
+def _cross_polytope(n):
+    return tuple((1, tuple(s * (i == k) for i in range(n)))
+                 for k in range(n) for s in (1, -1))
+
+
+def test_large_supports_and_groups_get_the_identity_only():
+    # more than MAX_TERMS terms: no O(N^2) set-up
+    box = tuple((1, e) for e in itertools.product(range(-3, 4), repeat=3))
+    assert len(box) > MAX_TERMS
+    assert automorphisms(box) == (identity(3),)
+    # the signed permutations of the cross-polytope: 384 in 4 variables,
+    # 3840 in 5 within the default search budget, but not within 1024 nodes
+    assert len(automorphisms(_cross_polytope(4))) == 384
+    assert len(automorphisms(_cross_polytope(5))) == 3840
+    assert automorphisms(_cross_polytope(5), 1024) == (identity(5),)
+    # and 46080 in 6 variables, past the default budget
+    t0 = time.perf_counter()
+    assert automorphisms(_cross_polytope(6)) == (identity(6),)
+    assert time.perf_counter() - t0 < 5
 
 
 def _stabiliser(G, u, index):

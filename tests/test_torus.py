@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from ctpow.fixtures import sample_polynomial
 from ctpow.laurent import make_polynomial, normalize, parse_laurent
 from ctpow.oracle import naive_power_coeff
 from ctpow.rns import select_primes
-from ctpow.symmetry import in_coordinates
 
 
 def _primes(tp, p, bits=62):
@@ -23,11 +24,11 @@ def test_plan_sums_the_neediest_trinomial_variable_exactly():
     # M > 5 on the grid and Z only M > 4, so Y is summed exactly
     p = 4
     target = (0, p + 1, 0)
-    tp = torus.plan(nf, target, p)
+    tp = torus.plan(nf, target, p)[0]
     assert tp.inner == 1
     assert tp.grid == (0, 2)
     assert tp.M == 1 + max(p * 3 - target[0], target[0], p * 1 - target[2])
-    off = torus.plan(nf, target, p, use_split2=False)
+    off = torus.plan(nf, target, p, use_split2=False)[0]
     assert off.inner is None
     assert off.grid == (0, 1, 2)
     assert off.M >= tp.M
@@ -41,12 +42,12 @@ def test_degree_zero_variables_stay_off_the_grid():
     nf = normalize(h)
     p = 8
     target = tuple(p * s for s in nf.shift)
-    tp = torus.plan(nf, target, p)
+    tp = torus.plan(nf, target, p)[0]
     assert (tp.inner, tp.grid, tp.M, tp.rows) == (2, (0,), 9, 1)
-    assert torus.plan(nf, target, p, use_split2=False).grid == (0, 2)
+    assert torus.plan(nf, target, p, use_split2=False)[0].grid == (0, 2)
     want = [naive_power_coeff(h, k) for k in range(p + 1)]
     for flag in (True, False):
-        tp = torus.plan(nf, target, p, flag)
+        tp = torus.plan(nf, target, p, flag)[0]
         primes = _primes(tp, 2 * p)
         assert torus.coefficient_residues(nf, target, p, primes, tp) \
             == tuple(want[p] % q for q in primes)
@@ -60,17 +61,17 @@ def test_a_shifted_degree_zero_variable_stays_on_the_grid():
     nf = normalize(h)
     assert nf.degrees[1] == 0 and nf.shift[1] == 1
     P = 6
-    assert _series_plan(nf, P, False).grid == (0, 1)
+    assert _series_plan(nf, P, False)[0].grid == (0, 1)
     for flag in (True, False):
-        tp = _series_plan(nf, P, flag)
+        tp, nf_u = _series_plan(nf, P, flag)
         primes = _primes(tp, 2 * P)
-        assert torus.series_residues(nf, P, primes, tp) \
+        assert torus.series_residues(nf_u, P, primes, tp) \
             == [(1,) * len(primes)] + [(0,) * len(primes)] * P
 
 
 def test_constant_polynomial_has_an_empty_grid():
     nf = normalize(parse_laurent("7"))
-    tp = torus.plan(nf, (), 3)
+    tp = torus.plan(nf, (), 3)[0]
     assert (tp.inner, tp.grid, tp.M, tp.rows) == (None, (), 1, 1)
     primes = _primes(tp, 3)
     assert torus.coefficient_residues(nf, (), 3, primes, tp) \
@@ -84,21 +85,22 @@ def test_row_blocks_cover_the_sum():
         p = 5
         target = tuple(p * s for s in nf.shift)
         for flag in (True, False):
-            tp = torus.plan(nf, target, p, flag)
+            tp, nf_u, target_u = torus.plan(nf, target, p, flag)
             primes = _primes(tp, p)
-            full = torus.coefficient_residues(nf, target, p, primes, tp)
+            full = torus.coefficient_residues(nf_u, target_u, p, primes, tp)
             cuts = sorted(rng.sample(range(1, tp.rows), 3))
             edges = [0] + cuts + [tp.rows]
             total = [0] * len(primes)
             for lo, hi in zip(edges, edges[1:]):
-                part = torus.coefficient_residues(nf, target, p, primes, tp,
-                                                  range(lo, hi))
+                part = torus.coefficient_residues(nf_u, target_u, p, primes,
+                                                  tp, range(lo, hi))
                 total = [(a + b) % q for a, b, q in zip(total, part, primes)]
             assert tuple(total) == full
 
 
 def _series_plan(nf, P, flag=True):
-    return torus.plan(nf, tuple(P * s for s in nf.shift), P, flag)
+    """The plan of a_P and the polynomial the series kernel takes."""
+    return torus.plan(nf, tuple(P * s for s in nf.shift), P, flag)[:2]
 
 
 def test_series_row_blocks_cover_the_sum():
@@ -109,15 +111,16 @@ def test_series_row_blocks_cover_the_sum():
         want = [naive_power_coeff(sample_polynomial(name), p)
                 for p in range(P + 1)]
         for flag in (True, False):
-            tp = _series_plan(nf, P, flag)
+            tp, nf_u = _series_plan(nf, P, flag)
             primes = _primes(tp, P)
-            full = torus.series_residues(nf, P, primes, tp)
+            full = torus.series_residues(nf_u, P, primes, tp)
             assert full == [tuple(a % q for q in primes) for a in want]
             cuts = sorted(rng.sample(range(1, tp.rows), 3))
             edges = [0] + cuts + [tp.rows]
             total = [[0] * len(primes) for _ in range(P + 1)]
             for lo, hi in zip(edges, edges[1:]):
-                part = torus.series_residues(nf, P, primes, tp, range(lo, hi))
+                part = torus.series_residues(nf_u, P, primes, tp,
+                                             range(lo, hi))
                 total = [[(a + b) % q for a, b, q in zip(x, y, primes)]
                          for x, y in zip(total, part)]
             assert [tuple(x) for x in total] == full
@@ -128,7 +131,7 @@ def test_series_with_a_one_signed_inner_variable():
     h = parse_laurent("X^2*Y + 2*X + Y + Y^-1 - 3")
     nf = normalize(h)
     P = 6
-    tp = _series_plan(nf, P)
+    tp, nf = _series_plan(nf, P)
     assert tp.inner == 0 and nf.shift[0] == 0 and nf.degrees[0] == 2
     primes = _primes(tp, P)
     assert torus.series_residues(nf, P, primes, tp) == [
@@ -142,26 +145,26 @@ def test_a_coordinate_change_enlarges_the_acting_group():
     h = sample_polynomial("39")
     nf = normalize(h)
     P = 6
-    tp = _series_plan(nf, P)
+    tp, nf_u = _series_plan(nf, P)
     assert tp.U is not None and tp.U[0] == (1, 0, 1, -1)
     assert (tp.inner, len(tp.H), tp.M) == (0, 6, P + 1)
-    assert len(torus.plan(nf, tuple(P * s for s in nf.shift), P,
-                          use_split2=False).H) == 12
+    assert len(_series_plan(nf, P, False)[0].H) == 12
     primes = _primes(tp, 2 * P)
-    assert torus.series_residues(nf, P, primes, tp) == [
+    assert torus.series_residues(nf_u, P, primes, tp) == [
         tuple(naive_power_coeff(h, p) % q for q in primes)
         for p in range(P + 1)]
     # at this index U would enlarge H but raise M from 8 to 9: no change
     index = (-2, 0, 1, 0)
-    tp = torus.plan(nf, tuple(i + P * s for i, s in zip(index, nf.shift)), P)
+    tp = torus.plan(nf, tuple(i + P * s for i, s in zip(index, nf.shift)),
+                    P)[0]
     assert (tp.U, tp.M) == (None, 8)
     # a target that no map of order 6 fixes, and one off the support
     for index in [(1, 0, 1, 0), (1, -1, 0, 1), (4, 0, 0, 0), (-2, 0, 1, 0)]:
         target = tuple(i + P * s for i, s in zip(index, nf.shift))
-        tp = torus.plan(nf, target, P)
+        tp, nf_u, target_u = torus.plan(nf, target, P)
         primes = _primes(tp, P)
         want = naive_power_coeff(h, P, index)
-        assert torus.coefficient_residues(nf, target, P, primes, tp) \
+        assert torus.coefficient_residues(nf_u, target_u, P, primes, tp) \
             == tuple(want % q for q in primes), (index, tp)
 
 
@@ -169,8 +172,31 @@ def test_a_one_variable_grid_skips_the_symmetry_search():
     # the walk has 8 automorphisms, but its grid is one row
     nf = normalize(parse_laurent("X + X^-1 + Y + Y^-1"))
     for target in [(9, 9), (11, 7)]:
-        tp = torus.plan(nf, target, 9)
+        tp = torus.plan(nf, target, 9)[0]
         assert (len(tp.grid), tp.U, tp.H) == (1, None, ())
+
+
+def test_plan_bounds_the_symmetry_search():
+    # 21^3 = 9261 terms, past symmetry.MAX_TERMS: no search, the plan
+    # without symmetry, and the polynomial unchanged
+    h = make_polynomial(("X", "Y", "Z"), [
+        (1, e) for e in itertools.product(range(-10, 11), repeat=3)])
+    nf = normalize(h)
+    t0 = time.perf_counter()
+    tp, nf_u, target = torus.plan(nf, tuple(2 * s for s in nf.shift), 2)
+    assert time.perf_counter() - t0 < 1
+    assert (tp.U, tp.H, nf_u, target) == (None, (), nf, (20, 20, 20))
+    # 46080 signed permutations of 6 variables: at p = 2 (243 grid points)
+    # the search stops after 1024 nodes; the plan stays exact
+    h = parse_laurent(" + ".join(f"X{k} + X{k}^-1" for k in range(6)))
+    nf = normalize(h)
+    t0 = time.perf_counter()
+    tp, nf_u, target = torus.plan(nf, tuple(2 * s for s in nf.shift), 2)
+    assert time.perf_counter() - t0 < 1
+    assert (tp.M ** len(tp.grid), tp.H) == (3 ** 5, ())
+    primes = _primes(tp, 2)
+    assert torus.coefficient_residues(nf_u, target, 2, primes, tp) \
+        == tuple(12 % q for q in primes)
 
 
 def test_orbit_weights_cover_the_grid():
@@ -179,9 +205,7 @@ def test_orbit_weights_cover_the_grid():
     for name in ("39", "24", "dwork4"):
         nf = normalize(sample_polynomial(name))
         P = 9
-        tp = _series_plan(nf, P)
-        if tp.U is not None:
-            nf = in_coordinates(nf, tuple(P * s for s in nf.shift), P, tp.U)[0]
+        tp, nf = _series_plan(nf, P)
         primes = _primes(tp, P)[:1]
         seen = sum(int(wt.sum()) for k in range(3) for _, _, wt in
                    torus._class_values(nf, tp, primes, range(k, tp.rows, 3),
@@ -238,21 +262,20 @@ def test_off_centre_indices_match_the_oracle(text, p, index):
     target = tuple(i + p * s for i, s in zip(index, nf.shift))
     want = naive_power_coeff(h, p, index)
     for flag in (True, False):
-        tp = torus.plan(nf, target, p, flag)
+        tp, nf_u, target_u = torus.plan(nf, target, p, flag)
         primes = _primes(tp, p)
-        assert torus.coefficient_residues(nf, target, p, primes, tp) \
+        assert torus.coefficient_residues(nf_u, target_u, p, primes, tp) \
             == tuple(want % q for q in primes)
 
 
 def _coefficient_kernel(nf, p, meter):
-    target = tuple(p * s for s in nf.shift)
-    tp = torus.plan(nf, target, p)
+    tp, nf, target = torus.plan(nf, tuple(p * s for s in nf.shift), p)
     torus.coefficient_residues(nf, target, p, _primes(tp, p, 31)[:1], tp,
                                meter=meter)
 
 
 def _series_kernel(nf, P, meter):
-    tp = _series_plan(nf, P)
+    tp, nf = _series_plan(nf, P)
     torus.series_residues(nf, P, _primes(tp, P, 31)[:1], tp, meter=meter)
 
 
