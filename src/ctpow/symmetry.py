@@ -128,8 +128,9 @@ def coordinate_changes(terms, G: np.ndarray, least: int):
     """Unimodular U whose rows u have u.e in {-1, 0, 1} on the support, by
     the order of the stabiliser {B in G : B^T u = +-u} of the first row,
     while it exceeds `least`.  Such u are fixed by their values
-    on a basis, so 3^n candidates cover all (none tried past n = 8).  The
-    other rows are picked greedily; a u without a completion is skipped."""
+    on a basis, so 3^n candidates cover all (none tried past n = 8); the
+    256 of least |u|_1 are ranked.  The other rows are picked greedily; a u
+    without a completion is skipped."""
     pts = [e for _, e in terms]
     basis = _basis(pts)
     if basis is None or len(pts[0]) > 8:
@@ -139,7 +140,7 @@ def coordinate_changes(terms, G: np.ndarray, least: int):
     u = u[~(u % det).any(axis=1)] // det
     u = u[(np.abs(np.array(pts) @ u.T) <= 1).all(axis=0)]
     u = u[u[np.arange(len(u)), (u != 0).argmax(axis=1)] > 0]   # u or -u
-    W = sorted(map(tuple, u.tolist()), key=lambda r: sum(map(abs, r)))
+    W = sorted(map(tuple, u.tolist()), key=lambda r: sum(map(abs, r)))[:256]
     Wt = np.array(W, dtype=np.int64).reshape(-1, len(pts[0])).T
     BtW = G.transpose(0, 2, 1) @ Wt              # B^T u for every B and u
     stab = ((BtW == Wt).all(axis=1)

@@ -43,7 +43,8 @@ the inner variable's fibres to fibres (row inner of B is +-e_inner;
 without an inner variable, all of them) and fix the target index; H acts
 as s -> B[grid, grid]^T s mod M.  The search for them stops after one
 node per grid point (at least 1024, at most symmetry.MAX_STEPS), so that
-it costs little next to the grid; a search cut short gives no symmetry.
+it costs little next to the grid; a search cut short, or a group of more
+than _MAX_ORDER maps, gives no symmetry.
 The point of least flat index stands for its orbit, with the weight
 |H| / #{A in H : A s = s}.  The planner may first change coordinates by a
 unimodular U, [h^p]_i = [(h o U)^p]_(U i), to make a direction with a
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -80,6 +82,9 @@ _LIVE = 9
 _BATCH = 16
 # series lengths P must stay below this size guard
 MAX_SERIES = 1 << 16
+# larger groups are not used: their orbit and coordinate work outgrows the
+# saving (the largest group of a 4-dimensional reflexive polytope has 1152)
+_MAX_ORDER = 1152
 
 
 @dataclass(frozen=True)
@@ -119,13 +124,17 @@ def _layout(nf: NormalizedPolynomial, target, p: int, inners) -> TorusPlan:
 
 def _acting(G, tp: TorusPlan) -> tuple[Matrix, ...]:
     """A = B[grid, grid]^T for the B in G that map the inner variable's
-    fibres to fibres (row inner of B is +-e_inner)."""
+    fibres to fibres (row inner of B is +-e_inner); none if a variable is
+    off the grid, if the weights of a batch could reach 2**31, or if H has
+    more maps than a chunk has points (symmetry.orbits then takes about
+    |H| / (points per representative) passes per chunk)."""
     if tp.inner is not None:
         G = G[~np.delete(G[:, tp.inner], tp.inner, axis=1).any(axis=1)]
     A = G[:, tp.grid][:, :, tp.grid].transpose(0, 2, 1)
     if (len(tp.grid) + (tp.inner is not None) < G.shape[1] or len(A) < 2
-            or _BATCH * tp.M * len(A) >= 1 << 31):
-        return ()                  # a variable off the grid, or the weights
+            or _BATCH * tp.M * len(A) >= 1 << 31
+            or len(A) > min(_ROWS, tp.rows) * tp.M):
+        return ()
     return tuple(tuple(map(tuple, a)) for a in A.tolist())
 
 
@@ -137,8 +146,9 @@ def plan(nf: NormalizedPolynomial, target, p: int, use_split2: bool = True
     largest M on the grid is summed exactly; ties go to the last.  Variables
     absent from f with target 0 are left off the grid.  A grid of two or
     more variables gets H, and with use_split2 the first U of
-    symmetry.coordinate_changes that strictly enlarges H without raising M
-    changes the coordinates; its first row is summed exactly.  Returns the
+    symmetry.coordinate_changes (of the first 8) that strictly enlarges H
+    without raising M changes the coordinates; its first row is summed
+    exactly.  Returns the
     plan with the polynomial and target the kernels take: h o U and U i
     (symmetry.in_coordinates) if the plan has a U, else nf and target."""
     tp = _layout(nf, target, p, range(nf.n) if use_split2 else ())
@@ -149,12 +159,14 @@ def plan(nf: NormalizedPolynomial, target, p: int, use_split2: bool = True
     # a search budget of one node per grid point, at least 1024
     G = symmetry.automorphisms(terms, min(symmetry.MAX_STEPS, max(
         1 << 10, tp.M ** len(tp.grid))))
+    if len(G) > _MAX_ORDER:
+        return tp, nf, target
     G = np.array(G, dtype=np.int64).reshape(len(G), nf.n, nf.n)
     index = np.array(target, dtype=np.int64) - p * np.array(nf.shift)
     G = G[(G @ index == index).all(axis=1)]      # those that fix the index
     tp = replace(tp, H=_acting(G, tp))
     least = max(len(tp.H), 1)
-    for U in symmetry.coordinate_changes(terms, G, least) \
+    for U in islice(symmetry.coordinate_changes(terms, G, least), 8) \
             if use_split2 and len(G) > least else ():
         nf2, target2 = symmetry.in_coordinates(nf, target, p, U)
         tp2 = _layout(nf2, target2, p, (0,))

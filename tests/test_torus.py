@@ -197,6 +197,22 @@ def test_plan_bounds_the_symmetry_search():
     primes = _primes(tp, 2)
     assert torus.coefficient_residues(nf_u, target, 2, primes, tp) \
         == tuple(12 % q for q in primes)
+    # H with more maps than a chunk has points is not used: the 4-variable
+    # cross-polytope's 96 at p = 2 (9 rows of 3 points), but at p = 5
+    h = parse_laurent(" + ".join(f"X{k} + X{k}^-1" for k in range(4)))
+    nf = normalize(h)
+    for p, order in [(2, 0), (3, 48), (5, 96)]:
+        tp, nf_u, target = torus.plan(nf, tuple(p * s for s in nf.shift), p)
+        assert len(tp.H) == order
+        primes = _primes(tp, p)
+        assert torus.coefficient_residues(nf_u, target, p, primes, tp) \
+            == tuple(naive_power_coeff(h, p) % q for q in primes)
+    # the 3840 maps of 5 variables, found within 6561 nodes at p = 8, are
+    # more than torus uses: no H, and no coordinate change is ranked
+    nf = normalize(parse_laurent(" + ".join(f"X{k} + X{k}^-1"
+                                            for k in range(5))))
+    tp = torus.plan(nf, tuple(8 * s for s in nf.shift), 8)[0]
+    assert (tp.M ** len(tp.grid), tp.H, tp.U) == (6561, (), None)
 
 
 def test_orbit_weights_cover_the_grid():
