@@ -298,8 +298,7 @@ def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
     for i in range(0, len(rows), _ROWS):
         row = np.array(rows[i:i + _ROWS], dtype=np.int64)
         R = len(row)
-        held = ((4 * len(tp.grid) + 12 + (n_classes * (d_last + 1) + 1) * nq)
-                * R * L + 2 * (len(terms) * R + T) * nq)
+        held = (4 * len(tp.grid) + 12) * R * L + 2 * (len(terms) * R + T) * nq
         meter.take(held)
         O, r_idx, l_idx, orbit = symmetry.orbits(H, M, row, L)
         if not len(orbit):
@@ -311,18 +310,18 @@ def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
         gathered = term_tab[:, np.arange(len(terms))[:, None], ph]
         P = (group @ gathered.transpose(1, 0, 2).reshape(len(terms), -1))
         P = P.reshape(n_classes, d_last + 1, nq, R) % qs
-        # ... taken at the kept points (one gather per chunk) and evaluated
-        # there by Horner in omega^s, as many at a time as fill the batch
-        P, om = np.take(P, r_idx, axis=3), np.take(omega, l_idx, axis=1)
+        # ... evaluated at the kept points by Horner in omega^s, as many at
+        # a time as fill the batch
         a = 0
         while a < len(orbit):
             n = min(len(orbit) - a, T - filled)
             sel, out = slice(a, a + n), slice(filled, filled + n)
+            om = omega[:, l_idx[sel]]                  # last variable
             acc = vals[..., out]
-            acc[...] = P[:, d_last, :, sel]
+            acc[...] = P[:, d_last][..., r_idx[sel]]
             for e in range(d_last - 1, -1, -1):
-                np.multiply(acc, om[:, sel], out=acc)   # last variable
-                np.add(acc, P[:, e, :, sel], out=acc)
+                np.multiply(acc, om, out=acc)
+                np.add(acc, P[:, e][..., r_idx[sel]], out=acc)
                 np.remainder(acc, qs, out=acc)
             w[:, out] = omega[:, twist_s[sel]]
             wt[out] = orbit[sel]
