@@ -13,20 +13,25 @@ and prime:
 
 With --json FILE it times the north-star cases on one thread instead:
 exact_coefficient of sample 39 at p = 40, 80 and 150, its constant term
-series to p = 59, and search_recurrence on those 60 terms.  The times go
+series to p = 59, search_recurrence on those 60 terms, and exact_coefficient
+at p = 20 and 40 of a polynomial without lattice symmetries (a seeded random
+23-term polynomial in 4 variables with distinct coefficients, so that the
+whole grid is summed).  The times go
 into one column of FILE (created if missing; other columns are kept) with
 the git revision, the Python and numpy versions and the core count.  --src
 picks the source tree to time, so that one file can compare two checkouts:
 
-    python scripts/bench_scaling.py --json BENCH_6.json --column parent \
+    python scripts/bench_scaling.py --json BENCH_7.json --column parent \
         --src ../parent/src
-    python scripts/bench_scaling.py --json BENCH_6.json --column change
+    python scripts/bench_scaling.py --json BENCH_7.json --column change
 """
 
 import argparse
+import itertools
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 import time
@@ -127,6 +132,17 @@ def _timed(fn, *args, **kwargs):
     return out, min(times)
 
 
+def asymmetric_polynomial():
+    """23 of the exponents in {-1, 0, 1}^4, drawn with seed 23, with the
+    distinct coefficients 1..23: the only lattice automorphism is the
+    identity, so the torus engine sums every grid point."""
+    from ctpow.laurent import make_polynomial
+    rng = random.Random(23)
+    exps = rng.sample(list(itertools.product((-1, 0, 1), repeat=4)), 23)
+    return make_polynomial(("X", "Y", "Z", "T"),
+                           [(c, e) for c, e in enumerate(exps, 1)])
+
+
 def north_star(path: Path, column: str, src: Path):
     import numpy
 
@@ -145,6 +161,9 @@ def north_star(path: Path, column: str, src: Path):
                                         threads=1)
     hits, seconds["search39_8_4"] = _timed(search_recurrence, s.terms, 8, 4)
     assert len(hits) == 1
+    h = asymmetric_polynomial()
+    for p in (20, 40):
+        _, seconds[f"nosym_p{p}"] = _timed(exact_coefficient, h, p, threads=1)
     root = src.resolve().parent
     git = ["git", "-C", str(root)]
     try:
@@ -159,6 +178,8 @@ def north_star(path: Path, column: str, src: Path):
         "coeff39_pN": "exact_coefficient(sample 39, N), constant term",
         "series39_P59": "constant_term_series(sample 39, 59)",
         "search39_8_4": "search_recurrence(those 60 terms, 8, 4)",
+        "nosym_pN": "exact_coefficient(asymmetric_polynomial(), N): no "
+                    "lattice symmetry, the whole grid",
         "threads": 1, "unit": "s, best of 3 (of 1 past 5 s)"}
     record.setdefault("columns", {})[column] = {
         "revision": (rev or "unknown") + ("+uncommitted" if dirty else ""),

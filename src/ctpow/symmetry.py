@@ -173,26 +173,41 @@ def in_coordinates(nf, target, p: int, U):
 
 def orbits(H: np.ndarray, M: int, row, L: int):
     """Rows `row` of Z_M^g (L points each) under s -> A s mod M, A in H
-    (shape (|H|, g, g)): their outer coordinates O, the row r and column l
-    (r, l within the rows) of each point whose flat index is the least of
-    its orbit, and |H| / #{A in H : A s = s} there.  The maps go in blocks
-    of k, applied only to the c points that no earlier map has sent lower,
-    with k * c <= 2 * len(row) * L: the block arrays stay O(len(row) * L)
-    and a large H takes few numpy calls, as c falls fast."""
-    g = H.shape[1]
+    (shape (|H|, g, g), distinct maps): their outer coordinates O, the row
+    r and column l (r, l within the rows) of each point whose flat index is
+    the least of its orbit, and |H| / #{A in H : A s = s} there.  A s is a
+    row part plus a column part, each reduced once per row or column; the
+    maps go two at a time over all R L points while half are kept, then k
+    at a time over the c kept, k * max(c, R, L) <= 2 R L (R = len(row))."""
+    g, R = H.shape[1], len(row)
     strides = M ** np.arange(g - 1, -1, -1, dtype=np.int64)
     O = row // strides[1:, None] % M
-    r, l = np.divmod(np.arange(len(row) * L, dtype=np.int64), L)
-    flat, stab = row[r] * L + l, np.zeros_like(r)
-    i = 0
-    while i < len(H) and len(r):
-        A = H[i:i + max(1, 2 * len(row) * L // len(r))]
-        img = A[:, :, :-1] @ O[:, r]
-        img += A[:, :, -1:] * l
-        img %= M
-        img = strides @ img                      # (k, c) flat images
-        keep = (img >= flat).all(axis=0)
-        stab = (stab + (img == flat).sum(axis=0))[keep]
+    cols = np.arange(L, dtype=np.int64)
+    flat, stab = (row[:, None] * L + cols).ravel(), np.ones(R * L, np.int64)
+    maps = H[(H != np.eye(g, dtype=np.int64)).any(axis=(1, 2))]
+
+    def images(A, dense):
+        rp, cp = A[:, :, :-1] @ O % M, A[:, :, -1:] * cols % M
+        img = ((rp[..., None] + cp[:, :, None]).reshape(len(A), g, -1)
+               if dense else rp[:, :, r] + cp[:, :, l])
+        # below M the unsigned x - M wraps past 2**63: the minimum is x mod M
+        u = img.view(np.uint64)
+        np.minimum(u, u - np.uint64(M), out=u)
+        return strides @ img
+
+    keep, i = np.ones(R * L, dtype=bool), 0
+    while i < len(maps) and 2 * np.count_nonzero(keep) >= R * L:
+        f = images(maps[i:i + 2], True)
+        keep &= (f >= flat).all(axis=0)
+        stab += (f == flat).sum(axis=0)
+        i += 2
+    r, l = np.divmod(np.flatnonzero(keep), L)
+    flat, stab = flat[keep], stab[keep]
+    while i < len(maps) and len(r):
+        A = maps[i:i + max(1, 2 * R * L // max(len(r), R, L))]
+        f = images(A, False)
+        keep = (f >= flat).all(axis=0)
+        stab = (stab + (f == flat).sum(axis=0))[keep]
         r, l, flat = r[keep], l[keep], flat[keep]
         i += len(A)
     return O, r, l, len(H) // stab if len(H) else np.ones_like(r)

@@ -17,8 +17,9 @@ polynomials in the other variables, and m = t_x - p >= 0,
     [f^p]_(x^t_x) = B^m * sum_j K_j (B*C)^j A^(p-m-2j),
     K_j = p! / (j! (j+m)! (p-m-2j)!),
 
-with B and C swapped when m < 0, in homogeneous Horner form as in
-engine.split2.  Without such a variable, or with use_split2 off, every
+with B and C swapped when m < 0, by homogeneous Horner in BC and A^2 two
+j per step (Paterson-Stockmeyer, blocks of 2): three reductions per point
+and two j.  Without such a variable, or with use_split2 off, every
 variable is on the grid and f(omega^s)^p is powered pointwise.
 
 A series a_0..a_P takes one pass over the grid planned for a_P, which is
@@ -38,17 +39,18 @@ Both paths sum over one grid point per orbit of the polynomial's lattice
 symmetries, on grids of two or more variables (one row is overhead-bound)
 and for at most symmetry.MAX_TERMS terms.  An automorphism B (symmetry.py)
 gives h(omega^(B^T s)) = h(omega^s), and the summand at a grid point is
-the same on its orbit under the subgroup H of the automorphisms that map
-the inner variable's fibres to fibres (row inner of B is +-e_inner;
-without an inner variable, all of them) and fix the target index; H acts
-as s -> B[grid, grid]^T s mod M.  The search for them stops after one
-node per grid point (at least 1024, at most symmetry.MAX_STEPS), so that
-it costs little next to the grid; a search cut short, or a group of more
-than _MAX_ORDER maps, gives no symmetry.
-The point of least flat index stands for its orbit, with the weight
-|H| / #{A in H : A s = s}.  The planner may first change coordinates by a
-unimodular U, [h^p]_i = [(h o U)^p]_(U i), to make a direction with a
-larger stabiliser the inner variable.
+the same on its orbit under the automorphisms that map the inner
+variable's fibres to fibres (row inner of B is +-e_inner; without an inner
+variable, all of them) and fix the target index.  H is the set of distinct
+grid maps s -> B[grid, grid]^T s mod M they give (inverting the inner
+variable alone gives the identity); `ctpow bench` prints this |H|.  A
+search past one node per grid point (1024 to symmetry.MAX_STEPS), or a
+group of more than _MAX_ORDER maps, gives no symmetry.  The point of least
+flat index stands for its orbit, weighted |H| / #{A in H : A s = s}:
+symmetry.orbits keeps the points no map sends lower, each coordinate of
+A s a row part plus a column part reduced once per row or column.  The
+planner may first change coordinates by a unimodular U, [h^p]_i =
+[(h o U)^p]_(U i), to sum a direction with a larger stabiliser exactly.
 
 The class values A, B, C (or h) are evaluated in chunks of _ROWS grid rows
 of M points (a row is the last grid variable), with all primes in each
@@ -75,9 +77,9 @@ from .rns import root_of_unity
 from .symmetry import Matrix
 
 # grid rows per chunk; one row holds M points for every prime
-_ROWS = 32
+_ROWS = 128
 # arrays of batch size (points x primes) alive at once in the caller
-_LIVE = 9
+_LIVE = 8
 # orbit representatives per batch, in grid rows of M points
 _BATCH = 16
 # series lengths P must stay below this size guard
@@ -93,8 +95,8 @@ class TorusPlan:
 
     The grid is walked in rows along its last variable.  U, if set, is the
     coordinate change plan applied (exponent e -> Ue); the plan is for the
-    polynomial and target that plan returns with it.  H holds A = B[grid,
-    grid]^T, identity included, for the B that act as s -> A s mod M.
+    polynomial and target that plan returns with it.  H holds the distinct
+    A = B[grid, grid]^T, identity included, by which B acts as s -> A s mod M.
     """
     inner: int | None
     grid: tuple[int, ...]
@@ -123,14 +125,14 @@ def _layout(nf: NormalizedPolynomial, target, p: int, inners) -> TorusPlan:
 
 
 def _acting(G, tp: TorusPlan) -> tuple[Matrix, ...]:
-    """A = B[grid, grid]^T for the B in G that map the inner variable's
-    fibres to fibres (row inner of B is +-e_inner); none if a variable is
-    off the grid, if the weights of a batch could reach 2**31, or if H has
-    more maps than a chunk has points (symmetry.orbits then takes about
-    |H| / (points per representative) passes per chunk)."""
+    """The distinct A = B[grid, grid]^T for the B in G that map the inner
+    variable's fibres to fibres (row inner of B is +-e_inner); none if a
+    variable is off the grid, if the weights of a batch could reach 2**31,
+    or if H has more maps than a chunk has points (symmetry.orbits then
+    takes about |H| / (points per representative) passes per chunk)."""
     if tp.inner is not None:
         G = G[~np.delete(G[:, tp.inner], tp.inner, axis=1).any(axis=1)]
-    A = G[:, tp.grid][:, :, tp.grid].transpose(0, 2, 1)
+    A = np.unique(G[:, tp.grid][:, :, tp.grid].transpose(0, 2, 1), axis=0)
     if (len(tp.grid) + (tp.inner is not None) < G.shape[1] or len(A) < 2
             or _BATCH * tp.M * len(A) >= 1 << 31
             or len(A) > min(_ROWS, tp.rows) * tp.M):
@@ -205,23 +207,29 @@ def _trinomial_weights(p: int, m: int, primes) -> np.ndarray:
 
 def _trinomial(a, b, c, p: int, m: int, K, q):
     """[(c/x + a + b*x)^p]_(x^m) pointwise, given K for |m| (primes first,
-    then j, then axes that broadcast against a)."""
-    if m < 0:
-        b, c = c, b
+    then j, then axes that broadcast against a): sum_j K_j u^j v^(J-j), u =
+    bc, v = a^2, by acc <- acc u^2 + v^(J-j+1) (K_(j-1) u + K_(j-2) v)."""
+    b, c = (c, b) if m < 0 else (b, c)
     L = p - abs(m)
     J = L // 2
-    bc = _mulmod(b, c, q)
-    a2 = _mulmod(a, a, q)
-    acc = np.broadcast_to(K[:, J:J + 1], a.shape).copy()
-    hp = np.ones_like(a)
-    tmp = np.empty_like(a)
-    for j in range(J - 1, -1, -1):
-        np.multiply(hp, a2, out=hp)
-        np.remainder(hp, q, out=hp)
-        np.multiply(acc, bc, out=acc)
-        np.multiply(hp, K[:, j:j + 1], out=tmp)
+    u, v = _mulmod(b, c, q), _mulmod(a, a, q)
+    u2, v2 = _mulmod(u, u, q), _mulmod(v, v, q)
+    acc = np.broadcast_to(0 if J & 1 else K[:, J:J + 1], a.shape).copy()
+    pw = np.ones_like(a) if J & 1 else v.copy()   # v^(J-j+1); odd J: j = J+1
+    w, tmp = np.empty_like(a), np.empty_like(a)
+    for j in range(J + (J & 1), 1, -2):
+        np.multiply(u, K[:, j - 1:j], out=w)
+        np.multiply(v, K[:, j - 2:j - 1], out=tmp)
+        np.add(w, tmp, out=w)
+        np.remainder(w, q, out=w)
+        np.multiply(acc, u2, out=acc)
+        np.multiply(pw, w, out=tmp)
         np.add(acc, tmp, out=acc)
         np.remainder(acc, q, out=acc)
+        if j > 2:
+            np.multiply(pw, v2, out=pw)
+            np.remainder(pw, q, out=pw)
+    del u, v, u2, v2, pw, w, tmp                # free them before the tail
     if L & 1:
         acc = _mulmod(acc, a, q)
     if m:
@@ -298,12 +306,9 @@ def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
     for i in range(0, len(rows), _ROWS):
         row = np.array(rows[i:i + _ROWS], dtype=np.int64)
         R = len(row)
-        held = (4 * len(tp.grid) + 12) * R * L + 2 * (len(terms) * R + T) * nq
+        held = (10 * len(tp.grid) + 8) * R * L + 2 * (len(terms) * R + T) * nq
         meter.take(held)
         O, r_idx, l_idx, orbit = symmetry.orbits(H, M, row, L)
-        if not len(orbit):
-            meter.give(held)
-            continue
         twist_s = ((twist_outer @ O)[r_idx] + twist_last * l_idx) % M
         # the coefficients of each class in the last variable, per row ...
         ph = E @ O % M

@@ -204,7 +204,7 @@ def test_bench_prints_the_plan(capsys):
             "points=231/1331") in out
     code, out, _ = run(capsys, "bench", "--fixture", "dwork4", "--power", "5",
                        "--threads", "1")
-    assert "plan p=5: U=no inner=T M=6 |H|=12 points=56/216" in out
+    assert "plan p=5: U=no inner=T M=6 |H|=6 points=56/216" in out
 
 
 def test_parser_help_lists_subcommands():

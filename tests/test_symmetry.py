@@ -5,9 +5,11 @@ import time
 import numpy as np
 import pytest
 
+from ctpow import torus
 from ctpow.fixtures import sample_polynomial
-from ctpow.laurent import make_polynomial, parse_laurent
-from ctpow.symmetry import MAX_TERMS, automorphisms, coordinate_changes
+from ctpow.laurent import make_polynomial, normalize, parse_laurent
+from ctpow.symmetry import (MAX_TERMS, automorphisms, coordinate_changes,
+                            orbits)
 
 
 def identity(n):
@@ -157,3 +159,54 @@ def test_coordinate_changes_on_sample_39():
     U = next(coordinate_changes(h.terms, G, 2))
     assert _stabiliser(G, U[0], index) == 6
     assert next(coordinate_changes(h.terms, G, 6), None) is None
+
+
+def _closure(gens):
+    """The group of integer matrices generated by gens, as an array."""
+    group = {identity(len(gens[0]))}
+    new = list(group)
+    while new:
+        new = [C for C in {tuple(map(tuple, (np.array(A) @ B).tolist()))
+                           for A in new for B in gens} if C not in group]
+        group.update(new)
+    return np.array(sorted(group), dtype=np.int64)
+
+
+def _signed_permutation(perm, signs):
+    return [[signs[i] * (perm[i] == j) for j in range(len(perm))]
+            for i in range(len(perm))]
+
+
+def _orbit_groups():
+    # signed permutations: all of them, the sign flips, one cycle; and the
+    # 6 maps of sample 39 that act on its grid, which permute no axes
+    yield _closure([_signed_permutation((1, 0), (1, 1)),
+                    _signed_permutation((0, 1), (-1, 1))])
+    yield _closure([_signed_permutation((0, 1), (-1, -1))])
+    yield _closure([_signed_permutation((1, 2, 0), (1, 1, 1))])
+    yield _closure([_signed_permutation((1, 0, 2), (1, -1, 1)),
+                    _signed_permutation((0, 2, 1), (1, 1, -1))])
+    nf = normalize(sample_polynomial("39"))
+    tp = torus.plan(nf, tuple(10 * s for s in nf.shift), 10)[0]
+    assert len(tp.H) == 6 and tp.U is not None
+    yield tp.maps
+
+
+@pytest.mark.parametrize("H", list(_orbit_groups()))
+@pytest.mark.parametrize("M", [2, 3, 5, 7])
+def test_orbits_against_brute_force(H, M):
+    # the least flat index of each orbit that meets the rows, weighted by
+    # the orbit size, on chunks of rows that do not start at row 0
+    g = H.shape[1]
+    n_rows = M ** (g - 1)
+    strides = [M ** k for k in range(g - 1, -1, -1)]
+    for row in (np.arange(1, n_rows, 2), np.arange(n_rows // 2, n_rows)):
+        want = []
+        for flat in (r * M + l for r in row.tolist() for l in range(M)):
+            s = [flat // k % M for k in strides]
+            orbit = {sum(k * (sum(a * x for a, x in zip(A, s)) % M)
+                         for k, A in zip(strides, B)) for B in H.tolist()}
+            if min(orbit) == flat:
+                want.append((flat, len(orbit)))
+        _, r, l, weight = orbits(H, M, row, M)
+        assert list(zip((row[r] * M + l).tolist(), weight.tolist())) == want
