@@ -37,20 +37,20 @@ Without the inner variable the pass accumulates the powers h(omega^s)^p.
 
 Both paths sum over one grid point per orbit of the polynomial's lattice
 symmetries, on grids of two or more variables (one row is overhead-bound)
-and for at most symmetry.MAX_TERMS terms.  An automorphism B (symmetry.py)
-gives h(omega^(B^T s)) = h(omega^s), and the summand at a grid point is
-the same on its orbit under the automorphisms that map the inner
-variable's fibres to fibres (row inner of B is +-e_inner; without an inner
-variable, all of them) and fix the target index.  H is the set of distinct
-grid maps s -> B[grid, grid]^T s mod M they give (inverting the inner
-variable alone gives the identity); `ctpow bench` prints this |H|.  A
-search past one node per grid point (1024 to symmetry.MAX_STEPS), or a
-group of more than _MAX_ORDER maps, gives no symmetry.  The point of least
-flat index stands for its orbit, weighted |H| / #{A in H : A s = s}:
-symmetry.orbits keeps the points no map sends lower, each coordinate of
-A s a row part plus a column part reduced once per row or column.  The
-planner may first change coordinates by a unimodular U, [h^p]_i =
-[(h o U)^p]_(U i), to sum a direction with a larger stabiliser exactly.
+and for at most symmetry.MAX_TERMS terms.  An automorphism B gives
+h(omega^(B^T s)) = h(omega^s), and the summand at a grid point is the same
+on its orbit under the automorphisms that map the inner variable's fibres
+to fibres (row inner of B is +-e_inner; without an inner variable, all of
+them) and fix the target index.  H is the set of distinct grid maps
+s -> B[grid, grid]^T s mod M they give (inverting the inner variable alone
+gives the identity); `ctpow bench` prints this |H|.  A search past one node
+per grid point (1024 to symmetry.MAX_STEPS), or a group of more than
+_MAX_ORDER maps, gives no symmetry.  The point of least flat index stands
+for its orbit, weighted |H| / #{A in H : A s = s}: symmetry.orbits keeps
+the points no map sends lower, each coordinate of A s a row part plus a
+column part reduced once per row or column.  The planner may first change
+coordinates by a unimodular U, [h^p]_i = [(h o U)^p]_(U i), to sum a
+direction with a larger stabiliser exactly.
 
 The class values A, B, C (or h) are evaluated in chunks of _ROWS grid rows
 of M points (a row is the last grid variable), with all primes in each
@@ -132,12 +132,12 @@ def _acting(G, tp: TorusPlan) -> tuple[Matrix, ...]:
     takes about |H| / (points per representative) passes per chunk)."""
     if tp.inner is not None:
         G = G[~np.delete(G[:, tp.inner], tp.inner, axis=1).any(axis=1)]
-    A = np.unique(G[:, tp.grid][:, :, tp.grid].transpose(0, 2, 1), axis=0)
-    if (len(tp.grid) + (tp.inner is not None) < G.shape[1] or len(A) < 2
-            or _BATCH * tp.M * len(A) >= 1 << 31
-            or len(A) > min(_ROWS, tp.rows) * tp.M):
-        return ()
-    return tuple(tuple(map(tuple, a)) for a in A.tolist())
+    # np.unique(axis=0) would import numpy.ma: 35 ms in a fresh process
+    A = tuple(dict.fromkeys(tuple(map(tuple, a)) for a in G[:, tp.grid][
+        :, :, tp.grid].transpose(0, 2, 1).tolist()))
+    return A if (len(tp.grid) + (tp.inner is not None) == G.shape[1]
+                 and 2 <= len(A) <= min(_ROWS, tp.rows) * tp.M
+                 and _BATCH * tp.M * len(A) < 1 << 31) else ()
 
 
 def plan(nf: NormalizedPolynomial, target, p: int, use_split2: bool = True
