@@ -123,9 +123,10 @@ def series_table(name, h, nf, counts):
 
 
 def _timed(fn, *args, **kwargs):
-    """(result, seconds): the best of three runs, or of one past 5 s."""
+    """(result, seconds): the best of the runs made in about 1 s, at least
+    three, or of one run past 5 s."""
     times = []
-    while len(times) < (1 if times and times[0] > 5 else 3):
+    while not times or times[0] <= 5 and (len(times) < 3 or sum(times) < 1):
         t0 = time.perf_counter()
         out = fn(*args, **kwargs)
         times.append(time.perf_counter() - t0)
@@ -180,7 +181,8 @@ def north_star(path: Path, column: str, src: Path):
         "search39_8_4": "search_recurrence(those 60 terms, 8, 4)",
         "nosym_pN": "exact_coefficient(asymmetric_polynomial(), N): no "
                     "lattice symmetry, the whole grid",
-        "threads": 1, "unit": "s, best of 3 (of 1 past 5 s)"}
+        "threads": 1,
+        "unit": "s, best of the runs in 1 s, at least 3 (of 1 past 5 s)"}
     record.setdefault("columns", {})[column] = {
         "revision": (rev or "unknown") + ("+uncommitted" if dirty else ""),
         "python": platform.python_version(), "numpy": numpy.__version__,

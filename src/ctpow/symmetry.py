@@ -172,13 +172,13 @@ def in_coordinates(nf, target, p: int, U):
 
 
 def orbits(H: np.ndarray, M: int, row, L: int):
-    """Rows `row` of Z_M^g (L points each) under s -> A s mod M, A in H
-    (shape (|H|, g, g), distinct maps): their outer coordinates O, the row
-    r and column l (r, l within the rows) of each point whose flat index is
-    the least of its orbit, and |H| / #{A in H : A s = s} there.  A s is a
-    row part plus a column part, each reduced once per row or column; the
-    maps go two at a time over all R L points while half are kept, then k
-    at a time over the c kept, k * max(c, R, L) <= 2 R L (R = len(row))."""
+    """The R rows `row` of Z_M^g (L points each) under s -> A s mod M, A in
+    H (distinct, shape (|H|, g, g)): their outer coordinates O, and of each
+    point whose flat index is the least of its orbit the index r into `row`,
+    the column l and |H| / #{A in H : A s = s}.  A s is a row part plus a
+    column part, each reduced once per row or column; the maps go two at a
+    time over all R L points while half are kept, then k at a time over the
+    c kept, k * max(c, R, L) <= 2 R L: at most (10 g + 8) R L elements."""
     g, R = H.shape[1], len(row)
     strides = M ** np.arange(g - 1, -1, -1, dtype=np.int64)
     O = row // strides[1:, None] % M
@@ -186,10 +186,10 @@ def orbits(H: np.ndarray, M: int, row, L: int):
     flat, stab = (row[:, None] * L + cols).ravel(), np.ones(R * L, np.int64)
     maps = H[(H != np.eye(g, dtype=np.int64)).any(axis=(1, 2))]
 
-    def images(A, dense):
+    def images(A, r=None, l=None):               # of all points, or of (r, l)
         rp, cp = A[:, :, :-1] @ O % M, A[:, :, -1:] * cols % M
         img = ((rp[..., None] + cp[:, :, None]).reshape(len(A), g, -1)
-               if dense else rp[:, :, r] + cp[:, :, l])
+               if r is None else rp[:, :, r] + cp[:, :, l])
         # below M the unsigned x - M wraps past 2**63: the minimum is x mod M
         u = img.view(np.uint64)
         np.minimum(u, u - np.uint64(M), out=u)
@@ -197,7 +197,7 @@ def orbits(H: np.ndarray, M: int, row, L: int):
 
     keep, i = np.ones(R * L, dtype=bool), 0
     while i < len(maps) and 2 * np.count_nonzero(keep) >= R * L:
-        f = images(maps[i:i + 2], True)
+        f = images(maps[i:i + 2])
         keep &= (f >= flat).all(axis=0)
         stab += (f == flat).sum(axis=0)
         i += 2
@@ -205,7 +205,7 @@ def orbits(H: np.ndarray, M: int, row, L: int):
     flat, stab = flat[keep], stab[keep]
     while i < len(maps) and len(r):
         A = maps[i:i + max(1, 2 * R * L // max(len(r), R, L))]
-        f = images(A, False)
+        f = images(A, r, l)
         keep = (f >= flat).all(axis=0)
         stab = (stab + (f == flat).sum(axis=0))[keep]
         r, l, flat = r[keep], l[keep], flat[keep]

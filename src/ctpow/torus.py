@@ -215,7 +215,7 @@ def _trinomial(a, b, c, p: int, m: int, K, q):
     u, v = _mulmod(b, c, q), _mulmod(a, a, q)
     u2, v2 = _mulmod(u, u, q), _mulmod(v, v, q)
     acc = np.broadcast_to(0 if J & 1 else K[:, J:J + 1], a.shape).copy()
-    pw = np.ones_like(a) if J & 1 else v.copy()   # v^(J-j+1); odd J: j = J+1
+    pw = np.ones_like(a) if J & 1 else v.copy()  # v^(J-j+1), j = J+1 if J odd
     w, tmp = np.empty_like(a), np.empty_like(a)
     for j in range(J + (J & 1), 1, -2):
         np.multiply(u, K[:, j - 1:j], out=w)
@@ -229,7 +229,7 @@ def _trinomial(a, b, c, p: int, m: int, K, q):
         if j > 2:
             np.multiply(pw, v2, out=pw)
             np.remainder(pw, q, out=pw)
-    del u, v, u2, v2, pw, w, tmp                # free them before the tail
+    del u, v, u2, v2, pw, w, tmp              # so the tail stays within _LIVE
     if L & 1:
         acc = _mulmod(acc, a, q)
     if m:
