@@ -178,8 +178,9 @@ def _signed_permutation(perm, signs):
 
 
 def _orbit_groups():
-    # signed permutations: all of them, the sign flips, one cycle; and the
-    # 6 maps of sample 39 that act on its grid, which permute no axes
+    # signed permutations: all 8 in 2 variables, +-1, a 3-cycle and a
+    # group of 24 in 3 variables; and the 6 maps of sample 39 that act on
+    # its grid, which are not signed permutations
     yield _closure([_signed_permutation((1, 0), (1, 1)),
                     _signed_permutation((0, 1), (-1, 1))])
     yield _closure([_signed_permutation((0, 1), (-1, -1))])
