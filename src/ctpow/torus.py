@@ -17,10 +17,12 @@ polynomials in the other variables, and m = t_x - p >= 0,
     [f^p]_(x^t_x) = B^m * sum_j K_j (B*C)^j A^(p-m-2j),
     K_j = p! / (j! (j+m)! (p-m-2j)!),
 
-with B and C swapped when m < 0, by homogeneous Horner in BC and A^2 two
-j per step (Paterson-Stockmeyer, blocks of 2): three reductions per point
-and two j.  Without such a variable, or with use_split2 off, every
-variable is on the grid and f(omega^s)^p is powered pointwise.
+with B and C swapped when m < 0, by homogeneous Horner in u = BC and
+v = A^2 four j per step (Paterson-Stockmeyer, blocks of 4 from the top j):
+three reductions per point and four j (the block's sum in uint64, the
+step and v^4i) after ten for the powers of u and v.  Without such a
+variable, or with use_split2 off, every variable is on the grid and
+f(omega^s)^p is powered pointwise.
 
 A series a_0..a_P takes one pass over the grid planned for a_P, which is
 valid for every p <= P, with the values of h itself (weight 1).  With
@@ -57,8 +59,8 @@ of M points (a row is the last grid variable), with all primes in each
 numpy call, and only at the representatives, gathered into batches of
 _BATCH * M points, so the live elements per prime stay O(M) = O(p).
 Residues are int64 below 2**31: a product of two stays below 2**62 and a
-sum of two products below 2**63, at any P; a batch's weights add up to
-less than 2**31.  P < MAX_SERIES = 2**16 is a size guard against work too
+sum of two products below 2**63 (of four, below 2**64 as uint64), at any
+P; a batch's weights add up to less than 2**31.  P < MAX_SERIES = 2**16 is a size guard against work too
 large to finish: every grid variable has more than P points.
 """
 
@@ -78,8 +80,8 @@ from .symmetry import Matrix
 
 # grid rows per chunk; one row holds M points for every prime
 _ROWS = 128
-# arrays of batch size (points x primes) alive at once in the caller
-_LIVE = 8
+# arrays of batch size (points x primes) alive at once in _trinomial
+_LIVE = 14
 # orbit representatives per batch, in grid rows of M points
 _BATCH = 16
 # series lengths P must stay below this size guard
@@ -205,36 +207,57 @@ def _trinomial_weights(p: int, m: int, primes) -> np.ndarray:
     return np.array([[k % q for k in K] for q in primes], dtype=np.int64)
 
 
+def _dot(xs, ys, q, out, tmp):
+    """out = sum_k xs[k] ys[k] mod q; out may be xs[0].  Each product is
+    below 2**62, so four add up below 2**64 (uint64) before one reduction."""
+    np.multiply(xs[0], ys[0], out=out)
+    for x, y in zip(xs[1:], ys[1:]):
+        np.multiply(x, y, out=tmp)
+        np.add(out, tmp, out=out)
+    np.remainder(out, q, out=out)
+
+
 def _trinomial(a, b, c, p: int, m: int, K, q):
     """[(c/x + a + b*x)^p]_(x^m) pointwise, given K for |m| (primes first,
     then j, then axes that broadcast against a): sum_j K_j u^j v^(J-j), u =
-    bc, v = a^2, by acc <- acc u^2 + v^(J-j+1) (K_(j-1) u + K_(j-2) v)."""
+    bc, v = a^2, in blocks of four j from the top, j0 = J-3, J-7, ...:
+    acc <- acc u^4 + v^(J-j0-3) sum_(k<4) K_(j0+k) u^k v^(3-k), then for
+    the r = (J+1) mod 4 lowest j, acc u^r + v^(J+1-r) sum_(j<r) K_j u^j
+    v^(r-1-j).  As uint64, a block's four products add up exactly."""
+    a, b, c, K, q = (x.view(np.uint64) for x in (a, b, c, K, q))
     b, c = (c, b) if m < 0 else (b, c)
     L = p - abs(m)
     J = L // 2
+    r = (J + 1) % 4
     u, v = _mulmod(b, c, q), _mulmod(a, a, q)
     u2, v2 = _mulmod(u, u, q), _mulmod(v, v, q)
-    acc = np.broadcast_to(0 if J & 1 else K[:, J:J + 1], a.shape).copy()
-    pw = np.ones_like(a) if J & 1 else v.copy()  # v^(J-j+1), j = J+1 if J odd
+    # u^k v^(3-k) for k = 0..3, then u^4 and v^4
+    mono = (_mulmod(v2, v, q), _mulmod(v2, u, q), _mulmod(u2, v, q),
+            _mulmod(u2, u, q))
+    u4, v4 = _mulmod(u2, u2, q), _mulmod(v2, v2, q)
+    acc, pw = np.zeros_like(a), np.ones_like(a)       # pw = v^(J-j0-3)
     w, tmp = np.empty_like(a), np.empty_like(a)
-    for j in range(J + (J & 1), 1, -2):
-        np.multiply(u, K[:, j - 1:j], out=w)
-        np.multiply(v, K[:, j - 2:j - 1], out=tmp)
-        np.add(w, tmp, out=w)
-        np.remainder(w, q, out=w)
-        np.multiply(acc, u2, out=acc)
-        np.multiply(pw, w, out=tmp)
-        np.add(acc, tmp, out=acc)
-        np.remainder(acc, q, out=acc)
-        if j > 2:
-            np.multiply(pw, v2, out=pw)
-            np.remainder(pw, q, out=pw)
-    del u, v, u2, v2, pw, w, tmp              # so the tail stays within _LIVE
+    for j0 in range(J - 3, -1, -4):
+        _dot(mono, [K[:, j:j + 1] for j in range(j0, j0 + 4)], q, w, tmp)
+        if j0 == J - 3:                     # the top block: acc = w, pw = v^4
+            acc, w, pw[...] = w, acc, v4
+        else:
+            _dot((acc, pw), (u4, w), q, acc, tmp)
+            if j0:
+                _dot((pw,), (v4,), q, pw, tmp)
+    del u4, v4
+    if r > 1:
+        low = (v, u) if r == 2 else (v2, _mulmod(u, v, q), u2)
+        _dot(low, [K[:, j:j + 1] for j in range(r)], q, w, tmp)
+    if r:
+        _dot((acc, pw), ((u, u2, mono[3])[r - 1], w if r > 1 else K[:, :1]),
+             q, acc, tmp)
+    del u, v, u2, v2, mono, pw, w, tmp        # so the tail stays within _LIVE
     if L & 1:
         acc = _mulmod(acc, a, q)
     if m:
         acc = _mulmod(acc, _powmod(b, abs(m), q), q)
-    return acc
+    return acc.view(np.int64)
 
 
 def representatives(tp: TorusPlan) -> int:

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctpow.rns import (ModulusSet, RnsValue, coefficient_bound_bits,
-                       mixed_radix_digits, reconstruct, reduce_int,
-                       root_of_unity, select_primes)
+from ctpow.rns import (ModulusSet, RnsValue, _is_prime,
+                       coefficient_bound_bits, mixed_radix_digits, reconstruct,
+                       reduce_int, root_of_unity, select_primes)
 
 sympy = pytest.importorskip("sympy")
 
@@ -139,6 +139,43 @@ def test_select_primes_congruence_window_exhausted():
         select_primes(40, congruent_to_1_mod=1 << 30)
     with pytest.raises(ValueError):
         select_primes(40, congruent_to_1_mod=0)
+
+
+def test_is_prime_against_a_sieve():
+    # every n < 10**5: trial division, the short base set from 62 on, and
+    # n = 61, which base 61 alone would call composite
+    N = 10 ** 5
+    sieve = bytearray([0, 0]) + bytearray([1]) * (N - 2)
+    for i in range(2, math.isqrt(N) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytearray(len(range(i * i, N, i)))
+    assert [n for n in range(N) if _is_prime(n)] == \
+        [n for n in range(N) if sieve[n]]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # 48781 * 97561 passes bases 2, 7 and 61, so it needs the twelve bases;
+    # 151 * 751 * 28351 passes 2, 3, 5 and 7 but not 61
+    assert 4_759_123_141 == 48781 * 97561
+    assert not _is_prime(4_759_123_141)
+    assert not _is_prime(3_215_031_751)
+    assert _is_prime(2 ** 31 - 1) and _is_prime(2 ** 61 - 1)
+
+
+@pytest.mark.parametrize("bits,floor,M,count,first,last,total", [
+    # the pipeline's requests: sample 39 at p = 40, 80 and 150, the walk at
+    # p = 256, and two more: (primes, first, last and sum) as chosen by
+    # the twelve-base test
+    (183, 80, 41, 6, 2147483323, 2147478731, 12884887310),
+    (364, 160, 81, 12, 2147483179, 2147468923, 25769722980),
+    (681, 300, 151, 22, 2147483647, 2147402711, 47243655714),
+    (514, 512, 258, 17, 2147482867, 2147459131, 36507009047),
+    (186, 80, 35, 7, 2147483171, 2147480651, 15032371977),
+    (2000, 300, 151, 65, 2147483647, 2147257751, 139578626429),
+])
+def test_select_primes_pinned(bits, floor, M, count, first, last, total):
+    ps = select_primes(bits, floor, congruent_to_1_mod=M).primes
+    assert (len(ps), ps[0], ps[-1], sum(ps)) == (count, first, last, total)
 
 
 @pytest.mark.parametrize("M", [1, 2, 12, 41, 151, 360])

@@ -250,23 +250,30 @@ def _trinomial_coefficient(a, b, c, p, m, q):
 
 
 def test_trinomial_against_python_ints():
-    # every p <= 14 and m in [-p, p], so J and L = p - |m| of both parities
-    # and both signs of m, for two primes in one call; the first three
-    # points have a = 0, b = 0 and c = 0
-    primes = select_primes(62).primes[:2]
+    # every p <= 33 and m in [-p, p]: up to four blocks of four j, every
+    # tail (J + 1) mod 4, L = p - |m| of both parities and both signs of m,
+    # for two primes in one call.  The first three points have a = 0, b = 0
+    # and c = 0; the next has a = b = c = q - 1; the last has u = bc and
+    # v = a^2 both q - 1 (a^2 = -1 needs q = 1 mod 4), so every monomial
+    # of a block is q - 1 and its four products add up past 2**63
+    primes = select_primes(62, congruent_to_1_mod=4).primes[:2]
     qs = np.array(primes, dtype=np.int64)[:, None]
     rng = random.Random(3)
-    a, b, c = ([[rng.randrange(q) for _ in range(6)] for q in primes]
+    a, b, c = ([[rng.randrange(q) for _ in range(8)] for q in primes]
                for _ in range(3))
-    for i in range(2):
+    for i, q in enumerate(primes):
         a[i][0] = b[i][1] = c[i][2] = 0
+        a[i][3] = b[i][3] = c[i][3] = q - 1
+        a[i][7] = next(s for g in range(2, 50)
+                       if (s := pow(g, (q - 1) // 4, q)) ** 2 % q == q - 1)
+        b[i][7], c[i][7] = 1, q - 1
     A, B, C = (np.array(x, dtype=np.int64) for x in (a, b, c))
-    for p in range(15):
+    for p in range(34):
         for m in range(-p, p + 1):
             K = torus._trinomial_weights(p, abs(m), primes)
             assert torus._trinomial(A, B, C, p, m, K, qs).tolist() == [
                 [_trinomial_coefficient(a[i][k], b[i][k], c[i][k], p, m, q)
-                 for k in range(6)] for i, q in enumerate(primes)], (p, m)
+                 for k in range(8)] for i, q in enumerate(primes)], (p, m)
 
 
 def test_rescaled_trinomial_recurrence_to_high_powers():
