@@ -16,7 +16,8 @@ exact_coefficient of sample 39 at p = 40, 80 and 150, its constant term
 series to p = 59, search_recurrence on those 60 terms, and exact_coefficient
 at p = 20 and 40 of a polynomial without lattice symmetries (a seeded random
 23-term polynomial in 4 variables with distinct coefficients, so that the
-whole grid is summed).  The times go
+whole grid is summed), and exact_coefficient of the walk X + 1/X + Y + 1/Y
+at p = 256 and index (1, 3).  The times go
 into one column of FILE (created if missing; other columns are kept) with
 the git revision, the Python and numpy versions and the core count.  --src
 picks the source tree to time, so that one file can compare two checkouts:
@@ -29,6 +30,7 @@ picks the source tree to time, so that one file can compare two checkouts:
 import argparse
 import itertools
 import json
+import math
 import os
 import platform
 import random
@@ -149,6 +151,7 @@ def north_star(path: Path, column: str, src: Path):
 
     from ctpow import fixtures
     from ctpow.fixtures import sample_polynomial
+    from ctpow.laurent import parse_laurent
     from ctpow.recurrence import (constant_term_series, exact_coefficient,
                                   search_recurrence)
     h = sample_polynomial("39")
@@ -165,6 +168,11 @@ def north_star(path: Path, column: str, src: Path):
     h = asymmetric_polynomial()
     for p in (20, 40):
         _, seconds[f"nosym_p{p}"] = _timed(exact_coefficient, h, p, threads=1)
+    walk = parse_laurent("X + X^-1 + Y + Y^-1")
+    value, seconds["walk_p256"] = _timed(exact_coefficient, walk, 256, (1, 3),
+                                         threads=1)
+    # with X = uv and Y = u/v the power is (u + 1/u)^256 (v + 1/v)^256
+    assert value == math.comb(256, 130) * math.comb(256, 127)
     root = src.resolve().parent
     git = ["git", "-C", str(root)]
     try:
@@ -181,6 +189,7 @@ def north_star(path: Path, column: str, src: Path):
         "search39_8_4": "search_recurrence(those 60 terms, 8, 4)",
         "nosym_pN": "exact_coefficient(asymmetric_polynomial(), N): no "
                     "lattice symmetry, the whole grid",
+        "walk_p256": "exact_coefficient(X + 1/X + Y + 1/Y, 256, (1, 3))",
         "threads": 1,
         "unit": "s, best of the runs in 1 s, at least 3 (of 1 past 5 s)"}
     record.setdefault("columns", {})[column] = {

@@ -164,12 +164,13 @@ def test_is_prime_rejects_strong_pseudoprimes():
 
 @pytest.mark.parametrize("bits,floor,M,count,first,last,total", [
     # the pipeline's requests: sample 39 at p = 40, 80 and 150, the walk at
-    # p = 256, and two more: (primes, first, last and sum) as chosen by
+    # p = 256, and three more: (primes, first, last and sum) as chosen by
     # the twelve-base test
     (183, 80, 41, 6, 2147483323, 2147478731, 12884887310),
     (364, 160, 81, 12, 2147483179, 2147468923, 25769722980),
     (681, 300, 151, 22, 2147483647, 2147402711, 47243655714),
     (514, 512, 258, 17, 2147482867, 2147459131, 36507009047),
+    (186, 80, 41, 7, 2147483323, 2147478649, 15032365959),
     (186, 80, 35, 7, 2147483171, 2147480651, 15032371977),
     (2000, 300, 151, 65, 2147483647, 2147257751, 139578626429),
 ])
