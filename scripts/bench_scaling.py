@@ -17,14 +17,16 @@ series to p = 59, search_recurrence on those 60 terms, and exact_coefficient
 at p = 20 and 40 of a polynomial without lattice symmetries (a seeded random
 23-term polynomial in 4 variables with distinct coefficients, so that the
 whole grid is summed), and exact_coefficient of the walk X + 1/X + Y + 1/Y
-at p = 256 and index (1, 3).  The times go
-into one column of FILE (created if missing; other columns are kept) with
-the git revision, the Python and numpy versions and the core count.  --src
+at p = 256 and index (1, 3).  Each case runs at least five times in about
+2 s (once past 5 s); the best run, and the median and quartiles of all of
+them, go into one column of FILE (created if missing; other columns are
+kept) with the git revision, the Python and numpy versions and the core
+count.  --src
 picks the source tree to time, so that one file can compare two checkouts:
 
-    python scripts/bench_scaling.py --json BENCH_7.json --column parent \
+    python scripts/bench_scaling.py --json BENCH_9.json --column parent \
         --src ../parent/src
-    python scripts/bench_scaling.py --json BENCH_7.json --column change
+    python scripts/bench_scaling.py --json BENCH_9.json --column change
 """
 
 import argparse
@@ -34,6 +36,7 @@ import math
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import time
@@ -125,14 +128,22 @@ def series_table(name, h, nf, counts):
 
 
 def _timed(fn, *args, **kwargs):
-    """(result, seconds): the best of the runs made in about 1 s, at least
-    three, or of one run past 5 s."""
+    """(result, seconds): the runs made in about 2 s, at least five, or one
+    run past 5 s."""
     times = []
-    while not times or times[0] <= 5 and (len(times) < 3 or sum(times) < 1):
+    while not times or times[0] <= 5 and (len(times) < 5 or sum(times) < 2):
         t0 = time.perf_counter()
         out = fn(*args, **kwargs)
         times.append(time.perf_counter() - t0)
-    return out, min(times)
+    return out, times
+
+
+def _summary(times):
+    """The best run, and the median and quartiles of all of them."""
+    q1, median, q3 = (statistics.quantiles(times, n=4) if len(times) > 1
+                      else times * 3)
+    return {"best": min(times), "q1": q1, "median": median, "q3": q3,
+            "runs": len(times)}
 
 
 def asymmetric_polynomial():
@@ -155,22 +166,22 @@ def north_star(path: Path, column: str, src: Path):
     from ctpow.recurrence import (constant_term_series, exact_coefficient,
                                   search_recurrence)
     h = sample_polynomial("39")
-    seconds = {}
+    times = {}
     for p in (40, 80, 150):
-        value, seconds[f"coeff39_p{p}"] = _timed(exact_coefficient, h, p,
-                                                 threads=1)
+        value, times[f"coeff39_p{p}"] = _timed(exact_coefficient, h, p,
+                                               threads=1)
         if p == 150:
             assert value == fixtures.SAMPLE39_POWER150_CONSTANT
-    s, seconds["series39_P59"] = _timed(constant_term_series, h, 59,
-                                        threads=1)
-    hits, seconds["search39_8_4"] = _timed(search_recurrence, s.terms, 8, 4)
+    s, times["series39_P59"] = _timed(constant_term_series, h, 59, threads=1)
+    hits, times["search39_8_4"] = _timed(search_recurrence, s.terms, 8, 4)
     assert len(hits) == 1
     h = asymmetric_polynomial()
     for p in (20, 40):
-        _, seconds[f"nosym_p{p}"] = _timed(exact_coefficient, h, p, threads=1)
+        _, times[f"nosym_p{p}"] = _timed(exact_coefficient, h, p, threads=1)
     walk = parse_laurent("X + X^-1 + Y + Y^-1")
-    value, seconds["walk_p256"] = _timed(exact_coefficient, walk, 256, (1, 3),
-                                         threads=1)
+    value, times["walk_p256"] = _timed(exact_coefficient, walk, 256, (1, 3),
+                                       threads=1)
+    stats = {case: _summary(t) for case, t in times.items()}
     # with X = uv and Y = u/v the power is (u + 1/u)^256 (v + 1/v)^256
     assert value == math.comb(256, 130) * math.comb(256, 127)
     root = src.resolve().parent
@@ -191,13 +202,16 @@ def north_star(path: Path, column: str, src: Path):
                     "lattice symmetry, the whole grid",
         "walk_p256": "exact_coefficient(X + 1/X + Y + 1/Y, 256, (1, 3))",
         "threads": 1,
-        "unit": "s, best of the runs in 1 s, at least 3 (of 1 past 5 s)"}
+        "unit": "s; seconds: the best of the runs in 2 s, at least 5 (or "
+                "of 1 past 5 s); stats: best, quartiles and median of them"}
     record.setdefault("columns", {})[column] = {
         "revision": (rev or "unknown") + ("+uncommitted" if dirty else ""),
         "python": platform.python_version(), "numpy": numpy.__version__,
-        "cores": os.cpu_count(), "seconds": seconds}
+        "cores": os.cpu_count(),
+        "seconds": {case: st["best"] for case, st in stats.items()},
+        "stats": stats}
     path.write_text(json.dumps(record, indent=2) + "\n")
-    print(json.dumps(seconds))
+    print(json.dumps(stats))
 
 
 if __name__ == "__main__":

@@ -51,22 +51,24 @@ def _primes_for(h_weight: int, M: int, p: int, prime_bits: int) -> ModulusSet:
 def _resolve_threads(threads: int) -> int:
     if threads < 0:
         raise ValueError("threads must be >= 0")
-    return threads or os.cpu_count() or 1   # 0 means every core
+    # 0 means every CPU this process may run on: its affinity mask, on
+    # platforms that have one, can be smaller than the machine
+    cpus = getattr(os, "sched_getaffinity", None)
+    return threads or (len(cpus(0)) if cpus else os.cpu_count() or 1)
 
 
 def _sum_row_blocks(fn, args, tp, ms: ModulusSet, threads: int,
                     progress=None) -> np.ndarray:
-    """fn(*args, primes, tp, rows) over blocks of grid rows, about three per
-    worker and in a process pool when threads > 1, summed modulo each prime
-    (exact Python ints).  Block k takes every n-th row from row k: the orbit
-    representatives crowd into the first rows, and so each block gets about
-    as many.  progress(done, total) counts blocks."""
-    n = 1 if threads == 1 else min(tp.rows, 3 * threads)
+    """fn(*args, primes, tp, rows) over blocks of grid rows, one per worker
+    (which builds fn's tables once) and in a process pool when threads > 1,
+    summed modulo each prime (exact Python ints).  Block k takes every n-th
+    row from row k: the orbit representatives crowd into the first rows, so
+    each block gets about as many.  progress(done, total) counts blocks."""
+    n = min(tp.rows, threads)
     tasks = [(*args, ms.primes, tp, range(k, tp.rows, n)) for k in range(n)]
     moduli = np.array(ms.primes, dtype=object)
     total = 0
-    serial = threads == 1 or len(tasks) < 2
-    with nullcontext() if serial else ProcessPoolExecutor(threads) as pool:
+    with nullcontext() if n < 2 else ProcessPoolExecutor(n) as pool:
         parts = (pool.map if pool else map)(fn, *zip(*tasks))
         for done, part in enumerate(parts, 1):
             total = (total + np.array(part, dtype=object)) % moduli
@@ -148,8 +150,8 @@ def constant_term_series(h: LaurentPolynomial, P: int, threads: int = 1,
     Every power shares the grid planned for a_P and one set of primes whose
     bound covers a_P; the primes exceed 2P because torus.series_residues
     runs the trinomial recurrence rescaled by (2p-1)!!, two reductions per
-    grid point and power.  The grid rows are split into blocks, about three
-    per worker, and each block returns partial sums of all P + 1 terms;
+    grid point and power.  The grid rows are split into blocks, one per
+    worker, and each block returns partial sums of all P + 1 terms;
     results are identical for any thread count because each block is exact
     field arithmetic.  progress(done, total) counts row blocks.  Raises
     ValueError unless 0 <= P < torus.MAX_SERIES.

@@ -20,10 +20,11 @@ def _inv(a: int, m: int) -> int:
     return pow(a, -1, m)
 
 
+@lru_cache(maxsize=4096)
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin: bases 2, 7 and 61 for 61 < n <
     4,759,123,141, all 31-bit primes (Jaeschke, Math. Comp. 61, 1993), else
-    the primes up to 37, valid far beyond 64 bits."""
+    the primes up to 37, valid far beyond 64 bits.  Cached for ModulusSet."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -156,18 +157,18 @@ def reduce_int(x: int, ms: ModulusSet) -> RnsValue:
 def mixed_radix_digits(v: RnsValue, ms: ModulusSet) -> list[int]:
     """Digits a_i with x = a_1 + a_2 m_1 + a_3 m_1 m_2 + ..., 0 <= a_i < m_i.
 
-    Computed with O(s^2) word-sized modular operations; no big integers.
+    Garner's method: O(s^2) word-sized modular operations and one inverse
+    per prime, that of m_1 ... m_(i-1) modulo m_i; no big integers.
     """
     primes = ms.primes
     if len(v.residues) != len(primes):
         raise ValueError("residue count mismatch")
     digits = []
-    for i, (x, mi) in enumerate(zip(v.residues, primes)):
-        t = x % mi
-        for j in range(i):
-            # strip digit j, then divide by m_j
-            t = (t - digits[j]) * _inv(primes[j], mi) % mi
-        digits.append(t)
+    for x, mi in zip(v.residues, primes):
+        t, c = x, 1
+        for d, mj in zip(digits, primes):
+            t, c = (t - d * c) % mi, c * mj % mi
+        digits.append(t * _inv(c, mi) % mi)
     return digits
 
 

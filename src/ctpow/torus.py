@@ -60,13 +60,15 @@ numpy call, and only at the representatives, gathered into batches of
 _BATCH * M points, so the live elements per prime stay O(M) = O(p).
 Residues are int64 below 2**31: a product of two stays below 2**62 and a
 sum of two products below 2**63 (of four, below 2**64 as uint64), at any
-P; a batch's weights add up to less than 2**31.  P < MAX_SERIES = 2**16 is a size guard against work too
-large to finish: every grid variable has more than P points.
+P; a batch's weights add up to less than 2**31.  P < MAX_SERIES = 2**16
+is a size guard against work too large to finish: every grid variable has
+more than P points.  The tables K_j, g_p and the scales are prefix
+products mod q in log2 n numpy steps with one inverse per prime
+(Montgomery's trick), and omega^(k..2k-1) = omega^(0..k-1) omega^k.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from itertools import islice
 
@@ -200,11 +202,35 @@ def _powmod(v, e: int, q):
     return result
 
 
-def _trinomial_weights(p: int, m: int, primes) -> np.ndarray:
-    """K_j = p!/(j! (j+m)! (p-m-2j)!) mod q for j = 0..(p-m)//2, per prime."""
-    J = (p - m) // 2
-    K = [math.comb(p, j) * math.comb(p - j, j + m) for j in range(J + 1)]
-    return np.array([[k % q for k in K] for q in primes], dtype=np.int64)
+def _cumprod_mod(a, q):
+    """Prefix products of a mod q along the last axis, shifts 1, 2, 4, ..."""
+    out, k = a.copy(), 1
+    while k < out.shape[-1]:
+        out[..., k:] = out[..., k:] * out[..., :-k] % q
+        k *= 2
+    return out
+
+
+def _inverses(a, q):
+    """1/a mod q for a (primes, n), every entry nonzero mod q: Montgomery's
+    trick, prefix products, one inverse per prime, then suffix products."""
+    pre = _cumprod_mod(a, q)
+    last = [pow(x, -1, y)
+            for x, y in zip(pre[:, -1].tolist(), q[:, 0].tolist())]
+    out = _cumprod_mod(np.column_stack([a[:, 1:], last])[:, ::-1], q)[:, ::-1]
+    out[:, 1:] = out[:, 1:] * pre[:, :-1] % q
+    return out
+
+
+def _trinomial_weights(p: int, m: int, qs) -> np.ndarray:
+    """K_j = p!/(j! (j+m)! (p-m-2j)!) mod q for j = 0..(p-m)//2, per prime
+    q in qs (primes, 1), from a table of k! and one batch of inverses of
+    the denominators; every q exceeds p."""
+    k = np.maximum(np.arange(p + 1, dtype=np.int64), 1)
+    f = _cumprod_mod(np.broadcast_to(k, (len(qs), p + 1)), qs)
+    j = np.arange((p - m) // 2 + 1)
+    d = f[:, j] * f[:, j + m] % qs * f[:, p - m - 2 * j] % qs
+    return _inverses(d, qs) * f[:, p:] % qs
 
 
 def _dot(xs, ys, q, out, tmp):
@@ -260,6 +286,17 @@ def _trinomial(a, b, c, p: int, m: int, K, q):
     return acc.view(np.int64)
 
 
+def _omega_powers(M: int, q):
+    """omega^k mod q for k < M, omega = root_of_unity(M, q), per prime of q
+    (primes, 1), by doubling: omega^(k..2k-1) = omega^(0..k-1) omega^k."""
+    step = np.array([[root_of_unity(M, x)] for x in q[:, 0].tolist()])
+    out, k = np.ones((len(q), M), dtype=np.int64), 1
+    while k < M:
+        out[:, k:2 * k] = out[:, :min(k, M - k)] * step % q
+        step, k = step * step % q, 2 * k
+    return out
+
+
 def representatives(tp: TorusPlan) -> int:
     """The number of orbits of tp.H on the grid: the points summed."""
     return sum(len(symmetry.orbits(tp.maps, tp.M, np.arange(
@@ -300,11 +337,7 @@ def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
     n_classes = 3 if tp.inner is not None else 1
     d_last = max(lasts)
 
-    # omega^k for k < M
-    omega = np.ones((nq, M), dtype=np.int64)
-    root = np.array([root_of_unity(M, q) for q in primes], dtype=np.int64)
-    for k in range(1, M):
-        omega[:, k] = omega[:, k - 1] * root % qs[:, 0]
+    omega = _omega_powers(M, qs)
     # each term's coefficient times those powers, and which (class, last
     # exponent) group of P it adds to
     coeffs = np.array([[c % q for c, _ in terms] for q in primes],
@@ -369,10 +402,10 @@ def coefficient_residues(nf: NormalizedPolynomial, target, p: int, primes,
     """[f^p]_target mod each prime, summed over the grid rows in `rows`.
 
     nf, target and torus_plan are as plan returns them.  Targets outside
-    the support of f^p give 0.  Every prime must be 1 modulo
-    torus_plan.M.  The value omega^(-t.s) [x^t_x] f(x, omega^s)^p is
-    the same on every orbit of torus_plan.H, so each orbit adds its size
-    times the value at its representative, the point of least flat index.
+    the support of f^p give 0.  Every prime must be 1 modulo torus_plan.M
+    and exceed p.  The value omega^(-t.s) [x^t_x] f(x, omega^s)^p is the
+    same on every orbit of torus_plan.H, so each orbit adds its size times
+    the value at its representative, the point of least flat index.
     Partial results over a disjoint cover of range(torus_plan.rows) add up,
     modulo each prime, to the full coefficient.  The meter, if given,
     tracks the live auxiliary elements (input excluded).
@@ -383,7 +416,7 @@ def coefficient_residues(nf: NormalizedPolynomial, target, p: int, primes,
         return (0,) * len(primes)
     qs = np.array(primes, dtype=np.int64)[:, None]
     m = target[tp.inner] - p if tp.inner is not None else 0
-    K = _trinomial_weights(p, abs(m), primes)
+    K = _trinomial_weights(p, abs(m), qs)
     total = np.zeros(len(primes), dtype=np.int64)
     for vals, w, weight in _class_values(nf, tp, primes, rows, target,
                                          meter, K.size):
@@ -424,6 +457,22 @@ def _plain_powers(v, P: int, q):
         yield u
 
 
+def _series_tables(P: int, tp: TorusPlan, qs):
+    """g as _trinomial_powers takes it and the scale (primes, P + 1) of
+    a_p, (2p-1)!!/(p! M^g), or M^-g (primes, 1) without tp.inner."""
+    k = np.arange(1, P + 1, dtype=np.int64)
+    # the inverses of M, of k = 1..P and of (2k-1)(2k-3) for k = 2..P
+    a = np.concatenate([[tp.M], k, (2 * k[1:] - 1) * (2 * k[1:] - 3)])
+    inv = _inverses(np.tile(a, (len(qs), 1)) % qs, qs)
+    g = np.zeros((P + 1, len(qs), 1), dtype=np.int64)
+    g[2:, :, 0] = (-(k[1:] - 1) ** 2 % qs * inv[:, P + 1:] % qs).T
+    scale = _powmod(inv[:, :1], len(tp.grid), qs)
+    if tp.inner is None:
+        return g, scale
+    return g, _cumprod_mod(np.column_stack(
+        [scale, (2 * k - 1) * inv[:, 1:P + 1] % qs]), qs)
+
+
 def series_residues(nf: NormalizedPolynomial, P: int, primes,
                     torus_plan: TorusPlan, rows: range | None = None,
                     meter: AllocationMeter | None = None) -> list[tuple[int, ...]]:
@@ -442,12 +491,9 @@ def series_residues(nf: NormalizedPolynomial, P: int, primes,
     tp = torus_plan
     qs = np.array(primes, dtype=np.int64)[:, None]
     S = np.zeros((P + 1, len(primes)), dtype=np.int64)
-    g = np.zeros((P + 1, len(primes), 1), dtype=np.int64)
-    for p in range(2, P + 1):
-        g[p, :, 0] = [-(p - 1) ** 2 * pow((2 * p - 1) * (2 * p - 3), -1, q)
-                      % q for q in primes]
+    g, scale = _series_tables(P, tp, qs)
     for vals, w, weight in _class_values(nf, tp, primes, rows, nf.shift,
-                                         meter, S.size + g.size):
+                                         meter, S.size + g.size + scale.size):
         # omega^(-shift.s) gives the values of h, in place to save memory
         np.remainder(np.multiply(vals, w, out=vals), qs, out=vals)
         if tp.inner is None:
@@ -463,12 +509,4 @@ def series_residues(nf: NormalizedPolynomial, P: int, primes,
         for p, u in enumerate(powers):
             S[p] += u @ weight
         S %= qs[:, 0]
-    # a_p = S_p (2p-1)!! / (p! M^g), without (2p-1)!!/p! when h was powered
-    scale = [pow(tp.M, -len(tp.grid), q) for q in primes]
-    out = []
-    for p, row in enumerate(S.tolist()):
-        if p and tp.inner is not None:
-            scale = [c * (2 * p - 1) * pow(p, -1, q) % q
-                     for c, q in zip(scale, primes)]
-        out.append(tuple(x * c % q for x, c, q in zip(row, scale, primes)))
-    return out
+    return list(map(tuple, (S * scale.T % qs[:, 0]).tolist()))

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctpow import torus
 from ctpow.fixtures import sample_operator, sample_polynomial
-from ctpow.laurent import make_polynomial, parse_laurent
+from ctpow.laurent import make_polynomial, normalize, parse_laurent
 from ctpow.oracle import known_family, naive_power_coeff
 from ctpow.recurrence import (DifferentialOperator, FitError, Recurrence,
                               Series, constant_term_series, exact_coefficient,
@@ -19,7 +21,8 @@ from ctpow.recurrence import (DifferentialOperator, FitError, Recurrence,
                               series_from_json, series_to_json,
                               verify_recurrence)
 from ctpow.recurrence import (_RANK_PRIME, _nullspace_1d, _rank_mod_prime,
-                              _relation_matrix, _relation_matrix_mod)
+                              _relation_matrix, _relation_matrix_mod,
+                              _resolve_threads)
 
 
 def test_exact_coefficient_small_cases():
@@ -106,9 +109,27 @@ def test_series_progress_counts_row_blocks():
     s = constant_term_series(sample_polynomial("dwork4"), 10, threads=2,
                              progress=lambda *counts: seen.append(counts))
     total = seen[-1][1]
-    assert total > 1
+    assert total == 2                 # one block per worker
     assert seen == [(k, total) for k in range(1, total + 1)]
     assert s.terms[10] == known_family("dwork4", 10)
+
+
+def test_row_blocks_that_do_not_divide_evenly():
+    h = sample_polynomial("39")
+    nf = normalize(h)
+    tp = torus.plan(nf, tuple(12 * s for s in nf.shift), 12)[0]
+    assert tp.rows % 3
+    assert exact_coefficient(h, 12, threads=3) \
+        == exact_coefficient(h, 12, threads=1)
+
+
+def test_zero_threads_counts_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert _resolve_threads(0) == 1
+    assert _resolve_threads(5) == 5
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _resolve_threads(0) == (os.cpu_count() or 1)
 
 
 def test_make_recurrence_normalizes():

@@ -94,6 +94,31 @@ def test_mixed_radix_digit_ranges():
         assert total == x
 
 
+def _pairwise_digits(v, ms):
+    # strip digit j, then divide by m_j: one inverse per pair of primes
+    digits = []
+    for i, (x, mi) in enumerate(zip(v.residues, ms.primes)):
+        t = x % mi
+        for j in range(i):
+            t = (t - digits[j]) * pow(ms.primes[j], -1, mi) % mi
+        digits.append(t)
+    return digits
+
+
+@pytest.mark.parametrize("count", [1, 2, 17, 65])
+def test_mixed_radix_digits_against_pairwise_inverses(count):
+    ms = select_primes(31 * count - 31)
+    assert len(ms.primes) == count
+    rng = random.Random(count)
+    for x in [0, 1, ms.product - 1] + [rng.randrange(ms.product)
+                                       for _ in range(30)]:
+        v = reduce_int(x, ms)
+        assert mixed_radix_digits(v, ms) == _pairwise_digits(v, ms)
+    # residues that are not reduced, as RnsValue allows
+    v = RnsValue(tuple(q + 5 for q in ms.primes))
+    assert mixed_radix_digits(v, ms) == _pairwise_digits(v, ms)
+
+
 def test_reconstruct_against_direct_crt():
     ms = select_primes(150)
     rng = random.Random(11)

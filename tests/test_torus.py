@@ -11,7 +11,7 @@ from ctpow.engine import AllocationMeter
 from ctpow.fixtures import sample_polynomial
 from ctpow.laurent import make_polynomial, normalize, parse_laurent
 from ctpow.oracle import naive_power_coeff
-from ctpow.rns import select_primes
+from ctpow.rns import root_of_unity, select_primes
 
 
 def _primes(tp, p, bits=62):
@@ -270,10 +270,86 @@ def test_trinomial_against_python_ints():
     A, B, C = (np.array(x, dtype=np.int64) for x in (a, b, c))
     for p in range(34):
         for m in range(-p, p + 1):
-            K = torus._trinomial_weights(p, abs(m), primes)
+            K = torus._trinomial_weights(p, abs(m), qs)
             assert torus._trinomial(A, B, C, p, m, K, qs).tolist() == [
                 [_trinomial_coefficient(a[i][k], b[i][k], c[i][k], p, m, q)
                  for k in range(8)] for i, q in enumerate(primes)], (p, m)
+
+
+def _next_prime(n):
+    return next(q for q in range(max(n + 1, 2), 2 * n + 4)
+                if all(q % d for d in range(2, math.isqrt(q) + 1)))
+
+
+# the primes the pipeline picks for sample 39 at p = 40 and 150 (M = 41,
+# 151) and for the walk at p = 256 (M = 258)
+_PIPELINE = [select_primes(bits, floor, congruent_to_1_mod=M).primes
+             for bits, floor, M in ((183, 80, 41), (681, 300, 151),
+                                    (514, 512, 258))]
+_PIPELINE_PRIMES = sum(_PIPELINE, ())
+
+
+def test_trinomial_weights_against_big_integers():
+    # every m for p <= 60 with all the pipeline's primes, then the ends and
+    # a third of the way to p = 300 with one of its sets in turn; always
+    # with the smallest prime above 2p
+    for p in range(301):
+        primes = (_PIPELINE_PRIMES if p <= 60 else _PIPELINE[p % 3]) \
+            + (_next_prime(2 * p),)
+        qs = np.array(primes, dtype=np.int64)[:, None]
+        ms = range(p + 1) if p <= 60 else sorted(
+            {0, 1, 2, p // 3, p - 1, p})
+        for m in ms:
+            K = [math.comb(p, j) * math.comb(p - j, j + m)
+                 for j in range((p - m) // 2 + 1)]
+            assert torus._trinomial_weights(p, m, qs).tolist() == [
+                [k % q for k in K] for q in primes], (p, m)
+
+
+def test_inverses_and_prefix_products():
+    rng = random.Random(9)
+    primes = _PIPELINE_PRIMES[:3] + (7,)
+    qs = np.array(primes, dtype=np.int64)[:, None]
+    for n in (1, 2, 3, 5, 8, 33):
+        a = np.array([[rng.randrange(1, q) for _ in range(n)]
+                      for q in primes], dtype=np.int64)
+        pre = torus._cumprod_mod(a, qs)
+        inv = torus._inverses(a, qs)
+        for i, q in enumerate(primes):
+            row = a[i].tolist()
+            assert pre[i].tolist() == [math.prod(row[:k + 1]) % q
+                                       for k in range(n)]
+            assert inv[i].tolist() == [pow(x, -1, q) for x in row]
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 41, 257, 258, 1025])
+def test_omega_powers_by_doubling(M):
+    primes = select_primes(62, congruent_to_1_mod=M).primes[:2]
+    qs = np.array(primes, dtype=np.int64)[:, None]
+    assert torus._omega_powers(M, qs).tolist() == [
+        [pow(root_of_unity(M, q), k, q) for k in range(M)] for q in primes]
+
+
+@pytest.mark.parametrize("P", [0, 1, 2, 34, 300])
+def test_series_tables_against_a_pow_loop(P):
+    for inner, grid, M in ((0, (1, 2), 61), (None, (0, 1, 2), 5)):
+        tp = torus.TorusPlan(inner, grid, M)
+        primes = select_primes(93, 2 * P, congruent_to_1_mod=M).primes
+        g, scale = torus._series_tables(
+            P, tp, np.array(primes, dtype=np.int64)[:, None])
+        assert g.shape == (P + 1, len(primes), 1)
+        assert g[2:, :, 0].tolist() == [
+            [-(p - 1) ** 2 * pow((2 * p - 1) * (2 * p - 3), -1, q) % q
+             for q in primes] for p in range(2, P + 1)]
+        want = [pow(M, -len(grid), q) for q in primes]
+        rows = [want]
+        for p in range(1, P + 1):
+            want = [c * (2 * p - 1) * pow(p, -1, q) % q
+                    for c, q in zip(want, primes)]
+            rows.append(want)
+        got = np.broadcast_to(scale.T, (P + 1, len(primes)))
+        assert got.tolist() == (rows if inner is not None
+                                else [rows[0]] * (P + 1))
 
 
 def test_rescaled_trinomial_recurrence_to_high_powers():
