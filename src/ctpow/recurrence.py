@@ -51,8 +51,7 @@ def _primes_for(h_weight: int, M: int, p: int, prime_bits: int) -> ModulusSet:
 def _resolve_threads(threads: int) -> int:
     if threads < 0:
         raise ValueError("threads must be >= 0")
-    # 0 means every CPU this process may run on: its affinity mask, on
-    # platforms that have one, can be smaller than the machine
+    # 0 means every CPU this process may run on (its affinity mask, if any)
     cpus = getattr(os, "sched_getaffinity", None)
     return threads or (len(cpus(0)) if cpus else os.cpu_count() or 1)
 
