@@ -21,8 +21,8 @@ at p = 256 and index (1, 3).  Each case runs at least five times in about
 2 s (once past 5 s); the best run, and the median and quartiles of all of
 them, go into one column of FILE (created if missing; other columns are
 kept) with the git revision, the Python and numpy versions and the core
-count.  --src
-picks the source tree to time, so that one file can compare two checkouts:
+count.  --src picks the source tree to time, so that one file can compare
+two checkouts:
 
     python scripts/bench_scaling.py --json BENCH_9.json --column parent \
         --src ../parent/src
@@ -128,8 +128,8 @@ def series_table(name, h, nf, counts):
 
 
 def _timed(fn, *args, **kwargs):
-    """(result, seconds): the runs made in about 2 s, at least five, or one
-    run past 5 s."""
+    """(result, times): the seconds of the runs made in about 2 s, at least
+    five, or of one run past 5 s."""
     times = []
     while not times or times[0] <= 5 and (len(times) < 5 or sum(times) < 2):
         t0 = time.perf_counter()
