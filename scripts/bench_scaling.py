@@ -3,7 +3,9 @@
 Prints one row per power for a chosen sample: wall time for the full exact
 computation (torus engine), the peak auxiliary field elements the torus
 engine holds per prime (the quantity that should grow linearly in p), and
-the reference engine's split2 versus generic multiplication counters.
+the elementwise multiplications of the reference engine's node walk with
+split2 on (X1 summed by the trinomial formula) and off (every variable's
+nodes walked and f powered at each).
 
 With --series P1,P2,... it times constant_term_series(sample, P) on one
 thread instead and prints the nanoseconds per grid point, power (p = 1..P)
@@ -62,8 +64,7 @@ def main():
         return
 
     from ctpow import torus
-    from ctpow.engine import (AllocationMeter, coefficient_mod_prime,
-                              make_context)
+    from ctpow.engine import coefficient_mod_prime, make_context
     from ctpow.fixtures import SAMPLE_NAMES, sample_polynomial
     from ctpow.laurent import normalize
     from ctpow.recurrence import exact_coefficient
@@ -91,7 +92,7 @@ def main():
 
         target = tuple(p * s for s in nf.shift)
         tp, nf_u, target_u = torus.plan(nf, target, p)
-        meter = AllocationMeter()
+        meter = torus.AllocationMeter()
         one_prime = select_primes(31, p, congruent_to_1_mod=tp.M).primes[:1]
         torus.coefficient_residues(nf_u, target_u, p, one_prime, tp,
                                    meter=meter)

@@ -2,7 +2,7 @@
 
 The torus engine extracts one coefficient of h^p as an exact sum over roots
 of unity in prime fields and reassembles the exact integer with a residue
-number system; the recursive interpolation engine of the paper stays as the
+number system; the interpolation engine of the paper stays as the
 reference.  On top of that sit constant term series and exact
 recurrence (differential operator) discovery.
 """

@@ -1,31 +1,40 @@
-"""Coefficient extraction modulo one prime by recursive interpolation.
+"""Coefficient extraction modulo one prime by interpolation at integer nodes.
 
 This is the reference engine that follows the paper; the pipeline in
 recurrence.py runs the torus engine (torus.py) instead.
 
-For f with degree d_k in variable k, the coefficient [f^p]_i is recovered
-one variable at a time: substitute nodes u = 0..N_k for the last variable
-(N_k = p*d_k, the degree of f^p in that variable), recurse on the smaller
-polynomials, and combine the results with a single row of the inverse
-Vandermonde matrix.  The base case powers scalars.  When the first variable
-has degree exactly 2 and its target exponent equals p, the last two levels
-collapse into split2, which expands
+For f with degree d_k in variable k, f^p has degree N_k = p*d_k in it, so
+interpolating f^p at the nodes 0..N_k of every variable gives
 
-    [ (A0 + B*X1 + C*X1^2)^p ]_{X1^p}
-        = sum_{j=0..p//2} M_j * (A0*C)^j * B^(p-2j),
-    M_j = p! / (j! j! (p-2j)!),
+    [f^p]_i = sum_s (prod_k row_k[s_k]) * f(s)^p   (mod q),
 
-and only then interpolates the remaining variable, replacing a whole level
-of recursion with one pass over the nodes.
+the sum over the nodes s in prod_k [0, N_k], with row_k row i_k of the
+inverse Vandermonde matrix at the nodes 0..N_k (interp.py).  When the first
+variable X1 has degree exactly 2, its target exponent equals p and another
+variable remains, split2 sums X1 exactly instead of over its nodes: with
+f = A0 + B*X1 + C*X1^2 (A0, B, C polynomials in the other variables),
+f(s)^p becomes
+
+    [f^p]_(X1^p) = sum_j K_j (A0*C)^j * B^(p-2j),   K_j = p!/(j! j! (p-2j)!),
+
+the trinomial sum of torus.py at m = 0 (torus._trinomial).
+
+The nodes are walked in chunks of torus._ROWS rows; a row runs along the
+first summed variable.  At each row, the terms' coefficients times the
+powers s_k^e of the other summed variables (from per-variable tables) add
+up to the coefficients in the row variable of each class of terms (by
+exponent of X1 with split2, one class without), and Horner evaluates them
+along the row.  No intermediate polynomial is stored, so the live
+auxiliary elements stay O(chunk * max_k N_k), linear in p.
 
 Residues are kept in numpy int64 arrays.  All moduli are below 2**31, so a
 product of two residues stays below 2**62 and a sum of two such products
 below 2**63; nothing here can overflow.
 
-Work is instrumented: Counters tallies base-case invocations, scalar
-powerings and elementwise multiplications, and AllocationMeter tracks the
-peak number of live auxiliary field elements (input tensor excluded), which
-stays linear in sum_k N_k.
+Work is instrumented: Counters holds the rows walked with and without
+split2, the points powered and the walk's elementwise multiplications, all
+from the walk's shape, and AllocationMeter tracks the peak number of live
+auxiliary field elements (input tensor excluded).
 """
 
 from __future__ import annotations
@@ -35,8 +44,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import interp
+from . import interp, torus
 from .laurent import NormalizedPolynomial
+from .torus import AllocationMeter
 
 
 class EngineError(ValueError):
@@ -60,22 +70,8 @@ class Counters:
 
 
 @dataclass
-class AllocationMeter:
-    current: int = 0
-    peak: int = 0
-
-    def take(self, n: int):
-        self.current += n
-        if self.current > self.peak:
-            self.peak = self.current
-
-    def give(self, n: int):
-        self.current -= n
-
-
-@dataclass
 class PrimeContext:
-    """Per-prime state: nodes, cached rows, multinomials, instrumentation."""
+    """Per-prime state: cached rows, instrumentation."""
     q: int
     p: int
     target: tuple[int, ...]
@@ -91,16 +87,6 @@ class PrimeContext:
             raise ModulusTooSmall(
                 f"modulus {self.q} must exceed the node count {top}")
         self._rows: dict[tuple[int, int], np.ndarray] = {}
-        self._nodes: dict[int, np.ndarray] = {}
-        self._multinomials: np.ndarray | None = None
-
-    def nodes(self, N: int) -> np.ndarray:
-        u = self._nodes.get(N)
-        if u is None:
-            u = np.arange(N + 1, dtype=np.int64)
-            self._nodes[N] = u
-            self.meter.take(N + 1)
-        return u
 
     def row_for(self, N: int, r: int) -> np.ndarray:
         key = (N, r)
@@ -112,224 +98,98 @@ class PrimeContext:
             self.meter.take(N + 1)
         return row
 
-    def multinomials(self) -> np.ndarray:
-        """M_j = p!/(j! j! (p-2j)!) mod q for j = 0..p//2."""
-        if self._multinomials is None:
-            p, m = self.p, self.p // 2
-            self._multinomials = np.array(
-                [math.comb(p, j) * math.comb(p - j, j) % self.q
-                 for j in range(m + 1)], dtype=np.int64)
-            self.meter.take(m + 1)
-        return self._multinomials
-
-
-def _vec_pow(v: np.ndarray, p: int, ctx: PrimeContext) -> np.ndarray:
-    """Elementwise v**p mod q by binary powering (p >= 1)."""
-    q = ctx.q
-    ctx.counters.mults += v.size * (p.bit_count() + p.bit_length() - 1)
-    result = np.ones_like(v)
-    base = v % q
-    while p:
-        if p & 1:
-            result = result * base % q
-        p >>= 1
-        if p:
-            base = base * base % q
-    return result
-
-
-def _base_case(i, A, p, ctx):
-    """k = 1: evaluate at the nodes, power, dot with the row."""
-    q = ctx.q
-    N = ctx.level_nodes[0]
-    u = ctx.nodes(N)
-    width = N + 1
-    ctx.meter.take(3 * width)
-    v = np.full(width, int(A[-1]), dtype=np.int64)
-    for j in range(A.shape[0] - 2, -1, -1):
-        v = (v * u + int(A[j])) % q
-    w = _vec_pow(v, p, ctx)
-    out = int((w * ctx.row_for(N, i[0]) % q).sum() % q)
-    # Horner steps plus the dot with the row
-    ctx.counters.mults += width * A.shape[0]
-    ctx.counters.base_invocations += 1
-    ctx.counters.pow_mod_calls += width
-    ctx.meter.give(3 * width)
-    return out
-
 
 def split2(i1: int, A: np.ndarray, p: int, ctx: PrimeContext) -> int:
-    """[f^p]_(p, i2) for f = A0(X2) + B(X2)*X1 + C(X2)*X1^2, in one pass.
+    """[f^p]_(p, i2, ...) for f = A0 + B*X1 + C*X1^2, with A0, B and C
+    polynomials in the other variables (at least one), in one node walk.
 
     Requires degree exactly 2 in the split variable and i1 == p; the caller
-    falls back to the generic recursion otherwise.  i2 is taken from the
+    walks every variable's nodes otherwise.  i2, ... are taken from the
     context target.
     """
-    if A.ndim != 2 or A.shape[0] != 3:
+    if A.ndim < 2 or A.shape[0] != 3:
         raise SplitPrecondition("split variable must have degree exactly 2")
     if i1 != p:
         raise SplitPrecondition("split target exponent must equal the power")
-    q = ctx.q
-    N = ctx.level_nodes[1]
-    u = ctx.nodes(N)
-    width = N + 1
-    counters = ctx.counters
-    counters.split2_calls += 1
-    ctx.meter.take(5 * width)
-
-    # A0, B and C at the nodes, by Horner
-    d2 = A.shape[1] - 1
-    V = np.repeat(A[:, d2][:, None], width, axis=1)
-    for j in range(d2 - 1, -1, -1):
-        V = (V * u + A[:, j][:, None]) % q
-    acc = _split2_sum(*V, p, ctx)
-    row = ctx.row_for(N, ctx.target[1])
-    out = int((acc * row % q).sum() % q)
-    counters.mults += (3 * d2 + 1) * width      # Horner, then the row
-    ctx.meter.give(5 * width)
-    return out
+    return _walk(A, p, ctx, split=True)
 
 
-def _split2_sum(a0, bv, cv, p: int, ctx: PrimeContext) -> np.ndarray:
-    """sum_j M_j g^j h^(m-j) with g = A0*C, h = B^2 and m = p//2, by
-    homogeneous Horner, times B for odd p; elementwise."""
-    q = ctx.q
-    M = ctx.multinomials()
-    m = p // 2
-    g = a0 * cv % q
-    h = bv * bv % q
-    acc = np.full(a0.shape, int(M[m]), dtype=np.int64)
-    hp = np.ones(a0.shape, dtype=np.int64)
-    for j in range(m - 1, -1, -1):
-        hp = hp * h % q
-        acc = (acc * g + int(M[j]) * hp) % q
-    if p & 1:
-        acc = acc * bv % q
-    ctx.counters.mults += a0.size * (2 + 3 * m + (p & 1))
-    return acc
+def _trinomial_mults(p: int) -> int:
+    """Elementwise multiplications per point of torus._trinomial at m = 0:
+    ten for the powers of u and v, four per block of four j and three more
+    per later block (two at j = 0), the r lowest j, and a for odd p."""
+    J = p // 2
+    r = (J + 1) % 4
+    n = 10 + 2 * (r > 0) + (r + (r == 3)) * (r > 1) + (p & 1)
+    for j0 in range(J - 3, -1, -4):
+        n += 4 if j0 == J - 3 else 6 + (j0 > 0)
+    return n
 
 
-def _split2_applies(A, i, p, ctx) -> bool:
-    return (ctx.use_split2 and p >= 2 and A.ndim == 2
-            and A.shape[0] == 3 and i[0] == p)
-
-
-# Node loops at the two innermost levels are processed in fixed-size chunks:
-# a chunk of nodes shares each numpy call, so the Python overhead per node
-# drops by the chunk factor while the live buffers stay O(chunk * N), still
-# linear in N.
-_CHUNK = 8
-
-
-def _base_block(i, A, p, ctx, lo, hi):
-    """Two remaining variables: contract at each node in [lo, hi) and run the
-    univariate base case on all columns of a chunk at once."""
-    q = ctx.q
-    N2 = ctx.level_nodes[1]
-    N1 = ctx.level_nodes[0]
-    row2 = ctx.row_for(N2, i[1])
-    row1 = ctx.row_for(N1, i[0])
-    u1 = ctx.nodes(N1)
-    d2 = A.shape[1] - 1
-    d1 = A.shape[0] - 1
-    w1 = N1 + 1
+def _walk(A: np.ndarray, p: int, ctx: PrimeContext, split: bool) -> int:
+    """sum_s (prod_k row_k[s_k]) G(s) mod q over the nodes s of the summed
+    variables, all but X1 with split and all without, where G is
+    f(s)^p, or the trinomial sum over X1 with split."""
+    q, N, target = ctx.q, ctx.level_nodes, ctx.target
+    qs = np.array([[q]], dtype=np.int64)
+    first = int(split)                       # the variable along a row
+    outer = range(first + 1, A.ndim)         # the variables across rows
+    shape = tuple(N[k] + 1 for k in outer)
+    n_rows, L = math.prod(shape), N[first] + 1
+    R = min(torus._ROWS, n_rows)
+    # each term's coefficient, and which (class, row exponent) it adds to
+    E = np.argwhere(A)
+    coeffs = A[tuple(E.T)][:, None]
+    classes, d = (A.shape[0] if split else 1), A.shape[first] - 1
+    group = np.zeros((classes * (d + 1), len(E)), dtype=np.int64)
+    group[E[:, 0] * (d + 1) * split + E[:, first], np.arange(len(E))] = 1
+    # s^e mod q for the nodes s and exponents e of each outer variable
+    powers = {}
+    for k in outer:
+        table = np.ones((N[k] + 1, A.shape[k]), dtype=np.int64)
+        table[:, 1:] = np.arange(N[k] + 1)[:, None]
+        powers[k] = torus._cumprod_mod(table, q)
+    rows = {k: ctx.row_for(N[k], target[k]) for k in range(first, A.ndim)}
+    K = torus._trinomial_weights(p, 0, qs) if split else None
+    u = np.arange(L, dtype=np.int64)
+    held = (sum(t.size for t in powers.values()) + (K.size if split else 0)
+            + (len(E) + classes * (d + 1) + 2) * R
+            + (classes + torus._LIVE) * R * L)
+    ctx.meter.take(held)
     acc = 0
-    for lo_c in range(lo, hi, _CHUNK):
-        hi_c = min(lo_c + _CHUNK, hi)
-        c = hi_c - lo_c
-        s = ctx.nodes(N2)[lo_c:hi_c]
-        ctx.meter.take((d1 + 1) * c + 3 * c * w1 + c)
-        # B[j1, t] = sum_j2 A[j1, j2] * s_t^j2
-        B = np.repeat(A[:, d2][:, None], c, axis=1)
-        for j in range(d2 - 1, -1, -1):
-            B = (B * s + A[:, j][:, None]) % q
-        # evaluate every column at the level-1 nodes, then power and combine
-        V = np.repeat(B[d1][:, None], w1, axis=1)
-        for j in range(d1 - 1, -1, -1):
-            V = (V * u1 + B[j][:, None]) % q
-        W = _vec_pow(V, p, ctx)
-        partial = (W * row1 % q).sum(axis=1) % q
-        acc = (acc + int((partial * row2[lo_c:hi_c] % q).sum())) % q
-        # both Horner passes, then the two rows
-        ctx.counters.mults += c * (d2 * (d1 + 1) + d1 * w1 + w1 + 1)
-        ctx.counters.base_invocations += c
-        ctx.counters.pow_mod_calls += c * w1
-        ctx.meter.give((d1 + 1) * c + 3 * c * w1 + c)
+    for lo in range(0, n_rows, R):
+        # the outer nodes of each row (the trailing axis of one lets a walk
+        # without outer variables unravel too)
+        s = np.unravel_index(np.arange(lo, min(lo + R, n_rows)),
+                             shape + (1,))[:-1]
+        t, w = coeffs, 1
+        for k, sk in zip(outer, s):
+            t = t * powers[k][sk, E[:, k][:, None]] % q
+            w = w * rows[k][sk] % q
+        P = (group @ t % q).reshape(classes, d + 1, -1, 1)
+        v = np.repeat(P[:, d], L, axis=2)
+        for e in range(d - 1, -1, -1):
+            v = (v * u + P[:, e]) % q
+        if split:
+            G = torus._trinomial(v[1], v[2], v[0], p, 0, K, qs)
+        else:
+            G = torus._powmod(v[0], p, q)
+        part = (G * rows[first] % q).sum(axis=1) % q
+        acc = (acc + int((part * w % q).sum())) % q
+    ctx.meter.give(held)
+
+    points, c = n_rows * L, ctx.counters
+    if split:
+        c.split2_calls += n_rows
+    else:
+        c.base_invocations += n_rows
+        c.pow_mod_calls += points
+    per_point = (_trinomial_mults(p) if split
+                 else p.bit_count() + p.bit_length() - 1)
+    # term and row-weight products per row; Horner, G and the row per point
+    c.mults += (n_rows * (len(E) + 1) * len(outer) + n_rows
+                + points * (classes * d + per_point + 1))
     return acc
-
-
-def _split2_block(i, A, p, ctx, lo, hi):
-    """Three remaining variables whose contraction admits the degree-2
-    shortcut: contract at each node in [lo, hi) and run the shortcut on a
-    whole chunk of slices at once."""
-    q = ctx.q
-    N3 = ctx.level_nodes[2]
-    N2 = ctx.level_nodes[1]
-    row3 = ctx.row_for(N3, i[2])
-    row2 = ctx.row_for(N2, ctx.target[1])
-    u2 = ctx.nodes(N2)
-    d3 = A.shape[2] - 1
-    d2 = A.shape[1] - 1
-    w2 = N2 + 1
-    counters = ctx.counters
-    acc = 0
-    for lo_c in range(lo, hi, _CHUNK):
-        hi_c = min(lo_c + _CHUNK, hi)
-        c = hi_c - lo_c
-        s = ctx.nodes(N3)[lo_c:hi_c]
-        held = 3 * (d2 + 1) * c + 7 * c * w2 + c
-        ctx.meter.take(held)
-        # T[r, j1, t] = sum_j A[r, j1, j] * s_t^j
-        T = np.repeat(A[:, :, d3][:, :, None], c, axis=2)
-        for j in range(d3 - 1, -1, -1):
-            T = (T * s + A[:, :, j][:, :, None]) % q
-        E = np.repeat(T[:, d2][:, :, None], w2, axis=2)
-        for j in range(d2 - 1, -1, -1):
-            E = (E * u2 + T[:, j][:, :, None]) % q
-        val = _split2_sum(*E, p, ctx)
-        partial = (val * row2 % q).sum(axis=1) % q
-        acc = (acc + int((partial * row3[lo_c:hi_c] % q).sum())) % q
-        # both Horner passes, then the two rows
-        counters.mults += c * (3 * d3 * (d2 + 1) + 3 * d2 * w2 + w2 + 1)
-        counters.split2_calls += c
-        ctx.meter.give(held)
-    return acc
-
-
-def _node_sum(k, i, A, p, ctx, lo, hi):
-    """Generic level: contract the last axis at each node, recurse, combine."""
-    if k == 2:
-        return _base_block(i, A, p, ctx, lo, hi)
-    if (k == 3 and ctx.use_split2 and p >= 2 and A.shape[0] == 3
-            and i[0] == p):
-        return _split2_block(i, A, p, ctx, lo, hi)
-    q = ctx.q
-    N = ctx.level_nodes[k - 1]
-    row = ctx.row_for(N, i[k - 1])
-    dk = A.shape[-1] - 1
-    size_b = A.size // A.shape[-1]
-    inner = i[:-1]
-    acc = 0
-    for s in range(lo, hi):
-        ctx.meter.take(size_b)
-        B = A[..., dk].copy()
-        for j in range(dk - 1, -1, -1):
-            B = (B * s + A[..., j]) % q
-        ctx.counters.mults += dk * size_b
-        w = coeff(k - 1, inner, B, p, ctx)
-        ctx.meter.give(size_b)
-        acc = (acc + w * int(row[s])) % q
-        ctx.counters.mults += 1
-    return acc
-
-
-def coeff(k: int, i, A, p: int, ctx: PrimeContext) -> int:
-    """[A^p]_i mod q for the first k variables of the context."""
-    if k == 1:
-        return _base_case(i, A, p, ctx)
-    if k == 2 and _split2_applies(A, i, p, ctx):
-        return split2(i[0], A, p, ctx)
-    return _node_sum(k, i, A, p, ctx, 0, ctx.level_nodes[k - 1] + 1)
 
 
 def make_context(nf: NormalizedPolynomial, i, p: int, q: int,
@@ -368,4 +228,7 @@ def coefficient_mod_prime(nf: NormalizedPolynomial, i, p: int, q: int,
         return nf.tensor[i] % q
     if nf.n == 0:
         return pow(nf.tensor[()], p, q)
-    return coeff(nf.n, i, ctx.tensor, p, ctx)
+    A = ctx.tensor
+    if ctx.use_split2 and A.ndim >= 2 and A.shape[0] == 3 and i[0] == p:
+        return split2(i[0], A, p, ctx)
+    return _walk(A, p, ctx, split=False)

@@ -75,7 +75,6 @@ from itertools import islice
 import numpy as np
 
 from . import symmetry
-from .engine import AllocationMeter
 from .laurent import NormalizedPolynomial
 from .rns import root_of_unity
 from .symmetry import Matrix
@@ -91,6 +90,21 @@ MAX_SERIES = 1 << 16
 # larger groups are not used: their orbit and coordinate work outgrows the
 # saving (the largest group of a 4-dimensional reflexive polytope has 1152)
 _MAX_ORDER = 1152
+
+
+@dataclass
+class AllocationMeter:
+    """The current and peak number of live auxiliary field elements."""
+    current: int = 0
+    peak: int = 0
+
+    def take(self, n: int):
+        self.current += n
+        if self.current > self.peak:
+            self.peak = self.current
+
+    def give(self, n: int):
+        self.current -= n
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,14 @@ def test_work_counters_follow_node_products():
     n3, n2, n1 = ctx.level_nodes[2], ctx.level_nodes[1], ctx.level_nodes[0]
     assert ctx.counters.base_invocations == (n3 + 1) * (n2 + 1)
     assert ctx.counters.pow_mod_calls == (n3 + 1) * (n2 + 1) * (n1 + 1)
+    # with split2, one row along X2 per node of X3 and X4
+    nf39 = normalize(sample_polynomial("39"))
+    p = 20
+    target = tuple(p * s for s in nf39.shift)
+    on = make_context(nf39, target, p, Q, use_split2=True)
+    coefficient_mod_prime(nf39, target, p, Q, True, on)
+    assert on.counters.split2_calls == 41 ** 2
+    assert on.counters.base_invocations == on.counters.pow_mod_calls == 0
 
 
 def test_split2_does_strictly_less_work():

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from ctpow import torus
-from ctpow.engine import AllocationMeter
 from ctpow.fixtures import sample_polynomial
 from ctpow.laurent import make_polynomial, normalize, parse_laurent
 from ctpow.oracle import naive_power_coeff
 from ctpow.rns import root_of_unity, select_primes
+from ctpow.torus import AllocationMeter
 
 
 def _primes(tp, p, bits=62):
