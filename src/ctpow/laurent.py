@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 MAX_TENSOR = 1 << 24        # entries; normalize refuses larger tensors
@@ -45,18 +44,6 @@ class LaurentPolynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def evaluate(self, point):
-        """Exact value at a point with all coordinates nonzero (Fractions ok)."""
-        if len(point) != self.n:
-            raise LaurentError("point dimension mismatch")
-        total = Fraction(0)
-        for c, e in self.terms:
-            v = Fraction(c)
-            for x, k in zip(point, e):
-                v *= Fraction(x) ** k
-            total += v
-        return total
 
 
 @dataclass(frozen=True)
@@ -222,8 +209,9 @@ def _parse_json_text(text: str) -> LaurentPolynomial:
 
 
 def polynomial_from_json(obj) -> LaurentPolynomial:
-    if not isinstance(obj, dict) or "variables" not in obj or "terms" not in obj:
-        raise LaurentError("JSON polynomial needs 'variables' and 'terms'")
+    if (not isinstance(obj, dict) or "variables" not in obj
+            or not isinstance(obj.get("terms"), list)):
+        raise LaurentError("JSON polynomial needs 'variables' and a 'terms' list")
     variables = obj["variables"]
     if (not isinstance(variables, list)
             or any(not isinstance(v, str) for v in variables)

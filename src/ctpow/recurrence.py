@@ -8,22 +8,24 @@ fitting step that looks for relations
 
     P_0(n) a_n + P_1(n-1) a_(n-1) + ... + P_k(n-k) a_(n-k) = 0
 
-with polynomial coefficients of degree at most d, by computing the exact
-integer nullspace of the overdetermined linear system the relation imposes
-on the known terms.  A fit is only reported when the nullspace is exactly
-one-dimensional and does not move when the last few equations are withheld.
-Such a relation is the same data as a differential operator
-sum_i z^i P_i(theta) annihilating the generating function, theta = z d/dz.
+with polynomial coefficients of degree at most d.  The kernel of the
+overdetermined linear system the relation imposes on the known terms is
+found modulo 31-bit primes, lifted to integers by CRT and rational
+reconstruction, and checked exactly on the terms.  A fit is only reported
+when the kernel is one-dimensional over Q and does not move when the last
+few equations are withheld.  Such a relation is the same data as a
+differential operator sum_i z^i P_i(theta) annihilating the generating
+function, theta = z d/dz.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -32,7 +34,8 @@ from . import torus
 from .engine import coefficient_mod_prime  # noqa: F401
 from .laurent import (LaurentPolynomial, normalize, polynomial_from_json,
                       polynomial_to_json, total_weight)
-from .rns import ModulusSet, RnsValue, coefficient_bound_bits, reconstruct, select_primes
+from .rns import (ModulusSet, RnsValue, _is_prime, coefficient_bound_bits,
+                  reconstruct, select_primes)
 
 
 class FitError(ValueError):
@@ -125,7 +128,7 @@ def series_from_json(obj) -> Series:
     if isinstance(obj, list):
         terms = obj
         poly = None
-    elif isinstance(obj, dict) and "terms" in obj:
+    elif isinstance(obj, dict) and isinstance(obj.get("terms"), list):
         terms = obj["terms"]
         poly = obj.get("poly")
     else:
@@ -220,35 +223,27 @@ def make_recurrence(polys) -> Recurrence:
     return Recurrence(tuple(tuple(c // g for c in p) for p in polys))
 
 
+def _holds(polys, terms) -> bool:
+    """sum_i P_i(n-i) a_(n-i) = 0 for every n < len(terms)."""
+    return all(sum(_poly_eval(poly, n - i) * terms[n - i]
+                   for i, poly in enumerate(polys[:n + 1])) == 0
+               for n in range(len(terms)))
+
+
 def verify_recurrence(rec: Recurrence, series) -> bool:
     """Check sum_i P_i(n-i) a_(n-i) = 0 for every n the series covers."""
-    terms = series.terms if isinstance(series, Series) else list(series)
-    for n in range(len(terms)):
-        total = 0
-        for i, poly in enumerate(rec.polys):
-            if i > n:
-                break
-            total += _poly_eval(poly, n - i) * terms[n - i]
-        if total != 0:
-            return False
-    return True
+    return _holds(rec.polys, series.terms if isinstance(series, Series)
+                  else list(series))
 
 
-# fitting: exact nullspace of the relation matrix
+# fitting: the kernel of the relation matrix modulo 31-bit primes, lifted
 
-# a 31-bit prime for the rank filter: every product stays below 2**62
+# the first prime tried: every product of two residues stays below 2**62
 _RANK_PRIME = (1 << 31) - 1
 
 
-def _relation_matrix(terms, k, d):
-    """Row n: a_(n-i) (n-i)^j for i = 0..k, j = 0..d (a_m = 0 for m < 0)."""
-    return [[(terms[n - i] if n >= i else 0) * (n - i) ** j
-             for i in range(k + 1) for j in range(d + 1)]
-            for n in range(len(terms))]
-
-
 def _relation_matrix_mod(terms, k, d, q) -> np.ndarray:
-    """_relation_matrix(terms, k, d) mod q as an int64 array."""
+    """Row n: a_(n-i) (n-i)^j mod q, i = 0..k, j = 0..d, a_m = 0 for m < 0."""
     t = np.array([a % q for a in terms] + [0], dtype=np.int64)
     base = np.arange(len(terms))[:, None] - np.arange(k + 1)   # n - i
     cols = [t[np.where(base >= 0, base, -1)]]                  # a_(n-i) or 0
@@ -257,75 +252,66 @@ def _relation_matrix_mod(terms, k, d, q) -> np.ndarray:
     return np.stack(cols, axis=2).reshape(len(terms), -1)
 
 
-def _rank_mod_prime(m: np.ndarray, q: int) -> int:
-    """Rank of m (entries in [0, q), q < 2**31) modulo q; one vectorised
-    fraction-free update of the rows below each pivot."""
+def _kernel_mod_prime(m: np.ndarray, q: int):
+    """(pivot columns, kernel basis) of m (entries in [0, q), q < 2**31)
+    modulo q: one vectorised fraction-free update of the rows below each
+    pivot, then back substitution for all free columns at once.  Basis
+    vector f is 1 at the f-th free column and 0 at the others."""
     m = m.copy()
-    rank = 0
-    for c in range(m.shape[1]):
-        nonzero = m[rank:, c].nonzero()[0]
+    ncols = m.shape[1]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        nonzero = m[r:, c].nonzero()[0]
         if not nonzero.size:
             continue
         if nonzero[0]:
-            m[[rank, rank + nonzero[0]]] = m[[rank + nonzero[0], rank]]
-        below = m[rank + 1:, c:]
-        below[:] = (below * m[rank, c] - below[:, :1] * m[rank, c:]) % q
-        rank += 1
-    return rank
+            m[[r, r + nonzero[0]]] = m[[r + nonzero[0], r]]
+        below = m[r + 1:, c:]
+        below[:] = (below * m[r, c] - below[:, :1] * m[r, c:]) % q
+        pivots.append(c)
+    if len(pivots) == ncols:
+        return pivots, []
+    free = sorted(set(range(ncols)) - set(pivots))
+    x = np.zeros((ncols, len(free)), dtype=np.int64)
+    x[free, range(len(free))] = 1
+    for r, c in reversed(list(enumerate(pivots))):
+        s = (m[r, c + 1:, None] * x[c + 1:] % q).sum(axis=0) % q
+        x[c] = (q - s) * pow(int(m[r, c]), -1, q) % q
+    return pivots, x.T.tolist()
 
 
-def _nullspace_1d(rows, ncols):
-    """(nullity, primitive integer vector or None) by fraction-free elimination."""
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    pivots = []  # (row, col)
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = next((rr for rr in range(r, nrows) if m[rr][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for rr in range(r + 1, nrows):
-            factor = m[rr][c]
-            prow = m[r]
-            mr = m[rr]
-            pivval = prow[c]
-            for cc in range(c + 1, ncols):
-                mr[cc] = (pivval * mr[cc] - factor * prow[cc]) // prev
-            mr[c] = 0
-        prev = m[r][c]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    pivot_cols = {c for _, c in pivots}
-    free = [c for c in range(ncols) if c not in pivot_cols]
-    if len(free) != 1:
-        return len(free), None
-    x = [Fraction(0)] * ncols
-    x[free[0]] = Fraction(1)
-    for row_idx, c in reversed(pivots):
-        row = m[row_idx]
-        s = sum((row[cc] * x[cc] for cc in range(c + 1, ncols) if row[cc]),
-                Fraction(0))
-        x[c] = -s / row[c]
-    lcm = math.lcm(*(v.denominator for v in x))
-    ints = [int(v * lcm) for v in x]
-    g = math.gcd(*ints)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return 1, tuple(ints)
+def _lift(x, n):
+    """An integer multiple of the rational vector whose residues mod n are
+    x, by rational reconstruction of each entry times the common denominator
+    found so far (Wang, Guy and Davenport, SIGSAM Bull. 16, 1982), or None."""
+    bound = math.isqrt(n // 2)
+    out, den = [], 1
+    for v in x:
+        r0, r1, t0, t1 = n, v * den % n, 0, 1
+        while r1 > bound:
+            quo = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
+        if abs(t1) > bound:
+            return None
+        out = [u * abs(t1) for u in out] + [r1 if t1 > 0 else -r1]
+        den *= abs(t1)
+    return out
 
 
 def fit_recurrence(series, k: int, d: int, extra: int = 5):
     """The unique stable relation of shape (k, d), or None.
 
-    The system must be overdetermined by at least `extra` equations; the
-    relation is accepted only if its nullspace is one-dimensional both with
-    and without the last `extra` equations and identical in both cases.
+    The system must be overdetermined by at least `extra` equations.  The
+    kernel of the others is found modulo primes from _RANK_PRIME down; full
+    column rank at any prime means no relation.  Modulo q the i-th pivot
+    column can only move right or vanish, so only the primes with the best
+    key (-rank, pivot columns) so far are kept, and a better key restarts
+    the lift.  The kept bases are combined by CRT and lifted by rational
+    reconstruction until every lifted vector satisfies the equations
+    exactly; as the nullity over Q is at most that mod q, they then span
+    the kernel.  It must be one-dimensional, with P_0 != 0, and its vector
+    must also satisfy the withheld equations.
     """
     terms = list(series.terms if isinstance(series, Series) else series)
     ncols = (k + 1) * (d + 1)
@@ -334,18 +320,30 @@ def fit_recurrence(series, k: int, d: int, extra: int = 5):
     if len(terms) < ncols + extra:
         raise FitError(f"series too short: need {ncols + extra} terms, have {len(terms)}")
     cut = len(terms) - extra
-    # cheap certificate: full column rank mod a prime means empty nullspace
-    if _rank_mod_prime(_relation_matrix_mod(terms[:cut], k, d, _RANK_PRIME),
-                       _RANK_PRIME) == ncols:
-        return None
-    rows = _relation_matrix(terms, k, d)
-    nullity, v = _nullspace_1d(rows[:cut], ncols)
-    if nullity != 1 or _nullspace_1d(rows, ncols) != (1, v):
-        return None
-    polys = [tuple(v[i * (d + 1):(i + 1) * (d + 1)]) for i in range(k + 1)]
-    if not any(polys[0]):
-        return None
-    return make_recurrence(polys)
+    best = (1,)             # worse than any key (-rank, pivot columns)
+    for q in filter(_is_prime, itertools.count(_RANK_PRIME, -2)):
+        pivots, kernel = _kernel_mod_prime(
+            _relation_matrix_mod(terms[:cut], k, d, q), q)
+        if not kernel:
+            return None
+        key = (-len(pivots), pivots)
+        if key > best:
+            continue
+        if key < best:      # restart: modulo n = 1 any basis will do
+            best, n, basis = key, 1, kernel
+        inv = pow(n, -1, q)
+        basis = [[a + n * ((b - a) * inv % q) for a, b in zip(u, v)]
+                 for u, v in zip(basis, kernel)]
+        n *= q
+        lifted = [_lift(v, n) for v in basis]
+        if None in lifted:
+            continue
+        polys = [[v[i * (d + 1):(i + 1) * (d + 1)] for i in range(k + 1)]
+                 for v in lifted]
+        if all(_holds(p, terms[:cut]) for p in polys):
+            if len(polys) == 1 and any(polys[0][0]) and _holds(polys[0], terms):
+                return make_recurrence(polys[0])
+            return None
 
 
 def search_recurrence(series, max_k: int, max_d: int, extra: int = 5):

@@ -146,6 +146,18 @@ def test_missing_poly_file(capsys):
     assert "error:" in err
 
 
+def test_json_whose_terms_are_not_a_list_exits_3(tmp_path, capsys):
+    f = tmp_path / "f.json"
+    for obj in ({"variables": ["X"], "terms": 3}, {"terms": 5},
+                {"terms": None}):
+        f.write_text(json.dumps(obj))
+        argv = (("coeff", "--poly", str(f), "--power", "2") if "variables"
+                in obj else ("findop", str(f)))
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "'terms' list" in err and "Traceback" not in err
+
+
 def test_bad_index(tmp_path, capsys):
     f = tmp_path / "h.txt"
     f.write_text("X + Y")

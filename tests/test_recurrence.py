@@ -20,9 +20,9 @@ from ctpow.recurrence import (DifferentialOperator, FitError, Recurrence,
                               recurrence_to_operator, search_recurrence,
                               series_from_json, series_to_json,
                               verify_recurrence)
-from ctpow.recurrence import (_RANK_PRIME, _nullspace_1d, _rank_mod_prime,
-                              _relation_matrix, _relation_matrix_mod,
-                              _resolve_threads)
+from ctpow import recurrence
+from ctpow.recurrence import (_RANK_PRIME, _kernel_mod_prime,
+                              _relation_matrix_mod, _resolve_threads)
 
 
 def test_exact_coefficient_small_cases():
@@ -75,10 +75,10 @@ def test_series_json_accepts_bare_lists():
     s = series_from_json(["1", "0", "2"])
     assert s.terms == (1, 0, 2)
     assert s.poly is None
-    with pytest.raises(FitError):
-        series_from_json({"nope": []})
-    with pytest.raises(FitError):
-        series_from_json([1.5])
+    for bad in ({"nope": []}, [1.5], {"terms": 5}, {"terms": None},
+                {"terms": "12"}):
+        with pytest.raises(FitError):
+            series_from_json(bad)
 
 
 def test_series_of_pure_monomial():
@@ -206,6 +206,13 @@ def test_search_skips_underdetermined_cells():
         assert (rec.k + 1) * (rec.degree + 1) + 5 <= len(terms)
 
 
+def _exact_rows(terms, k, d):
+    """Row n: a_(n-i) (n-i)^j for i = 0..k, j = 0..d (a_m = 0 for m < 0)."""
+    return [[(terms[n - i] if n >= i else 0) * (n - i) ** j
+             for i in range(k + 1) for j in range(d + 1)]
+            for n in range(len(terms))]
+
+
 def _rref_nullspace(rows, ncols):
     """Plain Fraction Gauss-Jordan, used only to cross-check the solver."""
     m = [[Fraction(v) for v in row] for row in rows]
@@ -244,33 +251,61 @@ def _rref_nullspace(rows, ncols):
     return 1, tuple(ints)
 
 
-@given(st.integers(0, 10 ** 6), st.data())
+def _reference_fit(terms, k, d, extra=5):
+    """fit_recurrence's contract by Fraction Gauss-Jordan on exact rows."""
+    rows = _exact_rows(terms, k, d)
+    ncols = (k + 1) * (d + 1)
+    nullity, v = _rref_nullspace(rows[:len(terms) - extra], ncols)
+    if nullity != 1 or _rref_nullspace(rows, ncols) != (1, v):
+        return None
+    polys = [v[i * (d + 1):(i + 1) * (d + 1)] for i in range(k + 1)]
+    return make_recurrence(polys) if any(polys[0]) else None
+
+
+def _planted_terms(rng, k, d, N, size=9):
+    """Integer terms with n a_n + sum_(i=1..k) P_i(n-i) a_(n-i) = 0 for
+    every n >= 0, P_i random of degree d >= 1 with coefficients below
+    size: a dependent column.  Returns (terms, [P_0, ..., P_k])."""
+    polys = [[rng.randint(-size, size) for _ in range(d + 1)] for _ in range(k)]
+    a = [Fraction(rng.randrange(1, 2 ** 200))]
+    for n in range(1, N):
+        a.append(-sum(sum(c * (n - i) ** j for j, c in enumerate(pi))
+                      * a[n - i] for i, pi in enumerate(polys, 1) if n >= i)
+                 / n)
+    lcm = math.lcm(*(x.denominator for x in a))
+    return [int(x * lcm) for x in a], [[0, 1] + [0] * (d - 1)] + polys
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(["planted", "perturbed",
+                                                 "wider", "random"]))
 @settings(max_examples=40, deadline=None)
-def test_nullspace_matches_plain_gauss_jordan(seed, data):
+def test_nullspace_matches_plain_gauss_jordan(seed, kind):
+    # the lifted kernel gives the relation, or None, exactly when plain
+    # Gauss-Jordan over Q does; "wider" cells have nullity 2 or more, as do
+    # planted relations that also fit a smaller cell (a P_i drops out)
     rng = random.Random(seed)
-    ncols = rng.randint(2, 6)
-    v = [rng.randint(-9, 9) for _ in range(ncols)]
-    if not any(v):
-        v[0] = 1
-    vv = sum(x * x for x in v)
-    rows = []
-    for _ in range(ncols + 2):
-        w = [rng.randint(-9, 9) for _ in range(ncols)]
-        wv = sum(a * b for a, b in zip(w, v))
-        rows.append([a * vv - b * wv for a, b in zip(w, v)])
-    got = _nullspace_1d(rows, ncols)
-    want = _rref_nullspace(rows, ncols)
-    assert got[0] == want[0]
-    if got[0] == 1:
-        assert got[1] == want[1]
+    k, d = rng.randint(1, 2), rng.randint(1, 2)
+    N = (k + 2) * (d + 1) + 5 + rng.randint(0, 4)
+    terms = _planted_terms(rng, k, d, N, size=rng.choice([9, 2 ** 40]))[0]
+    if kind == "perturbed":
+        terms[rng.randrange(N)] += rng.choice([-1, 1])
+    elif kind == "random":
+        terms = [rng.randrange(-2 ** 60, 2 ** 60) for _ in range(N)]
+    k += kind == "wider"
+    assert fit_recurrence(terms, k, d) == _reference_fit(terms, k, d)
 
 
 def test_relation_matrix_layout():
-    rows = _relation_matrix([3, 5, 7], k=1, d=1)
+    q = 11
+    m = _relation_matrix_mod([3, 5, 7], k=1, d=1, q=q)
     # row n: [a_n, n*a_n, a_(n-1), (n-1)*a_(n-1)], missing terms are zero
-    assert rows[0] == [3, 0, 0, 0]
-    assert rows[1] == [5, 5, 3, 0]
-    assert rows[2] == [7, 14, 5, 5]
+    assert m.dtype == np.int64
+    assert m.tolist() == [[3, 0, 0, 0], [5, 5, 3, 0], [7, 14 % q, 5, 5]]
+    # negative and large terms are reduced into [0, q)
+    m = _relation_matrix_mod([-3, 2 ** 70], k=1, d=2, q=q)
+    assert m.tolist() == [row for row in
+                          ([v % q for v in r] for r in
+                           _exact_rows([-3, 2 ** 70], 1, 2))]
 
 
 def _sympy_rank(rows):
@@ -278,17 +313,19 @@ def _sympy_rank(rows):
     return sympy.Matrix(rows).rank()
 
 
-def _planted_terms(rng, k, d, N):
-    """Integer terms with n a_n + sum_(i=1..k) P_i(n-i) a_(n-i) = 0 for
-    every n >= 0, P_i random of degree d >= 1: a dependent column."""
-    polys = [[rng.randint(-9, 9) for _ in range(d + 1)] for _ in range(k)]
-    a = [Fraction(rng.randrange(1, 2 ** 200))]
-    for n in range(1, N):
-        a.append(-sum(sum(c * (n - i) ** j for j, c in enumerate(pi))
-                      * a[n - i] for i, pi in enumerate(polys, 1) if n >= i)
-                 / n)
-    lcm = math.lcm(*(x.denominator for x in a))
-    return [int(x * lcm) for x in a]
+def _check_kernel(m, q, rank):
+    """_kernel_mod_prime's rank, pivots and basis on m against rank."""
+    pivots, basis = _kernel_mod_prime(m, q)
+    ncols = m.shape[1]
+    assert len(pivots) == rank
+    assert pivots == sorted(pivots)
+    assert len(basis) == ncols - rank
+    free = [c for c in range(ncols) if c not in pivots]
+    rows = m.tolist()
+    for f, x in zip(free, basis):
+        assert [x[c] for c in free] == [int(c == f) for c in free]
+        assert all(sum(a * b for a, b in zip(row, x)) % q == 0
+                   for row in rows)
 
 
 def test_rank_filter_matches_sympy_on_relation_matrices():
@@ -297,13 +334,13 @@ def test_rank_filter_matches_sympy_on_relation_matrices():
     q = _RANK_PRIME
     for k, d, N in ((1, 1, 8), (2, 2, 14), (3, 1, 12)):
         rand = [rng.randrange(-2 ** 200, 2 ** 200) for _ in range(N)]
-        planted = _planted_terms(rng, k, d, N)
+        planted = _planted_terms(rng, k, d, N)[0]
         for terms, full in ((rand, True), (planted, False)):
-            rows = _relation_matrix(terms, k, d)
+            rows = _exact_rows(terms, k, d)
             m = _relation_matrix_mod(terms, k, d, q)
             assert m.tolist() == [[v % q for v in row] for row in rows]
-            rank = _rank_mod_prime(m, q)
-            assert rank == _sympy_rank(rows)
+            rank = _sympy_rank(rows)
+            _check_kernel(m, q, rank)
             assert (rank == (k + 1) * (d + 1)) == full
 
 
@@ -323,9 +360,59 @@ def test_rank_filter_matches_sympy_on_random_matrices():
                          for r in range(nrows)])
         rows = [list(r) for r in zip(*cols)]
         m = np.array([[v % q for v in row] for row in rows], dtype=np.int64)
-        rank = _rank_mod_prime(m, q)
-        assert rank == _sympy_rank(rows)
+        rank = _sympy_rank(rows)
+        _check_kernel(m, q, rank)
         assert rank == min(nrows, ncols - dependent) or zeros
+
+
+def test_fit_survives_a_first_prime_that_sees_only_zeros():
+    # every residue mod _RANK_PRIME is 0, so the first prime shows nullity 6
+    terms = [_RANK_PRIME * known_family("central_binomial", p)
+             for p in range(16)]
+    pivots, basis = _kernel_mod_prime(
+        _relation_matrix_mod(terms[:-5], 2, 1, _RANK_PRIME), _RANK_PRIME)
+    assert (pivots, len(basis)) == ([], 6)
+    rec = fit_recurrence(terms, 2, 1)
+    assert rec is not None and rec.polys == ((0, 1), (0, 0), (-4, -4))
+
+
+def test_fit_lifts_a_kernel_over_several_primes(monkeypatch):
+    # coefficients near 2**40 need more than one 31-bit prime to reconstruct
+    rng = random.Random(5)
+    terms, polys = _planted_terms(rng, 2, 2, 20, size=2 ** 40)
+    calls = []
+
+    def counted(m, q):
+        calls.append(q)
+        assert len(calls) < 50, "the lift does not converge"
+        return _kernel_mod_prime(m, q)
+
+    monkeypatch.setattr(recurrence, "_kernel_mod_prime", counted)
+    assert fit_recurrence(terms, 2, 2) == make_recurrence(polys)
+    assert len(calls) >= 2 and calls[0] == _RANK_PRIME
+    assert calls == sorted(calls, reverse=True)
+    # the second prime sees only zeros (nullity 9): it must be skipped, not
+    # combined with the first prime's basis
+    second = calls[1]
+    calls.clear()
+    scaled = [second * a for a in terms]
+    assert fit_recurrence(scaled, 2, 2) == make_recurrence(polys)
+    assert second in calls
+
+
+def test_fit_rejects_a_perturbed_last_term():
+    terms = [known_family("central_binomial", p) for p in range(16)]
+    terms[-1] += 1
+    # the first 11 equations still have a one-dimensional kernel
+    assert fit_recurrence(terms[:-1], 2, 1) is not None
+    assert fit_recurrence(terms, 2, 1) is None
+
+
+def test_fit_rejects_a_kernel_of_dimension_two():
+    # the relation and its shift by one both fit the (3, 1) cell
+    terms = [known_family("central_binomial", p) for p in range(16)]
+    assert _rref_nullspace(_exact_rows(terms[:-5], 3, 1), 8)[0] == 2
+    assert fit_recurrence(terms, 3, 1) is None
 
 
 def test_operator_text_rendering():
