@@ -264,8 +264,9 @@ def _reference_fit(terms, k, d, extra=5):
 
 def _planted_terms(rng, k, d, N, size=9):
     """Integer terms with n a_n + sum_(i=1..k) P_i(n-i) a_(n-i) = 0 for
-    every n >= 0, P_i random of degree d >= 1 with coefficients below
-    size: a dependent column.  Returns (terms, [P_0, ..., P_k])."""
+    every n >= 0, P_i random of degree d >= 1 with coefficients of at most
+    size in absolute value: a dependent column.  Returns (terms,
+    [P_0, ..., P_k])."""
     polys = [[rng.randint(-size, size) for _ in range(d + 1)] for _ in range(k)]
     a = [Fraction(rng.randrange(1, 2 ** 200))]
     for n in range(1, N):
@@ -302,10 +303,9 @@ def test_relation_matrix_layout():
     assert m.dtype == np.int64
     assert m.tolist() == [[3, 0, 0, 0], [5, 5, 3, 0], [7, 14 % q, 5, 5]]
     # negative and large terms are reduced into [0, q)
-    m = _relation_matrix_mod([-3, 2 ** 70], k=1, d=2, q=q)
-    assert m.tolist() == [row for row in
-                          ([v % q for v in r] for r in
-                           _exact_rows([-3, 2 ** 70], 1, 2))]
+    terms = [-3, 2 ** 70]
+    assert _relation_matrix_mod(terms, k=1, d=2, q=q).tolist() \
+        == [[v % q for v in row] for row in _exact_rows(terms, 1, 2)]
 
 
 def _sympy_rank(rows):
@@ -391,19 +391,20 @@ def test_fit_lifts_a_kernel_over_several_primes(monkeypatch):
     assert fit_recurrence(terms, 2, 2) == make_recurrence(polys)
     assert len(calls) >= 2 and calls[0] == _RANK_PRIME
     assert calls == sorted(calls, reverse=True)
-    # the second prime sees only zeros (nullity 9): it must be skipped, not
-    # combined with the first prime's basis
-    second = calls[1]
+    # the second prime sees only zeros (nullity 9): it is skipped, neither
+    # combined with the first prime's basis nor restarting the lift, so the
+    # fit takes exactly one more prime
+    used, second = calls[:], calls[1]
     calls.clear()
     scaled = [second * a for a in terms]
     assert fit_recurrence(scaled, 2, 2) == make_recurrence(polys)
-    assert second in calls
+    assert len(calls) == len(used) + 1 and calls[:-1] == used
 
 
 def test_fit_rejects_a_perturbed_last_term():
     terms = [known_family("central_binomial", p) for p in range(16)]
     terms[-1] += 1
-    # the first 11 equations still have a one-dimensional kernel
+    # without the changed term the relation is found
     assert fit_recurrence(terms[:-1], 2, 1) is not None
     assert fit_recurrence(terms, 2, 1) is None
 
