@@ -10,8 +10,9 @@ back in full; shorter prefixes demonstrate the honest failure mode (either
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ctpow.fixtures import OPERATOR_NAMES, sample_operator, sample_polynomial
 from ctpow.recurrence import (constant_term_series, operator_to_recurrence,

@@ -8,8 +8,9 @@ and reports the prime budget it used.
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ctpow.fixtures import SAMPLE39_POWER150_CONSTANT, sample_polynomial
 from ctpow.laurent import normalize, total_weight

@@ -17,47 +17,23 @@ import random
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import torus
-from .engine import EngineError
 from .fixtures import SAMPLE_NAMES, sample_polynomial
 from .laurent import (LaurentError, normalize, parse_laurent, to_expr_string,
                       total_weight)
 from .oracle import SizeGuardError, known_family, naive_power_coeff
-from .recurrence import (FitError, constant_term_series, exact_coefficient,
+from .recurrence import (constant_term_series, exact_coefficient,
                          recurrence_to_operator, search_recurrence,
                          series_from_json, series_to_json)
 
 
-@dataclass
-class RunConfig:
-    threads: int = 0
-    prime_bits: int = 31
-    extra_equations: int = 5
-    out: str | None = None
-    fmt: str | None = None
-
-    def __post_init__(self):
-        if self.threads < 0:
-            raise ValueError("threads must be >= 0")
-        if not 20 <= self.prime_bits <= 31:
-            raise ValueError("prime_bits must be in [20, 31]")
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(threads=args.threads, prime_bits=args.prime_bits,
-                     extra_equations=getattr(args, "extra", 5),
-                     out=getattr(args, "out", None),
-                     fmt=getattr(args, "format", None))
-
-
-def _load_polynomial(args, cfg: RunConfig):
-    if getattr(args, "fixture", None):
+def _load_polynomial(args):
+    if args.fixture:
         return sample_polynomial(args.fixture)
     text = Path(args.poly).read_text()
-    fmt = cfg.fmt or ("json" if text.lstrip().startswith("{") else "expr")
+    fmt = args.format or ("json" if text.lstrip().startswith("{") else "expr")
     return parse_laurent(text, fmt)
 
 
@@ -68,9 +44,9 @@ def _parse_index(text: str):
         raise LaurentError(f"bad index {text!r}; expected i1,i2,...")
 
 
-def _emit(text: str, cfg: RunConfig):
-    if cfg.out:
-        Path(cfg.out).write_text(text + "\n")
+def _emit(text: str, out: str | None):
+    if out:
+        Path(out).write_text(text + "\n")
     else:
         print(text)
 
@@ -87,41 +63,37 @@ def _progress(label, unit):
 # --- subcommands --------------------------------------------------------------
 
 def cmd_coeff(args) -> int:
-    cfg = _config(args)
-    h = _load_polynomial(args, cfg)
+    h = _load_polynomial(args)
     index = _parse_index(args.index) if args.index else None
-    value = exact_coefficient(h, args.power, index, threads=cfg.threads,
-                              prime_bits=cfg.prime_bits)
-    _emit(str(value), cfg)
+    value = exact_coefficient(h, args.power, index, threads=args.threads,
+                              prime_bits=args.prime_bits)
+    _emit(str(value), args.out)
     return 0
 
 
 def cmd_series(args) -> int:
-    cfg = _config(args)
-    h = _load_polynomial(args, cfg)
-    s = constant_term_series(h, args.count, threads=cfg.threads,
-                             prime_bits=cfg.prime_bits,
+    h = _load_polynomial(args)
+    s = constant_term_series(h, args.count, threads=args.threads,
+                             prime_bits=args.prime_bits,
                              progress=_progress("series", "row blocks"))
-    _emit(json.dumps(series_to_json(s), indent=2, sort_keys=True), cfg)
+    _emit(json.dumps(series_to_json(s), indent=2, sort_keys=True), args.out)
     return 0
 
 
 def cmd_findop(args) -> int:
-    cfg = _config(args)
     s = series_from_json(json.loads(Path(args.series).read_text()))
     hits = search_recurrence(s, args.max_length, args.max_degree,
-                             extra=cfg.extra_equations)
+                             extra=args.extra)
     if not hits:
-        _emit("no operator found", cfg)
+        _emit("no operator found", args.out)
         return 0
     blocks = [recurrence_to_operator(rec).to_text() for rec in hits]
-    _emit("\n\n".join(blocks), cfg)
+    _emit("\n\n".join(blocks), args.out)
     return 0
 
 
 def cmd_bench(args) -> int:
-    cfg = _config(args)
-    h = _load_polynomial(args, cfg)
+    h = _load_polynomial(args)
     powers = sorted({int(p) for p in args.power.split(",")})
     lines = [f"polynomial: {to_expr_string(h)}",
              f"terms: {len(h.terms)}  weight: {total_weight(h)}",
@@ -135,8 +107,8 @@ def cmd_bench(args) -> int:
                      f"M={tp.M} |H|={max(len(tp.H), 1)} points="
                      f"{torus.representatives(tp)}/{tp.M ** len(tp.grid)}")
         t0 = time.perf_counter()
-        value = exact_coefficient(h, p, threads=cfg.threads,
-                                  prime_bits=cfg.prime_bits)
+        value = exact_coefficient(h, p, threads=args.threads,
+                                  prime_bits=args.prime_bits)
         dt_engine = time.perf_counter() - t0
         t0 = time.perf_counter()
         try:
@@ -147,21 +119,19 @@ def cmd_bench(args) -> int:
         except SizeGuardError as exc:
             oracle_col = f"oracle=refused ({exc})"
         lines.append(f"p={p} engine={value} time={dt_engine:.3f}s {oracle_col}")
-    _emit("\n".join(lines), cfg)
+    _emit("\n".join(lines), args.out)
     return 0
 
 
 def cmd_oracle(args) -> int:
-    cfg = _config(args)
-    h = _load_polynomial(args, cfg)
+    h = _load_polynomial(args)
     index = _parse_index(args.index) if args.index else None
     value = naive_power_coeff(h, args.power, index)
-    _emit(str(value), cfg)
+    _emit(str(value), args.out)
     return 0
 
 
 def cmd_selftest(args) -> int:
-    cfg = _config(args)
     failures = 0
 
     def check(label, got, want):
@@ -198,20 +168,24 @@ def cmd_selftest(args) -> int:
 
 # --- parser -------------------------------------------------------------------
 
-def _add_common(sub, poly_input=True):
+def _add_common(sub, poly_input=True, engine=True):
+    """--out, plus the polynomial input options and the engine options for
+    the subcommands that read a polynomial or run the engine."""
     if poly_input:
         group = sub.add_mutually_exclusive_group(required=True)
         group.add_argument("--poly", metavar="FILE",
                            help="polynomial file (expression or JSON)")
         group.add_argument("--fixture", choices=SAMPLE_NAMES,
                            help="built-in sample polynomial")
-    sub.add_argument("--threads", type=int, default=0,
-                     help="worker processes, 0 = all cores (default)")
-    sub.add_argument("--prime-bits", type=int, default=31, dest="prime_bits",
-                     help="bit size of the working primes (20..31)")
+        sub.add_argument("--format", choices=("expr", "json"),
+                         help="input polynomial format (default: sniff)")
+    if engine:
+        sub.add_argument("--threads", type=int, default=0,
+                         help="worker processes, 0 = all cores (default)")
+        sub.add_argument("--prime-bits", type=int, default=31,
+                         dest="prime_bits",
+                         help="bit size of the working primes (20..31)")
     sub.add_argument("--out", metavar="FILE", help="write output here")
-    sub.add_argument("--format", choices=("expr", "json"),
-                     help="input polynomial format (default: sniff)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest coefficient degree d to try")
     p.add_argument("--extra", type=int, default=5,
                    help="withheld extra equations for the stability check")
-    _add_common(p, poly_input=False)
+    _add_common(p, poly_input=False, engine=False)
     p.set_defaults(func=cmd_findop)
 
     p = subs.add_parser("bench", help="engine vs dense oracle timing table")
@@ -252,13 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = subs.add_parser("oracle", help="dense reference computation")
-    _add_common(p)
+    _add_common(p, engine=False)
     p.add_argument("--power", type=int, required=True, metavar="P")
     p.add_argument("--index", metavar="i1,i2,...")
     p.set_defaults(func=cmd_oracle)
 
     p = subs.add_parser("selftest", help="quick built-in consistency battery")
-    _add_common(p, poly_input=False)
     p.set_defaults(func=cmd_selftest)
 
     return parser
@@ -275,11 +248,7 @@ def main(argv=None) -> int:
     except BrokenProcessPool as exc:
         print(f"error: worker failed: {exc}", file=sys.stderr)
         return 5
-    except (LaurentError, FitError, EngineError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -303,25 +303,6 @@ def normalize(h: LaurentPolynomial) -> NormalizedPolynomial:
                                 CoefficientTensor(shape, tuple(data)))
 
 
-def from_polytope(vertices) -> LaurentPolynomial:
-    """Sum of monomials X^v over the given lattice points, all coefficients 1."""
-    vertices = [tuple(int(x) for x in v) for v in vertices]
-    if not vertices:
-        raise LaurentError("empty vertex list")
-    n = len(vertices[0])
-    if n == 0:
-        raise LaurentError("vertices must have at least one coordinate")
-    if any(len(v) != n for v in vertices):
-        raise LaurentError("vertices of mixed dimension")
-    if len(set(vertices)) != len(vertices):
-        raise LaurentError("duplicate vertex")
-    if n <= 4:
-        variables = ("X", "Y", "Z", "T")[:n]
-    else:
-        variables = tuple(f"X{i+1}" for i in range(n))
-    return make_polynomial(variables, [(1, v) for v in vertices])
-
-
 def total_weight(h: LaurentPolynomial) -> int:
     """Sum of absolute coefficient values; governs coefficient growth of powers."""
     return sum(abs(c) for c, _ in h.terms)

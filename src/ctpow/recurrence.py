@@ -34,8 +34,8 @@ from . import torus
 from .engine import coefficient_mod_prime  # noqa: F401
 from .laurent import (LaurentPolynomial, normalize, polynomial_from_json,
                       polynomial_to_json, total_weight)
-from .rns import (ModulusSet, RnsValue, _is_prime, coefficient_bound_bits,
-                  reconstruct, select_primes)
+from .rns import (ModulusSet, _is_prime, coefficient_bound_bits, reconstruct,
+                  select_primes)
 
 
 class FitError(ValueError):
@@ -49,6 +49,11 @@ def _primes_for(h_weight: int, M: int, p: int, prime_bits: int) -> ModulusSet:
     # series recurrence's divisors 2p - 1 invertible
     bits = coefficient_bound_bits(h_weight, p)
     return select_primes(bits, max(1, 2 * p), prime_bits, congruent_to_1_mod=M)
+
+
+def _check_prime_bits(prime_bits: int):
+    if not 20 <= prime_bits <= 31:
+        raise ValueError("prime_bits must be in [20, 31]")
 
 
 def _resolve_threads(threads: int) -> int:
@@ -89,6 +94,7 @@ def exact_coefficient(h: LaurentPolynomial, p: int, index=None,
     """
     if p < 0:
         raise ValueError("negative power")
+    _check_prime_bits(prime_bits)
     threads = _resolve_threads(threads)
     nf = normalize(h)
     if index is None:
@@ -103,7 +109,7 @@ def exact_coefficient(h: LaurentPolynomial, p: int, index=None,
     ms = _primes_for(total_weight(h), tp.M, p, prime_bits)
     residues = _sum_row_blocks(torus.coefficient_residues, (nf, target, p),
                                tp, ms, threads)
-    return reconstruct(RnsValue(tuple(residues)), ms)
+    return reconstruct(residues, ms)
 
 
 # --- constant term series ----------------------------------------------------
@@ -160,13 +166,14 @@ def constant_term_series(h: LaurentPolynomial, P: int, threads: int = 1,
     """
     if not 0 <= P < torus.MAX_SERIES:
         raise ValueError(f"series length must be in [0, {torus.MAX_SERIES})")
+    _check_prime_bits(prime_bits)
     threads = _resolve_threads(threads)
     nf = normalize(h)
     tp, nf, _ = torus.plan(nf, tuple(P * s for s in nf.shift), P, use_split2)
     ms = _primes_for(total_weight(h), tp.M, P, prime_bits)
     sums = _sum_row_blocks(torus.series_residues, (nf, P), tp, ms, threads,
                            progress)
-    return Series(h, tuple(reconstruct(RnsValue(tuple(r)), ms) for r in sums))
+    return Series(h, tuple(reconstruct(r, ms) for r in sums))
 
 
 # --- recurrences -------------------------------------------------------------
@@ -408,47 +415,3 @@ def recurrence_to_operator(rec: Recurrence) -> DifferentialOperator:
 
 def operator_to_recurrence(op: DifferentialOperator) -> Recurrence:
     return make_recurrence(op.polys)
-
-
-def parse_operator_text(text: str) -> DifferentialOperator:
-    import re
-    polys: dict[int, dict[int, int]] = {}
-    for line in text.strip().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        m = re.fullmatch(r"z\^(\d+)\s*\*\s*\(\s*(.*?)\s*\)", line)
-        if not m:
-            raise FitError(f"bad operator line: {line!r}")
-        i = int(m.group(1))
-        coeffs: dict[int, int] = {}
-        body = m.group(2)
-        if body != "0":
-            for piece in body.replace("-", "+-").split("+"):
-                piece = piece.strip()
-                if not piece:
-                    continue
-                neg = piece.startswith("-")
-                if neg:
-                    piece = piece[1:].strip()
-                if "θ" in piece:
-                    coef_part, _, theta_part = piece.partition("θ")
-                    coef_part = coef_part.strip().rstrip("*").strip()
-                    c = int(coef_part) if coef_part else 1
-                    theta_part = theta_part.strip()
-                    j = int(theta_part[1:]) if theta_part.startswith("^") else 1
-                else:
-                    c = int(piece)
-                    j = 0
-                if neg:
-                    c = -c
-                coeffs[j] = coeffs.get(j, 0) + c
-        polys[i] = coeffs
-    if not polys:
-        raise FitError("empty operator text")
-    k = max(polys)
-    width = max((max(c, default=0) for c in polys.values()), default=0) + 1
-    table = tuple(
-        tuple(polys.get(i, {}).get(j, 0) for j in range(width))
-        for i in range(k + 1))
-    return DifferentialOperator(table)

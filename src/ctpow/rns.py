@@ -69,11 +69,6 @@ class ModulusSet:
         return m
 
 
-@dataclass(frozen=True)
-class RnsValue:
-    residues: tuple[int, ...]
-
-
 def coefficient_bound_bits(weight: int, p: int) -> int:
     """Bits needed to cover any coefficient of h**p, plus sign headroom.
 
@@ -150,21 +145,22 @@ def root_of_unity(M: int, q: int) -> int:
     return 1  # q = 2, M = 1
 
 
-def reduce_int(x: int, ms: ModulusSet) -> RnsValue:
-    return RnsValue(tuple(x % p for p in ms.primes))
+def reduce_int(x: int, ms: ModulusSet) -> tuple[int, ...]:
+    return tuple(x % p for p in ms.primes)
 
 
-def mixed_radix_digits(v: RnsValue, ms: ModulusSet) -> list[int]:
-    """Digits a_i with x = a_1 + a_2 m_1 + a_3 m_1 m_2 + ..., 0 <= a_i < m_i.
+def mixed_radix_digits(residues, ms: ModulusSet) -> list[int]:
+    """Digits a_i with x = a_1 + a_2 m_1 + a_3 m_1 m_2 + ..., 0 <= a_i < m_i,
+    of the x with x = residues[i] (mod m_i).
 
     Garner's method: O(s^2) word-sized modular operations and one inverse
     per prime, that of m_1 ... m_(i-1) modulo m_i; no big integers.
     """
     primes = ms.primes
-    if len(v.residues) != len(primes):
+    if len(residues) != len(primes):
         raise ValueError("residue count mismatch")
     digits = []
-    for x, mi in zip(v.residues, primes):
+    for x, mi in zip(residues, primes):
         t, c = x, 1
         for d, mj in zip(digits, primes):
             t, c = (t - d * c) % mi, c * mj % mi
@@ -172,9 +168,9 @@ def mixed_radix_digits(v: RnsValue, ms: ModulusSet) -> list[int]:
     return digits
 
 
-def reconstruct(v: RnsValue, ms: ModulusSet) -> int:
-    """The unique x with x = v (mod every prime) and -M/2 < x < M/2."""
-    digits = mixed_radix_digits(v, ms)
+def reconstruct(residues, ms: ModulusSet) -> int:
+    """The unique x with x = residues[i] (mod m_i) and -M/2 < x < M/2."""
+    digits = mixed_radix_digits(residues, ms)
     x = 0
     scale = 1
     for d, m in zip(digits, ms.primes):

@@ -174,6 +174,29 @@ def test_bad_prime_bits(capsys):
     assert "prime_bits" in err
 
 
+def test_bad_prime_bits_outside_the_support(tmp_path, capsys):
+    f = tmp_path / "h.txt"
+    f.write_text("X + X^-1")
+    code, out, err = run(capsys, "coeff", "--poly", str(f), "--power", "6",
+                         "--index", "7", "--prime-bits", "50")
+    assert (code, out) == (3, "")
+    assert "prime_bits must be in [20, 31]" in err
+
+
+def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path,
+                                                              capsys):
+    f = tmp_path / "s.json"
+    f.write_text("[1, 2, 3]")
+    for argv in (("findop", str(f), "--threads", "2"),
+                 ("selftest", "--prime-bits", "31"),
+                 ("oracle", "--fixture", "dwork4", "--power", "2",
+                  "--threads", "1")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctpow.laurent import (MAX_TENSOR, LaurentError, from_polytope,
-                           make_polynomial, normalize, parse_laurent,
-                           polynomial_from_json, polynomial_to_json,
-                           to_expr_string, total_weight)
+from ctpow.laurent import (MAX_TENSOR, LaurentError, make_polynomial,
+                           normalize, parse_laurent, polynomial_from_json,
+                           polynomial_to_json, to_expr_string, total_weight)
 
 
 def test_parse_simple_sum():
@@ -143,21 +142,3 @@ def test_normalize_no_negative_exponents_is_identity_shift():
 
 def test_total_weight_sums_absolute_values():
     assert total_weight(parse_laurent("3*X - 2 + X^-1")) == 6
-
-
-def test_from_polytope_unit_simplex():
-    h = from_polytope([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
-                       (0, 0, 0, 1), (-1, -1, -1, -1)])
-    assert h.variables == ("X", "Y", "Z", "T")
-    assert len(h.terms) == 5
-    assert all(c == 1 for c, _ in h.terms)
-
-
-def test_from_polytope_rejects_duplicates():
-    with pytest.raises(LaurentError):
-        from_polytope([(1, 0), (1, 0), (0, 1)])
-
-
-def test_from_polytope_rejects_mixed_dimensions():
-    with pytest.raises(LaurentError):
-        from_polytope([(1, 0), (0, 1, 2)])

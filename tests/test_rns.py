@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctpow.rns import (ModulusSet, RnsValue, _is_prime,
-                       coefficient_bound_bits, mixed_radix_digits, reconstruct,
-                       reduce_int, root_of_unity, select_primes)
+from ctpow.rns import (ModulusSet, _is_prime, coefficient_bound_bits,
+                       mixed_radix_digits, reconstruct, reduce_int,
+                       root_of_unity, select_primes)
 
 sympy = pytest.importorskip("sympy")
 
@@ -54,10 +54,10 @@ def test_modulus_set_rejects_bad_input():
 
 def test_balanced_reconstruction_small_example():
     ms = ModulusSet((3, 5))
-    assert reconstruct(RnsValue((2, 3)), ms) == -7
-    assert mixed_radix_digits(RnsValue((2, 3)), ms) == [2, 2]
-    assert reconstruct(RnsValue((1, 1)), ms) == 1
-    assert reconstruct(RnsValue((2, 4)), ms) == -1
+    assert reconstruct((2, 3), ms) == -7
+    assert mixed_radix_digits((2, 3), ms) == [2, 2]
+    assert reconstruct((1, 1), ms) == 1
+    assert reconstruct((2, 4), ms) == -1
 
 
 def test_balanced_range_extremes():
@@ -97,7 +97,7 @@ def test_mixed_radix_digit_ranges():
 def _pairwise_digits(v, ms):
     # strip digit j, then divide by m_j: one inverse per pair of primes
     digits = []
-    for i, (x, mi) in enumerate(zip(v.residues, ms.primes)):
+    for i, (x, mi) in enumerate(zip(v, ms.primes)):
         t = x % mi
         for j in range(i):
             t = (t - digits[j]) * pow(ms.primes[j], -1, mi) % mi
@@ -114,8 +114,8 @@ def test_mixed_radix_digits_against_pairwise_inverses(count):
                                        for _ in range(30)]:
         v = reduce_int(x, ms)
         assert mixed_radix_digits(v, ms) == _pairwise_digits(v, ms)
-    # residues that are not reduced, as RnsValue allows
-    v = RnsValue(tuple(q + 5 for q in ms.primes))
+    # residues that are not reduced
+    v = tuple(q + 5 for q in ms.primes)
     assert mixed_radix_digits(v, ms) == _pairwise_digits(v, ms)
 
 
@@ -128,7 +128,7 @@ def test_reconstruct_against_direct_crt():
         recovered = reconstruct(v, ms)
         assert recovered % ms.product == x % ms.product
         crt_value, crt_mod = sympy.ntheory.modular.crt(
-            list(ms.primes), list(v.residues))
+            list(ms.primes), list(v))
         assert crt_mod == ms.product
         assert recovered % crt_mod == crt_value
 
@@ -136,7 +136,7 @@ def test_reconstruct_against_direct_crt():
 def test_residue_count_must_match():
     ms = ModulusSet((3, 5))
     with pytest.raises(ValueError):
-        reconstruct(RnsValue((1,)), ms)
+        reconstruct((1,), ms)
 
 
 def test_select_primes_avoid_small_node_collisions():
