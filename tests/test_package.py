@@ -20,7 +20,6 @@ CTBENCH_NAMES = {"parse_laurent", "sample_polynomial", "naive_power_coeff",
 
 def test_root_exports_what_the_readme_and_ctbench_use():
     assert sorted(ctpow.__all__) == sorted(README_NAMES | CTBENCH_NAMES)
-    assert len(ctpow.__all__) == 11
     for name in ctpow.__all__:
         assert callable(getattr(ctpow, name)), name
     assert CTBENCH_NAMES <= set(ctpow.__all__)
