@@ -19,7 +19,8 @@ series to p = 59, search_recurrence on those 60 terms, and exact_coefficient
 at p = 20 and 40 of a polynomial without lattice symmetries (a seeded random
 23-term polynomial in 4 variables with distinct coefficients, so that the
 whole grid is summed), and exact_coefficient of the walk X + 1/X + Y + 1/Y
-at p = 256 and index (1, 3).  Each case runs at least five times in about
+at p = 256 and index (1, 3); and sample 39 at p = 40 and 80 and its series
+to 59 on two workers as well (the cases ending in _t2).  Each case runs at least five times in about
 2 s (once past 5 s); the best run, and the median and quartiles of all of
 them, go into one column of FILE (created if missing; other columns are
 kept) with the git revision, the Python and numpy versions and the core
@@ -159,13 +160,13 @@ def asymmetric_polynomial():
 
 
 def north_star(path: Path, column: str, src: Path):
-    import numpy
-
+    # ctpow first, so that numpy loads as the package would load it
     from ctpow import fixtures
     from ctpow.fixtures import sample_polynomial
     from ctpow.laurent import parse_laurent
     from ctpow.recurrence import (constant_term_series, exact_coefficient,
                                   search_recurrence)
+    import numpy
     h = sample_polynomial("39")
     times = {}
     for p in (40, 80, 150):
@@ -173,7 +174,14 @@ def north_star(path: Path, column: str, src: Path):
                                                threads=1)
         if p == 150:
             assert value == fixtures.SAMPLE39_POWER150_CONSTANT
+        else:
+            value_t2, times[f"coeff39_p{p}_t2"] = _timed(exact_coefficient,
+                                                         h, p, threads=2)
+            assert value_t2 == value
     s, times["series39_P59"] = _timed(constant_term_series, h, 59, threads=1)
+    s_t2, times["series39_P59_t2"] = _timed(constant_term_series, h, 59,
+                                            threads=2)
+    assert s_t2.terms == s.terms
     hits, times["search39_8_4"] = _timed(search_recurrence, s.terms, 8, 4)
     assert len(hits) == 1
     h = asymmetric_polynomial()
@@ -202,7 +210,7 @@ def north_star(path: Path, column: str, src: Path):
         "nosym_pN": "exact_coefficient(asymmetric_polynomial(), N): no "
                     "lattice symmetry, the whole grid",
         "walk_p256": "exact_coefficient(X + 1/X + Y + 1/Y, 256, (1, 3))",
-        "threads": 1,
+        "threads": "1; 2 in the cases ending in _t2",
         "unit": "s; seconds: the best of the runs in 2 s, at least 5 (or "
                 "of 1 past 5 s); stats: best, quartiles and median of them"}
     record.setdefault("columns", {})[column] = {

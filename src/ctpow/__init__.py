@@ -7,11 +7,11 @@ reference.  On top of that sit constant term series and exact
 recurrence (differential operator) discovery.
 """
 
-# engine first: it loads numpy before laurent's json and re and before
-# recurrence's multiprocessing.  With numpy loaded after them, a fresh process
-# peaked 0.7 MiB higher, and the median ctbench walk2d call was charged
-# 0.016 s of CPU time for 0.008 s of work.
-from . import engine  # noqa: F401
+import os
+
+# int64 arithmetic needs no BLAS: keep OpenBLAS from starting busy threads
+if _pin := "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 from .fixtures import sample_operator, sample_polynomial
 from .laurent import parse_laurent
 from .oracle import naive_power_coeff
@@ -19,6 +19,9 @@ from .recurrence import (constant_term_series, exact_coefficient,
                          make_recurrence, operator_to_recurrence,
                          recurrence_to_operator, search_recurrence,
                          verify_recurrence)
+
+if _pin:
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 __version__ = "0.1.0"
 

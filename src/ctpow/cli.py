@@ -16,7 +16,6 @@ import json
 import random
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from . import torus
@@ -24,9 +23,9 @@ from .fixtures import SAMPLE_NAMES, sample_polynomial
 from .laurent import (LaurentError, normalize, parse_laurent, to_expr_string,
                       total_weight)
 from .oracle import SizeGuardError, known_family, naive_power_coeff
-from .recurrence import (constant_term_series, exact_coefficient,
-                         recurrence_to_operator, search_recurrence,
-                         series_from_json, series_to_json)
+from .recurrence import (WorkerError, constant_term_series,
+                         exact_coefficient, recurrence_to_operator,
+                         search_recurrence, series_from_json, series_to_json)
 
 
 def _load_polynomial(args):
@@ -245,7 +244,7 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 4
-    except BrokenProcessPool as exc:
+    except WorkerError as exc:
         print(f"error: worker failed: {exc}", file=sys.stderr)
         return 5
     except (ValueError, KeyError, OSError) as exc:

@@ -23,8 +23,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+import signal
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +40,10 @@ from .rns import (ModulusSet, _is_prime, coefficient_bound_bits, reconstruct,
 
 class FitError(ValueError):
     pass
+
+
+class WorkerError(RuntimeError):
+    """A forked row-block worker failed."""
 
 
 # --- exact coefficients over many primes ------------------------------------
@@ -65,23 +69,46 @@ def _resolve_threads(threads: int) -> int:
 
 
 def _sum_row_blocks(fn, args, tp, ms: ModulusSet, threads: int,
-                    progress=None) -> np.ndarray:
-    """fn(*args, primes, tp, rows) over blocks of grid rows, one per worker
-    (which builds fn's tables once) and in a process pool when threads > 1,
-    summed modulo each prime (exact Python ints).  Block k takes every n-th
-    row from row k: the orbit representatives crowd into the first rows, so
-    each block gets about as many.  progress(done, total) counts blocks."""
+                    progress=None) -> list:
+    """fn(*args, primes, tp, rows) over blocks of grid rows, one per worker,
+    summed modulo each prime as Python ints.  Block k takes every n-th row
+    from row k, as the orbit representatives crowd into the first rows.  On
+    Linux forked children sum blocks 1..n-1 and send back int64 residues
+    (below 2^31); a dead one raises WorkerError.  progress(done, n) counts."""
     n = min(tp.rows, threads)
-    tasks = [(*args, ms.primes, tp, range(k, tp.rows, n)) for k in range(n)]
-    moduli = np.array(ms.primes, dtype=object)
-    total = 0
-    with nullcontext() if n < 2 else ProcessPoolExecutor(n) as pool:
-        parts = (pool.map if pool else map)(fn, *zip(*tasks))
-        for done, part in enumerate(parts, 1):
-            total = (total + np.array(part, dtype=object)) % moduli
+    blocks = [(*args, ms.primes, tp, range(k, tp.rows, n)) for k in range(n)]
+    total, pids, fds = 0, [], []
+    try:
+        for block in blocks[1:] if sys.platform == "linux" else ():
+            fds += os.pipe()
+            if (pid := os.fork()) == 0:
+                try:  # a child never returns into the caller's stack
+                    os.write(fds[-1], np.array(fn(*block), np.int64).tobytes())
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(fds.pop())
+            pids.append(pid)
+        for done, block in enumerate(blocks, 1):
+            if done == 1 or not fds:
+                part = np.array(fn(*block), np.int64)
+            else:
+                with open(fds[done - 2], "rb", closefd=False) as pipe:
+                    data = pipe.read()
+                if len(data) != part.nbytes:  # it died before it was done
+                    raise WorkerError(f"row block {done} of {n} sent "
+                                      f"{len(data)} of {part.nbytes} bytes")
+                part = np.frombuffer(data, np.int64).reshape(part.shape)
+            total = total + part  # n parts below 2^31 stay below 2^63
             if progress:
-                progress(done, len(tasks))
-    return total
+                progress(done, n)
+    finally:  # reap every child, and first stop any still running
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+    return (total % np.array(ms.primes)).tolist()
 
 
 def exact_coefficient(h: LaurentPolynomial, p: int, index=None,
@@ -392,21 +419,14 @@ class DifferentialOperator:
 
 def _theta_poly_text(coeffs) -> str:
     parts = []
-    for j in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[j]
-        if c == 0:
-            continue
-        mono = "θ^%d" % j if j > 1 else ("θ" if j == 1 else "")
-        mag = abs(c)
-        body = (f"{mag}*{mono}" if mono and mag != 1 else (mono or str(mag)))
-        parts.append(("-" if c < 0 else "+", body))
-    if not parts:
-        return "0"
-    sign0, body0 = parts[0]
-    text = ("-" if sign0 == "-" else "") + body0
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    for j in reversed(range(len(coeffs))):
+        if c := coeffs[j]:
+            mono = f"θ^{j}" if j > 1 else "θ" * j
+            body = (f"{abs(c)}*{mono}" if mono and abs(c) != 1
+                    else mono or str(abs(c)))
+            parts.append(f"{'-' if c < 0 else '+'} {body}")
+    text = " ".join(parts) or "+ 0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def recurrence_to_operator(rec: Recurrence) -> DifferentialOperator:

@@ -9,6 +9,7 @@ the moduli.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,10 +64,7 @@ class ModulusSet:
 
     @property
     def product(self) -> int:
-        m = 1
-        for p in self.primes:
-            m *= p
-        return m
+        return math.prod(self.primes)
 
 
 def coefficient_bound_bits(weight: int, p: int) -> int:

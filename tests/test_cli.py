@@ -1,8 +1,8 @@
 import json
 import math
-import multiprocessing
 import os
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -272,14 +272,18 @@ def test_engine_error_exits_3(monkeypatch, capsys):
     assert err.startswith("error: modulus too small")
 
 
-def _die(*args, **kwargs):
-    os._exit(1)
-
-
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="forked workers are needed to see the patched engine")
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="row blocks run in forked workers only on Linux")
 def test_dead_worker_exits_5(monkeypatch, capsys):
     import ctpow.torus
+    caller, real = os.getpid(), ctpow.torus.coefficient_residues
+
+    def _die(*args, **kwargs):
+        # the caller sums block 0 itself; only a forked worker dies
+        if os.getpid() != caller:
+            os._exit(1)
+        return real(*args, **kwargs)
+
     monkeypatch.setattr(ctpow.torus, "coefficient_residues", _die)
     code, out, err = run(capsys, "coeff", "--fixture", "39", "--power", "4",
                          "--threads", "2")

@@ -42,3 +42,24 @@ def test_scripts_run_from_any_directory(script, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "usage:" in done.stdout
+
+
+def _fresh_import(**env_vars):
+    """OPENBLAS_NUM_THREADS after `import ctpow` in a fresh interpreter, and
+    the process's thread count (1 off Linux, where it is not read)."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPATH", "OPENBLAS_NUM_THREADS")}
+    env.update(env_vars, PYTHONPATH=str(ROOT / "src"))
+    code = ("import os, sys, ctpow; print(os.environ.get("
+            "'OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')) "
+            "if sys.platform == 'linux' else 1)")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    value, threads = done.stdout.split()
+    return value, int(threads)
+
+
+def test_import_starts_no_blas_threads_and_restores_the_environment():
+    assert _fresh_import() == ("None", 1)
+    assert _fresh_import(OPENBLAS_NUM_THREADS="2")[0] == "2"

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from ctpow.recurrence import (FitError, Recurrence, Series,
                               search_recurrence, series_from_json,
                               series_to_json, verify_recurrence)
 from ctpow import recurrence
-from ctpow.recurrence import (_RANK_PRIME, _kernel_mod_prime,
+from ctpow.recurrence import (_RANK_PRIME, WorkerError, _kernel_mod_prime,
                               _relation_matrix_mod, _resolve_threads)
 
 
@@ -129,6 +130,49 @@ def test_row_blocks_that_do_not_divide_evenly():
     assert tp.rows % 3
     assert exact_coefficient(h, 12, threads=3) \
         == exact_coefficient(h, 12, threads=1)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="row blocks run in forked workers only on Linux")
+def test_row_block_workers_are_reaped_on_success_death_and_interrupt(
+        monkeypatch):
+    h = sample_polynomial("39")
+    want = exact_coefficient(h, 12, threads=1)
+    seen = []
+    s = constant_term_series(h, 12, threads=3,
+                             progress=lambda *counts: seen.append(counts))
+    assert s.terms[12] == want
+    assert seen == [(1, 3), (2, 3), (3, 3)]
+    _no_child_left()
+
+    caller, real = os.getpid(), torus.coefficient_residues
+
+    def interrupted_in_caller(*args, **kwargs):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    def short_in_child(*args, **kwargs):
+        part = real(*args, **kwargs)
+        return part if os.getpid() == caller else part[:-1]
+
+    def dies_in_child(*args, **kwargs):
+        if os.getpid() != caller:
+            os._exit(7)
+        return real(*args, **kwargs)
+
+    for fn, error, match in ((interrupted_in_caller, KeyboardInterrupt, None),
+                             (short_in_child, WorkerError, "bytes"),
+                             (dies_in_child, WorkerError, "sent 0 of")):
+        monkeypatch.setattr(torus, "coefficient_residues", fn)
+        with pytest.raises(error, match=match):
+            exact_coefficient(h, 12, threads=3)
+        _no_child_left()
 
 
 def test_zero_threads_counts_the_cpus_this_process_may_use(monkeypatch):
