@@ -20,16 +20,16 @@ at p = 20 and 40 of a polynomial without lattice symmetries (a seeded random
 23-term polynomial in 4 variables with distinct coefficients, so that the
 whole grid is summed), and exact_coefficient of the walk X + 1/X + Y + 1/Y
 at p = 256 and index (1, 3); and sample 39 at p = 40 and 80 and its series
-to 59 on two workers as well (the cases ending in _t2).  Each case runs at least five times in about
-2 s (once past 5 s); the best run, and the median and quartiles of all of
-them, go into one column of FILE (created if missing; other columns are
-kept) with the git revision, the Python and numpy versions and the core
-count.  --src picks the source tree to time, so that one file can compare
-two checkouts:
+to 59 on two workers as well (the cases ending in _t2).  Each case runs at
+least five times in about 2 s (once past 5 s); the best run, and the median
+and quartiles of all of them, go into one column of FILE (created if
+missing; other columns are kept) with the git revision, the Python and
+numpy versions and the core count.  --src picks the source tree to time,
+so that one file can compare two checkouts:
 
-    python scripts/bench_scaling.py --json BENCH_9.json --column parent \
+    python scripts/bench_scaling.py --json BENCH_13.json --column parent \
         --src ../parent/src
-    python scripts/bench_scaling.py --json BENCH_9.json --column change
+    python scripts/bench_scaling.py --json BENCH_13.json --column change
 """
 
 import argparse
