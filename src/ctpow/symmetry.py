@@ -4,13 +4,17 @@ An automorphism of h = sum_e c_e X^e is a B in GL_n(Z) with c_(Be) = c_e:
 it permutes the support and keeps the coefficients.  Then h(omega^(B^T s))
 = h(omega^s) at every torus point and [h^p]_(Bi) = [h^p]_i (see torus.py).
 
-B is fixed by the images of n independent support points.  The search maps
-them one at a time to points of the same coefficient and signature (the
-coefficients at v + w and v - w over the support), prunes on the sums and
-differences of the points mapped so far, and keeps B if it is integral and
-permutes the terms.  More than 8 variables, a support of rank < n, more
-than MAX_TERMS terms (the set-up is O(N^2) in N terms) or a search of more
-nodes than its budget (which bounds the group order) get the identity only.
+B is fixed by the images of n independent support points.  A pair v, w of
+support points is labelled by the coefficients at v + w and v - w and by
+how often v + w and v - w occur among all sums and differences; B keeps
+these labels.  Each point's signature starts as its coefficient and is
+refined by the labels and signatures of the other points until it is
+stable.  The search maps the points one at a time to points of the same
+signature, prunes on the labels of the points mapped so far, and keeps B
+if it is integral and permutes the terms.  More than 8 variables, a
+support of rank < n, more than MAX_TERMS terms (the set-up is O(N^2) in N
+terms) or a search of more nodes than its budget (which bounds the group
+order) get the identity only.
 """
 
 from __future__ import annotations
@@ -43,6 +47,15 @@ def _basis(pts, order=None):
             if len(chosen) == len(pts[0]):
                 return chosen
     return None
+
+
+def _row_ids(X: np.ndarray) -> np.ndarray:
+    """Ids 0, 1, ... of the distinct rows of X, one per row."""
+    order = np.lexsort(X.T)
+    Y = X[order]
+    ids = np.empty(len(X), dtype=np.int64)
+    ids[order] = np.cumsum(np.r_[True, (Y[1:] != Y[:-1]).any(axis=1)]) - 1
+    return ids
 
 
 def inverse(rows):
@@ -84,11 +97,21 @@ def automorphisms(terms, steps: int = MAX_STEPS) -> tuple[Matrix, ...]:
                                   @ strides).clip(max=len(E) - 1)]
         return np.where((E[k] == X).all(axis=-1), k, -1)
 
-    sums = E[:, None] + E[None]
+    N, sums, diffs = len(E), E[:, None] + E[None], E[:, None] - E[None]
     rel = (np.where(sums.any(-1), cls[find(sums)], -1) * len(cls)
-           + cls[find(E[:, None] - E[None])])
+           + cls[find(diffs)])
+    for V in (sums, diffs):                      # and how often each occurs
+        ids = _row_ids(V.reshape(-1, n))
+        rel = rel * (N * N + 1) + np.bincount(ids)[ids].reshape(N, N)
     R = rel.tolist()
-    sig = list(map(tuple, np.c_[cls[:-1], np.sort(rel, axis=1)].tolist()))
+    pair = _row_ids(np.stack([rel, rel.T], -1).reshape(-1, 2)).reshape(N, N)
+    sig = _row_ids(cls[:-1, None])
+    while True:                  # refine by the signatures of the neighbours
+        new = _row_ids(np.c_[sig, np.sort(pair * N + sig, axis=1)])
+        if new.max() == sig.max():
+            break
+        sig = new
+    sig = sig.tolist()
     cands = {}
     for i, t in enumerate(sig):
         cands.setdefault(t, []).append(i)

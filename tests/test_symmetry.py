@@ -83,6 +83,24 @@ def test_the_constant_polynomial():
     assert _group(parse_laurent("5")) == ((),)
 
 
+def test_a_support_without_sums_or_differences_in_it():
+    # 36 terms, the orbits of three points under a signed permutation and
+    # -I: no sum or difference of two support points lies in the support,
+    # so only how often each occurs tells the points apart, and without
+    # that the search runs past 2**20 nodes
+    sigma = np.array([[0, 1, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0], [1, 0, 0, 0]])
+    group = [np.linalg.matrix_power(sigma, k) * s
+             for k in range(6) for s in (1, -1)]
+    support = {tuple((B @ e).tolist()) for B in group
+               for e in [(-2, 0, -2, 0), (-2, 0, -1, 0), (-1, 0, -1, 1)]}
+    h = make_polynomial([f"X{k}" for k in range(4)],
+                        [(-1, e) for e in support])
+    assert len(h.terms) == 36
+    G = _group(h)
+    assert len(G) == 24
+    assert all(_permutes_support(B, h) for B in G)
+
+
 def test_no_integral_map_for_a_rational_symmetry():
     # (x, y) -> (2y, x/2) maps the support to itself but is not integral
     G = _group(parse_laurent("X^2 + X^-2 + Y + Y^-1"))
