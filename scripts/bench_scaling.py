@@ -79,8 +79,8 @@ def main():
                      [int(x) for x in args.series.split(",")])
         return
     q = select_primes(31).primes[0]
-    print(f"sample {args.fixture}, cleared shape {nf.tensor.shape}, "
-          f"meter prime {q}")
+    print(f"sample {args.fixture}, cleared shape "
+          f"{tuple(d + 1 for d in nf.degrees)}, meter prime {q}")
     header = (f"{'p':>4} {'digits':>7} {'total s':>9} {'peak elems':>11} "
               f"{'mults on':>12} {'mults off':>12}")
     print(header)
@@ -111,7 +111,8 @@ def series_table(name, h, nf, counts):
     from ctpow import torus
     from ctpow.laurent import total_weight
     from ctpow.recurrence import _primes_for, constant_term_series
-    print(f"sample {name} series, cleared shape {nf.tensor.shape}, one thread")
+    print(f"sample {name} series, cleared shape "
+          f"{tuple(d + 1 for d in nf.degrees)}, one thread")
     header = (f"{'P':>4} {'M':>4} {'grid pts':>9} {'primes':>6} "
               f"{'total s':>8} {'ns/(pt*power*prime)':>20}")
     print(header)
@@ -119,7 +120,7 @@ def series_table(name, h, nf, counts):
     for P in counts:
         # the plan and primes that constant_term_series uses
         tp = torus.plan(nf, tuple(P * s for s in nf.shift), P)[0]
-        primes = len(_primes_for(total_weight(h), tp.M, P, 31).primes)
+        primes = len(_primes_for(total_weight(h), tp.M, P).primes)
         points = tp.M ** len(tp.grid)
         t0 = time.perf_counter()
         constant_term_series(h, P, threads=1)

@@ -29,7 +29,8 @@ def main():
     nf = normalize(h)
     bits = coefficient_bound_bits(total_weight(h), args.power)
     primes = select_primes(bits).primes
-    print(f"polynomial: 23 terms, cleared shape {nf.tensor.shape}")
+    print(f"polynomial: 23 terms, cleared shape "
+          f"{tuple(d + 1 for d in nf.degrees)}")
     print(f"coefficient bound: {bits} bits -> {len(primes)} primes of 31 bits")
 
     t0 = time.perf_counter()

@@ -64,8 +64,7 @@ def _progress(label, unit):
 def cmd_coeff(args) -> int:
     h = _load_polynomial(args)
     index = _parse_index(args.index) if args.index else None
-    value = exact_coefficient(h, args.power, index, threads=args.threads,
-                              prime_bits=args.prime_bits)
+    value = exact_coefficient(h, args.power, index, threads=args.threads)
     _emit(str(value), args.out)
     return 0
 
@@ -73,7 +72,6 @@ def cmd_coeff(args) -> int:
 def cmd_series(args) -> int:
     h = _load_polynomial(args)
     s = constant_term_series(h, args.count, threads=args.threads,
-                             prime_bits=args.prime_bits,
                              progress=_progress("series", "row blocks"))
     _emit(json.dumps(series_to_json(s), indent=2, sort_keys=True), args.out)
     return 0
@@ -94,6 +92,8 @@ def cmd_findop(args) -> int:
 def cmd_bench(args) -> int:
     h = _load_polynomial(args)
     powers = sorted({int(p) for p in args.power.split(",")})
+    if powers[0] < 0:       # before torus.plan sizes a grid from it
+        raise ValueError("negative power")
     lines = [f"polynomial: {to_expr_string(h)}",
              f"terms: {len(h.terms)}  weight: {total_weight(h)}",
              ""]
@@ -106,8 +106,7 @@ def cmd_bench(args) -> int:
                      f"M={tp.M} |H|={max(len(tp.H), 1)} points="
                      f"{torus.representatives(tp)}/{tp.M ** len(tp.grid)}")
         t0 = time.perf_counter()
-        value = exact_coefficient(h, p, threads=args.threads,
-                                  prime_bits=args.prime_bits)
+        value = exact_coefficient(h, p, threads=args.threads)
         dt_engine = time.perf_counter() - t0
         t0 = time.perf_counter()
         try:
@@ -181,9 +180,6 @@ def _add_common(sub, poly_input=True, engine=True):
     if engine:
         sub.add_argument("--threads", type=int, default=0,
                          help="worker processes, 0 = all cores (default)")
-        sub.add_argument("--prime-bits", type=int, default=31,
-                         dest="prime_bits",
-                         help="bit size of the working primes (20..31)")
     sub.add_argument("--out", metavar="FILE", help="write output here")
 
 

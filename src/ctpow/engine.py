@@ -194,10 +194,13 @@ def _walk(A: np.ndarray, p: int, ctx: PrimeContext, split: bool) -> int:
 
 def make_context(nf: NormalizedPolynomial, i, p: int, q: int,
                  use_split2: bool = True) -> PrimeContext:
-    ctx = PrimeContext(q=q, p=p, target=tuple(i), shape=nf.tensor.shape,
+    """The context for [f^p]_i mod q; ctx.tensor holds f mod q densely."""
+    shape = tuple(d + 1 for d in nf.degrees)
+    ctx = PrimeContext(q=q, p=p, target=tuple(i), shape=shape,
                        use_split2=use_split2)
-    data = [c % q for c in nf.tensor.data]
-    ctx.tensor = np.array(data, dtype=np.int64).reshape(nf.tensor.shape)
+    ctx.tensor = np.zeros(shape, dtype=np.int64)
+    for c, e in nf.terms:
+        ctx.tensor[e] = c % q
     return ctx
 
 
@@ -224,11 +227,11 @@ def coefficient_mod_prime(nf: NormalizedPolynomial, i, p: int, q: int,
         return 0
     if p == 0:
         return 1 % q
-    if p == 1:
-        return nf.tensor[i] % q
-    if nf.n == 0:
-        return pow(nf.tensor[()], p, q)
     A = ctx.tensor
+    if p == 1:
+        return int(A[i])
+    if nf.n == 0:
+        return pow(int(A[()]), p, q)
     if ctx.use_split2 and A.ndim >= 2 and A.shape[0] == 3 and i[0] == p:
         return split2(i[0], A, p, ctx)
     return _walk(A, p, ctx, split=False)

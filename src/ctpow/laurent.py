@@ -1,22 +1,25 @@
-"""Laurent polynomials with integer coefficients and their cleared dense form.
+"""Laurent polynomials with integer coefficients and their cleared form.
 
 A Laurent polynomial h in n variables is a finite sum of terms c * X^e with
 c a nonzero integer and e an integer exponent vector.  Multiplying h by the
 monomial S = X^s, where s_r = max(0, -min_r) and min_r is the smallest
 exponent of variable r, clears all denominators and yields an ordinary
-polynomial f = S*h whose coefficients live in a dense tensor of shape
-(d_1+1) x ... x (d_n+1).  Coefficients of powers of h are coefficients of
-powers of f shifted by p*s, which is what the rest of the package computes.
+polynomial f = S*h of degree d_r in variable r, kept as its list of terms.
+Coefficients of powers of h are coefficients of powers of f shifted by p*s,
+which is what the rest of the package computes.  normalize refuses an f
+whose box (d_1+1) x ... x (d_n+1) has more than MAX_TENSOR points, the
+size the dense oracle and the reference engine would allocate.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 
 
-MAX_TENSOR = 1 << 24        # entries; normalize refuses larger tensors
+MAX_TENSOR = 1 << 24        # points; normalize refuses larger cleared boxes
 
 
 class LaurentError(ValueError):
@@ -47,34 +50,13 @@ class LaurentPolynomial:
 
 
 @dataclass(frozen=True)
-class CoefficientTensor:
-    """Dense row-major coefficient array; the last axis varies fastest."""
-    shape: tuple[int, ...]
-    data: tuple[int, ...]
-
-    def __post_init__(self):
-        size = 1
-        for s in self.shape:
-            size *= s
-        if size != len(self.data):
-            raise LaurentError("tensor data length does not match shape")
-
-    def __getitem__(self, index):
-        flat = 0
-        for k, (i, s) in enumerate(zip(index, self.shape)):
-            if not 0 <= i < s:
-                raise IndexError(f"index {index} out of bounds for shape {self.shape}")
-            flat = flat * s + i
-        return self.data[flat]
-
-
-@dataclass(frozen=True)
 class NormalizedPolynomial:
-    """The cleared polynomial f = X^shift * h as a dense tensor."""
+    """The cleared polynomial f = X^shift * h as its terms (c, e), e >= 0,
+    in h's order: by exponent vector, the row-major order of f's box."""
     variables: tuple[str, ...]
     shift: tuple[int, ...]
     degrees: tuple[int, ...]
-    tensor: CoefficientTensor
+    terms: tuple[tuple[int, tuple[int, ...]], ...]
 
     @property
     def n(self) -> int:
@@ -277,8 +259,8 @@ def to_expr_string(h: LaurentPolynomial) -> str:
 
 
 def normalize(h: LaurentPolynomial) -> NormalizedPolynomial:
-    """Clear denominators: f = X^s * h with minimal s, stored densely
-    (at most MAX_TENSOR entries, else LaurentError)."""
+    """Clear denominators: f = X^s * h with minimal s (a box of at most
+    MAX_TENSOR points, else LaurentError)."""
     if h.is_zero():
         raise LaurentError("cannot normalize the zero polynomial")
     n = h.n
@@ -287,20 +269,11 @@ def normalize(h: LaurentPolynomial) -> NormalizedPolynomial:
     shift = tuple(max(0, -m) for m in mins)
     degrees = tuple(mx + s for mx, s in zip(maxs, shift))
     shape = tuple(d + 1 for d in degrees)
-    size = 1
-    for s in shape:
-        size *= s
-    if size > MAX_TENSOR:
+    if math.prod(shape) > MAX_TENSOR:
         raise LaurentError(f"cleared coefficient tensor of shape {shape} "
                            f"exceeds {MAX_TENSOR} entries")
-    data = [0] * size
-    for c, e in h.terms:
-        flat = 0
-        for r in range(n):
-            flat = flat * shape[r] + (e[r] + shift[r])
-        data[flat] = c
-    return NormalizedPolynomial(h.variables, shift, degrees,
-                                CoefficientTensor(shape, tuple(data)))
+    return NormalizedPolynomial(h.variables, shift, degrees, tuple(
+        (c, tuple(x + s for x, s in zip(e, shift))) for c, e in h.terms))
 
 
 def total_weight(h: LaurentPolynomial) -> int:

@@ -44,7 +44,12 @@ def _strides(shape):
 
 
 def dense_from_normalized(nf) -> DensePolynomial:
-    return DensePolynomial(nf.tensor.shape, tuple(nf.tensor.data))
+    shape = tuple(d + 1 for d in nf.degrees)
+    strides = _strides(shape)
+    data = [0] * math.prod(shape)
+    for c, e in nf.terms:
+        data[sum(x * st for x, st in zip(e, strides))] = c
+    return DensePolynomial(shape, tuple(data))
 
 
 def dense_multiply(a: DensePolynomial, b: DensePolynomial,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import signal
 import sys
@@ -48,16 +49,18 @@ class WorkerError(RuntimeError):
 
 # --- exact coefficients over many primes ------------------------------------
 
-def _primes_for(h_weight: int, M: int, p: int, prime_bits: int) -> ModulusSet:
+def _primes_for(h_weight: int, M: int, p: int) -> ModulusSet:
     # q = 1 (mod M) gives the grid's roots of unity; q > 2p keeps p! and the
     # series recurrence's divisors 2p - 1 invertible
     bits = coefficient_bound_bits(h_weight, p)
-    return select_primes(bits, max(1, 2 * p), prime_bits, congruent_to_1_mod=M)
+    return select_primes(bits, max(1, 2 * p), congruent_to_1_mod=M)
 
 
-def _check_prime_bits(prime_bits: int):
-    if not 20 <= prime_bits <= 31:
-        raise ValueError("prime_bits must be in [20, 31]")
+def _integer(x, what: str) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, not {x!r}") from None
 
 
 def _resolve_threads(threads: int) -> int:
@@ -112,28 +115,27 @@ def _sum_row_blocks(fn, args, tp, ms: ModulusSet, threads: int,
 
 
 def exact_coefficient(h: LaurentPolynomial, p: int, index=None,
-                      threads: int = 1, use_split2: bool = True,
-                      prime_bits: int = 31) -> int:
+                      threads: int = 1, use_split2: bool = True) -> int:
     """Exact [h^p]_index (default: the constant term) via the torus engine.
 
     With use_split2 off no variable is summed exactly: the whole grid is
     powered pointwise.
     """
+    p = _integer(p, "power")
     if p < 0:
         raise ValueError("negative power")
-    _check_prime_bits(prime_bits)
     threads = _resolve_threads(threads)
     nf = normalize(h)
     if index is None:
         index = (0,) * nf.n
-    index = tuple(int(x) for x in index)
+    index = tuple(_integer(x, "index entry") for x in index)
     if len(index) != nf.n:
         raise ValueError("index dimension mismatch")
     target = tuple(ix + p * s for ix, s in zip(index, nf.shift))
     if any(not 0 <= t <= p * d for t, d in zip(target, nf.degrees)):
         return 0
     tp, nf, target = torus.plan(nf, target, p, use_split2)
-    ms = _primes_for(total_weight(h), tp.M, p, prime_bits)
+    ms = _primes_for(total_weight(h), tp.M, p)
     residues = _sum_row_blocks(torus.coefficient_residues, (nf, target, p),
                                tp, ms, threads)
     return reconstruct(residues, ms)
@@ -178,8 +180,7 @@ def series_from_json(obj) -> Series:
 
 
 def constant_term_series(h: LaurentPolynomial, P: int, threads: int = 1,
-                         use_split2: bool = True, prime_bits: int = 31,
-                         progress=None) -> Series:
+                         use_split2: bool = True, progress=None) -> Series:
     """a_p = [h^p]_0 for p = 0..P, exactly, in one pass over one grid.
 
     Every power shares the grid planned for a_P and one set of primes whose
@@ -189,15 +190,15 @@ def constant_term_series(h: LaurentPolynomial, P: int, threads: int = 1,
     worker, and each block returns partial sums of all P + 1 terms;
     results are identical for any thread count because each block is exact
     field arithmetic.  progress(done, total) counts row blocks.  Raises
-    ValueError unless 0 <= P < torus.MAX_SERIES.
+    ValueError unless P is an integer in [0, torus.MAX_SERIES).
     """
+    P = _integer(P, "series length")
     if not 0 <= P < torus.MAX_SERIES:
         raise ValueError(f"series length must be in [0, {torus.MAX_SERIES})")
-    _check_prime_bits(prime_bits)
     threads = _resolve_threads(threads)
     nf = normalize(h)
     tp, nf, _ = torus.plan(nf, tuple(P * s for s in nf.shift), P, use_split2)
-    ms = _primes_for(total_weight(h), tp.M, P, prime_bits)
+    ms = _primes_for(total_weight(h), tp.M, P)
     sums = _sum_row_blocks(torus.series_residues, (nf, P), tp, ms, threads,
                            progress)
     return Series(h, tuple(reconstruct(r, ms) for r in sums))

@@ -179,9 +179,8 @@ def coordinate_changes(terms, G: np.ndarray, least: int):
 
 def laurent_terms(nf) -> tuple:
     """((c, e), ...) with e the exponents of h = X^-shift f."""
-    return tuple((c, tuple(int(x) - s for x, s in zip(
-        np.unravel_index(flat, nf.tensor.shape), nf.shift)))
-        for flat, c in enumerate(nf.tensor.data) if c)
+    return tuple((c, tuple(x - s for x, s in zip(e, nf.shift)))
+                 for c, e in nf.terms)
 
 
 def in_coordinates(nf, target, p: int, U):

@@ -172,8 +172,7 @@ def plan(nf: NormalizedPolynomial, target, p: int, use_split2: bool = True
     plan with the polynomial and target the kernels take: h o U and U i
     (symmetry.in_coordinates) if the plan has a U, else nf and target."""
     tp = _layout(nf, target, p, range(nf.n) if use_split2 else ())
-    data = nf.tensor.data
-    if len(tp.grid) < 2 or len(data) - data.count(0) > symmetry.MAX_TERMS:
+    if len(tp.grid) < 2 or len(nf.terms) > symmetry.MAX_TERMS:
         return tp, nf, target      # one row: numpy call overhead dominates
     terms = symmetry.laurent_terms(nf)
     # a search budget of one node per grid point, at least 1024
@@ -336,20 +335,18 @@ def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
     qs = np.array(primes, dtype=np.int64)[:, None]
     rows = range(tp.rows) if rows is None else rows
     # each term's class (its exponent in the inner variable), its exponent
-    # in the last grid variable, and its exponents in the outer ones
-    shape = nf.tensor.shape
-    terms = [(c, np.unravel_index(flat, shape) if shape else ())
-             for flat, c in enumerate(nf.tensor.data) if c]
+    # in the last grid variable, and its exponents in the outer ones; the
+    # column of zeros appended stands for an absent inner or last variable
+    terms = nf.terms
+    X = np.array([e + (0,) for _, e in terms], dtype=np.int64)
     outer, last = tp.grid[:-1], tp.grid[-1:]
-    classes = [int(e[tp.inner]) if tp.inner is not None else 0
-               for _, e in terms]
-    lasts = [int(e[last[0]]) if last else 0 for _, e in terms]
-    E = np.array([[e[k] for k in outer] for _, e in terms],
-                 dtype=np.int64).reshape(len(terms), len(outer))
+    classes = X[:, -1 if tp.inner is None else tp.inner]
+    lasts = X[:, last[0] if last else -1]
+    E = X[:, list(outer)]
     twist_outer = np.array([-twist[k] % M for k in outer], dtype=np.int64)
     twist_last = -twist[last[0]] % M if last else 0
     n_classes = 3 if tp.inner is not None else 1
-    d_last = max(lasts)
+    d_last = int(lasts.max())
 
     omega = _omega_powers(M, qs)
     # each term's coefficient times those powers, and which (class, last
@@ -358,8 +355,7 @@ def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
                       dtype=np.int64)
     term_tab = _mulmod(omega[:, None, :], coeffs[:, :, None], qs[:, :, None])
     group = np.zeros((n_classes * (d_last + 1), len(terms)), dtype=np.int64)
-    for t, (cls, e) in enumerate(zip(classes, lasts)):
-        group[cls * (d_last + 1) + e, t] = 1
+    group[classes * (d_last + 1) + lasts, np.arange(len(terms))] = 1
     L = M if last else 1                               # points per row
     tables = nq * M * (1 + len(terms)) + held_by_caller
     meter.take(tables)

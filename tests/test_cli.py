@@ -167,20 +167,12 @@ def test_bad_index(tmp_path, capsys):
     assert "bad index" in err
 
 
-def test_bad_prime_bits(capsys):
-    code, _, err = run(capsys, "coeff", "--fixture", "39", "--power", "2",
-                       "--prime-bits", "50")
-    assert code == 3
-    assert "prime_bits" in err
-
-
-def test_bad_prime_bits_outside_the_support(tmp_path, capsys):
-    f = tmp_path / "h.txt"
-    f.write_text("X + X^-1")
-    code, out, err = run(capsys, "coeff", "--poly", str(f), "--power", "6",
-                         "--index", "7", "--prime-bits", "50")
-    assert (code, out) == (3, "")
-    assert "prime_bits must be in [20, 31]" in err
+def test_bench_refuses_a_negative_power(capsys):
+    for power in ("-3", "2,-3"):
+        code, out, err = run(capsys, "bench", "--fixture", "dwork4",
+                             "--power", power)
+        assert (code, out) == (3, "")
+        assert "error: negative power" in err and "Traceback" not in err
 
 
 def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path,

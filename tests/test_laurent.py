@@ -110,10 +110,10 @@ def test_normalize_shift_and_degrees():
     nf = normalize(h)
     assert nf.shift == (2, 1)
     assert nf.degrees == (3, 2)
-    # cleared tensor holds the shifted exponents
-    assert nf.tensor[(0, 1)] == 1   # X^-2 -> X^0 Y^1
-    assert nf.tensor[(2, 2)] == 1   # Y    -> X^2 Y^2
-    assert nf.tensor[(3, 0)] == 1   # X/Y  -> X^3 Y^0
+    # the cleared terms hold the shifted exponents
+    assert nf.terms == ((1, (0, 1)),    # X^-2 -> X^0 Y^1
+                        (1, (2, 2)),    # Y    -> X^2 Y^2
+                        (1, (3, 0)))    # X/Y  -> X^3 Y^0
 
 
 def test_normalize_refuses_a_huge_sparse_tensor_before_allocating():
@@ -132,6 +132,23 @@ def test_normalize_refuses_a_huge_sparse_tensor_before_allocating():
     assert side * side == MAX_TENSOR
     with pytest.raises(LaurentError, match="exceeds"):
         normalize(parse_laurent(f"X^{side} + Y^{side - 1}"))
+
+
+def test_normalize_allocates_no_dense_table():
+    # a box of 2000002 points holds two terms
+    h = parse_laurent("X^2000000 + X^-1")
+    tracemalloc.start()
+    try:
+        nf = normalize(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert nf.degrees == (2000001,)
+    # h's terms shifted by nf.shift, in h's order
+    assert nf.terms == tuple((c, tuple(x + s for x, s in zip(e, nf.shift)))
+                             for c, e in h.terms)
+    assert nf.terms == ((1, (0,)), (1, (2000001,)))
 
 
 def test_normalize_no_negative_exponents_is_identity_shift():

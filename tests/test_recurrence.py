@@ -104,13 +104,16 @@ def test_negative_thread_counts_are_refused():
     assert exact_coefficient(h, 4, threads=0) == 6
 
 
-def test_bad_prime_bits_are_refused_on_every_path():
+def test_non_integer_powers_and_indices_are_refused():
     h = parse_laurent("X + X^-1")
-    for index in ((0,), (7,)):      # (7,) lies outside the support of h^6
-        with pytest.raises(ValueError, match=r"prime_bits must be in \[20, 31\]"):
-            exact_coefficient(h, 6, index, prime_bits=50)
-    with pytest.raises(ValueError, match="prime_bits"):
-        constant_term_series(h, 4, prime_bits=19)
+    for p, index in ((6.0, None), (6, (2.7,)), (6, ("2",)), ("6", None)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            exact_coefficient(h, p, index)
+    with pytest.raises(ValueError, match="must be an integer"):
+        constant_term_series(h, 3.0)
+    # numpy integers are integers
+    assert exact_coefficient(h, np.int64(6), (np.int64(2),)) == 15
+    assert constant_term_series(h, np.int64(4)).terms == (1, 0, 2, 0, 6)
 
 
 def test_series_progress_counts_row_blocks():
