@@ -14,22 +14,24 @@ and prime:
     python scripts/bench_scaling.py --fixture 39 --series 10,20,40
 
 With --json FILE it times the north-star cases on one thread instead:
-exact_coefficient of sample 39 at p = 40, 80 and 150, its constant term
-series to p = 59, search_recurrence on those 60 terms, and exact_coefficient
-at p = 20 and 40 of a polynomial without lattice symmetries (a seeded random
+exact_coefficient of sample 39 at p = 40, 80 and 150, of samples 24 and 38
+at p = 40, the constant term series of sample 39 to p = 59 and of sample 38
+to p = 34, search_recurrence on sample 39's 60 terms, exact_coefficient at
+p = 20 and 40 of a polynomial without lattice symmetries (a seeded random
 23-term polynomial in 4 variables with distinct coefficients, so that the
 whole grid is summed), and exact_coefficient of the walk X + 1/X + Y + 1/Y
 at p = 256 and index (1, 3); and sample 39 at p = 40 and 80 and its series
-to 59 on two workers as well (the cases ending in _t2).  Each case runs at
-least five times in about 2 s (once past 5 s); the best run, and the median
-and quartiles of all of them, go into one column of FILE (created if
+to 59 on two workers as well (the cases ending in _t2).  Each case runs in
+a child process of its own, at least five times in about 2 s (once past
+5 s), in three rounds.  The best run, and the median and quartiles of all
+of them, and each round's median, go into one column of FILE (created if
 missing; other columns are kept) with the git revision, the Python and
-numpy versions and the core count.  --src picks the source tree to time,
-so that one file can compare two checkouts:
+numpy versions and the core count.  --src picks the source tree to time.
+With --parent SRC the tree SRC is timed too, into the column "parent": the
+two trees alternate case by case (which goes first alternates as well), so
+that paired runs are made at the same time, and their results must agree:
 
-    python scripts/bench_scaling.py --json BENCH_13.json --column parent \
-        --src ../parent/src
-    python scripts/bench_scaling.py --json BENCH_13.json --column change
+    python scripts/bench_scaling.py --json BENCH_15.json --parent ../parent/src
 """
 
 import argparse
@@ -58,10 +60,19 @@ def main():
     ap.add_argument("--column", default="change",
                     help="column of the --json file to write")
     ap.add_argument("--src", default="src", help="source tree to time")
+    ap.add_argument("--parent", metavar="SRC",
+                    help="with --json, time this source tree too, paired")
+    ap.add_argument("--case", choices=CASES, help=argparse.SUPPRESS)
     args = ap.parse_args()
     sys.path.insert(0, args.src)
+    if args.case:
+        print(json.dumps(run_case(args.case)))
+        return
     if args.json:
-        north_star(Path(args.json), args.column, Path(args.src))
+        trees = {args.column: Path(args.src)}
+        if args.parent:
+            trees = {"parent": Path(args.parent), **trees}
+        north_star(Path(args.json), trees)
         return
 
     from ctpow import torus
@@ -160,7 +171,31 @@ def asymmetric_polynomial():
                            [(c, e) for c, e in enumerate(exps, 1)])
 
 
-def north_star(path: Path, column: str, src: Path):
+# rounds of each --json case, each in a child process of its own per tree
+ROUNDS = 3
+# what each --json case runs: (kind, polynomial, power, threads, or the
+# recurrence search's shape for "search")
+CASES = {
+    "coeff39_p40": ("coeff", "39", 40, 1),
+    "coeff39_p40_t2": ("coeff", "39", 40, 2),
+    "coeff24_p40": ("coeff", "24", 40, 1),
+    "coeff38_p40": ("coeff", "38", 40, 1),
+    "coeff39_p80": ("coeff", "39", 80, 1),
+    "coeff39_p80_t2": ("coeff", "39", 80, 2),
+    "coeff39_p150": ("coeff", "39", 150, 1),
+    "series39_P59": ("series", "39", 59, 1),
+    "series39_P59_t2": ("series", "39", 59, 2),
+    "series38_P34": ("series", "38", 34, 1),
+    "search39_8_4": ("search", "39", 59, (8, 4)),
+    "nosym_p20": ("coeff", "nosym", 20, 1),
+    "nosym_p40": ("coeff", "nosym", 40, 1),
+    "walk_p256": ("coeff", "walk", 256, 1),
+}
+
+
+def run_case(name: str) -> dict:
+    """One case's times and result, as --case prints them; the result is
+    checked where it is known."""
     # ctpow first, so that numpy loads as the package would load it
     from ctpow import fixtures
     from ctpow.fixtures import sample_polynomial
@@ -168,34 +203,33 @@ def north_star(path: Path, column: str, src: Path):
     from ctpow.recurrence import (constant_term_series, exact_coefficient,
                                   search_recurrence)
     import numpy
-    h = sample_polynomial("39")
-    times = {}
-    for p in (40, 80, 150):
-        value, times[f"coeff39_p{p}"] = _timed(exact_coefficient, h, p,
-                                               threads=1)
-        if p == 150:
-            assert value == fixtures.SAMPLE39_POWER150_CONSTANT
-        else:
-            value_t2, times[f"coeff39_p{p}_t2"] = _timed(exact_coefficient,
-                                                         h, p, threads=2)
-            assert value_t2 == value
-    s, times["series39_P59"] = _timed(constant_term_series, h, 59, threads=1)
-    s_t2, times["series39_P59_t2"] = _timed(constant_term_series, h, 59,
-                                            threads=2)
-    assert s_t2.terms == s.terms
-    hits, times["search39_8_4"] = _timed(search_recurrence, s.terms, 8, 4)
-    assert len(hits) == 1
-    h = asymmetric_polynomial()
-    for p in (20, 40):
-        _, times[f"nosym_p{p}"] = _timed(exact_coefficient, h, p, threads=1)
-    walk = parse_laurent("X + X^-1 + Y + Y^-1")
-    value, times["walk_p256"] = _timed(exact_coefficient, walk, 256, (1, 3),
-                                       threads=1)
-    stats = {case: _summary(t) for case, t in times.items()}
-    # with X = uv and Y = u/v the power is (u + 1/u)^256 (v + 1/v)^256
-    assert value == math.comb(256, 130) * math.comb(256, 127)
-    root = src.resolve().parent
-    git = ["git", "-C", str(root)]
+    kind, poly, power, extra = CASES[name]
+    h = (asymmetric_polynomial() if poly == "nosym" else
+         parse_laurent("X + X^-1 + Y + Y^-1") if poly == "walk" else
+         sample_polynomial(poly))
+    if kind == "coeff":
+        index = (1, 3) if poly == "walk" else None
+        value, times = _timed(exact_coefficient, h, power, index,
+                              threads=extra)
+    elif kind == "series":
+        value, times = _timed(constant_term_series, h, power, threads=extra)
+        value = value.terms
+    else:
+        terms = constant_term_series(h, power).terms
+        hits, times = _timed(search_recurrence, terms, *extra)
+        assert len(hits) == 1
+        value = [rec.polys for rec in hits]
+    if name == "coeff39_p150":
+        assert value == fixtures.SAMPLE39_POWER150_CONSTANT
+    if poly == "walk":
+        # with X = uv and Y = u/v the power is (u + 1/u)^256 (v + 1/v)^256
+        assert value == math.comb(256, 130) * math.comb(256, 127)
+    return {"times": times, "result": str(value),
+            "python": platform.python_version(), "numpy": numpy.__version__}
+
+
+def _revision(src: Path) -> str:
+    git = ["git", "-C", str(src.resolve().parent)]
     try:
         rev = subprocess.run(git + ["rev-parse", "--short", "HEAD"],
                              capture_output=True, text=True).stdout.strip()
@@ -203,25 +237,54 @@ def north_star(path: Path, column: str, src: Path):
                                capture_output=True, text=True).stdout.strip()
     except OSError:
         rev, dirty = "", ""
+    return (rev or "unknown") + ("+uncommitted" if dirty else "")
+
+
+def north_star(path: Path, trees: dict):
+    """Time every case of CASES in a child process per tree and round, the
+    trees alternating, into one column of `path` per tree."""
+    times = {col: {case: [] for case in CASES} for col in trees}
+    medians = {col: {case: [] for case in CASES} for col in trees}
+    results, meta = {}, {}
+    for r in range(ROUNDS):
+        for i, case in enumerate(CASES):
+            order = list(trees.items())
+            for col, src in order[::-1] if (r + i) % 2 else order:
+                out = subprocess.run(
+                    [sys.executable, __file__, "--case", case, "--src",
+                     str(src)], capture_output=True, text=True, check=True)
+                rec = json.loads(out.stdout.splitlines()[-1])
+                times[col][case] += rec["times"]
+                medians[col][case].append(statistics.median(rec["times"]))
+                results.setdefault(case.removesuffix("_t2"), set()).add(
+                    rec["result"])
+                meta[col] = {"python": rec["python"], "numpy": rec["numpy"]}
+            print(case, {col: medians[col][case][-1] for col in trees},
+                  flush=True)
+    # every tree and thread count gives the same result
+    assert all(len(found) == 1 for found in results.values()), results
     record = json.loads(path.read_text()) if path.exists() else {}
     record["cases"] = {
-        "coeff39_pN": "exact_coefficient(sample 39, N), constant term",
-        "series39_P59": "constant_term_series(sample 39, 59)",
-        "search39_8_4": "search_recurrence(those 60 terms, 8, 4)",
+        "coeffS_pN": "exact_coefficient(sample S, N), constant term",
+        "seriesS_PN": "constant_term_series(sample S, N)",
+        "search39_8_4": "search_recurrence(sample 39's 60 terms, 8, 4)",
         "nosym_pN": "exact_coefficient(asymmetric_polynomial(), N): no "
                     "lattice symmetry, the whole grid",
         "walk_p256": "exact_coefficient(X + 1/X + Y + 1/Y, 256, (1, 3))",
         "threads": "1; 2 in the cases ending in _t2",
-        "unit": "s; seconds: the best of the runs in 2 s, at least 5 (or "
-                "of 1 past 5 s); stats: best, quartiles and median of them"}
-    record.setdefault("columns", {})[column] = {
-        "revision": (rev or "unknown") + ("+uncommitted" if dirty else ""),
-        "python": platform.python_version(), "numpy": numpy.__version__,
-        "cores": os.cpu_count(),
-        "seconds": {case: st["best"] for case, st in stats.items()},
-        "stats": stats}
+        "unit": "s; seconds: the best of all runs; stats: best, quartiles "
+                "and median of all runs, the runs, and each round's median "
+                "(a round runs a case at least 5 times in 2 s, or once "
+                "past 5 s, in a child process of its own)"}
+    for col, src in trees.items():
+        stats = {case: dict(_summary(t), round_medians=medians[col][case])
+                 for case, t in times[col].items()}
+        record.setdefault("columns", {})[col] = {
+            "revision": _revision(src), **meta[col],
+            "cores": os.cpu_count(),
+            "seconds": {case: st["best"] for case, st in stats.items()},
+            "stats": stats}
     path.write_text(json.dumps(record, indent=2) + "\n")
-    print(json.dumps(stats))
 
 
 if __name__ == "__main__":

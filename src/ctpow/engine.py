@@ -154,7 +154,7 @@ def _walk(A: np.ndarray, p: int, ctx: PrimeContext, split: bool) -> int:
     u = np.arange(L, dtype=np.int64)
     held = (sum(t.size for t in powers.values()) + (K.size if split else 0)
             + (len(E) + classes * (d + 1) + 2) * R
-            + (classes + torus._LIVE) * R * L)
+            + (2 * classes + torus._LIVE) * R * L)
     ctx.meter.take(held)
     acc = 0
     for lo in range(0, n_rows, R):
@@ -168,13 +168,16 @@ def _walk(A: np.ndarray, p: int, ctx: PrimeContext, split: bool) -> int:
             w = w * rows[k][sk] % q
         P = (group @ t % q).reshape(classes, d + 1, -1, 1)
         v = np.repeat(P[:, d], L, axis=2)
+        tmp = np.empty_like(v)
         for e in range(d - 1, -1, -1):
-            v = (v * u + P[:, e]) % q
+            v *= u
+            v += P[:, e]
+            torus._reduce(v, qs, tmp)
         if split:
             G = torus._trinomial(v[1], v[2], v[0], p, 0, K, qs)
         else:
-            G = torus._powmod(v[0], p, q)
-        part = (G * rows[first] % q).sum(axis=1) % q
+            G = torus._powmod(v[0], p, qs)
+        part = torus._mulmod(G, rows[first], qs).sum(axis=1) % q
         acc = (acc + int((part * w % q).sum())) % q
     ctx.meter.give(held)
 

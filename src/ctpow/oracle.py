@@ -101,18 +101,22 @@ def dense_multiply(a: DensePolynomial, b: DensePolynomial,
     return DensePolynomial(out_shape, tuple(out))
 
 
+def _check_power_size(degrees, p: int, max_entries: int):
+    if p < 0:
+        raise ValueError("negative power")
+    size = math.prod(p * d + 1 for d in degrees)
+    if size > max_entries:
+        raise SizeGuardError(
+            f"dense power would have {size} entries (limit {max_entries})")
+
+
 def dense_power(f: DensePolynomial, p: int,
                 max_entries: int = DEFAULT_MAX_ENTRIES) -> DensePolynomial:
     """f**p by repeated multiplication (keeps every intermediate exact).
 
     Refuses before multiplying when f**p itself would exceed max_entries.
     """
-    if p < 0:
-        raise ValueError("negative power")
-    size = math.prod(p * (s - 1) + 1 for s in f.shape)
-    if size > max_entries:
-        raise SizeGuardError(
-            f"dense power would have {size} entries (limit {max_entries})")
+    _check_power_size([s - 1 for s in f.shape], p, max_entries)
     acc = DensePolynomial((1,) * len(f.shape), (1,))
     for _ in range(p):
         acc = dense_multiply(acc, f, max_entries)
@@ -133,6 +137,9 @@ def naive_power_coeff(h: LaurentPolynomial, p: int, index=None,
     index = tuple(int(x) for x in index)
     if len(index) != n:
         raise ValueError("index dimension mismatch")
+    _check_power_size(nf.degrees, p, max_entries)   # before the table
+    if p == 0:
+        return int(not any(index))
     target = tuple(ix + p * s for ix, s in zip(index, nf.shift))
     g = dense_power(dense_from_normalized(nf), p, max_entries)
     if any(not 0 <= t < sh for t, sh in zip(target, g.shape)):

@@ -55,9 +55,11 @@ coordinates by a unimodular U, [h^p]_i = [(h o U)^p]_(U i), to sum a
 direction with a larger stabiliser exactly.
 
 The class values A, B, C (or h) are evaluated in chunks of _ROWS grid rows
-of M points (a row is the last grid variable), with all primes in each
-numpy call, and only at the representatives, gathered into batches of
-_BATCH * M points, so the live elements per prime stay O(M) = O(p).
+of M points (a row is the last grid variable), only at the representatives,
+in batches of _BATCH * M points, so the live elements per prime stay O(p).
+All primes share each numpy call but the divisions of a batch of _LONG or
+more points per prime: x - (x // q_i) q_i, one call per prime, as numpy
+divides by a scalar by multiply and shift (Granlund and Montgomery, 1994).
 Residues are int64 below 2**31: a product of two stays below 2**62 and a
 sum of two products below 2**63 (of four, below 2**64 as uint64), at any
 P; a batch's weights add up to less than 2**31.  P < MAX_SERIES = 2**16
@@ -84,7 +86,9 @@ _ROWS = 128
 # arrays of batch size (points x primes) alive at once in _trinomial
 _LIVE = 14
 # orbit representatives per batch, in grid rows of M points
-_BATCH = 16
+_BATCH = 64
+# rows of at least this many points per prime are reduced prime by prime
+_LONG = 1024
 # series lengths P must stay below this size guard
 MAX_SERIES = 1 << 16
 # larger groups are not used: their orbit and coordinate work outgrows the
@@ -196,10 +200,23 @@ def plan(nf: NormalizedPolynomial, target, p: int, use_split2: bool = True
     return tp, nf, target
 
 
+def _reduce(x, q, tmp=None):
+    """x mod q in place for x >= 0 and q (primes, 1, ...) aligned with the
+    last axes of x, or one prime as (1, ..., 1); tmp is shaped like x."""
+    if x.size < _LONG * q.size:
+        return np.remainder(x, q, out=x)
+    tmp = np.empty_like(x) if tmp is None else tmp
+    xu, tu = x.view(np.uint64), tmp.view(np.uint64)   # unsigned divides faster
+    for i, qi in enumerate(q.ravel().tolist()):
+        at = (..., i, *[slice(None)] * (q.ndim - 1)) if q.size > 1 else ()
+        np.floor_divide(xu[at], qi, out=tu[at])
+    tmp *= q
+    x -= tmp
+    return x
+
+
 def _mulmod(a, b, q):
-    out = a * b
-    np.remainder(out, q, out=out)
-    return out
+    return _reduce(a * b, q)
 
 
 def _powmod(v, e: int, q):
@@ -253,7 +270,7 @@ def _dot(xs, ys, q, out, tmp):
     for x, y in zip(xs[1:], ys[1:]):
         np.multiply(x, y, out=tmp)
         np.add(out, tmp, out=out)
-    np.remainder(out, q, out=out)
+    _reduce(out, q, tmp)
 
 
 def _trinomial(a, b, c, p: int, m: int, K, q):
@@ -350,11 +367,12 @@ def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
 
     omega = _omega_powers(M, qs)
     # each term's coefficient times those powers, and which (class, last
-    # exponent) group of P it adds to
+    # exponent) group of P it adds to, in float64 (BLAS) while it is exact
     coeffs = np.array([[c % q for c, _ in terms] for q in primes],
                       dtype=np.int64)
     term_tab = _mulmod(omega[:, None, :], coeffs[:, :, None], qs[:, :, None])
-    group = np.zeros((n_classes * (d_last + 1), len(terms)), dtype=np.int64)
+    group = np.zeros((n_classes * (d_last + 1), len(terms)),
+                     dtype=float if len(terms) < 1 << 22 else np.int64)
     group[classes * (d_last + 1) + lasts, np.arange(len(terms))] = 1
     L = M if last else 1                               # points per row
     tables = nq * M * (1 + len(terms)) + held_by_caller
@@ -365,7 +383,8 @@ def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
     T = min(_BATCH, len(rows)) * L
     vals = np.empty((n_classes, nq, T), dtype=np.int64)
     w, wt = np.empty((nq, T), dtype=np.int64), np.empty(T, dtype=np.int64)
-    batch = (n_classes * nq + nq + 1 + _LIVE * nq) * T
+    tmp = np.empty_like(vals)
+    batch = (2 * n_classes * nq + nq + 1 + _LIVE * nq) * T
     meter.take(batch)
     filled = 0
     H = tp.maps
@@ -380,7 +399,7 @@ def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
         ph = E @ O % M
         gathered = term_tab[:, np.arange(len(terms))[:, None], ph]
         P = (group @ gathered.transpose(1, 0, 2).reshape(len(terms), -1))
-        P = P.reshape(n_classes, d_last + 1, nq, R) % qs
+        P = P.astype(np.int64).reshape(n_classes, d_last + 1, nq, R) % qs
         # ... evaluated at the kept points by Horner in omega^s, as many at
         # a time as fill the batch
         a = 0
@@ -393,7 +412,7 @@ def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
             for e in range(d_last - 1, -1, -1):
                 np.multiply(acc, om, out=acc)
                 np.add(acc, P[:, e][..., r_idx[sel]], out=acc)
-                np.remainder(acc, qs, out=acc)
+                _reduce(acc, qs, tmp[..., out])
             w[:, out] = omega[:, twist_s[sel]]
             wt[out] = orbit[sel]
             a, filled = a + n, filled + n
@@ -449,21 +468,21 @@ def _trinomial_powers(a, d, g, q):
     for g_p in g[2:]:
         np.multiply(a, v1, out=x)
         np.multiply(d, v0, out=y)
-        np.remainder(y, q, out=y)
+        _reduce(y, q, v0)                   # v0 is spent: a temporary
         y *= g_p
         x += y
-        np.remainder(x, q, out=x)
+        _reduce(x, q, y)
         v0, v1, x = v1, x, v0
         yield v1
 
 
 def _plain_powers(v, P: int, q):
     """v^p pointwise for p = 0..P; the array is reused."""
-    u = np.ones_like(v)
+    u, tmp = np.ones_like(v), np.empty_like(v)
     yield u
     for _ in range(P):
         np.multiply(u, v, out=u)
-        np.remainder(u, q, out=u)
+        _reduce(u, q, tmp)
         yield u
 
 
@@ -505,7 +524,7 @@ def series_residues(nf: NormalizedPolynomial, P: int, primes,
     for vals, w, weight in _class_values(nf, tp, primes, rows, nf.shift,
                                          meter, S.size + g.size + scale.size):
         # omega^(-shift.s) gives the values of h, in place to save memory
-        np.remainder(np.multiply(vals, w, out=vals), qs, out=vals)
+        _reduce(np.multiply(vals, w, out=vals), qs)
         if tp.inner is None:
             powers = _plain_powers(vals[0], P, qs)
         else:

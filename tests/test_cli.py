@@ -125,6 +125,25 @@ def test_oracle_refuses_huge_power(capsys):
     assert "refused" in err
 
 
+def test_oracle_refuses_a_huge_sparse_table_before_building_it(tmp_path,
+                                                               capsys):
+    f = tmp_path / "h.txt"
+    f.write_text("X^4000*Y^4000 + X^-1 + Y^-1")   # 16016004 entries
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "oracle", "--poly", str(f), "--power", "1")
+        refused_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert run(capsys, "oracle", "--poly", str(f), "--power", "0")[:2] \
+            == (0, "1\n")
+        peak = max(refused_peak, tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20        # no dense table, refused or at p = 0
+    assert code == 4
+    assert "refused" in err and "Traceback" not in err
+
+
 def test_coeff_refuses_a_huge_sparse_tensor(tmp_path, capsys):
     f = tmp_path / "h.txt"
     f.write_text("X^30000*Y^30000 + X^-1 + Y^-1")

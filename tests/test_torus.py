@@ -276,6 +276,61 @@ def test_trinomial_against_python_ints():
                  for k in range(8)] for i, q in enumerate(primes)], (p, m)
 
 
+def _reduce_input(shape, q, dtype, rng):
+    """Random values up to the largest the kernels reduce, 4 (q - 1)^2 as
+    uint64 (a block of four products) or (q - 1)^2 as int64, with each row
+    starting 0, q - 1, (q - 1)^2 and, as uint64, 4 (q - 1)^2."""
+    top = (q - 1) ** 2 * (4 if dtype == np.uint64 else 1)
+    x = (rng.random(shape) * top).astype(dtype)
+    x[..., :4] = [0, q - 1, (q - 1) ** 2, top]
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+@pytest.mark.parametrize("n", [5, 255, 342, 3000])
+def test_reduce_against_remainder_and_python_ints(n, dtype):
+    # (classes, primes, n) against (primes, 1), and the reference engine's
+    # (R, L) against one prime as (1, 1); 3n and 4n points per prime fall
+    # below torus._LONG for n = 5 and 255 and reach it for 342 and 3000, so
+    # both paths run, and a long path that reduced only row 0 would fail
+    rng = np.random.default_rng(n)
+    primes = select_primes(93, congruent_to_1_mod=41).primes
+    qs = np.array(primes, dtype=dtype)[:, None]
+    x = np.stack([np.stack([_reduce_input(n, q, dtype, rng) for q in primes])
+                  for _ in range(3)])
+    want = [[[v % q for v in row] for row, q in zip(c.tolist(), primes)]
+            for c in x]
+    engine_x = _reduce_input((4, n), primes[0], dtype, rng)
+    engine_want = [[v % primes[0] for v in row] for row in engine_x.tolist()]
+    for x, q, want in ((x, qs, want), (engine_x, qs[:1], engine_want)):
+        assert (x.size >= torus._LONG * q.size) == (n > 255)
+        assert np.remainder(x, q).tolist() == want
+        for tmp in (None, np.empty_like(x)):
+            y = x.copy()
+            assert torus._reduce(y, q, tmp) is y
+            assert y.dtype == x.dtype and y.tolist() == want
+
+
+def test_kernels_on_long_rows_repeat_the_short_rows():
+    # the point values of test_trinomial_against_python_ints, repeated
+    # past torus._LONG points per prime, give the same values repeated
+    primes = select_primes(62, congruent_to_1_mod=4).primes[:2]
+    qs = np.array(primes, dtype=np.int64)[:, None]
+    rng = np.random.default_rng(5)
+    A, B, C = (np.stack([_reduce_input(8, q, np.int64, rng) % q
+                         for q in primes]) for _ in range(3))
+    reps = torus._LONG // 8 + 1
+    for p in (0, 1, 2, 7, 16, 33):
+        for m in {-p, -1, 0, 2, p} & set(range(-p, p + 1)):
+            K = torus._trinomial_weights(p, abs(m), qs)
+            short = torus._trinomial(A, B, C, p, m, K, qs)
+            assert torus._trinomial(*(np.tile(x, reps) for x in (A, B, C)),
+                                    p, m, K, qs).tolist() \
+                == np.tile(short, reps).tolist(), (p, m)
+        assert torus._powmod(np.tile(A, reps), p, qs).tolist() \
+            == np.tile(torus._powmod(A, p, qs), reps).tolist()
+
+
 def _next_prime(n):
     return next(q for q in range(max(n + 1, 2), 2 * n + 4)
                 if all(q % d for d in range(2, math.isqrt(q) + 1)))
