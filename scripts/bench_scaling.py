@@ -89,7 +89,7 @@ def main():
         series_table(args.fixture, h, nf,
                      [int(x) for x in args.series.split(",")])
         return
-    q = select_primes(31).primes[0]
+    q = select_primes(1 << 30).primes[0]
     print(f"sample {args.fixture}, cleared shape "
           f"{tuple(d + 1 for d in nf.degrees)}, meter prime {q}")
     header = (f"{'p':>4} {'digits':>7} {'total s':>9} {'peak elems':>11} "
@@ -105,7 +105,8 @@ def main():
         target = tuple(p * s for s in nf.shift)
         tp, nf_u, target_u = torus.plan(nf, target, p)
         meter = torus.AllocationMeter()
-        one_prime = select_primes(31, p, congruent_to_1_mod=tp.M).primes[:1]
+        one_prime = select_primes(1 << 30, p,
+                                  congruent_to_1_mod=tp.M).primes[:1]
         torus.coefficient_residues(nf_u, target_u, p, one_prime, tp,
                                    meter=meter)
         peak = meter.peak

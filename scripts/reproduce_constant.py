@@ -6,6 +6,7 @@ and reports the prime budget it used.
 """
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -15,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from ctpow.fixtures import SAMPLE39_POWER150_CONSTANT, sample_polynomial
 from ctpow.laurent import normalize, total_weight
 from ctpow.recurrence import exact_coefficient
-from ctpow.rns import coefficient_bound_bits, select_primes
+from ctpow.rns import select_primes
 
 
 def main():
@@ -27,11 +28,13 @@ def main():
 
     h = sample_polynomial("39")
     nf = normalize(h)
-    bits = coefficient_bound_bits(total_weight(h), args.power)
-    primes = select_primes(bits).primes
+    # |a| <= w^p, and the product of the primes must exceed twice that
+    bound = total_weight(h) ** args.power
+    primes = select_primes(bound).primes
     print(f"polynomial: 23 terms, cleared shape "
           f"{tuple(d + 1 for d in nf.degrees)}")
-    print(f"coefficient bound: {bits} bits -> {len(primes)} primes of 31 bits")
+    print(f"coefficient bound: 2 w^p = 2^{math.log2(2 * bound):.2f} -> "
+          f"{len(primes)} primes of 31 bits")
 
     t0 = time.perf_counter()
     value = exact_coefficient(h, args.power, threads=args.threads)

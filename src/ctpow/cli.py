@@ -7,12 +7,16 @@ reference computation), selftest.
 
 Exit codes: 0 success (including "no operator found"), 2 usage error,
 3 input error, 4 resource guard refusal, 5 worker process failed.
+Results and series files are written and read at any size; an integer
+literal in a polynomial may have at most sys.get_int_max_str_digits()
+digits (4300 by default), else the input is refused with exit code 3.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -23,9 +27,10 @@ from .fixtures import SAMPLE_NAMES, sample_polynomial
 from .laurent import (LaurentError, normalize, parse_laurent, to_expr_string,
                       total_weight)
 from .oracle import SizeGuardError, known_family, naive_power_coeff
-from .recurrence import (WorkerError, constant_term_series,
+from .recurrence import (WorkerError, _primes_for, constant_term_series,
                          exact_coefficient, recurrence_to_operator,
-                         search_recurrence, series_from_json, series_to_json)
+                         search_recurrence, series_from_json, series_to_json,
+                         to_decimal)
 
 
 def _load_polynomial(args):
@@ -65,7 +70,7 @@ def cmd_coeff(args) -> int:
     h = _load_polynomial(args)
     index = _parse_index(args.index) if args.index else None
     value = exact_coefficient(h, args.power, index, threads=args.threads)
-    _emit(str(value), args.out)
+    _emit(to_decimal(value), args.out)
     return 0
 
 
@@ -94,17 +99,22 @@ def cmd_bench(args) -> int:
     powers = sorted({int(p) for p in args.power.split(",")})
     if powers[0] < 0:       # before torus.plan sizes a grid from it
         raise ValueError("negative power")
+    w = total_weight(h)
     lines = [f"polynomial: {to_expr_string(h)}",
-             f"terms: {len(h.terms)}  weight: {total_weight(h)}",
-             ""]
+             f"terms: {len(h.terms)}  weight: {w}", ""]
     nf = normalize(h)
     for p in powers:
         tp = torus.plan(nf, tuple(p * s for s in nf.shift), p)[0]
         inner = (tp.U[0] if tp.U else None if tp.inner is None
                  else h.variables[tp.inner])
+        # every coefficient of h^p is at most w^p in absolute value
+        ms = _primes_for(w, tp.M, p)
         lines.append(f"plan p={p}: U={'yes' if tp.U else 'no'} inner={inner} "
                      f"M={tp.M} |H|={max(len(tp.H), 1)} points="
-                     f"{torus.representatives(tp)}/{tp.M ** len(tp.grid)}")
+                     f"{torus.representatives(tp)}/{tp.M ** len(tp.grid)} "
+                     f"primes={len(ms.primes)} bound="
+                     f"{math.log2(2 * w ** p):.2f} bits "
+                     f"product={math.log2(ms.product):.2f} bits")
         t0 = time.perf_counter()
         value = exact_coefficient(h, p, threads=args.threads)
         dt_engine = time.perf_counter() - t0
@@ -113,10 +123,12 @@ def cmd_bench(args) -> int:
             ref = naive_power_coeff(h, p)
             dt_oracle = time.perf_counter() - t0
             agree = "yes" if ref == value else "NO"
-            oracle_col = f"oracle={ref} time={dt_oracle:.3f}s agree={agree}"
+            oracle_col = (f"oracle={to_decimal(ref)} time={dt_oracle:.3f}s "
+                          f"agree={agree}")
         except SizeGuardError as exc:
             oracle_col = f"oracle=refused ({exc})"
-        lines.append(f"p={p} engine={value} time={dt_engine:.3f}s {oracle_col}")
+        lines.append(f"p={p} engine={to_decimal(value)} bits="
+                     f"{value.bit_length()} time={dt_engine:.3f}s {oracle_col}")
     _emit("\n".join(lines), args.out)
     return 0
 
@@ -125,7 +137,7 @@ def cmd_oracle(args) -> int:
     h = _load_polynomial(args)
     index = _parse_index(args.index) if args.index else None
     value = naive_power_coeff(h, args.power, index)
-    _emit(str(value), args.out)
+    _emit(to_decimal(value), args.out)
     return 0
 
 

@@ -9,6 +9,7 @@ is meaningful evidence.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,13 +28,6 @@ class DensePolynomial:
     """Dense integer coefficient tensor, row-major, last axis fastest."""
     shape: tuple[int, ...]
     data: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        n = 1
-        for s in self.shape:
-            n *= s
-        return n
 
 
 def _strides(shape):
@@ -58,47 +52,28 @@ def dense_multiply(a: DensePolynomial, b: DensePolynomial,
     if len(a.shape) != len(b.shape):
         raise ValueError("dimension mismatch")
     out_shape = tuple(sa + sb - 1 for sa, sb in zip(a.shape, b.shape))
-    out_size = 1
-    for s in out_shape:
-        out_size *= s
+    out_size = math.prod(out_shape)
     if out_size > max_entries:
         raise SizeGuardError(
             f"dense product would have {out_size} entries (limit {max_entries})")
-    nz_a = sum(1 for v in a.data if v)
-    nz_b = sum(1 for v in b.data if v)
-    if nz_a < nz_b:
+    if sum(map(bool, a.data)) < sum(map(bool, b.data)):
         a, b = b, a  # keep the sparser factor on the inner loop
     out = [0] * out_size
-    out_strides = _strides(out_shape)
-    a_strides = _strides(a.shape)
-    b_strides = _strides(b.shape)
-    n = len(out_shape)
-
-    # offset of every b entry in the output grid, precomputed once
-    b_off = []
-    for flat_b, vb in enumerate(b.data):
-        if vb == 0:
-            continue
-        rem = flat_b
-        off = 0
-        for r in range(n):
-            idx = rem // b_strides[r]
-            rem -= idx * b_strides[r]
-            off += idx * out_strides[r]
-        b_off.append((off, vb))
-
-    for flat_a, va in enumerate(a.data):
-        if va == 0:
-            continue
-        rem = flat_a
-        base = 0
-        for r in range(n):
-            idx = rem // a_strides[r]
-            rem -= idx * a_strides[r]
-            base += idx * out_strides[r]
-        for off, vb in b_off:
-            out[base + off] += va * vb
+    strides = _strides(out_shape)
+    # offset of every nonzero b entry in the output grid, computed once
+    b_off = [(off, vb) for off, vb in zip(_offsets(b.shape, strides), b.data)
+             if vb]
+    for base, va in zip(_offsets(a.shape, strides), a.data):
+        if va:
+            for off, vb in b_off:
+                out[base + off] += va * vb
     return DensePolynomial(out_shape, tuple(out))
+
+
+def _offsets(shape, strides):
+    """The offset under `strides` of each entry of a row-major `shape`."""
+    return map(sum, itertools.product(*(range(0, n * st, st)
+                                        for n, st in zip(shape, strides))))
 
 
 def _check_power_size(degrees, p: int, max_entries: int):
@@ -144,9 +119,7 @@ def naive_power_coeff(h: LaurentPolynomial, p: int, index=None,
     g = dense_power(dense_from_normalized(nf), p, max_entries)
     if any(not 0 <= t < sh for t, sh in zip(target, g.shape)):
         return 0
-    strides = _strides(g.shape)
-    flat = sum(t * st for t, st in zip(target, strides))
-    return g.data[flat]
+    return g.data[sum(t * st for t, st in zip(target, _strides(g.shape)))]
 
 
 def known_family(name: str, p: int) -> int:

@@ -35,8 +35,7 @@ from . import torus
 from .engine import coefficient_mod_prime  # noqa: F401
 from .laurent import (LaurentPolynomial, normalize, polynomial_from_json,
                       polynomial_to_json, total_weight)
-from .rns import (ModulusSet, _is_prime, coefficient_bound_bits, reconstruct,
-                  select_primes)
+from .rns import ModulusSet, _is_prime, reconstruct, select_primes
 
 
 class FitError(ValueError):
@@ -50,10 +49,10 @@ class WorkerError(RuntimeError):
 # --- exact coefficients over many primes ------------------------------------
 
 def _primes_for(h_weight: int, M: int, p: int) -> ModulusSet:
+    # every coefficient of h^p is at most h_weight^p in absolute value;
     # q = 1 (mod M) gives the grid's roots of unity; q > 2p keeps p! and the
     # series recurrence's divisors 2p - 1 invertible
-    bits = coefficient_bound_bits(h_weight, p)
-    return select_primes(bits, max(1, 2 * p), congruent_to_1_mod=M)
+    return select_primes(h_weight ** p, max(1, 2 * p), congruent_to_1_mod=M)
 
 
 def _integer(x, what: str) -> int:
@@ -152,10 +151,28 @@ class Series:
         return len(self.terms)
 
 
+def to_decimal(x: int) -> str:
+    """str(x) past Python's limit of 4300 digits for str(int), by halves."""
+    if x.bit_length() < 14000:
+        return str(x)
+    hi, lo = divmod(abs(x), 10 ** (k := x.bit_length() * 3 // 20))  # halves
+    return "-" * (x < 0) + to_decimal(hi) + to_decimal(lo).zfill(k)
+
+
+def from_decimal(text: str) -> int:
+    """int(text) at any size for what to_decimal writes, by halves."""
+    if len(text) < 4000 or not text[1:].isdigit():
+        return int(text)
+    k = len(text) // 2
+    lo = from_decimal(text[k:])                  # the digits, without sign
+    return from_decimal(text[:k]) * 10 ** (len(text) - k) + (
+        -lo if text[0] == "-" else lo)
+
+
 def series_to_json(s: Series) -> dict:
     return {
         "poly": None if s.poly is None else polynomial_to_json(s.poly),
-        "terms": [str(t) for t in s.terms],
+        "terms": [to_decimal(t) for t in s.terms],
     }
 
 
@@ -172,7 +189,7 @@ def series_from_json(obj) -> Series:
     out = []
     for t in terms:
         if isinstance(t, str):
-            t = int(t)
+            t = from_decimal(t)
         elif isinstance(t, bool) or not isinstance(t, int):
             raise FitError(f"non-integer series term {t!r}")
         out.append(t)
@@ -386,22 +403,28 @@ def search_recurrence(series, max_k: int, max_d: int, extra: int = 5):
 
     Cells that enlarge an already found relation are skipped: the padded
     smaller solution always lies in their nullspace, so they can only
-    rediscover it or fail the uniqueness test.
+    rediscover it or fail the uniqueness test.  So are the cells inside a
+    largest cell whose matrix has full column rank modulo _RANK_PRIME: their
+    matrices are column subsets of its matrix over the same rows, so
+    fit_recurrence would find no kernel at its first prime.
     """
     terms = list(series.terms if isinstance(series, Series) else series)
-    cells = sorted(((k, d) for k in range(max_k + 1) for d in range(max_d + 1)),
+    if extra < 1:
+        raise FitError("need at least one withheld equation")
+    cells = sorted(((k, d) for k in range(max_k + 1) for d in range(max_d + 1)
+                    if (k + 1) * (d + 1) + extra <= len(terms)),
                    key=lambda kd: ((kd[0] + 1) * (kd[1] + 1), kd[0]))
+    top = [c for c in cells if not any(
+        c != c2 and c[0] <= c2[0] and c[1] <= c2[1] for c2 in cells)]
+    full = [c for c in top if not _kernel_mod_prime(_relation_matrix_mod(
+        terms[:len(terms) - extra], *c, _RANK_PRIME), _RANK_PRIME)[1]]
     hits = []
-    found_shapes = []
     for k, d in cells:
-        if (k + 1) * (d + 1) + extra > len(terms):
-            continue
-        if any(k0 <= k and d0 <= d for k0, d0 in found_shapes):
-            continue
-        rec = fit_recurrence(terms, k, d, extra)
-        if rec is not None:
-            hits.append(rec)
-            found_shapes.append((k, d))
+        if not any(r.k <= k and r.degree <= d for r in hits) and not any(
+                k <= k1 and d <= d1 for k1, d1 in full):
+            rec = fit_recurrence(terms, k, d, extra)
+            if rec is not None:
+                hits.append(rec)
     return hits
 
 

@@ -3,8 +3,10 @@
 Coefficients are computed modulo several 31-bit primes and recombined by
 mixed radix conversion, so no arithmetic ever touches integers larger than
 a machine word until the final answer is assembled.  Signed values are
-recovered from the balanced range (-M/2, M/2) where M is the product of
-the moduli.
+recovered from the balanced range (-N/2, N/2), N the product of the
+moduli, so a value known to satisfy |x| <= B needs exactly N > 2B: the
+primes are the shortest run of the scan with that product (for a
+coefficient of h**p, B = w**p, w the sum of the absolute coefficients).
 """
 
 from __future__ import annotations
@@ -67,39 +69,27 @@ class ModulusSet:
         return math.prod(self.primes)
 
 
-def coefficient_bound_bits(weight: int, p: int) -> int:
-    """Bits needed to cover any coefficient of h**p, plus sign headroom.
+def select_primes(bound: int, min_exclusive: int = 1, max_bits: int = 31,
+                  congruent_to_1_mod: int = 1) -> ModulusSet:
+    """The shortest prefix of a scan of primes whose product exceeds
+    2 * bound, so that reconstruct recovers every |x| <= bound.
 
-    The sum of absolute coefficient values of h**p is at most weight**p,
-    so ceil(p*log2(weight)) + 2 bits always suffice.  Computed with integer
-    arithmetic; no floating point rounding.
-    """
-    if weight < 1:
-        raise ValueError("weight must be positive")
-    if p < 0:
-        raise ValueError("negative power")
-    w = weight ** p
-    ceil_log2 = 0 if w == 1 else (w - 1).bit_length()
-    return ceil_log2 + 2
-
-
-def select_primes(bound_bits: int, min_exclusive: int = 1,
-                  max_bits: int = 31, congruent_to_1_mod: int = 1) -> ModulusSet:
-    """Smallest set of primes below 2**max_bits whose product exceeds 2**bound_bits.
-
-    Scans the candidates q = 1 (mod congruent_to_1_mod) downward from
-    2**max_bits - 1, so the choice is deterministic.  Every prime also
-    exceeds min_exclusive (node counts and factorials must stay invertible).
-    With congruent_to_1_mod = M every prime has an element of order M.
+    The scan runs over q = 1 (mod congruent_to_1_mod) downward from
+    2**max_bits - 1, so the choice is deterministic and a smaller bound
+    takes a prefix of a larger one's primes.  Every prime also exceeds
+    min_exclusive (node counts and factorials must stay invertible).  With
+    congruent_to_1_mod = M every prime has an element of order M.
     """
     if not 20 <= max_bits <= 31:
         raise ValueError("prime size must be between 20 and 31 bits")
     if congruent_to_1_mod < 1:
         raise ValueError("congruent_to_1_mod must be positive")
+    if bound < 1:
+        raise ValueError("bound must be positive")
     if min_exclusive >= 2 ** max_bits - 1:
         raise ValueError("no primes available above min_exclusive")
     step = congruent_to_1_mod
-    target = 1 << bound_bits
+    target = 2 * bound
     primes = []
     product = 1
     candidate = 2 ** max_bits - 1 - (2 ** max_bits - 2) % step

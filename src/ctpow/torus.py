@@ -2,13 +2,14 @@
 
 The constant terms a_p = [h^p]_0 are the coefficients of a period integral
 over the torus |X_k| = 1.  Over a prime field that integral becomes an exact
-finite sum: for f the cleared polynomial (degree d_k in variable k), a prime
-q = 1 (mod M) and omega of order M,
+finite sum: for f = X^shift h the cleared polynomial (degree d_k in variable
+k), a prime q = 1 (mod M), omega of order M and i = t - p*shift,
 
-    [f^p]_t = M^-g * sum_{s in Z_M^g} omega^(-t.s) * f(omega^s)^p
+    [f^p]_t = [h^p]_i = M^-g * sum_{s in Z_M^g} omega^(-i.s) * h(omega^s)^p
 
 whenever M > max(p*d_k - t_k, t_k) for every variable k on the grid: no
 other exponent of f^p in [0, p*d_k] is then congruent to t_k modulo M.
+Only the index i twists the sum; for a constant term it is 0.
 
 One variable x of degree at most 2 is summed exactly instead of over the
 grid.  Writing f = C + A*x + B*x^2 = x * (C/x + A + B*x), with A, B, C
@@ -22,49 +23,49 @@ v = A^2 four j per step (Paterson-Stockmeyer, blocks of 4 from the top j):
 three reductions per point and four j (the block's sum in uint64, the
 step and v^4i) after ten for the powers of u and v.  Without such a
 variable, or with use_split2 off, every variable is on the grid and
-f(omega^s)^p is powered pointwise.
+h(omega^s)^p is powered pointwise.
 
 A series a_0..a_P takes one pass over the grid planned for a_P, which is
-valid for every p <= P, with the values of h itself (weight 1).  With
-h = C/x + A + B*x in the inner variable x, U_p = p! [x^0] h^p obeys
-U_p = (2p-1) A U_(p-1) - (p-1)^2 D U_(p-2), D = A^2 - 4BC.  The pass runs
-it on V_p = U_p / (2p-1)!!, which needs two reductions per point and power:
+valid for every p <= P.  With h = C/x + A + B*x in the inner variable x,
+U_p = p! [x^0] h^p obeys U_p = (2p-1) A U_(p-1) - (p-1)^2 D U_(p-2),
+D = A^2 - 4BC.  The pass runs it on w V_p = w U_p / (2p-1)!!, with w the
+orbit weight of the point (below), two reductions per point and power:
 
-    V_0 = 1, V_1 = A, V_p = A V_(p-1) + g_p (D V_(p-2) mod q) mod q,
+    V_0 = w, V_1 = w A, V_p = A V_(p-1) + g_p (D V_(p-2) mod q) mod q,
     g_p = -(p-1)^2 / ((2p-1)(2p-3)) mod q,
 
 and a_p = M^-g (2p-1)!!/p! sum_s V_p, so every prime must exceed 2P.  If x
 has exponents of one sign only, A^p alone reaches x^0: BC = 0, D = A^2.
-Without the inner variable the pass accumulates the powers h(omega^s)^p.
+Without the inner variable the pass accumulates w h(omega^s)^p.
 
 Both paths sum over one grid point per orbit of the polynomial's lattice
 symmetries, on grids of two or more variables (one row is overhead-bound)
 and for at most symmetry.MAX_TERMS terms.  An automorphism B gives
-h(omega^(B^T s)) = h(omega^s), and the summand at a grid point is the same
-on its orbit under the automorphisms that map the inner variable's fibres
-to fibres (row inner of B is +-e_inner; without an inner variable, all of
-them) and fix the target index.  H is the set of distinct grid maps
-s -> B[grid, grid]^T s mod M they give (inverting the inner variable alone
-gives the identity); `ctpow bench` prints this |H|.  A search past one node
-per grid point (1024 to symmetry.MAX_STEPS), or a group of more than
-_MAX_ORDER maps, gives no symmetry.  The point of least flat index stands
-for its orbit, weighted |H| / #{A in H : A s = s}: symmetry.orbits keeps
-the points no map sends lower, each coordinate of A s a row part plus a
-column part reduced once per row or column.  The planner may first change
+h(omega^(B^T s)) = h(omega^s), and the summand is the same on the orbit of
+a point under the automorphisms that map the inner variable's fibres to
+fibres (row inner of B is +-e_inner; without an inner variable, all) and
+fix i.  H is the set of distinct grid maps s -> B[grid, grid]^T s mod M
+they give; `ctpow bench` prints |H|.  A search past one node per grid
+point (1024 to symmetry.MAX_STEPS), or more than _MAX_ORDER maps, gives no
+symmetry.  The point of least flat index stands for its orbit, weighted
+|H| / #{A in H : A s = s} (symmetry.orbits).  The planner may first change
 coordinates by a unimodular U, [h^p]_i = [(h o U)^p]_(U i), to sum a
 direction with a larger stabiliser exactly.
 
-The class values A, B, C (or h) are evaluated in chunks of _ROWS grid rows
-of M points (a row is the last grid variable), only at the representatives,
-in batches of _BATCH * M points, so the live elements per prime stay O(p).
-All primes share each numpy call but the divisions of a batch of _LONG or
-more points per prime: x - (x // q_i) q_i, one call per prime, as numpy
-divides by a scalar by multiply and shift (Granlund and Montgomery, 1994).
-Residues are int64 below 2**31: a product of two stays below 2**62 and a
-sum of two products below 2**63 (of four, below 2**64 as uint64), at any
-P; a batch's weights add up to less than 2**31.  P < MAX_SERIES = 2**16
-is a size guard against work too large to finish: every grid variable has
-more than P points.  The tables K_j, g_p and the scales are prefix
+The class values A, B, C of h (or h) are evaluated in chunks of _ROWS grid
+rows of M points (a row is the last grid variable), only at the orbit
+representatives, in batches of _BATCH * M points, so the live elements per
+prime stay O(p).  Per row the terms add up to each class's coefficients
+P_e in the last variable, the phases (e - shift).s of the outer variables
+from one table; a point's value is one lazy dot sum_e P_e omega^((e -
+shift) l), one reduction per four products and class.  All primes share
+each numpy call but the divisions of a batch of _LONG or more points per
+prime: x - (x // q_i) q_i, one call per prime, as numpy divides by a
+scalar by multiply and shift (Granlund and Montgomery, 1994).  Residues
+are int64 below 2**31: a product of two stays below 2**62 and a sum of two
+below 2**63 (of four, below 2**64 as uint64), at any P; a batch's weights
+add up to less than 2**31.  P < MAX_SERIES = 2**16 is a size guard: every
+grid variable has more than P points.  K_j, g_p and the scales are prefix
 products mod q in log2 n numpy steps with one inverse per prime
 (Montgomery's trick), and omega^(k..2k-1) = omega^(0..k-1) omega^k.
 """
@@ -172,9 +173,9 @@ def plan(nf: NormalizedPolynomial, target, p: int, use_split2: bool = True
     more variables gets H, and with use_split2 the first U of
     symmetry.coordinate_changes (of the first 8) that strictly enlarges H
     without raising M changes the coordinates; its first row is summed
-    exactly.  Returns the
-    plan with the polynomial and target the kernels take: h o U and U i
-    (symmetry.in_coordinates) if the plan has a U, else nf and target."""
+    exactly.  Returns the plan with the polynomial and target the kernels
+    take: h o U and U i (symmetry.in_coordinates) if the plan has a U, else
+    nf and target."""
     tp = _layout(nf, target, p, range(nf.n) if use_split2 else ())
     if len(tp.grid) < 2 or len(nf.terms) > symmetry.MAX_TERMS:
         return tp, nf, target      # one row: numpy call overhead dominates
@@ -335,33 +336,34 @@ def representatives(tp: TorusPlan) -> int:
 
 
 def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
-                  twist, meter: AllocationMeter | None, held_by_caller: int):
-    """The class values of f at the orbit representatives (symmetry.orbits)
+                  index, meter: AllocationMeter | None, held_by_caller: int):
+    """The class values of h at the orbit representatives (symmetry.orbits)
     of the grid rows in `rows`, in batches of _BATCH * M points.
 
     Yields (vals, w, weight): vals (classes, primes, K) holds the sum of
-    each class of terms (by exponent of the inner variable; one class
-    without one) at the K points, w (primes, K) is omega^(-twist.s) there,
-    and weight (K,) the orbit sizes, which add up to less than 2**31.  The
-    meter holds the tables, held_by_caller elements, the arrays made per
-    chunk and batch, and _LIVE batch-sized arrays for the caller.
+    each class of terms (by exponent of the inner variable in f; one class
+    without one) of h at the K points, w (primes, K) omega^(-index.s) there
+    (None if index is None or 0 on the grid), and weight (K,) the orbit
+    sizes, which add up to less than 2**31.  The meter holds the tables,
+    held_by_caller elements, the arrays made per chunk and batch, and _LIVE
+    batch-sized arrays for the caller.
     """
     meter = meter if meter is not None else AllocationMeter()
     M = tp.M
     nq = len(primes)
     qs = np.array(primes, dtype=np.int64)[:, None]
     rows = range(tp.rows) if rows is None else rows
-    # each term's class (its exponent in the inner variable), its exponent
-    # in the last grid variable, and its exponents in the outer ones; the
+    # each term's class (its exponent in f's inner variable), its exponent
+    # in the last grid variable, and h's exponents in the outer ones; the
     # column of zeros appended stands for an absent inner or last variable
     terms = nf.terms
     X = np.array([e + (0,) for _, e in terms], dtype=np.int64)
     outer, last = tp.grid[:-1], tp.grid[-1:]
     classes = X[:, -1 if tp.inner is None else tp.inner]
     lasts = X[:, last[0] if last else -1]
-    E = X[:, list(outer)]
-    twist_outer = np.array([-twist[k] % M for k in outer], dtype=np.int64)
-    twist_last = -twist[last[0]] % M if last else 0
+    E = X[:, list(outer)] - np.array([nf.shift[k] for k in outer], np.int64)
+    shift_last = nf.shift[last[0]] if last else 0
+    twist = np.array([-index[k] % M for k in tp.grid if index], np.int64)
     n_classes = 3 if tp.inner is not None else 1
     d_last = int(lasts.max())
 
@@ -378,12 +380,14 @@ def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
     tables = nq * M * (1 + len(terms)) + held_by_caller
     meter.take(tables)
 
-    # one batch of T points, refilled from the chunks: class values, twist
-    # and weight at each point; the caller holds _LIVE more such arrays
+    # one batch of T points, refilled from the chunks: class values, the
+    # powers of omega and then the twist, and weight at each point; the
+    # caller holds _LIVE more such arrays
     T = min(_BATCH, len(rows)) * L
     vals = np.empty((n_classes, nq, T), dtype=np.int64)
     w, wt = np.empty((nq, T), dtype=np.int64), np.empty(T, dtype=np.int64)
     tmp = np.empty_like(vals)
+    vu, wu, tu, om, qu = (x.view(np.uint64) for x in (vals, w, tmp, omega, qs))
     batch = (2 * n_classes * nq + nq + 1 + _LIVE * nq) * T
     meter.take(batch)
     filled = 0
@@ -394,34 +398,42 @@ def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
         held = (10 * len(tp.grid) + 8) * R * L + 2 * (len(terms) * R + T) * nq
         meter.take(held)
         O, r_idx, l_idx, orbit = symmetry.orbits(H, M, row, L)
-        twist_s = ((twist_outer @ O)[r_idx] + twist_last * l_idx) % M
         # the coefficients of each class in the last variable, per row ...
         ph = E @ O % M
         gathered = term_tab[:, np.arange(len(terms))[:, None], ph]
         P = (group @ gathered.transpose(1, 0, 2).reshape(len(terms), -1))
         P = P.astype(np.int64).reshape(n_classes, d_last + 1, nq, R) % qs
-        # ... evaluated at the kept points by Horner in omega^s, as many at
-        # a time as fill the batch
+        Pu = P.view(np.uint64)
+        # ... summed at the kept points with omega^((e - shift) l), four
+        # products per reduction, as many points at a time as fill the batch
         a = 0
         while a < len(orbit):
             n = min(len(orbit) - a, T - filled)
             sel, out = slice(a, a + n), slice(filled, filled + n)
-            om = omega[:, l_idx[sel]]                  # last variable
-            acc = vals[..., out]
-            acc[...] = P[:, d_last][..., r_idx[sel]]
-            for e in range(d_last - 1, -1, -1):
-                np.multiply(acc, om, out=acc)
-                np.add(acc, P[:, e][..., r_idx[sel]], out=acc)
-                _reduce(acc, qs, tmp[..., out])
-            w[:, out] = omega[:, twist_s[sel]]
+            acc, t, o = vu[..., out], tu[..., out], wu[:, out]
+            for e in range(d_last + 1):
+                x = acc if e == 0 else t
+                np.take(Pu[:, e], r_idx[sel], axis=-1, out=x, mode="clip")
+                if e != shift_last:
+                    np.take(om, (e - shift_last) * l_idx[sel] % M, axis=1,
+                            out=o, mode="clip")
+                    np.multiply(x, o, out=x)
+                if e:
+                    np.add(acc, t, out=acc)
+                if e % 4 == 3 or e == d_last:
+                    _reduce(acc, qu, t)
+            if twist.any():
+                w[:, out] = omega[:, ((twist[:-1] @ O)[r_idx[sel]]
+                                      + twist[-1] * l_idx[sel]) % M]
             wt[out] = orbit[sel]
             a, filled = a + n, filled + n
             if filled == T:
-                yield vals, w, wt
+                yield vals, w if twist.any() else None, wt
                 filled = 0
         meter.give(held)
     if filled:
-        yield vals[..., :filled], w[:, :filled], wt[:filled]
+        yield (vals[..., :filled], w[:, :filled] if twist.any() else None,
+               wt[:filled])
     meter.give(tables + batch)
 
 
@@ -432,9 +444,9 @@ def coefficient_residues(nf: NormalizedPolynomial, target, p: int, primes,
 
     nf, target and torus_plan are as plan returns them.  Targets outside
     the support of f^p give 0.  Every prime must be 1 modulo torus_plan.M
-    and exceed p.  The value omega^(-t.s) [x^t_x] f(x, omega^s)^p is the
-    same on every orbit of torus_plan.H, so each orbit adds its size times
-    the value at its representative, the point of least flat index.
+    and exceed p.  The value omega^(-i.s) [x^t_x] h(x, omega^s)^p, with
+    i = target - p * nf.shift, is the same on every orbit of torus_plan.H,
+    so each orbit adds its size times the value at its representative.
     Partial results over a disjoint cover of range(torus_plan.rows) add up,
     modulo each prime, to the full coefficient.  The meter, if given,
     tracks the live auxiliary elements (input excluded).
@@ -447,43 +459,39 @@ def coefficient_residues(nf: NormalizedPolynomial, target, p: int, primes,
     m = target[tp.inner] - p if tp.inner is not None else 0
     K = _trinomial_weights(p, abs(m), qs)
     total = np.zeros(len(primes), dtype=np.int64)
-    for vals, w, weight in _class_values(nf, tp, primes, rows, target,
+    index = [t - p * s for t, s in zip(target, nf.shift)]
+    for vals, w, weight in _class_values(nf, tp, primes, rows, index,
                                          meter, K.size):
         if tp.inner is None:
             value = _powmod(vals[0], p, qs)
         else:
             value = _trinomial(vals[1], vals[2], vals[0], p, m, K, qs)
-        total = (total + _mulmod(value, w, qs) @ weight) % qs[:, 0]
+        if w is not None:
+            value = _mulmod(value, w, qs)
+        total = (total + value @ weight) % qs[:, 0]
     return tuple(int(x) * pow(tp.M, -len(tp.grid), q) % q
                  for x, q in zip(total.tolist(), primes))
 
 
-def _trinomial_powers(a, d, g, q):
-    """V_p = p!/(2p-1)!! [(c/x + a + b*x)^p]_(x^0) pointwise for p = 0..P,
-    given d = a^2 - 4bc and g_p = -(p-1)^2 / ((2p-1)(2p-3)) mod q in g[p]
-    (shaped like q; g_0 and g_1 unused); arrays are reused."""
-    v0, v1 = np.ones_like(a), a.copy()
+def _trinomial_powers(a, d, w, g, q):
+    """w V_p = w p!/(2p-1)!! [(c/x + a + b*x)^p]_(x^0) pointwise for
+    p = 0..P, given d = a^2 - 4bc, the weights w (w < 2**31, broadcast
+    against a) and g_p = -(p-1)^2 / ((2p-1)(2p-3)) mod q in g[p] (shaped
+    like q; g_0 and g_1 unused): the recurrence is linear, so it starts
+    from V_0 = w, V_1 = w a.  With d None, w a^p.  Arrays are reused."""
+    v0, v1 = np.broadcast_to(w, a.shape).copy(), _mulmod(a, w, q)
     x, y = np.empty_like(a), np.empty_like(a)
     yield from (v0, v1)[:len(g)]
     for g_p in g[2:]:
         np.multiply(a, v1, out=x)
-        np.multiply(d, v0, out=y)
-        _reduce(y, q, v0)                   # v0 is spent: a temporary
-        y *= g_p
-        x += y
+        if d is not None:
+            np.multiply(d, v0, out=y)
+            _reduce(y, q, v0)               # v0 is spent: a temporary
+            y *= g_p
+            x += y
         _reduce(x, q, y)
         v0, v1, x = v1, x, v0
         yield v1
-
-
-def _plain_powers(v, P: int, q):
-    """v^p pointwise for p = 0..P; the array is reused."""
-    u, tmp = np.ones_like(v), np.empty_like(v)
-    yield u
-    for _ in range(P):
-        np.multiply(u, v, out=u)
-        _reduce(u, q, tmp)
-        yield u
 
 
 def _series_tables(P: int, tp: TorusPlan, qs):
@@ -509,33 +517,27 @@ def series_residues(nf: NormalizedPolynomial, P: int, primes,
 
     torus_plan and nf are as plan(nf, P * nf.shift, P, ...) returns them,
     for a_P; every prime must be 1 modulo its M and exceed 2P, and
-    P < MAX_SERIES.
-    [x^0] h(x, omega^s)^p is the same on every orbit of torus_plan.H, for
-    every p, so each orbit adds its size times the value at its
-    representative, as in coefficient_residues.  Returns P + 1 tuples of
-    residues; partial results over a disjoint cover of
-    range(torus_plan.rows) add up, modulo each prime, to the full terms.
+    P < MAX_SERIES.  Each orbit of torus_plan.H adds its size times the
+    value at its representative, as in coefficient_residues, for every p.
+    Returns P + 1 tuples of residues; partial results over a disjoint cover
+    of range(torus_plan.rows) add up, modulo each prime, to the full terms.
     The meter works as in coefficient_residues.
     """
     tp = torus_plan
     qs = np.array(primes, dtype=np.int64)[:, None]
     S = np.zeros((P + 1, len(primes)), dtype=np.int64)
     g, scale = _series_tables(P, tp, qs)
-    for vals, w, weight in _class_values(nf, tp, primes, rows, nf.shift,
+    for vals, _, weight in _class_values(nf, tp, primes, rows, None,
                                          meter, S.size + g.size + scale.size):
-        # omega^(-shift.s) gives the values of h, in place to save memory
-        _reduce(np.multiply(vals, w, out=vals), qs)
-        if tp.inner is None:
-            powers = _plain_powers(vals[0], P, qs)
-        else:
+        a, d = vals[0], None                # h itself without tp.inner
+        if tp.inner is not None:
             # A is the class of x^0; unless x has exponents of both signs
             # (shift 1: x^-1, x^0, x^1) only A^p reaches x^0, so BC = 0
             s = nf.shift[tp.inner]
-            d = _mulmod(vals[s], vals[s], qs)
+            a, d = vals[s], _mulmod(vals[s], vals[s], qs)
             if s == 1:
                 d = (d - 4 * _mulmod(vals[0], vals[2], qs)) % qs
-            powers = _trinomial_powers(vals[s], d, g, qs)
-        for p, u in enumerate(powers):
-            S[p] += u @ weight
+        for p, u in enumerate(_trinomial_powers(a, d, weight, g, qs)):
+            S[p] += u.sum(axis=-1)
         S %= qs[:, 0]
     return list(map(tuple, (S * scale.T % qs[:, 0]).tolist()))

@@ -24,7 +24,7 @@ from ctpow.recurrence import (constant_term_series, exact_coefficient,
                               verify_recurrence)
 from ctpow.rns import ModulusSet, reconstruct, reduce_int, select_primes
 
-PRIME31 = select_primes(31).primes[0]
+PRIME31 = select_primes(1 << 30).primes[0]
 
 
 @pytest.fixture(scope="module")
@@ -211,8 +211,8 @@ def test_criterion_7_split2_on_off(f39_terms, series51, dwork_terms):
 
 def test_criterion_8_rns_roundtrip():
     rng = random.Random(8)
-    pool = (select_primes(31 * 16).primes
-            + select_primes(24 * 16, max_bits=24).primes)
+    pool = (select_primes(1 << 31 * 16 - 1).primes
+            + select_primes(1 << 24 * 16 - 1, max_bits=24).primes)
     checked = 0
     while checked < 1000:
         ms = ModulusSet(tuple(rng.sample(pool, rng.randint(3, 30))))

@@ -158,6 +158,31 @@ def test_coeff_refuses_a_huge_sparse_tensor(tmp_path, capsys):
     assert "exceeds" in err and "Traceback" not in err
 
 
+def test_coeff_prints_results_of_any_size(tmp_path, capsys):
+    # (2^20 X + 1/X)^1440 has constant term C(1440, 720) 2^14400, 4767
+    # digits: more than str() converts under Python's default limit
+    f = tmp_path / "h.txt"
+    f.write_text("1048576*X + X^-1")
+    code, out, err = run(capsys, "coeff", "--poly", str(f), "--power",
+                         "1440", "--threads", "1")
+    assert (code, err) == (0, "")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(math.comb(1440, 720) * 2 ** 14400)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) == 4767 and out == want + "\n"
+
+
+def test_integer_literals_past_the_digit_limit_exit_3(tmp_path, capsys):
+    f = tmp_path / "h.txt"
+    f.write_text("X + " + "7" * 5000 + "*Y")
+    code, out, err = run(capsys, "coeff", "--poly", str(f), "--power", "2")
+    assert (code, out) == (3, "")
+    assert "limit (4300 digits)" in err and "Traceback" not in err
+
+
 def test_missing_poly_file(capsys):
     code, _, err = run(capsys, "coeff", "--poly", "/nonexistent/h.txt",
                        "--power", "2")
@@ -251,6 +276,17 @@ def test_bench_prints_the_plan(capsys):
     code, out, _ = run(capsys, "bench", "--fixture", "dwork4", "--power", "5",
                        "--threads", "1")
     assert "plan p=5: U=no inner=T M=6 |H|=6 points=56/216" in out
+
+
+def test_bench_reports_the_prime_budget(capsys):
+    # a_34 of sample 39 is at most 23^34: five primes 1 (mod 35) multiply
+    # past 2 * 23^34 = 2^154.80, and a_34 itself has 142 bits
+    code, out, _ = run(capsys, "bench", "--fixture", "39", "--power", "34",
+                       "--threads", "1")
+    assert code == 0
+    assert "primes=5 bound=154.80 bits product=155.00 bits" in out
+    assert "p=34 engine=3211309377627488368871951072460527618304240 " \
+        "bits=142 " in out
 
 
 def test_parser_help_lists_subcommands():

@@ -44,7 +44,7 @@ def check_all_paths(h, p, index):
             == want % Q, ("vandermonde", flag)
         if all(0 <= t <= p * d for t, d in zip(target, nf.degrees)):
             tp, nf_u, target_u = torus.plan(nf, target, p, use_split2=flag)
-            primes = select_primes(62, max(1, p),
+            primes = select_primes(1 << 61, max(1, p),
                                    congruent_to_1_mod=tp.M).primes
             got = torus.coefficient_residues(nf_u, target_u, p, primes, tp)
             assert got == tuple(want % q for q in primes), ("torus", flag)
@@ -171,6 +171,24 @@ def test_orbit_sums_agree_on_symmetrised_polynomials(case):
     check_series(h, min(p, 4))
 
 
+@pytest.mark.parametrize("text,p,index", [
+    ("X + X^-1 + Y + Y^-1 + Z + Z^-1", 6, (0, 1, 1)),
+    ("X + X^-1 + 2*Y + Y^-1 + 3*Z + Z^-1 + X*Y + X^-1*Y", 6, (0, 1, 1))])
+def test_twisted_orbit_sums_with_a_shifted_last_variable(text, p, index):
+    # the one path that keeps a twist omega^(-i.s): a grid index i that is
+    # not 0 in the last grid variable, which has a shift, and |H| > 1
+    h = parse_laurent(text)
+    nf = normalize(h)
+    target = tuple(i + p * s for i, s in zip(index, nf.shift))
+    for flag in (True, False):
+        tp, nf_u, target_u = torus.plan(nf, target, p, use_split2=flag)
+        last = tp.grid[-1]
+        assert len(tp.H) > 1 and nf_u.shift[last] != 0
+        assert target_u[last] != p * nf_u.shift[last]
+    assert naive_power_coeff(h, p, index) != 0
+    check_all_paths(h, p, index)
+
+
 @pytest.mark.parametrize("name", ["39", "24", "38", "dwork4"])
 def test_torus_orbit_sums_equal_the_full_vandermonde_sums(name):
     h = sample_polynomial(name)
@@ -179,7 +197,7 @@ def test_torus_orbit_sums_equal_the_full_vandermonde_sums(name):
                      (12, (0, 1, 1, -1))]:
         target = tuple(i + p * s for i, s in zip(index, nf.shift))
         tp, nf_u, target_u = torus.plan(nf, target, p)
-        q = select_primes(31, p, congruent_to_1_mod=tp.M).primes[0]
+        q = select_primes(1 << 30, p, congruent_to_1_mod=tp.M).primes[0]
         got = torus.coefficient_residues(nf_u, target_u, p, [q], tp)
         for flag in (True, False):
             assert got == (coefficient_mod_prime(nf, target, p, q, flag),), \

@@ -71,6 +71,22 @@ def test_series_values_and_json_roundtrip():
     assert back.poly.terms == h.terms
 
 
+def test_series_json_roundtrip_past_the_digit_limit():
+    # Python refuses str() and int() past 4300 digits by default; the
+    # program's own series files are written and read at any size
+    big = 3 ** 40000                               # 19085 digits
+    for terms in ((big, -big, 10 ** 4300, -1), (big // 7, 1 - 10 ** 9000)):
+        text = json.dumps(series_to_json(Series(None, terms)))
+        assert series_from_json(json.loads(text)).terms == terms
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = [str(x) for x in (-big, big // 7)]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [recurrence.to_decimal(x) for x in (-big, big // 7)] == want
+
+
 def test_series_json_accepts_bare_lists():
     s = series_from_json(["1", "0", "2"])
     assert s.terms == (1, 0, 2)
@@ -259,6 +275,52 @@ def test_search_skips_underdetermined_cells():
     hits = search_recurrence(terms, 6, 4)
     for rec in hits:
         assert (rec.k + 1) * (rec.degree + 1) + 5 <= len(terms)
+
+
+def _search_every_cell(terms, max_k, max_d, extra=5):
+    """search_recurrence without the rank test: fit_recurrence on every
+    admissible cell that enlarges no hit."""
+    cells = sorted(((k, d) for k in range(max_k + 1) for d in range(max_d + 1)
+                    if (k + 1) * (d + 1) + extra <= len(terms)),
+                   key=lambda kd: ((kd[0] + 1) * (kd[1] + 1), kd[0]))
+    hits = []
+    for k, d in cells:
+        if not any(r.k <= k and r.degree <= d for r in hits):
+            rec = fit_recurrence(terms, k, d, extra)
+            hits += [rec] if rec is not None else []
+    return hits
+
+
+def test_search_without_a_relation_runs_one_elimination(monkeypatch):
+    # sample 39's a_0..a_34 support no relation of shape (6, 3) or less:
+    # the one largest cell (6, 3) has full column rank modulo _RANK_PRIME,
+    # so every cell inside it has too, and the search is one elimination
+    terms = constant_term_series(sample_polynomial("39"), 34).terms
+    calls = []
+
+    def counted(m, q):
+        calls.append(m.shape)
+        return _kernel_mod_prime(m, q)
+
+    monkeypatch.setattr(recurrence, "_kernel_mod_prime", counted)
+    assert search_recurrence(terms, 6, 3) == []
+    assert calls == [(30, 28)]
+    monkeypatch.undo()
+    assert _search_every_cell(terms, 6, 3) == []
+
+
+@pytest.mark.parametrize("name,count,shape", [
+    ("central_binomial", 18, (3, 2)), ("central_binomial", 8, (6, 4)),
+    ("central_binomial", 14, (4, 3)), ("three_term", 30, (3, 3)),
+    ("39", 60, (8, 4))])
+def test_search_agrees_with_fitting_every_cell(name, count, shape):
+    # with hits, and with several largest cells (8 or 14 terms)
+    terms = ([known_family(name, p) for p in range(count)]
+             if name != "39" else
+             constant_term_series(sample_polynomial(name), count - 1).terms)
+    want = _search_every_cell(terms, *shape)
+    assert search_recurrence(terms, *shape) == want
+    assert (len(want) > 0) == (count > 8)
 
 
 def _exact_rows(terms, k, d):

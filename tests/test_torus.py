@@ -10,12 +10,14 @@ from ctpow import torus
 from ctpow.fixtures import sample_polynomial
 from ctpow.laurent import make_polynomial, normalize, parse_laurent
 from ctpow.oracle import naive_power_coeff
+from ctpow.recurrence import _primes_for
 from ctpow.rns import root_of_unity, select_primes
 from ctpow.torus import AllocationMeter
 
 
 def _primes(tp, p, bits=62):
-    return select_primes(bits, max(1, p), congruent_to_1_mod=tp.M).primes
+    return select_primes(1 << (bits - 1), max(1, p),
+                         congruent_to_1_mod=tp.M).primes
 
 
 def test_plan_sums_the_neediest_trinomial_variable_exactly():
@@ -256,7 +258,7 @@ def test_trinomial_against_python_ints():
     # and c = 0; the next has a = b = c = q - 1; the last has u = bc and
     # v = a^2 both q - 1 (a^2 = -1 needs q = 1 mod 4), so every monomial
     # of a block is q - 1 and its four products add up past 2**63
-    primes = select_primes(62, congruent_to_1_mod=4).primes[:2]
+    primes = select_primes(1 << 61, congruent_to_1_mod=4).primes[:2]
     qs = np.array(primes, dtype=np.int64)[:, None]
     rng = random.Random(3)
     a, b, c = ([[rng.randrange(q) for _ in range(8)] for q in primes]
@@ -294,7 +296,7 @@ def test_reduce_against_remainder_and_python_ints(n, dtype):
     # below torus._LONG for n = 5 and 255 and reach it for 342 and 3000, so
     # both paths run, and a long path that reduced only row 0 would fail
     rng = np.random.default_rng(n)
-    primes = select_primes(93, congruent_to_1_mod=41).primes
+    primes = select_primes(1 << 92, congruent_to_1_mod=41).primes
     qs = np.array(primes, dtype=dtype)[:, None]
     x = np.stack([np.stack([_reduce_input(n, q, dtype, rng) for q in primes])
                   for _ in range(3)])
@@ -314,7 +316,7 @@ def test_reduce_against_remainder_and_python_ints(n, dtype):
 def test_kernels_on_long_rows_repeat_the_short_rows():
     # the point values of test_trinomial_against_python_ints, repeated
     # past torus._LONG points per prime, give the same values repeated
-    primes = select_primes(62, congruent_to_1_mod=4).primes[:2]
+    primes = select_primes(1 << 61, congruent_to_1_mod=4).primes[:2]
     qs = np.array(primes, dtype=np.int64)[:, None]
     rng = np.random.default_rng(5)
     A, B, C = (np.stack([_reduce_input(8, q, np.int64, rng) % q
@@ -337,10 +339,9 @@ def _next_prime(n):
 
 
 # the primes the pipeline picks for sample 39 at p = 40 and 150 (M = 41,
-# 151) and for the walk at p = 256 (M = 258)
-_PIPELINE = [select_primes(bits, floor, congruent_to_1_mod=M).primes
-             for bits, floor, M in ((183, 80, 41), (681, 300, 151),
-                                    (514, 512, 258))]
+# 151) and for the walk at p = 256 (M = 258): the bound is w^p
+_PIPELINE = [_primes_for(w, M, p).primes
+             for w, M, p in ((23, 41, 40), (23, 151, 150), (4, 258, 256))]
 _PIPELINE_PRIMES = sum(_PIPELINE, ())
 
 
@@ -379,7 +380,7 @@ def test_inverses_and_prefix_products():
 
 @pytest.mark.parametrize("M", [1, 2, 3, 41, 257, 258, 1025])
 def test_omega_powers_by_doubling(M):
-    primes = select_primes(62, congruent_to_1_mod=M).primes[:2]
+    primes = select_primes(1 << 61, congruent_to_1_mod=M).primes[:2]
     qs = np.array(primes, dtype=np.int64)[:, None]
     assert torus._omega_powers(M, qs).tolist() == [
         [pow(root_of_unity(M, q), k, q) for k in range(M)] for q in primes]
@@ -389,7 +390,7 @@ def test_omega_powers_by_doubling(M):
 def test_series_tables_against_a_pow_loop(P):
     for inner, grid, M in ((0, (1, 2), 61), (None, (0, 1, 2), 5)):
         tp = torus.TorusPlan(inner, grid, M)
-        primes = select_primes(93, 2 * P, congruent_to_1_mod=M).primes
+        primes = select_primes(1 << 92, 2 * P, congruent_to_1_mod=M).primes
         g, scale = torus._series_tables(
             P, tp, np.array(primes, dtype=np.int64)[:, None])
         assert g.shape == (P + 1, len(primes), 1)
@@ -408,10 +409,11 @@ def test_series_tables_against_a_pow_loop(P):
 
 
 def test_rescaled_trinomial_recurrence_to_high_powers():
-    # V_p (2p-1)!!/p! = [x^0](c/x + a + bx)^p for every p <= 200, for two
-    # primes at once, with both signs present (b, c != 0) and with BC = 0
+    # w V_p (2p-1)!!/p! = w [x^0](c/x + a + bx)^p for every p <= 200, for
+    # two primes at once, with both signs present (b, c != 0) and with
+    # BC = 0, for weights w all one and for orbit sizes up to 1152
     P = 200
-    primes = select_primes(62, 2 * P, congruent_to_1_mod=12).primes[:2]
+    primes = select_primes(1 << 61, 2 * P, congruent_to_1_mod=12).primes[:2]
     q3 = np.array(primes, dtype=np.int64)[:, None, None]
     rng = random.Random(7)
     a, b, c = ([[rng.randrange(1, q) for _ in range(4)] for q in primes]
@@ -424,15 +426,18 @@ def test_rescaled_trinomial_recurrence_to_high_powers():
     for p in range(2, P + 1):
         g[p, :, 0, 0] = [-(p - 1) ** 2 * pow((2 * p - 1) * (2 * p - 3), -1, q)
                          % q for q in primes]
-    for p, v in enumerate(torus._trinomial_powers(A, D, g, q3)):
-        for i, q in enumerate(primes):
-            # (2p-1)!! / p!
-            scale = math.prod(range(1, 2 * p, 2)) \
-                * pow(math.factorial(p), -1, q)
-            for k in range(4):
-                assert int(v[i, 0, k]) * scale % q == _central_trinomial(
-                    a[i][k], b[i][k], c[i][k], p, q), (p, q, k)
-    assert p == P
+    for w in ([1] * 4, [rng.randint(1, 1152) for _ in range(4)]):
+        powers = torus._trinomial_powers(A, D, np.array(w), g, q3)
+        for p, v in enumerate(powers):
+            for i, q in enumerate(primes):
+                # (2p-1)!! / p!
+                scale = math.prod(range(1, 2 * p, 2)) \
+                    * pow(math.factorial(p), -1, q)
+                for k in range(4):
+                    assert int(v[i, 0, k]) * scale % q == w[k] * \
+                        _central_trinomial(a[i][k], b[i][k], c[i][k], p, q) \
+                        % q, (p, q, k)
+        assert p == P
 
 
 @pytest.mark.parametrize("text,p,index", [
