@@ -7,9 +7,8 @@ reference computation), selftest.
 
 Exit codes: 0 success (including "no operator found"), 2 usage error,
 3 input error, 4 resource guard refusal, 5 worker process failed.
-Results and series files are written and read at any size; an integer
-literal in a polynomial may have at most sys.get_int_max_str_digits()
-digits (4300 by default), else the input is refused with exit code 3.
+Results and series files are written and read at any size; a longer integer
+literal than sys.get_int_max_str_digits() (4300 digits) is an input error.
 """
 
 from __future__ import annotations
@@ -107,8 +106,7 @@ def cmd_bench(args) -> int:
         tp = torus.plan(nf, tuple(p * s for s in nf.shift), p)[0]
         inner = (tp.U[0] if tp.U else None if tp.inner is None
                  else h.variables[tp.inner])
-        # every coefficient of h^p is at most w^p in absolute value
-        ms = _primes_for(w, tp.M, p)
+        ms = _primes_for(w, tp.M, p)              # the primes for |a| <= w^p
         lines.append(f"plan p={p}: U={'yes' if tp.U else 'no'} inner={inner} "
                      f"M={tp.M} |H|={max(len(tp.H), 1)} points="
                      f"{torus.representatives(tp)}/{tp.M ** len(tp.grid)} "

@@ -106,11 +106,10 @@ def naive_power_coeff(h: LaurentPolynomial, p: int, index=None,
     index + p*shift.  Indices outside the support give 0.
     """
     nf = normalize(h)
-    n = nf.n
     if index is None:
-        index = (0,) * n
+        index = (0,) * nf.n
     index = tuple(int(x) for x in index)
-    if len(index) != n:
+    if len(index) != nf.n:
         raise ValueError("index dimension mismatch")
     _check_power_size(nf.degrees, p, max_entries)   # before the table
     if p == 0:

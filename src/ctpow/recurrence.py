@@ -49,9 +49,8 @@ class WorkerError(RuntimeError):
 # --- exact coefficients over many primes ------------------------------------
 
 def _primes_for(h_weight: int, M: int, p: int) -> ModulusSet:
-    # every coefficient of h^p is at most h_weight^p in absolute value;
-    # q = 1 (mod M) gives the grid's roots of unity; q > 2p keeps p! and the
-    # series recurrence's divisors 2p - 1 invertible
+    # |[h^p]_i| <= h_weight^p; q = 1 (mod M) gives the grid's roots of unity;
+    # q > 2p keeps p! and the series recurrence's divisors 2p - 1 invertible
     return select_primes(h_weight ** p, max(1, 2 * p), congruent_to_1_mod=M)
 
 
@@ -402,11 +401,11 @@ def search_recurrence(series, max_k: int, max_d: int, extra: int = 5):
     """All stable relations in the (k, d) grid, smallest system first.
 
     Cells that enlarge an already found relation are skipped: the padded
-    smaller solution always lies in their nullspace, so they can only
-    rediscover it or fail the uniqueness test.  So are the cells inside a
-    largest cell whose matrix has full column rank modulo _RANK_PRIME: their
-    matrices are column subsets of its matrix over the same rows, so
-    fit_recurrence would find no kernel at its first prime.
+    smaller solution always lies in their nullspace.  So are the cells
+    whose columns are independent modulo _RANK_PRIME, where fit_recurrence
+    would find no kernel: one elimination of each largest cell (k1, d)
+    decides it for every (k, d), k <= k1, whose columns are its first
+    (k + 1)(d + 1), and then for every cell inside one of those.
     """
     terms = list(series.terms if isinstance(series, Series) else series)
     if extra < 1:
@@ -414,10 +413,14 @@ def search_recurrence(series, max_k: int, max_d: int, extra: int = 5):
     cells = sorted(((k, d) for k in range(max_k + 1) for d in range(max_d + 1)
                     if (k + 1) * (d + 1) + extra <= len(terms)),
                    key=lambda kd: ((kd[0] + 1) * (kd[1] + 1), kd[0]))
-    top = [c for c in cells if not any(
-        c != c2 and c[0] <= c2[0] and c[1] <= c2[1] for c2 in cells)]
-    full = [c for c in top if not _kernel_mod_prime(_relation_matrix_mod(
-        terms[:len(terms) - extra], *c, _RANK_PRIME), _RANK_PRIME)[1]]
+    full = []
+    for k1, d1 in cells:
+        if any((k1, d1) != c and k1 <= c[0] and d1 <= c[1] for c in cells):
+            continue                                # not a largest cell
+        pivots = _kernel_mod_prime(_relation_matrix_mod(
+            terms[:len(terms) - extra], k1, d1, _RANK_PRIME), _RANK_PRIME)[0]
+        lead = sum(c == i for i, c in enumerate(pivots))  # pivots ascend
+        full += [(k, d1) for k in range(k1 + 1) if (k + 1) * (d1 + 1) <= lead]
     hits = []
     for k, d in cells:
         if not any(r.k <= k and r.degree <= d for r in hits) and not any(

@@ -4,9 +4,9 @@ Coefficients are computed modulo several 31-bit primes and recombined by
 mixed radix conversion, so no arithmetic ever touches integers larger than
 a machine word until the final answer is assembled.  Signed values are
 recovered from the balanced range (-N/2, N/2), N the product of the
-moduli, so a value known to satisfy |x| <= B needs exactly N > 2B: the
-primes are the shortest run of the scan with that product (for a
-coefficient of h**p, B = w**p, w the sum of the absolute coefficients).
+moduli, so |x| <= B needs exactly N > 2B: the primes are the shortest run
+of a fixed scan with that product (B = w**p for a coefficient of h**p, w
+the sum of the absolute coefficients of h).
 """
 
 from __future__ import annotations
