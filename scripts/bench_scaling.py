@@ -76,7 +76,7 @@ def main():
         return
 
     from ctpow import torus
-    from ctpow.engine import coefficient_mod_prime, make_context
+    from ctpow.engine import Counters, coefficient_mod_prime
     from ctpow.fixtures import SAMPLE_NAMES, sample_polynomial
     from ctpow.laurent import normalize
     from ctpow.recurrence import exact_coefficient
@@ -103,18 +103,17 @@ def main():
         dt = time.perf_counter() - t0
 
         target = tuple(p * s for s in nf.shift)
-        tp, nf_u, target_u = torus.plan(nf, target, p)
+        tp = torus.plan(nf, target, p)
         meter = torus.AllocationMeter()
         one_prime = select_primes(1 << 30, p,
                                   congruent_to_1_mod=tp.M).primes[:1]
-        torus.coefficient_residues(nf_u, target_u, p, one_prime, tp,
-                                   meter=meter)
+        torus.coefficient_residues(tp, one_prime, meter=meter)
         peak = meter.peak
         counts = {}
         for flag in (True, False):
-            ctx = make_context(nf, target, p, q, use_split2=flag)
-            coefficient_mod_prime(nf, target, p, q, use_split2=flag, ctx=ctx)
-            counts[flag] = ctx.counters.mults
+            c = Counters()
+            coefficient_mod_prime(nf, target, p, q, flag, c)
+            counts[flag] = c.mults
         print(f"{p:>4} {len(str(value)):>7} {dt:>9.2f} {peak:>11} "
               f"{counts[True]:>12} {counts[False]:>12}")
 
@@ -131,7 +130,7 @@ def series_table(name, h, nf, counts):
     print("-" * len(header))
     for P in counts:
         # the plan and primes that constant_term_series uses
-        tp = torus.plan(nf, tuple(P * s for s in nf.shift), P)[0]
+        tp = torus.plan(nf, tuple(P * s for s in nf.shift), P)
         primes = len(_primes_for(total_weight(h), tp.M, P).primes)
         points = tp.M ** len(tp.grid)
         t0 = time.perf_counter()

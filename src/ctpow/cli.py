@@ -103,7 +103,7 @@ def cmd_bench(args) -> int:
              f"terms: {len(h.terms)}  weight: {w}", ""]
     nf = normalize(h)
     for p in powers:
-        tp = torus.plan(nf, tuple(p * s for s in nf.shift), p)[0]
+        tp = torus.plan(nf, tuple(p * s for s in nf.shift), p)
         inner = (tp.U[0] if tp.U else None if tp.inner is None
                  else h.variables[tp.inner])
         ms = _primes_for(w, tp.M, p)              # the primes for |a| <= w^p

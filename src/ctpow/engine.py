@@ -31,10 +31,11 @@ Residues are kept in numpy int64 arrays.  All moduli are below 2**31, so a
 product of two residues stays below 2**62 and a sum of two such products
 below 2**63; nothing here can overflow.
 
-Work is instrumented: Counters holds the rows walked with and without
-split2, the points powered and the walk's elementwise multiplications, all
-from the walk's shape, and AllocationMeter tracks the peak number of live
-auxiliary field elements (input tensor excluded).
+Work is instrumented: a Counters passed to coefficient_mod_prime adds up
+the rows walked with and without split2, the points powered and the walk's
+elementwise multiplications, all from the walk's shape, and its
+AllocationMeter tracks the peak number of live auxiliary field elements
+(input tensor excluded; the rows, from interp's cache, count as held).
 """
 
 from __future__ import annotations
@@ -57,61 +58,13 @@ class ModulusTooSmall(EngineError):
     pass
 
 
-class SplitPrecondition(EngineError):
-    pass
-
-
 @dataclass
 class Counters:
     base_invocations: int = 0
     pow_mod_calls: int = 0
     split2_calls: int = 0
     mults: int = 0
-
-
-@dataclass
-class PrimeContext:
-    """Per-prime state: cached rows, instrumentation."""
-    q: int
-    p: int
-    target: tuple[int, ...]
-    shape: tuple[int, ...]
-    use_split2: bool = True
-    counters: Counters = field(default_factory=Counters)
     meter: AllocationMeter = field(default_factory=AllocationMeter)
-
-    def __post_init__(self):
-        self.level_nodes = tuple(self.p * (s - 1) for s in self.shape)
-        top = max(self.level_nodes, default=0)
-        if self.q <= max(top, 1):
-            raise ModulusTooSmall(
-                f"modulus {self.q} must exceed the node count {top}")
-        self._rows: dict[tuple[int, int], np.ndarray] = {}
-
-    def row_for(self, N: int, r: int) -> np.ndarray:
-        key = (N, r)
-        row = self._rows.get(key)
-        if row is None:
-            exact = interp.inverse_vandermonde_row(N, r, self.q)
-            row = np.array(exact.entries, dtype=np.int64)
-            self._rows[key] = row
-            self.meter.take(N + 1)
-        return row
-
-
-def split2(i1: int, A: np.ndarray, p: int, ctx: PrimeContext) -> int:
-    """[f^p]_(p, i2, ...) for f = A0 + B*X1 + C*X1^2, with A0, B and C
-    polynomials in the other variables (at least one), in one node walk.
-
-    Requires degree exactly 2 in the split variable and i1 == p; the caller
-    walks every variable's nodes otherwise.  i2, ... are taken from the
-    context target.
-    """
-    if A.ndim < 2 or A.shape[0] != 3:
-        raise SplitPrecondition("split variable must have degree exactly 2")
-    if i1 != p:
-        raise SplitPrecondition("split target exponent must equal the power")
-    return _walk(A, p, ctx, split=True)
 
 
 def _trinomial_mults(p: int) -> int:
@@ -126,11 +79,12 @@ def _trinomial_mults(p: int) -> int:
     return n
 
 
-def _walk(A: np.ndarray, p: int, ctx: PrimeContext, split: bool) -> int:
+def _walk(A: np.ndarray, i, p: int, q: int, split: bool,
+          c: Counters) -> int:
     """sum_s (prod_k row_k[s_k]) G(s) mod q over the nodes s of the summed
     variables, all but X1 with split and all without, where G is
-    f(s)^p, or the trinomial sum over X1 with split."""
-    q, N, target = ctx.q, ctx.level_nodes, ctx.target
+    f(s)^p, or the trinomial sum over X1 with split; row_k is row i_k."""
+    N = tuple(p * (n - 1) for n in A.shape)
     qs = np.array([[q]], dtype=np.int64)
     first = int(split)                       # the variable along a row
     outer = range(first + 1, A.ndim)         # the variables across rows
@@ -149,13 +103,15 @@ def _walk(A: np.ndarray, p: int, ctx: PrimeContext, split: bool) -> int:
         table = np.ones((N[k] + 1, A.shape[k]), dtype=np.int64)
         table[:, 1:] = np.arange(N[k] + 1)[:, None]
         powers[k] = torus._cumprod_mod(table, q)
-    rows = {k: ctx.row_for(N[k], target[k]) for k in range(first, A.ndim)}
+    rows = {k: np.array(interp.inverse_vandermonde_row(N[k], i[k], q).entries,
+                        dtype=np.int64) for k in range(first, A.ndim)}
     K = torus._trinomial_weights(p, 0, qs) if split else None
     u = np.arange(L, dtype=np.int64)
-    held = (sum(t.size for t in powers.values()) + (K.size if split else 0)
+    held = (sum(t.size for t in (*powers.values(), *rows.values()))
+            + (K.size if split else 0)
             + (len(E) + classes * (d + 1) + 2) * R
             + (2 * classes + torus._LIVE) * R * L)
-    ctx.meter.take(held)
+    c.meter.take(held)
     acc = 0
     for lo in range(0, n_rows, R):
         # the outer nodes of each row (the trailing axis of one lets a walk
@@ -179,9 +135,9 @@ def _walk(A: np.ndarray, p: int, ctx: PrimeContext, split: bool) -> int:
             G = torus._powmod(v[0], p, qs)
         part = torus._mulmod(G, rows[first], qs).sum(axis=1) % q
         acc = (acc + int((part * w % q).sum())) % q
-    ctx.meter.give(held)
+    c.meter.give(held)
 
-    points, c = n_rows * L, ctx.counters
+    points = n_rows * L
     if split:
         c.split2_calls += n_rows
     else:
@@ -195,46 +151,33 @@ def _walk(A: np.ndarray, p: int, ctx: PrimeContext, split: bool) -> int:
     return acc
 
 
-def make_context(nf: NormalizedPolynomial, i, p: int, q: int,
-                 use_split2: bool = True) -> PrimeContext:
-    """The context for [f^p]_i mod q; ctx.tensor holds f mod q densely."""
-    shape = tuple(d + 1 for d in nf.degrees)
-    ctx = PrimeContext(q=q, p=p, target=tuple(i), shape=shape,
-                       use_split2=use_split2)
-    ctx.tensor = np.zeros(shape, dtype=np.int64)
-    for c, e in nf.terms:
-        ctx.tensor[e] = c % q
-    return ctx
-
-
-def _in_range(i, level_nodes) -> bool:
-    return all(0 <= ik <= Nk for ik, Nk in zip(i, level_nodes))
-
-
 def coefficient_mod_prime(nf: NormalizedPolynomial, i, p: int, q: int,
                           use_split2: bool = True,
-                          ctx: PrimeContext | None = None) -> int:
-    """[f^p]_i mod q where f is the cleared polynomial of the context.
+                          counters: Counters | None = None) -> int:
+    """[f^p]_i mod q for the cleared polynomial f of nf.
 
     Indices beyond the degree bounds give 0.  p = 0 and p = 1 are answered
-    directly.  Pass a prebuilt context to read its counters afterwards.
+    directly.  With use_split2, X1 of degree exactly 2 at i_1 = p is summed
+    by the trinomial formula.  The walk adds its work to counters, if given.
     """
     if p < 0:
         raise EngineError("negative power")
     i = tuple(int(x) for x in i)
     if len(i) != nf.n:
         raise EngineError("index dimension mismatch")
-    if ctx is None:
-        ctx = make_context(nf, i, p, q, use_split2)
-    if not _in_range(i, ctx.level_nodes):
+    top = p * max(nf.degrees, default=0)
+    if q <= max(top, 1):
+        raise ModulusTooSmall(f"modulus {q} must exceed the node count {top}")
+    if not all(0 <= ik <= p * d for ik, d in zip(i, nf.degrees)):
         return 0
     if p == 0:
         return 1 % q
-    A = ctx.tensor
+    A = np.zeros(tuple(d + 1 for d in nf.degrees), dtype=np.int64)
+    for c, e in nf.terms:
+        A[e] = c % q
     if p == 1:
         return int(A[i])
     if nf.n == 0:
         return pow(int(A[()]), p, q)
-    if ctx.use_split2 and A.ndim >= 2 and A.shape[0] == 3 and i[0] == p:
-        return split2(i[0], A, p, ctx)
-    return _walk(A, p, ctx, split=False)
+    split = use_split2 and nf.n >= 2 and A.shape[0] == 3 and i[0] == p
+    return _walk(A, i, p, q, split, counters or Counters())

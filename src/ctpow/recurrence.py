@@ -31,8 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import torus
-# the Vandermonde reference engine; ctbench's tracer wraps this name
-from .engine import coefficient_mod_prime  # noqa: F401
 from .laurent import (LaurentPolynomial, normalize, polynomial_from_json,
                       polynomial_to_json, total_weight)
 from .rns import ModulusSet, _is_prime, reconstruct, select_primes
@@ -62,6 +60,7 @@ def _integer(x, what: str) -> int:
 
 
 def _resolve_threads(threads: int) -> int:
+    threads = _integer(threads, "threads")
     if threads < 0:
         raise ValueError("threads must be >= 0")
     # 0 means every CPU this process may run on (its affinity mask, if any)
@@ -69,15 +68,15 @@ def _resolve_threads(threads: int) -> int:
     return threads or (len(cpus(0)) if cpus else os.cpu_count() or 1)
 
 
-def _sum_row_blocks(fn, args, tp, ms: ModulusSet, threads: int,
+def _sum_row_blocks(fn, tp, ms: ModulusSet, threads: int,
                     progress=None) -> list:
-    """fn(*args, primes, tp, rows) over blocks of grid rows, one per worker,
+    """fn(tp, primes, rows) over blocks of grid rows, one per worker,
     summed modulo each prime as Python ints.  Block k takes every n-th row
     from row k, as the orbit representatives crowd into the first rows.  On
     Linux forked children sum blocks 1..n-1 and send back int64 residues
     (below 2^31); a dead one raises WorkerError.  progress(done, n) counts."""
     n = min(tp.rows, threads)
-    blocks = [(*args, ms.primes, tp, range(k, tp.rows, n)) for k in range(n)]
+    blocks = [(tp, ms.primes, range(k, tp.rows, n)) for k in range(n)]
     total, pids, fds = 0, [], []
     try:
         for block in blocks[1:] if sys.platform == "linux" else ():
@@ -132,10 +131,9 @@ def exact_coefficient(h: LaurentPolynomial, p: int, index=None,
     target = tuple(ix + p * s for ix, s in zip(index, nf.shift))
     if any(not 0 <= t <= p * d for t, d in zip(target, nf.degrees)):
         return 0
-    tp, nf, target = torus.plan(nf, target, p, use_split2)
+    tp = torus.plan(nf, target, p, use_split2)
     ms = _primes_for(total_weight(h), tp.M, p)
-    residues = _sum_row_blocks(torus.coefficient_residues, (nf, target, p),
-                               tp, ms, threads)
+    residues = _sum_row_blocks(torus.coefficient_residues, tp, ms, threads)
     return reconstruct(residues, ms)
 
 
@@ -213,10 +211,9 @@ def constant_term_series(h: LaurentPolynomial, P: int, threads: int = 1,
         raise ValueError(f"series length must be in [0, {torus.MAX_SERIES})")
     threads = _resolve_threads(threads)
     nf = normalize(h)
-    tp, nf, _ = torus.plan(nf, tuple(P * s for s in nf.shift), P, use_split2)
+    tp = torus.plan(nf, tuple(P * s for s in nf.shift), P, use_split2)
     ms = _primes_for(total_weight(h), tp.M, P)
-    sums = _sum_row_blocks(torus.series_residues, (nf, P), tp, ms, threads,
-                           progress)
+    sums = _sum_row_blocks(torus.series_residues, tp, ms, threads, progress)
     return Series(h, tuple(reconstruct(r, ms) for r in sums))
 
 

@@ -114,13 +114,18 @@ class AllocationMeter:
 
 @dataclass(frozen=True)
 class TorusPlan:
-    """Which variable is summed exactly, which run over the grid, and M.
+    """The sum for [f^p]_target: which variable is summed exactly, which
+    run over the grid, and M.
 
-    The grid is walked in rows along its last variable.  U, if set, is the
-    coordinate change plan applied (exponent e -> Ue); the plan is for the
-    polynomial and target that plan returns with it.  H holds the distinct
-    A = B[grid, grid]^T, identity included, by which B acts as s -> A s mod M.
+    nf and target are what the kernels evaluate: h o U and U i if U, the
+    coordinate change plan applied (exponent e -> Ue), is set, else the
+    polynomial and target plan was given.  The grid is walked in rows along
+    its last variable.  H holds the distinct A = B[grid, grid]^T, identity
+    included, by which B acts as s -> A s mod M.
     """
+    nf: NormalizedPolynomial
+    target: tuple[int, ...]
+    p: int
     inner: int | None
     grid: tuple[int, ...]
     M: int
@@ -144,7 +149,8 @@ def _layout(nf: NormalizedPolynomial, target, p: int, inners) -> TorusPlan:
                 key=lambda k: (need[k], k), default=None)
     grid = tuple(k for k, (d, t) in enumerate(zip(nf.degrees, target))
                  if k != inner and (d, t) != (0, 0))
-    return TorusPlan(inner, grid, 1 + max((need[k] for k in grid), default=0))
+    return TorusPlan(nf, tuple(map(int, target)), p, inner, grid,
+                     1 + max((need[k] for k in grid), default=0))
 
 
 def _acting(G, tp: TorusPlan) -> tuple[Matrix, ...]:
@@ -164,7 +170,7 @@ def _acting(G, tp: TorusPlan) -> tuple[Matrix, ...]:
 
 
 def plan(nf: NormalizedPolynomial, target, p: int, use_split2: bool = True
-         ) -> tuple[TorusPlan, NormalizedPolynomial, tuple[int, ...]]:
+         ) -> TorusPlan:
     """Pick the exactly summed variable, the smallest valid M, and H.
 
     Among the variables of degree at most 2 the one that would need the
@@ -172,19 +178,18 @@ def plan(nf: NormalizedPolynomial, target, p: int, use_split2: bool = True
     absent from f with target 0 are left off the grid.  A grid of two or
     more variables gets H, and with use_split2 the first U of
     symmetry.coordinate_changes (of the first 8) that strictly enlarges H
-    without raising M changes the coordinates; its first row is summed
-    exactly.  Returns the plan with the polynomial and target the kernels
-    take: h o U and U i (symmetry.in_coordinates) if the plan has a U, else
-    nf and target."""
+    without raising M changes the coordinates: its first row is summed
+    exactly, and the plan holds h o U and U i (symmetry.in_coordinates)
+    instead of nf and target."""
     tp = _layout(nf, target, p, range(nf.n) if use_split2 else ())
     if len(tp.grid) < 2 or len(nf.terms) > symmetry.MAX_TERMS:
-        return tp, nf, target      # one row: numpy call overhead dominates
+        return tp                  # one row: numpy call overhead dominates
     terms = symmetry.laurent_terms(nf)
     # a search budget of one node per grid point, at least 1024
     G = symmetry.automorphisms(terms, min(symmetry.MAX_STEPS, max(
         1 << 10, tp.M ** len(tp.grid))))
     if len(G) > _MAX_ORDER:
-        return tp, nf, target
+        return tp
     G = np.array(G, dtype=np.int64).reshape(len(G), nf.n, nf.n)
     index = np.array(target, dtype=np.int64) - p * np.array(nf.shift)
     G = G[(G @ index == index).all(axis=1)]      # those that fix the index
@@ -196,9 +201,8 @@ def plan(nf: NormalizedPolynomial, target, p: int, use_split2: bool = True
         tp2 = _layout(nf2, target2, p, (0,))
         H2 = _acting(U @ G @ symmetry.inverse(U)[0], tp2)
         if len(H2) > least and tp2.M <= tp.M:
-            return (replace(tp2, U=tuple(map(tuple, U.tolist())), H=H2),
-                    nf2, target2)
-    return tp, nf, target
+            return replace(tp2, U=tuple(map(tuple, U.tolist())), H=H2)
+    return tp
 
 
 def _reduce(x, q, tmp=None):
@@ -335,21 +339,21 @@ def representatives(tp: TorusPlan) -> int:
                for r in range(0, tp.rows, _ROWS))
 
 
-def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
-                  index, meter: AllocationMeter | None, held_by_caller: int):
+def _class_values(tp: TorusPlan, primes, rows,
+                  meter: AllocationMeter | None, held_by_caller: int):
     """The class values of h at the orbit representatives (symmetry.orbits)
     of the grid rows in `rows`, in batches of _BATCH * M points.
 
     Yields (vals, w, weight): vals (classes, primes, K) holds the sum of
     each class of terms (by exponent of the inner variable in f; one class
-    without one) of h at the K points, w (primes, K) omega^(-index.s) there
-    (None if index is None or 0 on the grid), and weight (K,) the orbit
-    sizes, which add up to less than 2**31.  The meter holds the tables,
-    held_by_caller elements, the arrays made per chunk and batch, and _LIVE
-    batch-sized arrays for the caller.
+    without one) of h at the K points, w (primes, K) omega^(-i.s) there,
+    i = target - p * shift (None if i is 0 on the grid), and weight (K,)
+    the orbit sizes, which add up to less than 2**31.  The meter holds the
+    tables, held_by_caller elements, the arrays made per chunk and batch,
+    and _LIVE batch-sized arrays for the caller.
     """
     meter = meter if meter is not None else AllocationMeter()
-    M = tp.M
+    nf, M = tp.nf, tp.M
     nq = len(primes)
     qs = np.array(primes, dtype=np.int64)[:, None]
     rows = range(tp.rows) if rows is None else rows
@@ -363,7 +367,8 @@ def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
     lasts = X[:, last[0] if last else -1]
     E = X[:, list(outer)] - np.array([nf.shift[k] for k in outer], np.int64)
     shift_last = nf.shift[last[0]] if last else 0
-    twist = np.array([-index[k] % M for k in tp.grid if index], np.int64)
+    twist = np.array([(tp.p * nf.shift[k] - tp.target[k]) % M
+                      for k in tp.grid], np.int64)
     n_classes = 3 if tp.inner is not None else 1
     d_last = int(lasts.max())
 
@@ -437,31 +442,28 @@ def _class_values(nf: NormalizedPolynomial, tp: TorusPlan, primes, rows,
     meter.give(tables + batch)
 
 
-def coefficient_residues(nf: NormalizedPolynomial, target, p: int, primes,
-                         torus_plan: TorusPlan, rows: range | None = None,
+def coefficient_residues(tp: TorusPlan, primes, rows: range | None = None,
                          meter: AllocationMeter | None = None) -> tuple[int, ...]:
-    """[f^p]_target mod each prime, summed over the grid rows in `rows`.
+    """[f^p]_target mod each prime for the plan's f, target and p, summed
+    over the grid rows in `rows`.
 
-    nf, target and torus_plan are as plan returns them.  Targets outside
-    the support of f^p give 0.  Every prime must be 1 modulo torus_plan.M
-    and exceed p.  The value omega^(-i.s) [x^t_x] h(x, omega^s)^p, with
-    i = target - p * nf.shift, is the same on every orbit of torus_plan.H,
-    so each orbit adds its size times the value at its representative.
-    Partial results over a disjoint cover of range(torus_plan.rows) add up,
-    modulo each prime, to the full coefficient.  The meter, if given,
-    tracks the live auxiliary elements (input excluded).
+    Targets outside the support of f^p give 0.  Every prime must be 1
+    modulo tp.M and exceed p.  The value omega^(-i.s) [x^t_x]
+    h(x, omega^s)^p, with i = target - p * shift, is the same on every
+    orbit of tp.H, so each orbit adds its size times the value at its
+    representative.  Partial results over a disjoint cover of
+    range(tp.rows) add up, modulo each prime, to the full coefficient.
+    The meter, if given, tracks the live auxiliary elements (input
+    excluded).
     """
-    tp = torus_plan
-    target = tuple(int(t) for t in target)
-    if any(not 0 <= t <= p * d for t, d in zip(target, nf.degrees)):
+    target, p = tp.target, tp.p
+    if any(not 0 <= t <= p * d for t, d in zip(target, tp.nf.degrees)):
         return (0,) * len(primes)
     qs = np.array(primes, dtype=np.int64)[:, None]
     m = target[tp.inner] - p if tp.inner is not None else 0
     K = _trinomial_weights(p, abs(m), qs)
     total = np.zeros(len(primes), dtype=np.int64)
-    index = [t - p * s for t, s in zip(target, nf.shift)]
-    for vals, w, weight in _class_values(nf, tp, primes, rows, index,
-                                         meter, K.size):
+    for vals, w, weight in _class_values(tp, primes, rows, meter, K.size):
         if tp.inner is None:
             value = _powmod(vals[0], p, qs)
         else:
@@ -494,46 +496,45 @@ def _trinomial_powers(a, d, w, g, q):
         yield v1
 
 
-def _series_tables(P: int, tp: TorusPlan, qs):
+def _series_tables(P: int, M: int, dims: int, inner: bool, qs):
     """g as _trinomial_powers takes it and the scale (primes, P + 1) of
-    a_p, (2p-1)!!/(p! M^g), or M^-g (primes, 1) without tp.inner."""
+    a_p, (2p-1)!!/(p! M^dims), or M^-dims (primes, 1) without inner."""
     k = np.arange(1, P + 1, dtype=np.int64)
     # the inverses of M, of k = 1..P and of (2k-1)(2k-3) for k = 2..P
-    a = np.concatenate([[tp.M], k, (2 * k[1:] - 1) * (2 * k[1:] - 3)])
+    a = np.concatenate([[M], k, (2 * k[1:] - 1) * (2 * k[1:] - 3)])
     inv = _inverses(np.tile(a, (len(qs), 1)) % qs, qs)
     g = np.zeros((P + 1, len(qs), 1), dtype=np.int64)
     g[2:, :, 0] = (-(k[1:] - 1) ** 2 % qs * inv[:, P + 1:] % qs).T
-    scale = _powmod(inv[:, :1], len(tp.grid), qs)
-    if tp.inner is None:
+    scale = _powmod(inv[:, :1], dims, qs)
+    if not inner:
         return g, scale
     return g, _cumprod_mod(np.column_stack(
         [scale, (2 * k - 1) * inv[:, 1:P + 1] % qs]), qs)
 
 
-def series_residues(nf: NormalizedPolynomial, P: int, primes,
-                    torus_plan: TorusPlan, rows: range | None = None,
+def series_residues(tp: TorusPlan, primes, rows: range | None = None,
                     meter: AllocationMeter | None = None) -> list[tuple[int, ...]]:
     """a_p = [h^p]_0 mod each prime for p = 0..P, summed over `rows`.
 
-    torus_plan and nf are as plan(nf, P * nf.shift, P, ...) returns them,
-    for a_P; every prime must be 1 modulo its M and exceed 2P, and
-    P < MAX_SERIES.  Each orbit of torus_plan.H adds its size times the
-    value at its representative, as in coefficient_residues, for every p.
-    Returns P + 1 tuples of residues; partial results over a disjoint cover
-    of range(torus_plan.rows) add up, modulo each prime, to the full terms.
-    The meter works as in coefficient_residues.
+    tp is plan(nf, P * nf.shift, P, ...), the plan of a_P; every prime must
+    be 1 modulo tp.M and exceed 2P, and P < MAX_SERIES.  Each orbit of tp.H
+    adds its size times the value at its representative, as in
+    coefficient_residues, for every p.  Returns P + 1 tuples of residues;
+    partial results over a disjoint cover of range(tp.rows) add up, modulo
+    each prime, to the full terms.  The meter works as in
+    coefficient_residues.
     """
-    tp = torus_plan
+    P = tp.p
     qs = np.array(primes, dtype=np.int64)[:, None]
     S = np.zeros((P + 1, len(primes)), dtype=np.int64)
-    g, scale = _series_tables(P, tp, qs)
-    for vals, _, weight in _class_values(nf, tp, primes, rows, None,
-                                         meter, S.size + g.size + scale.size):
+    g, scale = _series_tables(P, tp.M, len(tp.grid), tp.inner is not None, qs)
+    for vals, _, weight in _class_values(tp, primes, rows, meter,
+                                         S.size + g.size + scale.size):
         a, d = vals[0], None                # h itself without tp.inner
         if tp.inner is not None:
             # A is the class of x^0; unless x has exponents of both signs
             # (shift 1: x^-1, x^0, x^1) only A^p reaches x^0, so BC = 0
-            s = nf.shift[tp.inner]
+            s = tp.nf.shift[tp.inner]
             a, d = vals[s], _mulmod(vals[s], vals[s], qs)
             if s == 1:
                 d = (d - 4 * _mulmod(vals[0], vals[2], qs)) % qs

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from ctpow.engine import coefficient_mod_prime, make_context
+from ctpow.engine import Counters, coefficient_mod_prime
 from ctpow.fixtures import (SAMPLE39_POWER150_CONSTANT, SAMPLE_NAMES,
                             sample_operator, sample_polynomial)
 from ctpow.interp import interpolate_coefficient, inverse_vandermonde_row
@@ -172,9 +172,9 @@ def test_criterion_6_memory_linear():
     peaks = []
     for p in (10, 20, 40):
         target = tuple(p * s for s in nf.shift)
-        ctx = make_context(nf, target, p, PRIME31)
-        coefficient_mod_prime(nf, target, p, PRIME31, ctx=ctx)
-        peaks.append(ctx.meter.peak)
+        c = Counters()
+        coefficient_mod_prime(nf, target, p, PRIME31, counters=c)
+        peaks.append(c.meter.peak)
     for small, big in zip(peaks, peaks[1:]):
         ratio = big / small
         assert 1.6 <= ratio <= 2.4, peaks
@@ -198,14 +198,14 @@ def test_criterion_7_split2_on_off(f39_terms, series51, dwork_terms):
         target = tuple(20 * s for s in nf.shift)
         mults = {}
         for flag in (True, False):
-            ctx = make_context(nf, target, 20, PRIME31, use_split2=flag)
+            c = Counters()
             coefficient_mod_prime(nf, target, 20, PRIME31, use_split2=flag,
-                                  ctx=ctx)
-            mults[flag] = ctx.counters.mults
+                                  counters=c)
+            mults[flag] = c.mults
             if flag:
-                assert ctx.counters.split2_calls > 0, name
+                assert c.split2_calls > 0, name
             else:
-                assert ctx.counters.split2_calls == 0, name
+                assert c.split2_calls == 0, name
         assert mults[True] < mults[False], name
 
 

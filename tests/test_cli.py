@@ -325,11 +325,11 @@ def test_dead_worker_exits_5(monkeypatch, capsys):
     import ctpow.torus
     caller, real = os.getpid(), ctpow.torus.coefficient_residues
 
-    def _die(*args, **kwargs):
+    def _die(tp, primes, rows=None, meter=None):
         # the caller sums block 0 itself; only a forked worker dies
         if os.getpid() != caller:
             os._exit(1)
-        return real(*args, **kwargs)
+        return real(tp, primes, rows, meter)
 
     monkeypatch.setattr(ctpow.torus, "coefficient_residues", _die)
     code, out, err = run(capsys, "coeff", "--fixture", "39", "--power", "4",

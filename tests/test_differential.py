@@ -43,10 +43,10 @@ def check_all_paths(h, p, index):
         assert coefficient_mod_prime(nf, target, p, Q, use_split2=flag) \
             == want % Q, ("vandermonde", flag)
         if all(0 <= t <= p * d for t, d in zip(target, nf.degrees)):
-            tp, nf_u, target_u = torus.plan(nf, target, p, use_split2=flag)
+            tp = torus.plan(nf, target, p, use_split2=flag)
             primes = select_primes(1 << 61, max(1, p),
                                    congruent_to_1_mod=tp.M).primes
-            got = torus.coefficient_residues(nf_u, target_u, p, primes, tp)
+            got = torus.coefficient_residues(tp, primes)
             assert got == tuple(want % q for q in primes), ("torus", flag)
     for threads in (1, 2):
         assert exact_coefficient(h, p, index, threads=threads) == want, threads
@@ -181,10 +181,10 @@ def test_twisted_orbit_sums_with_a_shifted_last_variable(text, p, index):
     nf = normalize(h)
     target = tuple(i + p * s for i, s in zip(index, nf.shift))
     for flag in (True, False):
-        tp, nf_u, target_u = torus.plan(nf, target, p, use_split2=flag)
+        tp = torus.plan(nf, target, p, use_split2=flag)
         last = tp.grid[-1]
-        assert len(tp.H) > 1 and nf_u.shift[last] != 0
-        assert target_u[last] != p * nf_u.shift[last]
+        assert len(tp.H) > 1 and tp.nf.shift[last] != 0
+        assert tp.target[last] != p * tp.nf.shift[last]
     assert naive_power_coeff(h, p, index) != 0
     check_all_paths(h, p, index)
 
@@ -196,9 +196,9 @@ def test_torus_orbit_sums_equal_the_full_vandermonde_sums(name):
     for p, index in [(6, (1, 0, 0, 0)), (9, (1, -1, 0, 1)),
                      (12, (0, 1, 1, -1))]:
         target = tuple(i + p * s for i, s in zip(index, nf.shift))
-        tp, nf_u, target_u = torus.plan(nf, target, p)
+        tp = torus.plan(nf, target, p)
         q = select_primes(1 << 30, p, congruent_to_1_mod=tp.M).primes[0]
-        got = torus.coefficient_residues(nf_u, target_u, p, [q], tp)
+        got = torus.coefficient_residues(tp, [q])
         for flag in (True, False):
             assert got == (coefficient_mod_prime(nf, target, p, q, flag),), \
                 (p, index, flag)

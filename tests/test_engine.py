@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctpow.engine import (EngineError, ModulusTooSmall, SplitPrecondition,
-                          coefficient_mod_prime, make_context, split2)
+from ctpow.engine import (Counters, EngineError, ModulusTooSmall,
+                          coefficient_mod_prime)
 from ctpow.fixtures import sample_polynomial
 from ctpow.laurent import make_polynomial, normalize, parse_laurent
 from ctpow.oracle import naive_power_coeff
@@ -48,7 +48,7 @@ def test_power_zero_and_one():
 def test_modulus_must_exceed_node_count():
     nf = normalize(parse_laurent("X + Y + Z + X^-1*Y^-1*Z^-1"))
     with pytest.raises(ModulusTooSmall):
-        make_context(nf, (4, 4, 4), 4, 7)
+        coefficient_mod_prime(nf, (4, 4, 4), 4, 7)
 
 
 def _random_poly(rng, n, span):
@@ -104,67 +104,60 @@ def test_split2_equals_generic_path():
 def test_split2_counters_and_fallback():
     nf = normalize(parse_laurent("X^2*Y + X*Y + X + Y^2"))
     p = 5
-    ctx = make_context(nf, (p, 3), p, Q, use_split2=True)
-    coefficient_mod_prime(nf, (p, 3), p, Q, True, ctx)
-    assert ctx.counters.split2_calls == 1
+    c = Counters()
+    coefficient_mod_prime(nf, (p, 3), p, Q, True, c)
+    assert c.split2_calls == 1
     # target exponent != p disables the shortcut
-    ctx2 = make_context(nf, (p - 1, 3), p, Q, use_split2=True)
-    coefficient_mod_prime(nf, (p - 1, 3), p, Q, True, ctx2)
-    assert ctx2.counters.split2_calls == 0
-
-
-def test_split2_preconditions_raise():
-    nf = normalize(parse_laurent("X^2*Y + X*Y + X + Y^2"))
-    p = 4
-    ctx = make_context(nf, (p, 2), p, Q)
-    with pytest.raises(SplitPrecondition):
-        split2(p - 1, ctx.tensor, p, ctx)
-    nf3 = normalize(parse_laurent("X^3 + X*Y + 1"))
-    ctx3 = make_context(nf3, (4, 1), 4, Q)
-    with pytest.raises(SplitPrecondition):
-        split2(4, ctx3.tensor, 4, ctx3)
+    c2 = Counters()
+    coefficient_mod_prime(nf, (p - 1, 3), p, Q, True, c2)
+    assert c2.split2_calls == 0
+    # and so does a first variable of degree other than 2
+    h3 = parse_laurent("X^3 + X*Y + 1")
+    c3 = Counters()
+    assert coefficient_mod_prime(normalize(h3), (4, 1), 4, Q, True, c3) \
+        == naive_power_coeff(h3, 4, (4, 1)) % Q
+    assert c3.split2_calls == 0 and c3.base_invocations > 0
 
 
 def test_work_counters_follow_node_products():
     nf = normalize(parse_laurent("X + Y + Z + X^-1*Y^-1*Z^-1"))
     p = 4
-    ctx = make_context(nf, (4, 4, 4), p, 1009, use_split2=False)
-    coefficient_mod_prime(nf, (4, 4, 4), p, 1009, False, ctx)
-    n3, n2, n1 = ctx.level_nodes[2], ctx.level_nodes[1], ctx.level_nodes[0]
-    assert ctx.counters.base_invocations == (n3 + 1) * (n2 + 1)
-    assert ctx.counters.pow_mod_calls == (n3 + 1) * (n2 + 1) * (n1 + 1)
+    c = Counters()
+    coefficient_mod_prime(nf, (4, 4, 4), p, 1009, False, c)
+    n1, n2, n3 = (p * d for d in nf.degrees)
+    assert c.base_invocations == (n3 + 1) * (n2 + 1)
+    assert c.pow_mod_calls == (n3 + 1) * (n2 + 1) * (n1 + 1)
     # with split2, one row along X2 per node of X3 and X4
     nf39 = normalize(sample_polynomial("39"))
     p = 20
     target = tuple(p * s for s in nf39.shift)
-    on = make_context(nf39, target, p, Q, use_split2=True)
+    on = Counters()
     coefficient_mod_prime(nf39, target, p, Q, True, on)
-    assert on.counters.split2_calls == 41 ** 2
-    assert on.counters.base_invocations == on.counters.pow_mod_calls == 0
+    assert on.split2_calls == 41 ** 2
+    assert on.base_invocations == on.pow_mod_calls == 0
 
 
 def test_split2_does_strictly_less_work():
     nf = normalize(sample_polynomial("dwork4"))
     p = 6
     target = (p, p, p, p)
-    on = make_context(nf, target, p, Q, use_split2=True)
-    off = make_context(nf, target, p, Q, use_split2=False)
+    on, off = Counters(), Counters()
     a = coefficient_mod_prime(nf, target, p, Q, True, on)
     b = coefficient_mod_prime(nf, target, p, Q, False, off)
     assert a == b
-    assert on.counters.mults < off.counters.mults
-    assert on.counters.split2_calls > 0
+    assert on.mults < off.mults
+    assert on.split2_calls > 0
 
 
 def test_meter_peak_is_stable_across_runs():
     nf = normalize(sample_polynomial("39"))
     p = 6
     target = (p, p, p, p)
-    ctx = make_context(nf, target, p, Q)
-    coefficient_mod_prime(nf, target, p, Q, True, ctx)
-    first_peak = ctx.meter.peak
-    coefficient_mod_prime(nf, target, p, Q, True, ctx)
-    assert ctx.meter.peak == first_peak
+    c = Counters()
+    coefficient_mod_prime(nf, target, p, Q, True, c)
+    first_peak = c.meter.peak
+    coefficient_mod_prime(nf, target, p, Q, True, c)
+    assert c.meter.peak == first_peak
     assert first_peak > 0
 
 

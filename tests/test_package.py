@@ -63,3 +63,16 @@ def _fresh_import(**env_vars):
 def test_import_starts_no_blas_threads_and_restores_the_environment():
     assert _fresh_import() == ("None", 1)
     assert _fresh_import(OPENBLAS_NUM_THREADS="2")[0] == "2"
+
+
+def test_import_loads_no_reference_engine():
+    # the pipeline runs the torus engine: the Vandermonde reference engine,
+    # its rows and their exact Fractions load only when asked for
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    code = ("import sys, ctpow; print(sorted({'ctpow.engine', 'ctpow.interp', "
+            "'fractions'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

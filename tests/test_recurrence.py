@@ -116,6 +116,15 @@ def test_negative_thread_counts_are_refused():
         exact_coefficient(h, 4, threads=-5)
     with pytest.raises(ValueError, match="threads"):
         constant_term_series(h, 4, threads=-2)
+    # and so are thread counts that are not integers, on a grid of many
+    # rows and on one of a single row
+    walk = parse_laurent("X + X^-1 + Y + Y^-1")
+    for threads in (2.0, "2", None):
+        for fn, poly, p in ((exact_coefficient, sample_polynomial("39"), 6),
+                            (constant_term_series, sample_polynomial("39"), 6),
+                            (exact_coefficient, walk, 4)):
+            with pytest.raises(ValueError, match="threads must be an integer"):
+                fn(poly, p, threads=threads)
     # 0 still means every core
     assert exact_coefficient(h, 4, threads=0) == 6
 
@@ -145,7 +154,7 @@ def test_series_progress_counts_row_blocks():
 def test_row_blocks_that_do_not_divide_evenly():
     h = sample_polynomial("39")
     nf = normalize(h)
-    tp = torus.plan(nf, tuple(12 * s for s in nf.shift), 12)[0]
+    tp = torus.plan(nf, tuple(12 * s for s in nf.shift), 12)
     assert tp.rows % 3
     assert exact_coefficient(h, 12, threads=3) \
         == exact_coefficient(h, 12, threads=1)
@@ -171,19 +180,19 @@ def test_row_block_workers_are_reaped_on_success_death_and_interrupt(
 
     caller, real = os.getpid(), torus.coefficient_residues
 
-    def interrupted_in_caller(*args, **kwargs):
+    def interrupted_in_caller(tp, primes, rows=None, meter=None):
         if os.getpid() == caller:
             raise KeyboardInterrupt
-        return real(*args, **kwargs)
+        return real(tp, primes, rows, meter)
 
-    def short_in_child(*args, **kwargs):
-        part = real(*args, **kwargs)
+    def short_in_child(tp, primes, rows=None, meter=None):
+        part = real(tp, primes, rows, meter)
         return part if os.getpid() == caller else part[:-1]
 
-    def dies_in_child(*args, **kwargs):
+    def dies_in_child(tp, primes, rows=None, meter=None):
         if os.getpid() != caller:
             os._exit(7)
-        return real(*args, **kwargs)
+        return real(tp, primes, rows, meter)
 
     for fn, error, match in ((interrupted_in_caller, KeyboardInterrupt, None),
                              (short_in_child, WorkerError, "bytes"),

@@ -206,7 +206,7 @@ def _orbit_groups():
     yield _closure([_signed_permutation((1, 0, 2), (1, -1, 1)),
                     _signed_permutation((0, 2, 1), (1, 1, -1))])
     nf = normalize(sample_polynomial("39"))
-    tp = torus.plan(nf, tuple(10 * s for s in nf.shift), 10)[0]
+    tp = torus.plan(nf, tuple(10 * s for s in nf.shift), 10)
     assert len(tp.H) == 6 and tp.U is not None
     yield tp.maps
 

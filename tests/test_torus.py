@@ -26,11 +26,11 @@ def test_plan_sums_the_neediest_trinomial_variable_exactly():
     # M > 5 on the grid and Z only M > 4, so Y is summed exactly
     p = 4
     target = (0, p + 1, 0)
-    tp = torus.plan(nf, target, p)[0]
+    tp = torus.plan(nf, target, p)
     assert tp.inner == 1
     assert tp.grid == (0, 2)
     assert tp.M == 1 + max(p * 3 - target[0], target[0], p * 1 - target[2])
-    off = torus.plan(nf, target, p, use_split2=False)[0]
+    off = torus.plan(nf, target, p, use_split2=False)
     assert off.inner is None
     assert off.grid == (0, 1, 2)
     assert off.M >= tp.M
@@ -44,16 +44,16 @@ def test_degree_zero_variables_stay_off_the_grid():
     nf = normalize(h)
     p = 8
     target = tuple(p * s for s in nf.shift)
-    tp = torus.plan(nf, target, p)[0]
+    tp = torus.plan(nf, target, p)
     assert (tp.inner, tp.grid, tp.M, tp.rows) == (2, (0,), 9, 1)
-    assert torus.plan(nf, target, p, use_split2=False)[0].grid == (0, 2)
+    assert torus.plan(nf, target, p, use_split2=False).grid == (0, 2)
     want = [naive_power_coeff(h, k) for k in range(p + 1)]
     for flag in (True, False):
-        tp = torus.plan(nf, target, p, flag)[0]
+        tp = torus.plan(nf, target, p, flag)
         primes = _primes(tp, 2 * p)
-        assert torus.coefficient_residues(nf, target, p, primes, tp) \
+        assert torus.coefficient_residues(tp, primes) \
             == tuple(want[p] % q for q in primes)
-        assert torus.series_residues(nf, p, primes, tp) \
+        assert torus.series_residues(tp, primes) \
             == [tuple(a % q for q in primes) for a in want]
 
 
@@ -63,20 +63,20 @@ def test_a_shifted_degree_zero_variable_stays_on_the_grid():
     nf = normalize(h)
     assert nf.degrees[1] == 0 and nf.shift[1] == 1
     P = 6
-    assert _series_plan(nf, P, False)[0].grid == (0, 1)
+    assert _series_plan(nf, P, False).grid == (0, 1)
     for flag in (True, False):
-        tp, nf_u = _series_plan(nf, P, flag)
+        tp = _series_plan(nf, P, flag)
         primes = _primes(tp, 2 * P)
-        assert torus.series_residues(nf_u, P, primes, tp) \
+        assert torus.series_residues(tp, primes) \
             == [(1,) * len(primes)] + [(0,) * len(primes)] * P
 
 
 def test_constant_polynomial_has_an_empty_grid():
     nf = normalize(parse_laurent("7"))
-    tp = torus.plan(nf, (), 3)[0]
+    tp = torus.plan(nf, (), 3)
     assert (tp.inner, tp.grid, tp.M, tp.rows) == (None, (), 1, 1)
     primes = _primes(tp, 3)
-    assert torus.coefficient_residues(nf, (), 3, primes, tp) \
+    assert torus.coefficient_residues(tp, primes) \
         == tuple(343 % q for q in primes)
 
 
@@ -87,22 +87,21 @@ def test_row_blocks_cover_the_sum():
         p = 5
         target = tuple(p * s for s in nf.shift)
         for flag in (True, False):
-            tp, nf_u, target_u = torus.plan(nf, target, p, flag)
+            tp = torus.plan(nf, target, p, flag)
             primes = _primes(tp, p)
-            full = torus.coefficient_residues(nf_u, target_u, p, primes, tp)
+            full = torus.coefficient_residues(tp, primes)
             cuts = sorted(rng.sample(range(1, tp.rows), 3))
             edges = [0] + cuts + [tp.rows]
             total = [0] * len(primes)
             for lo, hi in zip(edges, edges[1:]):
-                part = torus.coefficient_residues(nf_u, target_u, p, primes,
-                                                  tp, range(lo, hi))
+                part = torus.coefficient_residues(tp, primes, range(lo, hi))
                 total = [(a + b) % q for a, b, q in zip(total, part, primes)]
             assert tuple(total) == full
 
 
 def _series_plan(nf, P, flag=True):
-    """The plan of a_P and the polynomial the series kernel takes."""
-    return torus.plan(nf, tuple(P * s for s in nf.shift), P, flag)[:2]
+    """The plan of a_P, as the series kernel takes it."""
+    return torus.plan(nf, tuple(P * s for s in nf.shift), P, flag)
 
 
 def test_series_row_blocks_cover_the_sum():
@@ -113,16 +112,15 @@ def test_series_row_blocks_cover_the_sum():
         want = [naive_power_coeff(sample_polynomial(name), p)
                 for p in range(P + 1)]
         for flag in (True, False):
-            tp, nf_u = _series_plan(nf, P, flag)
+            tp = _series_plan(nf, P, flag)
             primes = _primes(tp, P)
-            full = torus.series_residues(nf_u, P, primes, tp)
+            full = torus.series_residues(tp, primes)
             assert full == [tuple(a % q for q in primes) for a in want]
             cuts = sorted(rng.sample(range(1, tp.rows), 3))
             edges = [0] + cuts + [tp.rows]
             total = [[0] * len(primes) for _ in range(P + 1)]
             for lo, hi in zip(edges, edges[1:]):
-                part = torus.series_residues(nf_u, P, primes, tp,
-                                             range(lo, hi))
+                part = torus.series_residues(tp, primes, range(lo, hi))
                 total = [[(a + b) % q for a, b, q in zip(x, y, primes)]
                          for x, y in zip(total, part)]
             assert [tuple(x) for x in total] == full
@@ -133,10 +131,10 @@ def test_series_with_a_one_signed_inner_variable():
     h = parse_laurent("X^2*Y + 2*X + Y + Y^-1 - 3")
     nf = normalize(h)
     P = 6
-    tp, nf = _series_plan(nf, P)
-    assert tp.inner == 0 and nf.shift[0] == 0 and nf.degrees[0] == 2
+    tp = _series_plan(nf, P)
+    assert tp.inner == 0 and tp.nf.shift[0] == 0 and tp.nf.degrees[0] == 2
     primes = _primes(tp, P)
-    assert torus.series_residues(nf, P, primes, tp) == [
+    assert torus.series_residues(tp, primes) == [
         tuple(naive_power_coeff(h, p) % q for q in primes)
         for p in range(P + 1)]
 
@@ -147,26 +145,25 @@ def test_a_coordinate_change_enlarges_the_acting_group():
     h = sample_polynomial("39")
     nf = normalize(h)
     P = 6
-    tp, nf_u = _series_plan(nf, P)
+    tp = _series_plan(nf, P)
     assert tp.U is not None and tp.U[0] == (1, 0, 1, -1)
     assert (tp.inner, len(tp.H), tp.M) == (0, 6, P + 1)
-    assert len(_series_plan(nf, P, False)[0].H) == 12
+    assert len(_series_plan(nf, P, False).H) == 12
     primes = _primes(tp, 2 * P)
-    assert torus.series_residues(nf_u, P, primes, tp) == [
+    assert torus.series_residues(tp, primes) == [
         tuple(naive_power_coeff(h, p) % q for q in primes)
         for p in range(P + 1)]
     # at this index U would enlarge H but raise M from 8 to 9: no change
     index = (-2, 0, 1, 0)
-    tp = torus.plan(nf, tuple(i + P * s for i, s in zip(index, nf.shift)),
-                    P)[0]
+    tp = torus.plan(nf, tuple(i + P * s for i, s in zip(index, nf.shift)), P)
     assert (tp.U, tp.M) == (None, 8)
     # a target that no map of order 6 fixes, and one off the support
     for index in [(1, 0, 1, 0), (1, -1, 0, 1), (4, 0, 0, 0), (-2, 0, 1, 0)]:
         target = tuple(i + P * s for i, s in zip(index, nf.shift))
-        tp, nf_u, target_u = torus.plan(nf, target, P)
+        tp = torus.plan(nf, target, P)
         primes = _primes(tp, P)
         want = naive_power_coeff(h, P, index)
-        assert torus.coefficient_residues(nf_u, target_u, P, primes, tp) \
+        assert torus.coefficient_residues(tp, primes) \
             == tuple(want % q for q in primes), (index, tp)
 
 
@@ -174,7 +171,7 @@ def test_a_one_variable_grid_skips_the_symmetry_search():
     # the walk has 8 automorphisms, but its grid is one row
     nf = normalize(parse_laurent("X + X^-1 + Y + Y^-1"))
     for target in [(9, 9), (11, 7)]:
-        tp = torus.plan(nf, target, 9)[0]
+        tp = torus.plan(nf, target, 9)
         assert (len(tp.grid), tp.U, tp.H) == (1, None, ())
 
 
@@ -185,19 +182,19 @@ def test_plan_bounds_the_symmetry_search():
         (1, e) for e in itertools.product(range(-10, 11), repeat=3)])
     nf = normalize(h)
     t0 = time.perf_counter()
-    tp, nf_u, target = torus.plan(nf, tuple(2 * s for s in nf.shift), 2)
+    tp = torus.plan(nf, tuple(2 * s for s in nf.shift), 2)
     assert time.perf_counter() - t0 < 1
-    assert (tp.U, tp.H, nf_u, target) == (None, (), nf, (20, 20, 20))
+    assert (tp.U, tp.H, tp.nf, tp.target) == (None, (), nf, (20, 20, 20))
     # 46080 signed permutations of 6 variables: at p = 2 (243 grid points)
     # the search stops after 1024 nodes; the plan stays exact
     h = parse_laurent(" + ".join(f"X{k} + X{k}^-1" for k in range(6)))
     nf = normalize(h)
     t0 = time.perf_counter()
-    tp, nf_u, target = torus.plan(nf, tuple(2 * s for s in nf.shift), 2)
+    tp = torus.plan(nf, tuple(2 * s for s in nf.shift), 2)
     assert time.perf_counter() - t0 < 1
     assert (tp.M ** len(tp.grid), tp.H) == (3 ** 5, ())
     primes = _primes(tp, 2)
-    assert torus.coefficient_residues(nf_u, target, 2, primes, tp) \
+    assert torus.coefficient_residues(tp, primes) \
         == tuple(12 % q for q in primes)
     # H with more maps than a chunk has points is not used: the 4-variable
     # cross-polytope's 48 distinct grid maps at p = 2 (9 rows of 3 points),
@@ -206,16 +203,16 @@ def test_plan_bounds_the_symmetry_search():
     h = parse_laurent(" + ".join(f"X{k} + X{k}^-1" for k in range(4)))
     nf = normalize(h)
     for p, order in [(2, 0), (3, 48), (5, 48)]:
-        tp, nf_u, target = torus.plan(nf, tuple(p * s for s in nf.shift), p)
+        tp = torus.plan(nf, tuple(p * s for s in nf.shift), p)
         assert len(tp.H) == order
         primes = _primes(tp, p)
-        assert torus.coefficient_residues(nf_u, target, p, primes, tp) \
+        assert torus.coefficient_residues(tp, primes) \
             == tuple(naive_power_coeff(h, p) % q for q in primes)
     # the 3840 maps of 5 variables, found within 6561 nodes at p = 8, are
     # more than torus uses: no H, and no coordinate change is ranked
     nf = normalize(parse_laurent(" + ".join(f"X{k} + X{k}^-1"
                                             for k in range(5))))
-    tp = torus.plan(nf, tuple(8 * s for s in nf.shift), 8)[0]
+    tp = torus.plan(nf, tuple(8 * s for s in nf.shift), 8)
     assert (tp.M ** len(tp.grid), tp.H, tp.U) == (6561, (), None)
 
 
@@ -225,11 +222,11 @@ def test_orbit_weights_cover_the_grid():
     for name in ("39", "24", "dwork4"):
         nf = normalize(sample_polynomial(name))
         P = 9
-        tp, nf = _series_plan(nf, P)
+        tp = _series_plan(nf, P)
         primes = _primes(tp, P)[:1]
         seen = sum(int(wt.sum()) for k in range(3) for _, _, wt in
-                   torus._class_values(nf, tp, primes, range(k, tp.rows, 3),
-                                       nf.shift, None, 0))
+                   torus._class_values(tp, primes, range(k, tp.rows, 3),
+                                       None, 0))
         assert len(tp.H) > 1 and seen == tp.M ** len(tp.grid), name
 
 
@@ -389,10 +386,10 @@ def test_omega_powers_by_doubling(M):
 @pytest.mark.parametrize("P", [0, 1, 2, 34, 300])
 def test_series_tables_against_a_pow_loop(P):
     for inner, grid, M in ((0, (1, 2), 61), (None, (0, 1, 2), 5)):
-        tp = torus.TorusPlan(inner, grid, M)
         primes = select_primes(1 << 92, 2 * P, congruent_to_1_mod=M).primes
         g, scale = torus._series_tables(
-            P, tp, np.array(primes, dtype=np.int64)[:, None])
+            P, M, len(grid), inner is not None,
+            np.array(primes, dtype=np.int64)[:, None])
         assert g.shape == (P + 1, len(primes), 1)
         assert g[2:, :, 0].tolist() == [
             [-(p - 1) ** 2 * pow((2 * p - 1) * (2 * p - 3), -1, q) % q
@@ -453,21 +450,20 @@ def test_off_centre_indices_match_the_oracle(text, p, index):
     target = tuple(i + p * s for i, s in zip(index, nf.shift))
     want = naive_power_coeff(h, p, index)
     for flag in (True, False):
-        tp, nf_u, target_u = torus.plan(nf, target, p, flag)
+        tp = torus.plan(nf, target, p, flag)
         primes = _primes(tp, p)
-        assert torus.coefficient_residues(nf_u, target_u, p, primes, tp) \
+        assert torus.coefficient_residues(tp, primes) \
             == tuple(want % q for q in primes)
 
 
 def _coefficient_kernel(nf, p, meter):
-    tp, nf, target = torus.plan(nf, tuple(p * s for s in nf.shift), p)
-    torus.coefficient_residues(nf, target, p, _primes(tp, p, 31)[:1], tp,
-                               meter=meter)
+    tp = torus.plan(nf, tuple(p * s for s in nf.shift), p)
+    torus.coefficient_residues(tp, _primes(tp, p, 31)[:1], meter=meter)
 
 
 def _series_kernel(nf, P, meter):
-    tp, nf = _series_plan(nf, P)
-    torus.series_residues(nf, P, _primes(tp, P, 31)[:1], tp, meter=meter)
+    tp = _series_plan(nf, P)
+    torus.series_residues(tp, _primes(tp, P, 31)[:1], meter=meter)
 
 
 def test_live_elements_per_prime_grow_linearly_in_p():
