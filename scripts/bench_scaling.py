@@ -1,8 +1,9 @@
-"""Scaling study: time, memory meter, and operation counts against the power.
+"""Scaling study: time, traced memory, and operation counts against the power.
 
 Prints one row per power for a chosen sample: wall time for the full exact
-computation (torus engine), the peak auxiliary field elements the torus
-engine holds per prime (the quantity that should grow linearly in p), and
+computation (torus engine), the peak memory in MiB that tracemalloc traces
+(numpy reports its buffers to it) during one torus engine call on one prime
+(the quantity that should grow linearly in p), and
 the elementwise multiplications of the reference engine's node walk with
 split2 on (X1 summed by the trinomial formula) and off (every variable's
 nodes walked and f powered at each).
@@ -45,6 +46,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 
@@ -91,8 +93,8 @@ def main():
         return
     q = select_primes(1 << 30).primes[0]
     print(f"sample {args.fixture}, cleared shape "
-          f"{tuple(d + 1 for d in nf.degrees)}, meter prime {q}")
-    header = (f"{'p':>4} {'digits':>7} {'total s':>9} {'peak elems':>11} "
+          f"{tuple(d + 1 for d in nf.degrees)}, reference prime {q}")
+    header = (f"{'p':>4} {'digits':>7} {'total s':>9} {'peak MiB':>9} "
               f"{'mults on':>12} {'mults off':>12}")
     print(header)
     print("-" * len(header))
@@ -104,17 +106,18 @@ def main():
 
         target = tuple(p * s for s in nf.shift)
         tp = torus.plan(nf, target, p)
-        meter = torus.AllocationMeter()
         one_prime = select_primes(1 << 30, p,
                                   congruent_to_1_mod=tp.M).primes[:1]
-        torus.coefficient_residues(tp, one_prime, meter=meter)
-        peak = meter.peak
+        tracemalloc.start()
+        torus.coefficient_residues(tp, one_prime)
+        peak = tracemalloc.get_traced_memory()[1] / (1 << 20)
+        tracemalloc.stop()
         counts = {}
         for flag in (True, False):
             c = Counters()
             coefficient_mod_prime(nf, target, p, q, flag, c)
             counts[flag] = c.mults
-        print(f"{p:>4} {len(str(value)):>7} {dt:>9.2f} {peak:>11} "
+        print(f"{p:>4} {len(str(value)):>7} {dt:>9.2f} {peak:>9.2f} "
               f"{counts[True]:>12} {counts[False]:>12}")
 
 

@@ -1,6 +1,7 @@
 """Recompute the 200-digit constant term of sample 39 at power 150.
 
-Takes about 72 s on one core (2.0 GHz Xeon); --threads 0 uses every core.  The run
+Takes about 5.4 s with --threads 1 (the median of coeff39_p150 in
+BENCH_17.json, 2 shared vCPUs); --threads 0 uses every core.  The run
 cross-checks the freshly computed value against the stored reference digits
 and reports the prime budget it used.
 """
@@ -23,7 +24,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--power", type=int, default=150)
     ap.add_argument("--threads", type=int, default=0,
-                    help="worker processes, 0 = all cores")
+                    help="worker processes, at most the cores; 0 = all")
     args = ap.parse_args()
 
     h = sample_polynomial("39")

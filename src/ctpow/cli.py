@@ -189,7 +189,8 @@ def _add_common(sub, poly_input=True, engine=True):
                          help="input polynomial format (default: sniff)")
     if engine:
         sub.add_argument("--threads", type=int, default=0,
-                         help="worker processes, 0 = all cores (default)")
+                         help="worker processes, at most the usable cores; "
+                              "0 = all of them (default)")
     sub.add_argument("--out", metavar="FILE", help="write output here")
 
 

@@ -47,7 +47,9 @@ import numpy as np
 
 from . import interp, torus
 from .laurent import NormalizedPolynomial
-from .torus import AllocationMeter
+
+# arrays of R * L elements alive at once in torus._trinomial
+_LIVE = 14
 
 
 class EngineError(ValueError):
@@ -56,6 +58,21 @@ class EngineError(ValueError):
 
 class ModulusTooSmall(EngineError):
     pass
+
+
+@dataclass
+class AllocationMeter:
+    """The current and peak number of live auxiliary field elements."""
+    current: int = 0
+    peak: int = 0
+
+    def take(self, n: int):
+        self.current += n
+        if self.current > self.peak:
+            self.peak = self.current
+
+    def give(self, n: int):
+        self.current -= n
 
 
 @dataclass
@@ -110,7 +127,7 @@ def _walk(A: np.ndarray, i, p: int, q: int, split: bool,
     held = (sum(t.size for t in (*powers.values(), *rows.values()))
             + (K.size if split else 0)
             + (len(E) + classes * (d + 1) + 2) * R
-            + (2 * classes + torus._LIVE) * R * L)
+            + (2 * classes + _LIVE) * R * L)
     c.meter.take(held)
     acc = 0
     for lo in range(0, n_rows, R):

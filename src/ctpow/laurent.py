@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -24,6 +25,13 @@ MAX_TENSOR = 1 << 24        # points; normalize refuses larger cleared boxes
 
 class LaurentError(ValueError):
     """Raised for syntactically or semantically invalid polynomial input."""
+
+
+def _integer(x, what: str) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, not {x!r}") from None
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .laurent import LaurentPolynomial, normalize
+from .laurent import LaurentPolynomial, _integer, normalize
 
 # refuse dense products with more entries than this
 DEFAULT_MAX_ENTRIES = 2_000_000
@@ -105,10 +105,11 @@ def naive_power_coeff(h: LaurentPolynomial, p: int, index=None,
     Clears denominators, powers densely, then reads the entry at
     index + p*shift.  Indices outside the support give 0.
     """
+    p = _integer(p, "power")
     nf = normalize(h)
     if index is None:
         index = (0,) * nf.n
-    index = tuple(int(x) for x in index)
+    index = tuple(_integer(x, "index entry") for x in index)
     if len(index) != nf.n:
         raise ValueError("index dimension mismatch")
     _check_power_size(nf.degrees, p, max_entries)   # before the table

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import os
 import signal
 import sys
@@ -31,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import torus
-from .laurent import (LaurentPolynomial, normalize, polynomial_from_json,
-                      polynomial_to_json, total_weight)
+from .laurent import (LaurentPolynomial, _integer, normalize,
+                      polynomial_from_json, polynomial_to_json, total_weight)
 from .rns import ModulusSet, _is_prime, reconstruct, select_primes
 
 
@@ -52,20 +51,15 @@ def _primes_for(h_weight: int, M: int, p: int) -> ModulusSet:
     return select_primes(h_weight ** p, max(1, 2 * p), congruent_to_1_mod=M)
 
 
-def _integer(x, what: str) -> int:
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, not {x!r}") from None
-
-
 def _resolve_threads(threads: int) -> int:
     threads = _integer(threads, "threads")
     if threads < 0:
         raise ValueError("threads must be >= 0")
-    # 0 means every CPU this process may run on (its affinity mask, if any)
+    # at most every CPU this process may run on (its affinity mask, if any),
+    # which 0 means: every worker is forked before any is read
     cpus = getattr(os, "sched_getaffinity", None)
-    return threads or (len(cpus(0)) if cpus else os.cpu_count() or 1)
+    cpus = len(cpus(0)) if cpus else os.cpu_count() or 1
+    return min(threads or cpus, cpus)
 
 
 def _sum_row_blocks(fn, tp, ms: ModulusSet, threads: int,

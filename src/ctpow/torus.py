@@ -84,8 +84,6 @@ from .symmetry import Matrix
 
 # grid rows per chunk; one row holds M points for every prime
 _ROWS = 128
-# arrays of batch size (points x primes) alive at once in _trinomial
-_LIVE = 14
 # orbit representatives per batch, in grid rows of M points
 _BATCH = 64
 # rows of at least this many points per prime are reduced prime by prime
@@ -95,21 +93,6 @@ MAX_SERIES = 1 << 16
 # larger groups are not used: their orbit and coordinate work outgrows the
 # saving (the largest group of a 4-dimensional reflexive polytope has 1152)
 _MAX_ORDER = 1152
-
-
-@dataclass
-class AllocationMeter:
-    """The current and peak number of live auxiliary field elements."""
-    current: int = 0
-    peak: int = 0
-
-    def take(self, n: int):
-        self.current += n
-        if self.current > self.peak:
-            self.peak = self.current
-
-    def give(self, n: int):
-        self.current -= n
 
 
 @dataclass(frozen=True)
@@ -313,7 +296,7 @@ def _trinomial(a, b, c, p: int, m: int, K, q):
     if r:
         _dot((acc, pw), ((u, u2, mono[3])[r - 1], w if r > 1 else K[:, :1]),
              q, acc, tmp)
-    del u, v, u2, v2, mono, pw, w, tmp        # so the tail stays within _LIVE
+    del u, v, u2, v2, mono, pw, w, tmp        # unused in the tail: lower peak
     if L & 1:
         acc = _mulmod(acc, a, q)
     if m:
@@ -339,8 +322,7 @@ def representatives(tp: TorusPlan) -> int:
                for r in range(0, tp.rows, _ROWS))
 
 
-def _class_values(tp: TorusPlan, primes, rows,
-                  meter: AllocationMeter | None, held_by_caller: int):
+def _class_values(tp: TorusPlan, primes, rows):
     """The class values of h at the orbit representatives (symmetry.orbits)
     of the grid rows in `rows`, in batches of _BATCH * M points.
 
@@ -348,11 +330,8 @@ def _class_values(tp: TorusPlan, primes, rows,
     each class of terms (by exponent of the inner variable in f; one class
     without one) of h at the K points, w (primes, K) omega^(-i.s) there,
     i = target - p * shift (None if i is 0 on the grid), and weight (K,)
-    the orbit sizes, which add up to less than 2**31.  The meter holds the
-    tables, held_by_caller elements, the arrays made per chunk and batch,
-    and _LIVE batch-sized arrays for the caller.
+    the orbit sizes, which add up to less than 2**31.
     """
-    meter = meter if meter is not None else AllocationMeter()
     nf, M = tp.nf, tp.M
     nq = len(primes)
     qs = np.array(primes, dtype=np.int64)[:, None]
@@ -382,26 +361,19 @@ def _class_values(tp: TorusPlan, primes, rows,
                      dtype=float if len(terms) < 1 << 22 else np.int64)
     group[classes * (d_last + 1) + lasts, np.arange(len(terms))] = 1
     L = M if last else 1                               # points per row
-    tables = nq * M * (1 + len(terms)) + held_by_caller
-    meter.take(tables)
 
     # one batch of T points, refilled from the chunks: class values, the
-    # powers of omega and then the twist, and weight at each point; the
-    # caller holds _LIVE more such arrays
+    # powers of omega and then the twist, and weight at each point
     T = min(_BATCH, len(rows)) * L
     vals = np.empty((n_classes, nq, T), dtype=np.int64)
     w, wt = np.empty((nq, T), dtype=np.int64), np.empty(T, dtype=np.int64)
     tmp = np.empty_like(vals)
     vu, wu, tu, om, qu = (x.view(np.uint64) for x in (vals, w, tmp, omega, qs))
-    batch = (2 * n_classes * nq + nq + 1 + _LIVE * nq) * T
-    meter.take(batch)
     filled = 0
     H = tp.maps
     for i in range(0, len(rows), _ROWS):
         row = np.array(rows[i:i + _ROWS], dtype=np.int64)
         R = len(row)
-        held = (10 * len(tp.grid) + 8) * R * L + 2 * (len(terms) * R + T) * nq
-        meter.take(held)
         O, r_idx, l_idx, orbit = symmetry.orbits(H, M, row, L)
         # the coefficients of each class in the last variable, per row ...
         ph = E @ O % M
@@ -435,15 +407,13 @@ def _class_values(tp: TorusPlan, primes, rows,
             if filled == T:
                 yield vals, w if twist.any() else None, wt
                 filled = 0
-        meter.give(held)
     if filled:
         yield (vals[..., :filled], w[:, :filled] if twist.any() else None,
                wt[:filled])
-    meter.give(tables + batch)
 
 
-def coefficient_residues(tp: TorusPlan, primes, rows: range | None = None,
-                         meter: AllocationMeter | None = None) -> tuple[int, ...]:
+def coefficient_residues(tp: TorusPlan, primes, rows: range | None = None
+                         ) -> tuple[int, ...]:
     """[f^p]_target mod each prime for the plan's f, target and p, summed
     over the grid rows in `rows`.
 
@@ -453,8 +423,6 @@ def coefficient_residues(tp: TorusPlan, primes, rows: range | None = None,
     orbit of tp.H, so each orbit adds its size times the value at its
     representative.  Partial results over a disjoint cover of
     range(tp.rows) add up, modulo each prime, to the full coefficient.
-    The meter, if given, tracks the live auxiliary elements (input
-    excluded).
     """
     target, p = tp.target, tp.p
     if any(not 0 <= t <= p * d for t, d in zip(target, tp.nf.degrees)):
@@ -463,7 +431,7 @@ def coefficient_residues(tp: TorusPlan, primes, rows: range | None = None,
     m = target[tp.inner] - p if tp.inner is not None else 0
     K = _trinomial_weights(p, abs(m), qs)
     total = np.zeros(len(primes), dtype=np.int64)
-    for vals, w, weight in _class_values(tp, primes, rows, meter, K.size):
+    for vals, w, weight in _class_values(tp, primes, rows):
         if tp.inner is None:
             value = _powmod(vals[0], p, qs)
         else:
@@ -512,8 +480,8 @@ def _series_tables(P: int, M: int, dims: int, inner: bool, qs):
         [scale, (2 * k - 1) * inv[:, 1:P + 1] % qs]), qs)
 
 
-def series_residues(tp: TorusPlan, primes, rows: range | None = None,
-                    meter: AllocationMeter | None = None) -> list[tuple[int, ...]]:
+def series_residues(tp: TorusPlan, primes, rows: range | None = None
+                    ) -> list[tuple[int, ...]]:
     """a_p = [h^p]_0 mod each prime for p = 0..P, summed over `rows`.
 
     tp is plan(nf, P * nf.shift, P, ...), the plan of a_P; every prime must
@@ -521,15 +489,13 @@ def series_residues(tp: TorusPlan, primes, rows: range | None = None,
     adds its size times the value at its representative, as in
     coefficient_residues, for every p.  Returns P + 1 tuples of residues;
     partial results over a disjoint cover of range(tp.rows) add up, modulo
-    each prime, to the full terms.  The meter works as in
-    coefficient_residues.
+    each prime, to the full terms.
     """
     P = tp.p
     qs = np.array(primes, dtype=np.int64)[:, None]
     S = np.zeros((P + 1, len(primes)), dtype=np.int64)
     g, scale = _series_tables(P, tp.M, len(tp.grid), tp.inner is not None, qs)
-    for vals, _, weight in _class_values(tp, primes, rows, meter,
-                                         S.size + g.size + scale.size):
+    for vals, _, weight in _class_values(tp, primes, rows):
         a, d = vals[0], None                # h itself without tp.inner
         if tp.inner is not None:
             # A is the class of x^0; unless x has exponents of both signs

@@ -324,12 +324,15 @@ def test_engine_error_exits_3(monkeypatch, capsys):
 def test_dead_worker_exits_5(monkeypatch, capsys):
     import ctpow.torus
     caller, real = os.getpid(), ctpow.torus.coefficient_residues
+    # two workers, whatever this host's CPU count, which caps --threads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
 
-    def _die(tp, primes, rows=None, meter=None):
+    def _die(tp, primes, rows=None):
         # the caller sums block 0 itself; only a forked worker dies
         if os.getpid() != caller:
             os._exit(1)
-        return real(tp, primes, rows, meter)
+        return real(tp, primes, rows)
 
     monkeypatch.setattr(ctpow.torus, "coefficient_residues", _die)
     code, out, err = run(capsys, "coeff", "--fixture", "39", "--power", "4",

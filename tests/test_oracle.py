@@ -17,6 +17,11 @@ def test_central_binomial_direct():
     assert naive_power_coeff(h, 7) == 0
     for p in range(12):
         assert naive_power_coeff(h, p) == known_family("central_binomial", p)
+    # powers and index entries that are not integers are refused, as the
+    # engine refuses them, not truncated
+    for p, index in ((4, (1.7,)), (2.0, None)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            naive_power_coeff(h, p, index)
 
 
 def test_binomial_expansion_coefficients():

@@ -141,7 +141,14 @@ def test_non_integer_powers_and_indices_are_refused():
     assert constant_term_series(h, np.int64(4)).terms == (1, 0, 2, 0, 6)
 
 
-def test_series_progress_counts_row_blocks():
+def _four_cpus(monkeypatch):
+    # up to four row blocks on any host: the CPU count caps the threads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+
+
+def test_series_progress_counts_row_blocks(monkeypatch):
+    _four_cpus(monkeypatch)
     seen = []
     s = constant_term_series(sample_polynomial("dwork4"), 10, threads=2,
                              progress=lambda *counts: seen.append(counts))
@@ -151,7 +158,8 @@ def test_series_progress_counts_row_blocks():
     assert s.terms[10] == known_family("dwork4", 10)
 
 
-def test_row_blocks_that_do_not_divide_evenly():
+def test_row_blocks_that_do_not_divide_evenly(monkeypatch):
+    _four_cpus(monkeypatch)
     h = sample_polynomial("39")
     nf = normalize(h)
     tp = torus.plan(nf, tuple(12 * s for s in nf.shift), 12)
@@ -169,6 +177,7 @@ def _no_child_left():
                     reason="row blocks run in forked workers only on Linux")
 def test_row_block_workers_are_reaped_on_success_death_and_interrupt(
         monkeypatch):
+    _four_cpus(monkeypatch)
     h = sample_polynomial("39")
     want = exact_coefficient(h, 12, threads=1)
     seen = []
@@ -180,19 +189,19 @@ def test_row_block_workers_are_reaped_on_success_death_and_interrupt(
 
     caller, real = os.getpid(), torus.coefficient_residues
 
-    def interrupted_in_caller(tp, primes, rows=None, meter=None):
+    def interrupted_in_caller(tp, primes, rows=None):
         if os.getpid() == caller:
             raise KeyboardInterrupt
-        return real(tp, primes, rows, meter)
+        return real(tp, primes, rows)
 
-    def short_in_child(tp, primes, rows=None, meter=None):
-        part = real(tp, primes, rows, meter)
+    def short_in_child(tp, primes, rows=None):
+        part = real(tp, primes, rows)
         return part if os.getpid() == caller else part[:-1]
 
-    def dies_in_child(tp, primes, rows=None, meter=None):
+    def dies_in_child(tp, primes, rows=None):
         if os.getpid() != caller:
             os._exit(7)
-        return real(tp, primes, rows, meter)
+        return real(tp, primes, rows)
 
     for fn, error, match in ((interrupted_in_caller, KeyboardInterrupt, None),
                              (short_in_child, WorkerError, "bytes"),
@@ -207,9 +216,12 @@ def test_zero_threads_counts_the_cpus_this_process_may_use(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
     assert _resolve_threads(0) == 1
-    assert _resolve_threads(5) == 5
+    # no more workers than CPUs: every worker is forked before any is read
+    assert _resolve_threads(5) == 1
+    assert _resolve_threads(10 ** 6) == 1
     monkeypatch.delattr(os, "sched_getaffinity")
     assert _resolve_threads(0) == (os.cpu_count() or 1)
+    assert _resolve_threads(10 ** 6) == (os.cpu_count() or 1)
 
 
 def test_make_recurrence_normalizes():

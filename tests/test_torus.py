@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from ctpow.laurent import make_polynomial, normalize, parse_laurent
 from ctpow.oracle import naive_power_coeff
 from ctpow.recurrence import _primes_for
 from ctpow.rns import root_of_unity, select_primes
-from ctpow.torus import AllocationMeter
 
 
 def _primes(tp, p, bits=62):
@@ -225,8 +225,7 @@ def test_orbit_weights_cover_the_grid():
         tp = _series_plan(nf, P)
         primes = _primes(tp, P)[:1]
         seen = sum(int(wt.sum()) for k in range(3) for _, _, wt in
-                   torus._class_values(tp, primes, range(k, tp.rows, 3),
-                                       None, 0))
+                   torus._class_values(tp, primes, range(k, tp.rows, 3)))
         assert len(tp.H) > 1 and seen == tp.M ** len(tp.grid), name
 
 
@@ -456,26 +455,32 @@ def test_off_centre_indices_match_the_oracle(text, p, index):
             == tuple(want % q for q in primes)
 
 
-def _coefficient_kernel(nf, p, meter):
+def _coefficient_kernel(nf, p):
     tp = torus.plan(nf, tuple(p * s for s in nf.shift), p)
-    torus.coefficient_residues(tp, _primes(tp, p, 31)[:1], meter=meter)
+    return torus.coefficient_residues, tp, _primes(tp, p, 31)[:1]
 
 
-def _series_kernel(nf, P, meter):
+def _series_kernel(nf, P):
     tp = _series_plan(nf, P)
-    torus.series_residues(tp, _primes(tp, P, 31)[:1], meter=meter)
+    return torus.series_residues, tp, _primes(tp, P, 31)[:1]
 
 
 def test_live_elements_per_prime_grow_linearly_in_p():
     # one prime per run, as criterion 6 meters the Vandermonde engine, for
-    # the single-power kernel and for the series kernel
+    # the single-power kernel and for the series kernel: the traced peak of
+    # the call alone (numpy reports its buffers to tracemalloc)
     nf = normalize(sample_polynomial("39"))
     for kernel in (_coefficient_kernel, _series_kernel):
         peaks = []
         for p in (10, 20, 40):
-            meter = AllocationMeter()
-            kernel(nf, p, meter)
-            assert meter.current == 0
-            peaks.append(meter.peak)
+            fn, tp, primes = kernel(nf, p)
+            tracemalloc.start()
+            try:
+                fn(tp, primes)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert held < 64 << 10
+            peaks.append(peak)
         for small, big in zip(peaks, peaks[1:]):
             assert 1.6 <= big / small <= 2.4, (kernel.__name__, peaks)
