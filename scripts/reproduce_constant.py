@@ -14,10 +14,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from ctpow import torus
 from ctpow.fixtures import SAMPLE39_POWER150_CONSTANT, sample_polynomial
 from ctpow.laurent import normalize, total_weight
-from ctpow.recurrence import exact_coefficient
-from ctpow.rns import select_primes
+from ctpow.recurrence import _primes_for, exact_coefficient
 
 
 def main():
@@ -29,13 +29,16 @@ def main():
 
     h = sample_polynomial("39")
     nf = normalize(h)
-    # |a| <= w^p, and the product of the primes must exceed twice that
-    bound = total_weight(h) ** args.power
-    primes = select_primes(bound).primes
+    # the run's primes: 1 mod the grid size M, and their product exceeds
+    # twice the bound |a| <= w^p
+    w = total_weight(h)
+    tp = torus.plan(nf, tuple(args.power * s for s in nf.shift), args.power)
+    primes = _primes_for(w, tp.M, args.power).primes
     print(f"polynomial: 23 terms, cleared shape "
           f"{tuple(d + 1 for d in nf.degrees)}")
-    print(f"coefficient bound: 2 w^p = 2^{math.log2(2 * bound):.2f} -> "
-          f"{len(primes)} primes of 31 bits")
+    print(f"coefficient bound: 2 w^p = 2^{math.log2(2 * w ** args.power):.2f}"
+          f" -> {len(primes)} primes of 31 bits, 1 mod M = {tp.M}:")
+    print(" ".join(map(str, primes)))
 
     t0 = time.perf_counter()
     value = exact_coefficient(h, args.power, threads=args.threads)

@@ -6,7 +6,8 @@ vs dense oracle table, with the torus plan of each power), oracle (dense
 reference computation), selftest.
 
 Exit codes: 0 success (including "no operator found"), 2 usage error,
-3 input error, 4 resource guard refusal, 5 worker process failed.
+3 input error, 4 refused by a size guard or out of memory, 5 worker
+process failed.
 Results and series files are written and read at any size; a longer integer
 literal than sys.get_int_max_str_digits() (4300 digits) is an input error.
 """
@@ -250,6 +251,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except SizeGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 4
     except WorkerError as exc:
         print(f"error: worker failed: {exc}", file=sys.stderr)

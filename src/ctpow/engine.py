@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import interp, torus
-from .laurent import NormalizedPolynomial
+from .laurent import NormalizedPolynomial, _integer
 
 # arrays of R * L elements alive at once in torus._trinomial
 _LIVE = 14
@@ -177,9 +177,10 @@ def coefficient_mod_prime(nf: NormalizedPolynomial, i, p: int, q: int,
     directly.  With use_split2, X1 of degree exactly 2 at i_1 = p is summed
     by the trinomial formula.  The walk adds its work to counters, if given.
     """
+    p = _integer(p, "power")
     if p < 0:
         raise EngineError("negative power")
-    i = tuple(int(x) for x in i)
+    i = tuple(_integer(x, "index entry") for x in i)
     if len(i) != nf.n:
         raise EngineError("index dimension mismatch")
     top = p * max(nf.degrees, default=0)

@@ -97,95 +97,54 @@ _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
                     r"|(?P<op>[-+*^]))")
 
 
-def _tokenize(text):
-    pos = 0
-    out = []
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos] in "./":
-                raise LaurentError(
-                    f"non-integer literal at position {pos}: write exponents as "
-                    f"X^-1 and integer coefficients only")
-            raise LaurentError(f"syntax error at position {pos}: {text[pos:pos+10]!r}")
-        if m.lastgroup == "int":
-            out.append(("int", int(m.group("int")), m.start("int")))
-        elif m.lastgroup == "name":
-            out.append(("name", m.group("name"), m.start("name")))
-        else:
-            out.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    return out
-
-
 def _parse_expr_text(text: str) -> LaurentPolynomial:
-    toks = _tokenize(text)
-    if not toks:
+    text = text.rstrip()
+    if not text:
         raise LaurentError("empty polynomial text")
-    variables: list[str] = []
-    var_index: dict[str, int] = {}
+    pos = 0
+
+    def take(kind, values=None):
+        # the next token's text if it is of this kind (and among values)
+        nonlocal pos
+        m = _TOKEN.match(text, pos)
+        if not m or m.lastgroup != kind or values and m[kind] not in values:
+            return None
+        pos = m.end()
+        return m[kind]
+
+    def need(kind, what, values=None):
+        got = take(kind, values)
+        if got is None:
+            at = len(text) - len(text[pos:].lstrip())
+            if text.startswith((".", "/"), at):
+                raise LaurentError(
+                    f"non-integer literal at position {at}: write exponents as "
+                    f"X^-1 and integer coefficients only")
+            raise LaurentError(f"expected {what} at position {at}")
+        return got
+
     raw_terms = []
-    i = 0
-
-    def fail(msg, at):
-        raise LaurentError(f"{msg} at position {at}")
-
-    while i < len(toks):
-        sign = 1
-        # optional leading sign (required between terms after the first)
-        if toks[i][0] == "op" and toks[i][1] in "+-":
-            if toks[i][1] == "-":
-                sign = -1
-            i += 1
-        elif raw_terms:
-            fail("expected '+' or '-' between terms", toks[i][2])
-        if i >= len(toks):
-            fail("dangling sign", toks[-1][2])
-
-        coeff = 1
-        factors: list[tuple[str, int]] = []
-        if toks[i][0] == "int":
-            coeff = toks[i][1]
-            i += 1
-            if i < len(toks) and toks[i][0] == "op" and toks[i][1] == "*":
-                i += 1
-            else:
-                # bare integer term
-                raw_terms.append((sign * coeff, {}))
-                continue
-        while True:
-            if i >= len(toks) or toks[i][0] != "name":
-                fail("expected variable name", toks[i][2] if i < len(toks) else len(toks))
-            name = toks[i][1]
-            i += 1
-            exp = 1
-            if i < len(toks) and toks[i][0] == "op" and toks[i][1] == "^":
-                i += 1
-                esign = 1
-                if i < len(toks) and toks[i][0] == "op" and toks[i][1] in "+-":
-                    if toks[i][1] == "-":
-                        esign = -1
-                    i += 1
-                if i >= len(toks) or toks[i][0] != "int":
-                    fail("expected integer exponent", toks[i - 1][2])
-                exp = esign * toks[i][1]
-                i += 1
-            factors.append((name, exp))
-            if name not in var_index:
-                var_index[name] = len(variables)
-                variables.append(name)
-            if i < len(toks) and toks[i][0] == "op" and toks[i][1] == "*":
-                i += 1
-                continue
-            break
+    sign = take("op", "+-") or ""
+    while True:
+        coeff = take("int")
         expmap: dict[str, int] = {}
-        for name, e in factors:
-            expmap[name] = expmap.get(name, 0) + e
-        raw_terms.append((sign * coeff, expmap))
+        if not coeff or take("op", "*"):
+            while True:
+                name = need("name", "variable name")
+                exp = "1"
+                if take("op", "^"):
+                    exp = ((take("op", "+-") or "")
+                           + need("int", "integer exponent"))
+                expmap[name] = expmap.get(name, 0) + int(exp)
+                if not take("op", "*"):
+                    break
+        raw_terms.append((int(sign + (coeff or "1")), expmap))
+        if pos == len(text):
+            break
+        sign = need("op", "'+' or '-' between terms", "+-")
 
+    # in order of first appearance
+    variables = list(dict.fromkeys(v for _, em in raw_terms for v in em))
     terms = [(c, tuple(em.get(v, 0) for v in variables)) for c, em in raw_terms]
     return make_polynomial(variables, terms)
 

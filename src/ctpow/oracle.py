@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .laurent import LaurentPolynomial, _integer, normalize
 
 # refuse dense products with more entries than this
-DEFAULT_MAX_ENTRIES = 2_000_000
+MAX_ENTRIES = 2_000_000
 
 
 class SizeGuardError(RuntimeError):
@@ -46,16 +46,15 @@ def dense_from_normalized(nf) -> DensePolynomial:
     return DensePolynomial(shape, tuple(data))
 
 
-def dense_multiply(a: DensePolynomial, b: DensePolynomial,
-                   max_entries: int = DEFAULT_MAX_ENTRIES) -> DensePolynomial:
+def dense_multiply(a: DensePolynomial, b: DensePolynomial) -> DensePolynomial:
     """Schoolbook product; iterates over nonzero entries of the sparser factor."""
     if len(a.shape) != len(b.shape):
         raise ValueError("dimension mismatch")
     out_shape = tuple(sa + sb - 1 for sa, sb in zip(a.shape, b.shape))
     out_size = math.prod(out_shape)
-    if out_size > max_entries:
+    if out_size > MAX_ENTRIES:
         raise SizeGuardError(
-            f"dense product would have {out_size} entries (limit {max_entries})")
+            f"dense product would have {out_size} entries (limit {MAX_ENTRIES})")
     if sum(map(bool, a.data)) < sum(map(bool, b.data)):
         a, b = b, a  # keep the sparser factor on the inner loop
     out = [0] * out_size
@@ -76,30 +75,28 @@ def _offsets(shape, strides):
                                         for n, st in zip(shape, strides))))
 
 
-def _check_power_size(degrees, p: int, max_entries: int):
+def _check_power_size(degrees, p: int):
     if p < 0:
         raise ValueError("negative power")
     size = math.prod(p * d + 1 for d in degrees)
-    if size > max_entries:
+    if size > MAX_ENTRIES:
         raise SizeGuardError(
-            f"dense power would have {size} entries (limit {max_entries})")
+            f"dense power would have {size} entries (limit {MAX_ENTRIES})")
 
 
-def dense_power(f: DensePolynomial, p: int,
-                max_entries: int = DEFAULT_MAX_ENTRIES) -> DensePolynomial:
+def dense_power(f: DensePolynomial, p: int) -> DensePolynomial:
     """f**p by repeated multiplication (keeps every intermediate exact).
 
-    Refuses before multiplying when f**p itself would exceed max_entries.
+    Refuses before multiplying when f**p itself would exceed MAX_ENTRIES.
     """
-    _check_power_size([s - 1 for s in f.shape], p, max_entries)
+    _check_power_size([s - 1 for s in f.shape], p)
     acc = DensePolynomial((1,) * len(f.shape), (1,))
     for _ in range(p):
-        acc = dense_multiply(acc, f, max_entries)
+        acc = dense_multiply(acc, f)
     return acc
 
 
-def naive_power_coeff(h: LaurentPolynomial, p: int, index=None,
-                      max_entries: int = DEFAULT_MAX_ENTRIES) -> int:
+def naive_power_coeff(h: LaurentPolynomial, p: int, index=None) -> int:
     """Exact [h^p]_index for a Laurent multi-index (default: constant term).
 
     Clears denominators, powers densely, then reads the entry at
@@ -112,11 +109,11 @@ def naive_power_coeff(h: LaurentPolynomial, p: int, index=None,
     index = tuple(_integer(x, "index entry") for x in index)
     if len(index) != nf.n:
         raise ValueError("index dimension mismatch")
-    _check_power_size(nf.degrees, p, max_entries)   # before the table
+    _check_power_size(nf.degrees, p)   # before the table
     if p == 0:
         return int(not any(index))
     target = tuple(ix + p * s for ix, s in zip(index, nf.shift))
-    g = dense_power(dense_from_normalized(nf), p, max_entries)
+    g = dense_power(dense_from_normalized(nf), p)
     if any(not 0 <= t < sh for t, sh in zip(target, g.shape)):
         return 0
     return g.data[sum(t * st for t, st in zip(target, _strides(g.shape)))]

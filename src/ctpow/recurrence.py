@@ -106,12 +106,8 @@ def _sum_row_blocks(fn, tp, ms: ModulusSet, threads: int,
 
 
 def exact_coefficient(h: LaurentPolynomial, p: int, index=None,
-                      threads: int = 1, use_split2: bool = True) -> int:
-    """Exact [h^p]_index (default: the constant term) via the torus engine.
-
-    With use_split2 off no variable is summed exactly: the whole grid is
-    powered pointwise.
-    """
+                      threads: int = 1) -> int:
+    """Exact [h^p]_index (default: the constant term) via the torus engine."""
     p = _integer(p, "power")
     if p < 0:
         raise ValueError("negative power")
@@ -125,7 +121,7 @@ def exact_coefficient(h: LaurentPolynomial, p: int, index=None,
     target = tuple(ix + p * s for ix, s in zip(index, nf.shift))
     if any(not 0 <= t <= p * d for t, d in zip(target, nf.degrees)):
         return 0
-    tp = torus.plan(nf, target, p, use_split2)
+    tp = torus.plan(nf, target, p)
     ms = _primes_for(total_weight(h), tp.M, p)
     residues = _sum_row_blocks(torus.coefficient_residues, tp, ms, threads)
     return reconstruct(residues, ms)

@@ -243,7 +243,10 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_threads_do_not_change_output(capsys):
+def test_threads_do_not_change_output(capsys, monkeypatch):
+    # two row blocks even where one CPU is usable
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
     outs = []
     for t in ("1", "2"):
         code, out, _ = run(capsys, "coeff", "--fixture", "39", "--power", "3",
@@ -317,6 +320,21 @@ def test_engine_error_exits_3(monkeypatch, capsys):
     code, _, err = run(capsys, "coeff", "--fixture", "39", "--power", "2")
     assert code == 3
     assert err.startswith("error: modulus too small")
+
+
+def test_out_of_memory_exits_4(monkeypatch, capsys):
+    import ctpow.torus
+
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.40 GiB for an array")
+
+    # the caller sums the only row block itself
+    monkeypatch.setattr(ctpow.torus, "coefficient_residues", fail)
+    code, out, err = run(capsys, "coeff", "--fixture", "39", "--power", "4",
+                         "--threads", "1")
+    assert (code, out) == (4, "")
+    assert err == ("error: out of memory: "
+                   "Unable to allocate 2.40 GiB for an array\n")
 
 
 @pytest.mark.skipif(sys.platform != "linux",

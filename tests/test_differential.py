@@ -16,6 +16,8 @@ chunk is partial).
 """
 
 import math
+import os
+from unittest import mock
 
 import pytest
 import numpy as np
@@ -35,6 +37,13 @@ Q = (1 << 31) - 1
 DENSE_LIMIT = 20_000  # entries of the oracle's dense power, to keep it quick
 
 
+def two_cpus():
+    """Thread counts are capped at the usable CPUs: let two threads fork a
+    second row block on any host."""
+    return mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1},
+                             create=True)
+
+
 def check_all_paths(h, p, index):
     want = naive_power_coeff(h, p, index)
     nf = normalize(h)
@@ -48,8 +57,10 @@ def check_all_paths(h, p, index):
                                    congruent_to_1_mod=tp.M).primes
             got = torus.coefficient_residues(tp, primes)
             assert got == tuple(want % q for q in primes), ("torus", flag)
-    for threads in (1, 2):
-        assert exact_coefficient(h, p, index, threads=threads) == want, threads
+    with two_cpus():
+        for threads in (1, 2):
+            assert exact_coefficient(h, p, index, threads=threads) == want, \
+                threads
 
 
 @st.composite
@@ -77,10 +88,12 @@ def test_engines_agree_on_random_polynomials(case):
 
 def check_series(h, P):
     want = tuple(naive_power_coeff(h, p) for p in range(P + 1))
-    for flag in (True, False):
-        for threads in (1, 2):
-            got = constant_term_series(h, P, threads=threads, use_split2=flag)
-            assert got.terms == want, (flag, threads)
+    with two_cpus():
+        for flag in (True, False):
+            for threads in (1, 2):
+                got = constant_term_series(h, P, threads=threads,
+                                           use_split2=flag)
+                assert got.terms == want, (flag, threads)
 
 
 @given(cases())

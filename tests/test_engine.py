@@ -20,6 +20,12 @@ def test_univariate_coefficient():
     assert coefficient_mod_prime(nf, (3,), 4, 11) == 0
     assert coefficient_mod_prime(nf, (8,), 4, Q) == 1
     assert coefficient_mod_prime(nf, (9,), 4, Q) == 0
+    # the power and the index entries must be integers, not truncated ones
+    nf = normalize(parse_laurent("X + X^-1"))
+    assert coefficient_mod_prime(nf, (6,), 6, Q) == 20
+    for index, p in (((6.7,), 6), ((6,), 6.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            coefficient_mod_prime(nf, index, p, Q)
 
 
 def test_degenerate_axis_is_harmless():

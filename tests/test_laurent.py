@@ -50,6 +50,72 @@ def test_parse_rejects_garbage():
         parse_laurent("")
 
 
+@pytest.mark.parametrize("text, error, message", [
+    ("X + Y*", LaurentError, "expected variable name at position 6"),
+    ("X^", LaurentError, "expected integer exponent at position 2"),
+    ("X ^ Y", LaurentError, "expected integer exponent at position 4"),
+    ("3 X", LaurentError, "expected '+' or '-' between terms at position 2"),
+    ("-", LaurentError, "expected variable name at position 1"),
+    ("1.5*X", LaurentError, "non-integer literal at position 1"),
+    ("X + @Y", LaurentError, "expected variable name at position 4"),
+    # Python's int() refuses literals past its digit limit, in its own words
+    pytest.param("X + " + "7" * 5000 + "*Y", ValueError,
+                 "Exceeds the limit (4300 digits)", id="over-long literal"),
+])
+def test_parse_errors_name_the_character_position(text, error, message):
+    with pytest.raises(ValueError) as info:
+        parse_laurent(text)
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)
+
+
+_NAMES = ("X", "Y", "t_1")
+
+
+@st.composite
+def _written_polynomials(draw):
+    """Drawn terms, written with random spaces, and the polynomial they make.
+
+    A term is a sign, a coefficient written or left out, and factors X^k
+    with k written ^k, ^+k, ^-k or ^ - k, or no exponent for 1; a term
+    without factors is a bare integer."""
+    def space():
+        return draw(st.sampled_from(["", " ", "  ", "\t", "\n"]))
+    text, names, raw = space(), [], []
+    for k in range(draw(st.integers(1, 5))):
+        sign = draw(st.sampled_from(["", "+", "-"] if k == 0 else ["+", "-"]))
+        factors = draw(st.lists(st.tuples(
+            st.sampled_from(_NAMES), st.sampled_from([None, "", "+", "-"]),
+            st.integers(0, 12)), max_size=4))
+        coeff = draw(st.integers(0, 99) if not factors
+                     else st.none() | st.integers(0, 99))
+        written = [] if coeff is None else [str(coeff)]
+        exps = {}
+        for name, esign, e in factors:
+            if esign is None:
+                written.append(name)
+                e = 1
+            else:
+                written.append(f"{name}{space()}^{space()}{esign}{space()}{e}")
+                e = -e if esign == "-" else e
+            exps[name] = exps.get(name, 0) + e
+            if name not in names:
+                names.append(name)
+        text += f"{sign}{space()}" + f"{space()}*{space()}".join(written)
+        text += space()
+        c = 1 if coeff is None else coeff
+        raw.append((-c if sign == "-" else c, exps))
+    terms = [(c, tuple(exps.get(v, 0) for v in names)) for c, exps in raw]
+    return text, make_polynomial(names, terms)
+
+
+@given(_written_polynomials())
+@settings(max_examples=200)
+def test_parse_reads_drawn_terms_with_random_spaces(case):
+    text, want = case
+    assert parse_laurent(text) == want
+
+
 def test_json_accepts_string_and_int_coefficients():
     obj = {"variables": ["X"],
            "terms": [{"c": "12", "e": [1]}, {"c": -3, "e": [0]}]}
