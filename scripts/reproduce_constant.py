@@ -1,9 +1,9 @@
 """Recompute the 200-digit constant term of sample 39 at power 150.
 
-Takes about 5.4 s with --threads 1 (the median of coeff39_p150 in
-BENCH_17.json, 2 shared vCPUs); --threads 0 uses every core.  The run
+Takes about 5.2 s with --threads 1 (the median of coeff39_p150 in
+BENCH_20.json, 2 shared vCPUs); --threads 0 uses every core.  The run
 cross-checks the freshly computed value against the stored reference digits
-and reports the prime budget it used.
+and prints the primes the run uses.
 """
 
 import argparse
