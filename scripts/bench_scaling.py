@@ -61,17 +61,18 @@ def main():
                     help="time the north-star cases into FILE instead")
     ap.add_argument("--column", default="change",
                     help="column of the --json file to write")
-    ap.add_argument("--src", default="src", help="source tree to time")
+    ap.add_argument("--src", type=Path, help="source tree to time",
+                    default=Path(__file__).resolve().parents[1] / "src")
     ap.add_argument("--parent", metavar="SRC",
                     help="with --json, time this source tree too, paired")
     ap.add_argument("--case", choices=CASES, help=argparse.SUPPRESS)
     args = ap.parse_args()
-    sys.path.insert(0, args.src)
+    sys.path.insert(0, str(args.src))
     if args.case:
         print(json.dumps(run_case(args.case)))
         return
     if args.json:
-        trees = {args.column: Path(args.src)}
+        trees = {args.column: args.src}
         if args.parent:
             trees = {"parent": Path(args.parent), **trees}
         north_star(Path(args.json), trees)
@@ -81,7 +82,7 @@ def main():
     from ctpow.engine import Counters, coefficient_mod_prime
     from ctpow.fixtures import SAMPLE_NAMES, sample_polynomial
     from ctpow.laurent import normalize
-    from ctpow.recurrence import exact_coefficient
+    from ctpow.recurrence import _prepare, exact_coefficient
     from ctpow.rns import select_primes
     if args.fixture not in SAMPLE_NAMES:
         ap.error(f"--fixture must be one of {', '.join(SAMPLE_NAMES)}")
@@ -104,27 +105,23 @@ def main():
         value = exact_coefficient(h, p, threads=args.threads)
         dt = time.perf_counter() - t0
 
-        target = tuple(p * s for s in nf.shift)
-        tp = torus.plan(nf, target, p)
-        one_prime = select_primes(1 << 30, p,
-                                  congruent_to_1_mod=tp.M).primes[:1]
+        tp, ms = _prepare(h, p)          # the run's plan, its first prime
         tracemalloc.start()
-        torus.coefficient_residues(tp, one_prime)
+        torus.coefficient_residues(tp, ms.primes[:1])
         peak = tracemalloc.get_traced_memory()[1] / (1 << 20)
         tracemalloc.stop()
         counts = {}
         for flag in (True, False):
             c = Counters()
-            coefficient_mod_prime(nf, target, p, q, flag, c)
+            coefficient_mod_prime(nf, tuple(p * s for s in nf.shift), p, q,
+                                  flag, c)
             counts[flag] = c.mults
         print(f"{p:>4} {len(str(value)):>7} {dt:>9.2f} {peak:>9.2f} "
               f"{counts[True]:>12} {counts[False]:>12}")
 
 
 def series_table(name, h, nf, counts):
-    from ctpow import torus
-    from ctpow.laurent import total_weight
-    from ctpow.recurrence import _primes_for, constant_term_series
+    from ctpow.recurrence import _prepare, constant_term_series
     print(f"sample {name} series, cleared shape "
           f"{tuple(d + 1 for d in nf.degrees)}, one thread")
     header = (f"{'P':>4} {'M':>4} {'grid pts':>9} {'primes':>6} "
@@ -132,9 +129,8 @@ def series_table(name, h, nf, counts):
     print(header)
     print("-" * len(header))
     for P in counts:
-        # the plan and primes that constant_term_series uses
-        tp = torus.plan(nf, tuple(P * s for s in nf.shift), P)
-        primes = len(_primes_for(total_weight(h), tp.M, P).primes)
+        tp, ms = _prepare(h, P)     # what constant_term_series uses
+        primes = len(ms.primes)
         points = tp.M ** len(tp.grid)
         t0 = time.perf_counter()
         constant_term_series(h, P, threads=1)

@@ -14,17 +14,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from ctpow.cli import _progress
 from ctpow.fixtures import OPERATOR_NAMES, sample_operator, sample_polynomial
 from ctpow.recurrence import (constant_term_series, operator_to_recurrence,
                               recurrence_to_operator, search_recurrence)
-
-
-def progress(label):
-    def report(done, total):
-        print(f"\r{label}: {done}/{total}", end="", file=sys.stderr, flush=True)
-        if done == total:
-            print(file=sys.stderr)
-    return report
 
 
 def main():
@@ -42,7 +35,8 @@ def main():
         h = sample_polynomial(name)
         t0 = time.perf_counter()
         s = constant_term_series(h, args.count, threads=args.threads,
-                                 progress=progress(f"series {name}"))
+                                 progress=_progress(f"series {name}",
+                                                    "row blocks"))
         dt = time.perf_counter() - t0
         print(f"\n=== sample {name}: {len(s)} terms in {dt:.1f}s ===")
 

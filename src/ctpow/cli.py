@@ -24,10 +24,9 @@ from pathlib import Path
 
 from . import torus
 from .fixtures import SAMPLE_NAMES, sample_polynomial
-from .laurent import (LaurentError, normalize, parse_laurent, to_expr_string,
-                      total_weight)
+from .laurent import LaurentError, parse_laurent, to_expr_string, total_weight
 from .oracle import SizeGuardError, known_family, naive_power_coeff
-from .recurrence import (WorkerError, _primes_for, constant_term_series,
+from .recurrence import (WorkerError, _prepare, constant_term_series,
                          exact_coefficient, recurrence_to_operator,
                          search_recurrence, series_from_json, series_to_json,
                          to_decimal)
@@ -55,12 +54,15 @@ def _emit(text: str, out: str | None):
         print(text)
 
 
+_open_line = False    # a progress line is open on stderr: main ends it
+
+
 def _progress(label, unit):
     def report(done, total):
-        print(f"\r{label}: {done}/{total} {unit}", end="", file=sys.stderr,
-              flush=True)
-        if done == total:
-            print(file=sys.stderr)
+        global _open_line
+        _open_line = done < total
+        print(f"\r{label}: {done}/{total} {unit}", file=sys.stderr,
+              end="" if _open_line else "\n", flush=True)
     return report
 
 
@@ -97,17 +99,13 @@ def cmd_findop(args) -> int:
 def cmd_bench(args) -> int:
     h = _load_polynomial(args)
     powers = sorted({int(p) for p in args.power.split(",")})
-    if powers[0] < 0:       # before torus.plan sizes a grid from it
-        raise ValueError("negative power")
     w = total_weight(h)
     lines = [f"polynomial: {to_expr_string(h)}",
              f"terms: {len(h.terms)}  weight: {w}", ""]
-    nf = normalize(h)
-    for p in powers:
-        tp = torus.plan(nf, tuple(p * s for s in nf.shift), p)
+    for p in powers:          # the plan and primes (|a| <= w^p) of the run
+        tp, ms = _prepare(h, p)
         inner = (tp.U[0] if tp.U else None if tp.inner is None
                  else h.variables[tp.inner])
-        ms = _primes_for(w, tp.M, p)              # the primes for |a| <= w^p
         lines.append(f"plan p={p}: U={'yes' if tp.U else 'no'} inner={inner} "
                      f"M={tp.M} |H|={max(len(tp.H), 1)} points="
                      f"{torus.representatives(tp)}/{tp.M ** len(tp.grid)} "
@@ -245,23 +243,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _open_line
+    _open_line = False
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SizeGuardError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 4
+        code, text = 4, f"refused: {exc}"
     except MemoryError as exc:
-        detail = f": {exc}" if str(exc) else ""
-        print(f"error: out of memory{detail}", file=sys.stderr)
-        return 4
+        code, text = 4, "error: out of memory" + (f": {exc}" if str(exc) else "")
     except WorkerError as exc:
-        print(f"error: worker failed: {exc}", file=sys.stderr)
-        return 5
+        code, text = 5, f"error: worker failed: {exc}"
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, text = 3, f"error: {exc}"
+    print(("\n" if _open_line else "") + text, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

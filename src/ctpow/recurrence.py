@@ -105,26 +105,36 @@ def _sum_row_blocks(fn, tp, ms: ModulusSet, threads: int,
     return (total % np.array(ms.primes)).tolist()
 
 
-def exact_coefficient(h: LaurentPolynomial, p: int, index=None,
-                      threads: int = 1) -> int:
-    """Exact [h^p]_index (default: the constant term) via the torus engine."""
+def _prepare(h: LaurentPolynomial, p: int, index=None, use_split2=True):
+    """(plan, primes) for [h^p]_index, or None if the index is given and off
+    the support of h^p (0 there).  No index: p * shift, planned in any case."""
     p = _integer(p, "power")
     if p < 0:
         raise ValueError("negative power")
-    threads = _resolve_threads(threads)
     nf = normalize(h)
-    if index is None:
-        index = (0,) * nf.n
-    index = tuple(_integer(x, "index entry") for x in index)
-    if len(index) != nf.n:
+    ix = ((0,) * nf.n if index is None else
+          tuple(_integer(x, "index entry") for x in index))
+    if len(ix) != nf.n:
         raise ValueError("index dimension mismatch")
-    target = tuple(ix + p * s for ix, s in zip(index, nf.shift))
-    if any(not 0 <= t <= p * d for t, d in zip(target, nf.degrees)):
+    target = tuple(i + p * s for i, s in zip(ix, nf.shift))
+    if index is not None and any(
+            not 0 <= t <= p * d for t, d in zip(target, nf.degrees)):
+        return None
+    tp = torus.plan(nf, target, p, use_split2)
+    return tp, _primes_for(total_weight(h), tp.M, p)
+
+
+def exact_coefficient(h: LaurentPolynomial, p: int, index=None,
+                      threads: int = 1) -> int:
+    """Exact [h^p]_index (default: the constant term) via the torus engine."""
+    threads = _resolve_threads(threads)
+    prepared = _prepare(h, p, (0,) * len(h.variables) if index is None
+                        else index)         # 0 off the support, unplanned
+    if prepared is None:
         return 0
-    tp = torus.plan(nf, target, p)
-    ms = _primes_for(total_weight(h), tp.M, p)
-    residues = _sum_row_blocks(torus.coefficient_residues, tp, ms, threads)
-    return reconstruct(residues, ms)
+    tp, ms = prepared
+    return reconstruct(_sum_row_blocks(
+        torus.coefficient_residues, tp, ms, threads), ms)
 
 
 # --- constant term series ----------------------------------------------------
@@ -200,9 +210,7 @@ def constant_term_series(h: LaurentPolynomial, P: int, threads: int = 1,
     if not 0 <= P < torus.MAX_SERIES:
         raise ValueError(f"series length must be in [0, {torus.MAX_SERIES})")
     threads = _resolve_threads(threads)
-    nf = normalize(h)
-    tp = torus.plan(nf, tuple(P * s for s in nf.shift), P, use_split2)
-    ms = _primes_for(total_weight(h), tp.M, P)
+    tp, ms = _prepare(h, P, use_split2=use_split2)
     sums = _sum_row_blocks(torus.series_residues, tp, ms, threads, progress)
     return Series(h, tuple(reconstruct(r, ms) for r in sums))
 

@@ -359,3 +359,29 @@ def test_dead_worker_exits_5(monkeypatch, capsys):
     assert out == ""
     assert "worker failed" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="row blocks run in forked workers only on Linux")
+def test_an_error_after_partial_progress_starts_a_line(monkeypatch, capsys):
+    import ctpow.torus
+    real = ctpow.torus.series_residues
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+    def _die(tp, primes, rows=None):
+        if rows.start == 1:           # the forked worker of block 2
+            os._exit(3)
+        return real(tp, primes, rows)
+
+    monkeypatch.setattr(ctpow.torus, "series_residues", _die)
+    code, out, err = run(capsys, "series", "--fixture", "39", "--count",
+                         "10", "--threads", "2")
+    assert (code, out) == (5, "")
+    # the progress line is ended before the one error line
+    assert err == ("\rseries: 1/2 row blocks\n"
+                   "error: worker failed: row block 2 of 2 sent 0 of 176 "
+                   "bytes\n")
+    # a later error starts no blank line
+    code, _, err = run(capsys, "bench", "--fixture", "39", "--power", "-3")
+    assert (code, err) == (3, "error: negative power\n")

@@ -33,15 +33,25 @@ def test_submodules_import_from_the_root():
     assert callable(recurrence.exact_coefficient)
 
 
-@pytest.mark.parametrize("script", ["discover_operators.py",
-                                    "reproduce_constant.py"])
+# short real runs of each script, and a line that each prints
+SCRIPT_RUNS = {
+    "discover_operators.py": [("--samples dwork4 --count 12 --max-length 2 "
+                               "--threads 1", "=== sample dwork4")],
+    "reproduce_constant.py": [("--power 10 --threads 1", "polynomial:")],
+    "bench_scaling.py": [("--powers 5 --threads 1", "peak MiB"),
+                         ("--series 5", "grid pts")],
+}
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPT_RUNS))
 def test_scripts_run_from_any_directory(script, tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
-                           "--help"], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert "usage:" in done.stdout
+    for args, line in [("--help", "usage:")] + SCRIPT_RUNS[script]:
+        done = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
+                               *args.split()], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (args, done.stderr)
+        assert line in done.stdout, (args, done.stdout)
 
 
 def _fresh_import(**env_vars):

@@ -55,10 +55,23 @@ def test_exact_coefficient_matches_oracle_with_negative_values():
     assert exact_coefficient(h, 5, (2, 3)) == -10
 
 
-def test_exact_coefficient_out_of_support():
+def test_exact_coefficient_out_of_support(monkeypatch):
     h = parse_laurent("X + Y")
     assert exact_coefficient(h, 4, (5, 0)) == 0
     assert exact_coefficient(h, 4, (-1, 2)) == 0
+    with pytest.raises(ValueError, match="index dimension mismatch"):
+        exact_coefficient(h, 4, (1,))
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("planned a coefficient off the support")
+
+    # 0 before any plan, whose M would grow with the index, and for the
+    # constant term of a variable with only negative exponents, whose grid
+    # would need M = 2 * 10**9 + 1 and find no prime 1 mod M below 2**31
+    monkeypatch.setattr(torus, "plan", no_plan)
+    assert exact_coefficient(h, 4, (10 ** 12, 0)) == 0
+    assert exact_coefficient(parse_laurent("X^-100000 + X^-100005"),
+                             20000) == 0
 
 
 def test_series_values_and_json_roundtrip():
@@ -99,6 +112,9 @@ def test_series_json_accepts_bare_lists():
 
 def test_series_of_pure_monomial():
     s = constant_term_series(parse_laurent("X"), 3)
+    assert s.terms == (1, 0, 0, 0)
+    # the target P * shift = P lies off the box [0, P * 0], yet a_0 = 1
+    s = constant_term_series(parse_laurent("-4*X^-1"), 3)
     assert s.terms == (1, 0, 0, 0)
 
 
