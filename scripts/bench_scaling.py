@@ -22,10 +22,12 @@ p = 20 and 40 of a polynomial without lattice symmetries (a seeded random
 23-term polynomial in 4 variables with distinct coefficients, so that the
 whole grid is summed), and exact_coefficient of the walk X + 1/X + Y + 1/Y
 at p = 256 and index (1, 3); and sample 39 at p = 40 and 80 and its series
-to 59 on two workers as well (the cases ending in _t2).  Each case runs in
+to 59 on at most 2 workers as well (the cases ending in _t2: fewer when the
+predicted work does not pay for a fork).  Each case runs in
 a child process of its own, at least five times in about 2 s (once past
 5 s), in three rounds.  The best run, and the median and quartiles of all
-of them, and each round's median, go into one column of FILE (created if
+of them, each round's median and the row-block workers of the run, go into
+one column of FILE (created if
 missing; other columns are kept) with the git revision, the Python and
 numpy versions and the core count.  --src picks the source tree to time.
 With --parent SRC the tree SRC is timed too, into the column "parent": the
@@ -206,13 +208,16 @@ def run_case(name: str) -> dict:
     h = (asymmetric_polynomial() if poly == "nosym" else
          parse_laurent("X + X^-1 + Y + Y^-1") if poly == "walk" else
          sample_polynomial(poly))
+    workers = 1
     if kind == "coeff":
         index = (1, 3) if poly == "walk" else None
         value, times = _timed(exact_coefficient, h, power, index,
                               threads=extra)
+        workers = _workers_of(h, power, index, extra, series=False)
     elif kind == "series":
         value, times = _timed(constant_term_series, h, power, threads=extra)
         value = value.terms
+        workers = _workers_of(h, power, None, extra, series=True)
     else:
         terms = constant_term_series(h, power).terms
         hits, times = _timed(search_recurrence, terms, *extra)
@@ -223,8 +228,20 @@ def run_case(name: str) -> dict:
     if poly == "walk":
         # with X = uv and Y = u/v the power is (u + 1/u)^256 (v + 1/v)^256
         assert value == math.comb(256, 130) * math.comb(256, 127)
-    return {"times": times, "result": str(value),
+    return {"times": times, "result": str(value), "workers": workers,
             "python": platform.python_version(), "numpy": numpy.__version__}
+
+
+def _workers_of(h, power, index, threads, series):
+    """The row-block workers of the run: the tree's work model, or one per
+    thread (at most the grid rows) in a tree from before it."""
+    from ctpow import recurrence, torus
+    tp, ms = recurrence._prepare(h, power, index)
+    threads = recurrence._resolve_threads(threads)
+    if not hasattr(recurrence, "_workers"):
+        return min(threads, tp.rows)
+    return recurrence._workers(
+        tp, torus.predicted_work(tp, ms.primes, series), threads)
 
 
 def _revision(src: Path) -> str:
@@ -244,6 +261,7 @@ def north_star(path: Path, trees: dict):
     trees alternating, into one column of `path` per tree."""
     times = {col: {case: [] for case in CASES} for col in trees}
     medians = {col: {case: [] for case in CASES} for col in trees}
+    workers = {col: {} for col in trees}
     results, meta = {}, {}
     for r in range(ROUNDS):
         for i, case in enumerate(CASES):
@@ -255,6 +273,7 @@ def north_star(path: Path, trees: dict):
                 rec = json.loads(out.stdout.splitlines()[-1])
                 times[col][case] += rec["times"]
                 medians[col][case].append(statistics.median(rec["times"]))
+                workers[col][case] = rec["workers"]
                 results.setdefault(case.removesuffix("_t2"), set()).add(
                     rec["result"])
                 meta[col] = {"python": rec["python"], "numpy": rec["numpy"]}
@@ -270,13 +289,15 @@ def north_star(path: Path, trees: dict):
         "nosym_pN": "exact_coefficient(asymmetric_polynomial(), N): no "
                     "lattice symmetry, the whole grid",
         "walk_p256": "exact_coefficient(X + 1/X + Y + 1/Y, 256, (1, 3))",
-        "threads": "1; 2 in the cases ending in _t2",
+        "threads": "1; at most 2 workers in the cases ending in _t2, and "
+                   "stats' workers is the row blocks the run used",
         "unit": "s; seconds: the best of all runs; stats: best, quartiles "
                 "and median of all runs, the runs, and each round's median "
                 "(a round runs a case at least 5 times in 2 s, or once "
                 "past 5 s, in a child process of its own)"}
     for col, src in trees.items():
-        stats = {case: dict(_summary(t), round_medians=medians[col][case])
+        stats = {case: dict(_summary(t), round_medians=medians[col][case],
+                            workers=workers[col][case])
                  for case, t in times[col].items()}
         record.setdefault("columns", {})[col] = {
             "revision": _revision(src), **meta[col],

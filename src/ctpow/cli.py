@@ -7,7 +7,7 @@ reference computation), selftest.
 
 Exit codes: 0 success (including "no operator found"), 2 usage error,
 3 input error, 4 refused by a size guard or out of memory, 5 worker
-process failed.
+process failed, 141 (128 + SIGPIPE) stdout closed by its reader.
 Results and series files are written and read at any size; a longer integer
 literal than sys.get_int_max_str_digits() (4300 digits) is an input error.
 """
@@ -15,9 +15,12 @@ literal than sys.get_int_max_str_digits() (4300 digits) is an input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import random
+import signal
 import sys
 import time
 from pathlib import Path
@@ -26,10 +29,10 @@ from . import torus
 from .fixtures import SAMPLE_NAMES, sample_polynomial
 from .laurent import LaurentError, parse_laurent, to_expr_string, total_weight
 from .oracle import SizeGuardError, known_family, naive_power_coeff
-from .recurrence import (WorkerError, _prepare, constant_term_series,
-                         exact_coefficient, recurrence_to_operator,
-                         search_recurrence, series_from_json, series_to_json,
-                         to_decimal)
+from .recurrence import (WorkerError, _prepare, _resolve_threads, _workers,
+                         constant_term_series, exact_coefficient,
+                         recurrence_to_operator, search_recurrence,
+                         series_from_json, series_to_json, to_decimal)
 
 
 def _load_polynomial(args):
@@ -100,20 +103,27 @@ def cmd_bench(args) -> int:
     h = _load_polynomial(args)
     powers = sorted({int(p) for p in args.power.split(",")})
     w = total_weight(h)
+    threads = _resolve_threads(args.threads)
     lines = [f"polynomial: {to_expr_string(h)}",
              f"terms: {len(h.terms)}  weight: {w}", ""]
     for p in powers:          # the plan and primes (|a| <= w^p) of the run
-        tp, ms = _prepare(h, p)
-        inner = (tp.U[0] if tp.U else None if tp.inner is None
-                 else h.variables[tp.inner])
-        lines.append(f"plan p={p}: U={'yes' if tp.U else 'no'} inner={inner} "
-                     f"M={tp.M} |H|={max(len(tp.H), 1)} points="
-                     f"{torus.representatives(tp)}/{tp.M ** len(tp.grid)} "
-                     f"primes={len(ms.primes)} bound="
-                     f"{math.log2(2 * w ** p):.2f} bits "
-                     f"product={math.log2(ms.product):.2f} bits")
+        if prepared := _prepare(h, p):
+            tp, ms = prepared
+            inner = (tp.U[0] if tp.U else None if tp.inner is None
+                     else h.variables[tp.inner])
+            work = torus.predicted_work(tp, ms.primes, False)
+            lines.append(
+                f"plan p={p}: U={'yes' if tp.U else 'no'} inner={inner} "
+                f"M={tp.M} |H|={max(len(tp.H), 1)} points="
+                f"{torus.representatives(tp)}/{tp.M ** len(tp.grid)} "
+                f"primes={len(ms.primes)} bound={math.log2(2 * w ** p):.2f} "
+                f"bits product={math.log2(ms.product):.2f} bits "
+                f"work={work} workers={_workers(tp, work, threads)}")
+        else:
+            lines.append(f"plan p={p}: none, the constant term is off the "
+                         f"support")
         t0 = time.perf_counter()
-        value = exact_coefficient(h, p, threads=args.threads)
+        value = exact_coefficient(h, p, threads=threads)
         dt_engine = time.perf_counter() - t0
         t0 = time.perf_counter()
         try:
@@ -188,8 +198,10 @@ def _add_common(sub, poly_input=True, engine=True):
                          help="input polynomial format (default: sniff)")
     if engine:
         sub.add_argument("--threads", type=int, default=0,
-                         help="worker processes, at most the usable cores; "
-                              "0 = all of them (default)")
+                         help="at most this many worker processes, and no "
+                              "more than the usable cores; fewer when the "
+                              "predicted work does not pay for a fork; 0 = "
+                              "all cores (default)")
     sub.add_argument("--out", metavar="FILE", help="write output here")
 
 
@@ -247,13 +259,21 @@ def main(argv=None) -> int:
     _open_line = False
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()          # a closed pipe shows here, not at exit
+        return code
     except SizeGuardError as exc:
         code, text = 4, f"refused: {exc}"
     except MemoryError as exc:
         code, text = 4, "error: out of memory" + (f": {exc}" if str(exc) else "")
     except WorkerError as exc:
         code, text = 5, f"error: worker failed: {exc}"
+    except BrokenPipeError:  # stdout's reader left (`| head`): exit as
+        # SIGPIPE would, and let the flush at exit write to /dev/null
+        with contextlib.suppress(OSError, ValueError):   # or to no file
+            out = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out)
+        return 128 + signal.SIGPIPE
     except (ValueError, KeyError, OSError) as exc:
         code, text = 3, f"error: {exc}"
     print(("\n" if _open_line else "") + text, file=sys.stderr)

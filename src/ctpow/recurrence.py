@@ -62,14 +62,33 @@ def _resolve_threads(threads: int) -> int:
     return min(threads or cpus, cpus)
 
 
-def _sum_row_blocks(fn, tp, ms: ModulusSet, threads: int,
+# predicted reductions (torus.predicted_work) per forked row-block worker.
+# Medians on 2 shared vCPUs, one worker against two: sample 39 at p = 40
+# (2.1M) took 0.0230 against 0.0207 s (BENCH_20.json) and 0.0209 against
+# 0.0221 s (BENCH_21.json); the series of samples 39, 24 and 38 to 34
+# (2.5M to 7.6M) used as much CPU as wall time on two workers.  Sample 39
+# at p = 80 (48.9M) gained 1.4-1.8x and its series to 59 (39.2M) 1.3-1.7x.
+_WORK_PER_WORKER = 1 << 24
+
+
+def _workers(tp, work: int, threads: int) -> int:
+    """Row blocks for a run of `work` predicted reductions on at most
+    `threads` workers: one per _WORK_PER_WORKER, at least 1, at most
+    tp.rows."""
+    return min(threads, tp.rows, max(1, work // _WORK_PER_WORKER))
+
+
+def _sum_row_blocks(tp, ms: ModulusSet, threads: int, series: bool = False,
                     progress=None) -> list:
-    """fn(tp, primes, rows) over blocks of grid rows, one per worker,
-    summed modulo each prime as Python ints.  Block k takes every n-th row
-    from row k, as the orbit representatives crowd into the first rows.  On
-    Linux forked children sum blocks 1..n-1 and send back int64 residues
-    (below 2^31); a dead one raises WorkerError.  progress(done, n) counts."""
-    n = min(tp.rows, threads)
+    """torus.series_residues if series, else torus.coefficient_residues,
+    over blocks of grid rows, summed modulo each prime as Python ints.
+    There are at most `threads` blocks, fewer when the predicted work does
+    not pay for a fork (_workers).  Block k takes every n-th row from row
+    k, as the orbit representatives crowd into the first rows.  On Linux
+    forked children sum blocks 1..n-1 and send back int64 residues (below
+    2^31); a dead one raises WorkerError.  progress(done, n) counts."""
+    fn = torus.series_residues if series else torus.coefficient_residues
+    n = _workers(tp, torus.predicted_work(tp, ms.primes, series), threads)
     blocks = [(tp, ms.primes, range(k, tp.rows, n)) for k in range(n)]
     total, pids, fds = 0, [], []
     try:
@@ -106,8 +125,8 @@ def _sum_row_blocks(fn, tp, ms: ModulusSet, threads: int,
 
 
 def _prepare(h: LaurentPolynomial, p: int, index=None, use_split2=True):
-    """(plan, primes) for [h^p]_index, or None if the index is given and off
-    the support of h^p (0 there).  No index: p * shift, planned in any case."""
+    """(plan, primes) for [h^p]_index (default: the constant term), or None
+    if the index lies off the support of h^p, where the coefficient is 0."""
     p = _integer(p, "power")
     if p < 0:
         raise ValueError("negative power")
@@ -117,8 +136,7 @@ def _prepare(h: LaurentPolynomial, p: int, index=None, use_split2=True):
     if len(ix) != nf.n:
         raise ValueError("index dimension mismatch")
     target = tuple(i + p * s for i, s in zip(ix, nf.shift))
-    if index is not None and any(
-            not 0 <= t <= p * d for t, d in zip(target, nf.degrees)):
+    if any(not 0 <= t <= p * d for t, d in zip(target, nf.degrees)):
         return None
     tp = torus.plan(nf, target, p, use_split2)
     return tp, _primes_for(total_weight(h), tp.M, p)
@@ -128,13 +146,11 @@ def exact_coefficient(h: LaurentPolynomial, p: int, index=None,
                       threads: int = 1) -> int:
     """Exact [h^p]_index (default: the constant term) via the torus engine."""
     threads = _resolve_threads(threads)
-    prepared = _prepare(h, p, (0,) * len(h.variables) if index is None
-                        else index)         # 0 off the support, unplanned
+    prepared = _prepare(h, p, index)       # 0 off the support, unplanned
     if prepared is None:
         return 0
     tp, ms = prepared
-    return reconstruct(_sum_row_blocks(
-        torus.coefficient_residues, tp, ms, threads), ms)
+    return reconstruct(_sum_row_blocks(tp, ms, threads), ms)
 
 
 # --- constant term series ----------------------------------------------------
@@ -201,17 +217,23 @@ def constant_term_series(h: LaurentPolynomial, P: int, threads: int = 1,
     bound covers a_P; the primes exceed 2P because torus.series_residues
     runs the trinomial recurrence rescaled by (2p-1)!!, two reductions per
     grid point and power.  The grid rows are split into blocks, one per
-    worker, and each block returns partial sums of all P + 1 terms;
+    worker, at most `threads` and fewer when the predicted work does not
+    pay for a fork; each block returns partial sums of all P + 1 terms, and
     results are identical for any thread count because each block is exact
-    field arithmetic.  progress(done, total) counts row blocks.  Raises
-    ValueError unless P is an integer in [0, torus.MAX_SERIES).
+    field arithmetic.  progress(done, total) counts row blocks.  If P *
+    shift lies off the support of h^P, so does p * shift for every p >= 1:
+    a_1..a_P are 0, without a plan.  Raises ValueError unless P is an
+    integer in [0, torus.MAX_SERIES).
     """
     P = _integer(P, "series length")
     if not 0 <= P < torus.MAX_SERIES:
         raise ValueError(f"series length must be in [0, {torus.MAX_SERIES})")
     threads = _resolve_threads(threads)
-    tp, ms = _prepare(h, P, use_split2=use_split2)
-    sums = _sum_row_blocks(torus.series_residues, tp, ms, threads, progress)
+    prepared = _prepare(h, P, use_split2=use_split2)
+    if prepared is None:    # P * shift off the support for every P >= 1
+        return Series(h, (1,) + (0,) * P)
+    tp, ms = prepared
+    sums = _sum_row_blocks(tp, ms, threads, series=True, progress=progress)
     return Series(h, tuple(reconstruct(r, ms) for r in sums))
 
 

@@ -322,6 +322,28 @@ def representatives(tp: TorusPlan) -> int:
                for r in range(0, tp.rows, _ROWS))
 
 
+def predicted_work(tp: TorusPlan, primes, series: bool) -> int:
+    """The modular reductions (elements that _reduce sees) of a run of
+    coefficient_residues, or of series_residues if series, on all rows:
+    representatives, estimated as ceil(M^g / |H|), times primes times
+    reductions per point.  Per point the class values take one per class
+    and four products; the trinomial ten for the powers of u and v, three
+    per block of four j and about 2 log2 |m| for b^|m|; pointwise powering
+    about 2 log2 p; the series pass two per power (one without an inner
+    variable)."""
+    p, d_last = tp.p, tp.nf.degrees[tp.grid[-1]] if tp.grid else 0
+    reps = -(-tp.M ** len(tp.grid) // max(len(tp.H), 1))
+    per_point = (1 if tp.inner is None else 3) * (d_last // 4 + 1)
+    if series:
+        per_point += p * (1 if tp.inner is None else 2)
+    elif tp.inner is None:
+        per_point += 2 * p.bit_length()
+    else:
+        m = abs(tp.target[tp.inner] - p)
+        per_point += 10 + 3 * ((p - m) // 8 + 1) + 2 * m.bit_length()
+    return reps * len(primes) * per_point
+
+
 def _class_values(tp: TorusPlan, primes, rows):
     """The class values of h at the orbit representatives (symmetry.orbits)
     of the grid rows in `rows`, in batches of _BATCH * M points.

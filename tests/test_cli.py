@@ -1,12 +1,17 @@
+import io
 import json
 import math
 import os
 import random
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from ctpow import recurrence
 from ctpow.cli import build_parser, main
 from ctpow.oracle import known_family
 
@@ -243,10 +248,16 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_threads_do_not_change_output(capsys, monkeypatch):
-    # two row blocks even where one CPU is usable
+def _two_cpus(monkeypatch):
+    # --threads 2 forks a second row block on any host and for any work:
+    # the CPU count and the predicted work cap the threads
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
+    monkeypatch.setattr(recurrence, "_WORK_PER_WORKER", 1)
+
+
+def test_threads_do_not_change_output(capsys, monkeypatch):
+    _two_cpus(monkeypatch)
     outs = []
     for t in ("1", "2"):
         code, out, _ = run(capsys, "coeff", "--fixture", "39", "--power", "3",
@@ -276,6 +287,7 @@ def test_bench_prints_the_plan(capsys):
     assert code == 0
     assert ("plan p=10: U=yes inner=(1, 0, 1, -1) M=11 |H|=6 "
             "points=231/1331") in out
+    assert " work=8436 workers=1\n" in out
     code, out, _ = run(capsys, "bench", "--fixture", "dwork4", "--power", "5",
                        "--threads", "1")
     assert "plan p=5: U=no inner=T M=6 |H|=6 points=56/216" in out
@@ -290,6 +302,29 @@ def test_bench_reports_the_prime_budget(capsys):
     assert "primes=5 bound=154.80 bits product=155.00 bits" in out
     assert "p=34 engine=3211309377627488368871951072460527618304240 " \
         "bits=142 " in out
+
+
+def test_a_closed_stdout_exits_141_without_an_error_line(capsys):
+    class Closed(io.StringIO):                 # its reader has gone
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    with mock.patch.object(sys, "stdout", Closed()):
+        code = main(["series", "--fixture", "39", "--count", "3",
+                     "--threads", "1"])
+    assert (code, capsys.readouterr().err) == (
+        141, "\rseries: 1/1 row blocks\n")
+    # a real pipe closed before the write, and no error at exit either:
+    # block-buffered, a short result meets the closed pipe only in a flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ctpow", "coeff", "--fixture", "39", "--power",
+         "20", "--threads", "1"], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    proc.stdout.close()
+    assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")
+    proc.stderr.close()
 
 
 def test_parser_help_lists_subcommands():
@@ -342,9 +377,7 @@ def test_out_of_memory_exits_4(monkeypatch, capsys):
 def test_dead_worker_exits_5(monkeypatch, capsys):
     import ctpow.torus
     caller, real = os.getpid(), ctpow.torus.coefficient_residues
-    # two workers, whatever this host's CPU count, which caps --threads
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
+    _two_cpus(monkeypatch)
 
     def _die(tp, primes, rows=None):
         # the caller sums block 0 itself; only a forked worker dies
@@ -366,8 +399,7 @@ def test_dead_worker_exits_5(monkeypatch, capsys):
 def test_an_error_after_partial_progress_starts_a_line(monkeypatch, capsys):
     import ctpow.torus
     real = ctpow.torus.series_residues
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
+    _two_cpus(monkeypatch)
 
     def _die(tp, primes, rows=None):
         if rows.start == 1:           # the forked worker of block 2

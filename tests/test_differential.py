@@ -15,6 +15,7 @@ split2 and without (sample 39 at p = 12 walks 15,625 rows, so its last
 chunk is partial).
 """
 
+import contextlib
 import math
 import os
 from unittest import mock
@@ -24,7 +25,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctpow import torus
+from ctpow import recurrence, torus
 from ctpow.engine import coefficient_mod_prime
 from ctpow.fixtures import sample_polynomial
 from ctpow.laurent import make_polynomial, normalize, parse_laurent
@@ -37,11 +38,15 @@ Q = (1 << 31) - 1
 DENSE_LIMIT = 20_000  # entries of the oracle's dense power, to keep it quick
 
 
+@contextlib.contextmanager
 def two_cpus():
-    """Thread counts are capped at the usable CPUs: let two threads fork a
-    second row block on any host."""
-    return mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1},
-                             create=True)
+    """Thread counts are capped at the usable CPUs and at one worker per
+    _WORK_PER_WORKER predicted reductions: let two threads fork a second
+    row block on any host and for any work."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1},
+                           create=True), \
+            mock.patch.object(recurrence, "_WORK_PER_WORKER", 1):
+        yield
 
 
 def check_all_paths(h, p, index):

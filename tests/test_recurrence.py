@@ -110,12 +110,21 @@ def test_series_json_accepts_bare_lists():
             series_from_json(bad)
 
 
-def test_series_of_pure_monomial():
+def test_series_of_pure_monomial(monkeypatch):
     s = constant_term_series(parse_laurent("X"), 3)
     assert s.terms == (1, 0, 0, 0)
-    # the target P * shift = P lies off the box [0, P * 0], yet a_0 = 1
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("planned a series whose terms after a_0 vanish")
+
+    # with shift > degree the target P * shift lies off the box [0, P * d]
+    # for every P >= 1, yet a_0 = 1; unplanned, as the grid of the second
+    # would need M = 3 * 10**9 + 1, and no 31-bit prime is 1 mod M
+    monkeypatch.setattr(torus, "plan", no_plan)
     s = constant_term_series(parse_laurent("-4*X^-1"), 3)
     assert s.terms == (1, 0, 0, 0)
+    s = constant_term_series(parse_laurent("X^-100000 + X^-100005"), 30000)
+    assert s.terms == (1,) + (0,) * 30000
 
 
 def test_series_refuses_negative_and_too_long_counts():
@@ -158,9 +167,11 @@ def test_non_integer_powers_and_indices_are_refused():
 
 
 def _four_cpus(monkeypatch):
-    # up to four row blocks on any host: the CPU count caps the threads
+    # up to four row blocks on any host and for any work: the CPU count and
+    # the predicted work cap the threads
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                         raising=False)
+    monkeypatch.setattr(recurrence, "_WORK_PER_WORKER", 1)
 
 
 def test_series_progress_counts_row_blocks(monkeypatch):
@@ -172,6 +183,34 @@ def test_series_progress_counts_row_blocks(monkeypatch):
     assert total == 2                 # one block per worker
     assert seen == [(k, total) for k in range(1, total + 1)]
     assert s.terms[10] == known_family("dwork4", 10)
+
+
+def test_workers_only_where_the_predicted_work_pays(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+
+    def refused(*args):
+        raise AssertionError("forked a worker the work does not pay for")
+
+    # sample 39's series to 34 (2.5M reductions) runs in the caller alone
+    monkeypatch.setattr(os, "fork", refused)
+    seen = []
+    h = sample_polynomial("39")
+    s = constant_term_series(h, 34, threads=4,
+                             progress=lambda *counts: seen.append(counts))
+    assert seen == [(1, 1)]
+    assert s.terms[34] == 3211309377627488368871951072460527618304240
+    # its series to 59 (39.2M) pays for two, decided without the kernel
+    monkeypatch.setattr(torus, "series_residues", refused)
+    tp, ms = recurrence._prepare(h, 59)
+    work = torus.predicted_work(tp, ms.primes, True)
+    assert recurrence._workers(tp, work, _resolve_threads(2)) == 2
+    # never more than the threads, the usable CPUs or the grid rows
+    assert recurrence._workers(tp, work, _resolve_threads(1)) == 1
+    assert recurrence._workers(tp, 1 << 40, _resolve_threads(8)) == 4
+    walk, ms = recurrence._prepare(parse_laurent("X + X^-1 + Y + Y^-1"), 40)
+    assert walk.rows == 1
+    assert recurrence._workers(walk, 1 << 40, _resolve_threads(4)) == 1
 
 
 def test_row_blocks_that_do_not_divide_evenly(monkeypatch):
@@ -592,9 +631,7 @@ def test_sample_operators_annihilate_short_series():
 def test_series_threads_do_not_change_results(monkeypatch):
     h = sample_polynomial("dwork4")
     a = constant_term_series(h, 10, threads=1)
-    # two row blocks even where one CPU is usable
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
+    _four_cpus(monkeypatch)         # two row blocks on any host
     b = constant_term_series(h, 10, threads=2)
     assert a.terms == b.terms
     assert exact_coefficient(h, 10, threads=2) == a.terms[10]

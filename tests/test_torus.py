@@ -11,7 +11,7 @@ from ctpow import torus
 from ctpow.fixtures import sample_polynomial
 from ctpow.laurent import make_polynomial, normalize, parse_laurent
 from ctpow.oracle import naive_power_coeff
-from ctpow.recurrence import _primes_for
+from ctpow.recurrence import _prepare, _primes_for
 from ctpow.rns import root_of_unity, select_primes
 
 
@@ -245,6 +245,25 @@ def _trinomial_coefficient(a, b, c, p, m, q):
     return sum(f(p) // (f(j) * f(j + m) * f(p - m - 2 * j))
                * pow(b * c, j, q) * pow(a, p - m - 2 * j, q) * pow(b, m, q)
                for j in range((p - m) // 2 + 1)) % q
+
+
+@pytest.mark.parametrize("text, p", [("39", 12),
+                                     ("X + X^-1 + Y + Y^-1", 40)])
+@pytest.mark.parametrize("series", [False, True])
+def test_predicted_work_counts_the_reductions(monkeypatch, text, p, series):
+    h = sample_polynomial(text) if text == "39" else parse_laurent(text)
+    tp, ms = _prepare(h, p)
+    seen, real = [], torus._reduce
+
+    def counted(x, q, tmp=None):
+        seen.append(x.size)
+        return real(x, q, tmp)
+
+    monkeypatch.setattr(torus, "_reduce", counted)
+    (torus.series_residues if series else torus.coefficient_residues)(
+        tp, ms.primes)
+    work = torus.predicted_work(tp, ms.primes, series)
+    assert 0.75 * sum(seen) <= work <= 1.25 * sum(seen)
 
 
 def test_trinomial_against_python_ints():
