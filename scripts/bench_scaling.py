@@ -20,8 +20,10 @@ at p = 40, the constant term series of sample 39 to p = 59 and of sample 38
 to p = 34, search_recurrence on sample 39's 60 terms, exact_coefficient at
 p = 20 and 40 of a polynomial without lattice symmetries (a seeded random
 23-term polynomial in 4 variables with distinct coefficients, so that the
-whole grid is summed), and exact_coefficient of the walk X + 1/X + Y + 1/Y
-at p = 256 and index (1, 3); and sample 39 at p = 40 and 80 and its series
+whole grid is summed), exact_coefficient of the walk X + 1/X + Y + 1/Y
+at p = 256 and index (1, 3), of sum_k c_k (X_k + 1/X_k) in 8 variables
+(c = 1,1,2,2,3,4,5,6) at p = 3 and of the 5-variable cross-polytope
+sum_k (X_k + 1/X_k) at p = 50; and sample 39 at p = 40 and 80 and its series
 to 59 on at most 2 workers as well (the cases ending in _t2: fewer when the
 predicted work does not pay for a fork).  Each case runs in
 a child process of its own, at least five times in about 2 s (once past
@@ -191,6 +193,15 @@ CASES = {
     "nosym_p20": ("coeff", "nosym", 20, 1),
     "nosym_p40": ("coeff", "nosym", 40, 1),
     "walk_p256": ("coeff", "walk", 256, 1),
+    "sum8_p3": ("coeff", "sum8", 3, 1),
+    "cross5_p50": ("coeff", "cross5", 50, 1),
+}
+# the polynomials of the cases that are not samples
+POLYS = {
+    "walk": "X + X^-1 + Y + Y^-1",
+    "sum8": " + ".join(f"{c}*X{k} + {c}*X{k}^-1" for k, c in
+                       enumerate((1, 1, 2, 2, 3, 4, 5, 6))),
+    "cross5": " + ".join(f"X{k} + X{k}^-1" for k in range(5)),
 }
 
 
@@ -206,7 +217,7 @@ def run_case(name: str) -> dict:
     import numpy
     kind, poly, power, extra = CASES[name]
     h = (asymmetric_polynomial() if poly == "nosym" else
-         parse_laurent("X + X^-1 + Y + Y^-1") if poly == "walk" else
+         parse_laurent(POLYS[poly]) if poly in POLYS else
          sample_polynomial(poly))
     workers = 1
     if kind == "coeff":
@@ -233,15 +244,12 @@ def run_case(name: str) -> dict:
 
 
 def _workers_of(h, power, index, threads, series):
-    """The row-block workers of the run: the tree's work model, or one per
-    thread (at most the grid rows) in a tree from before it."""
+    """The row-block workers of the run, as the tree's work model picks
+    them."""
     from ctpow import recurrence, torus
     tp, ms = recurrence._prepare(h, power, index)
-    threads = recurrence._resolve_threads(threads)
-    if not hasattr(recurrence, "_workers"):
-        return min(threads, tp.rows)
-    return recurrence._workers(
-        tp, torus.predicted_work(tp, ms.primes, series), threads)
+    return recurrence._workers(tp, torus.predicted_work(
+        tp, ms.primes, series), recurrence._resolve_threads(threads))
 
 
 def _revision(src: Path) -> str:
@@ -289,6 +297,13 @@ def north_star(path: Path, trees: dict):
         "nosym_pN": "exact_coefficient(asymmetric_polynomial(), N): no "
                     "lattice symmetry, the whole grid",
         "walk_p256": "exact_coefficient(X + 1/X + Y + 1/Y, 256, (1, 3))",
+        "sum8_p3": "exact_coefficient(sum of c_k (X_k + 1/X_k) over 8 "
+                   "variables, c = 1,1,2,2,3,4,5,6, 3): its 1024 lattice "
+                   "maps take more search nodes than a chunk of grid rows "
+                   "has points, so the whole grid is summed",
+        "cross5_p50": "exact_coefficient(sum of X_k + 1/X_k over 5 "
+                      "variables, 50): 384 of its 3840 lattice maps act "
+                      "on the grid",
         "threads": "1; at most 2 workers in the cases ending in _t2, and "
                    "stats' workers is the row blocks the run used",
         "unit": "s; seconds: the best of all runs; stats: best, quartiles "

@@ -150,15 +150,13 @@ def automorphisms(terms, steps: int = MAX_STEPS) -> tuple[Matrix, ...]:
 def coordinate_changes(terms, G: np.ndarray, least: int):
     """Unimodular U whose rows u have u.e in {-1, 0, 1} on the support, by
     the order of the stabiliser {B in G : B^T u = +-u} of the first row,
-    while it exceeds `least`.  Such u are fixed by their values
-    on a basis, so 3^n candidates cover all (none tried past n = 8); the
+    while it exceeds `least`.  G has more than one map, which automorphisms
+    finds only for n <= 8 and a support that spans Q^n.  Such u are fixed
+    by their values on a basis, so 3^n <= 6561 candidates cover all; the
     256 of least |u|_1 are ranked.  The other rows are picked greedily; a u
     without a completion is skipped."""
     pts = [e for _, e in terms]
-    basis = _basis(pts)
-    if basis is None or len(pts[0]) > 8:
-        return
-    adj, det = inverse([pts[i] for i in basis])
+    adj, det = inverse([pts[i] for i in _basis(pts)])
     u = np.array(list(product((-1, 0, 1), repeat=len(pts[0])))) @ adj.T
     u = u[~(u % det).any(axis=1)] // det
     u = u[(np.abs(np.array(pts) @ u.T) <= 1).all(axis=0)]

@@ -208,12 +208,43 @@ def test_plan_bounds_the_symmetry_search():
         primes = _primes(tp, p)
         assert torus.coefficient_residues(tp, primes) \
             == tuple(naive_power_coeff(h, p) % q for q in primes)
-    # the 3840 maps of 5 variables, found within 6561 nodes at p = 8, are
-    # more than torus uses: no H, and no coordinate change is ranked
+    # the 3840 maps of 5 variables take 6331 nodes to find.  At p = 8 a
+    # chunk has 1152 points (128 rows of 9), so the search stops there: no
+    # H, and no coordinate change is ranked.  At p = 50 a chunk has 6528
+    # points, and the 384 grid maps that fix the inner variable's fibres
+    # act (plan only: the kernel takes about a second)
     nf = normalize(parse_laurent(" + ".join(f"X{k} + X{k}^-1"
                                             for k in range(5))))
     tp = torus.plan(nf, tuple(8 * s for s in nf.shift), 8)
     assert (tp.M ** len(tp.grid), tp.H, tp.U) == (6561, (), None)
+    tp = torus.plan(nf, tuple(50 * s for s in nf.shift), 50)
+    assert (tp.M, len(tp.H)) == (51, 384)
+    # sum_k c_k (X_k + 1/X_k) in 8 variables, c = 1,1,2,2,3,4,5,6: its 1024
+    # maps take 1759 nodes, past the floor of 1024 while a chunk has 384 or
+    # 512 points (p = 2 and 3), so the plan has no symmetry
+    h = parse_laurent(" + ".join(f"{c}*X{k} + {c}*X{k}^-1" for k, c in
+                                 enumerate((1, 1, 2, 2, 3, 4, 5, 6))))
+    nf = normalize(h)
+    for p in (3, 2):
+        tp = torus.plan(nf, tuple(p * s for s in nf.shift), p)
+        assert (tp.H, tp.U) == ((), None)
+    primes = _primes(tp, 2)
+    assert torus.coefficient_residues(tp, primes) \
+        == tuple(naive_power_coeff(h, 2) % q for q in primes)
+
+
+def test_benchmark_plans_are_pinned():
+    # exact_coefficient of samples 39, 24 and 38 at p = 40, and their
+    # series to P = 34 (the plan of a_34); only sample 39 changes
+    # coordinates
+    for p, M, count in [(40, 41, 6), (34, 35, 5)]:
+        for name, inner, order, row in [("39", 0, 6, (1, 0, 1, -1)),
+                                        ("24", 3, 3, None),
+                                        ("38", 3, 2, None)]:
+            tp, ms = _prepare(sample_polynomial(name), p)
+            assert (tp.inner, tp.M, len(tp.H), len(ms.primes)) \
+                == (inner, M, order, count), (name, p)
+            assert (tp.U[0] if tp.U else None) == row, (name, p)
 
 
 def test_orbit_weights_cover_the_grid():
