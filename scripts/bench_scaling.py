@@ -22,10 +22,11 @@ p = 20 and 40 of a polynomial without lattice symmetries (a seeded random
 23-term polynomial in 4 variables with distinct coefficients, so that the
 whole grid is summed), exact_coefficient of the walk X + 1/X + Y + 1/Y
 at p = 256 and index (1, 3), of sum_k c_k (X_k + 1/X_k) in 8 variables
-(c = 1,1,2,2,3,4,5,6) at p = 3 and of the 5-variable cross-polytope
-sum_k (X_k + 1/X_k) at p = 50; and sample 39 at p = 40 and 80 and its series
-to 59 on at most 2 workers as well (the cases ending in _t2: fewer when the
-predicted work does not pay for a fork).  Each case runs in
+(c = 1,1,2,2,3,4,5,6) at p = 3, of the 4-variable cross-polytope
+sum_k (X_k + 1/X_k) at p = 5 and of the 5-variable one at p = 50; and
+sample 39 at p = 40 and 80 and its series to 59 on at most 2 workers as
+well (the cases ending in _t2: fewer when the predicted work does not pay
+for a fork).  Each case runs in
 a child process of its own, at least five times in about 2 s (once past
 5 s), in three rounds.  The best run, and the median and quartiles of all
 of them, each round's median and the row-block workers of the run, go into
@@ -194,6 +195,7 @@ CASES = {
     "nosym_p40": ("coeff", "nosym", 40, 1),
     "walk_p256": ("coeff", "walk", 256, 1),
     "sum8_p3": ("coeff", "sum8", 3, 1),
+    "cross4_p5": ("coeff", "cross4", 5, 1),
     "cross5_p50": ("coeff", "cross5", 50, 1),
 }
 # the polynomials of the cases that are not samples
@@ -201,6 +203,7 @@ POLYS = {
     "walk": "X + X^-1 + Y + Y^-1",
     "sum8": " + ".join(f"{c}*X{k} + {c}*X{k}^-1" for k, c in
                        enumerate((1, 1, 2, 2, 3, 4, 5, 6))),
+    "cross4": " + ".join(f"X{k} + X{k}^-1" for k in range(4)),
     "cross5": " + ".join(f"X{k} + X{k}^-1" for k in range(5)),
 }
 
@@ -301,6 +304,10 @@ def north_star(path: Path, trees: dict):
                    "variables, c = 1,1,2,2,3,4,5,6, 3): its 1024 lattice "
                    "maps take more search nodes than a chunk of grid rows "
                    "has points, so the whole grid is summed",
+        "cross4_p5": "exact_coefficient(sum of X_k + 1/X_k over 4 "
+                     "variables, 5): its 384 lattice maps take more search "
+                     "nodes (633) than a chunk of grid rows has points "
+                     "(216), so the whole grid is summed",
         "cross5_p50": "exact_coefficient(sum of X_k + 1/X_k over 5 "
                       "variables, 50): 384 of its 3840 lattice maps act "
                       "on the grid",

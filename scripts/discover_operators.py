@@ -14,7 +14,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ctpow.cli import _progress
 from ctpow.fixtures import OPERATOR_NAMES, sample_operator, sample_polynomial
 from ctpow.recurrence import (constant_term_series, operator_to_recurrence,
                               recurrence_to_operator, search_recurrence)
@@ -34,9 +33,7 @@ def main():
     for name in args.samples.split(","):
         h = sample_polynomial(name)
         t0 = time.perf_counter()
-        s = constant_term_series(h, args.count, threads=args.threads,
-                                 progress=_progress(f"series {name}",
-                                                    "row blocks"))
+        s = constant_term_series(h, args.count, threads=args.threads)
         dt = time.perf_counter() - t0
         print(f"\n=== sample {name}: {len(s)} terms in {dt:.1f}s ===")
 

@@ -57,18 +57,6 @@ def _emit(text: str, out: str | None):
         print(text)
 
 
-_open_line = False    # a progress line is open on stderr: main ends it
-
-
-def _progress(label, unit):
-    def report(done, total):
-        global _open_line
-        _open_line = done < total
-        print(f"\r{label}: {done}/{total} {unit}", file=sys.stderr,
-              end="" if _open_line else "\n", flush=True)
-    return report
-
-
 # --- subcommands --------------------------------------------------------------
 
 def cmd_coeff(args) -> int:
@@ -81,8 +69,7 @@ def cmd_coeff(args) -> int:
 
 def cmd_series(args) -> int:
     h = _load_polynomial(args)
-    s = constant_term_series(h, args.count, threads=args.threads,
-                             progress=_progress("series", "row blocks"))
+    s = constant_term_series(h, args.count, threads=args.threads)
     _emit(json.dumps(series_to_json(s), indent=2, sort_keys=True), args.out)
     return 0
 
@@ -255,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    global _open_line
-    _open_line = False
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
@@ -276,7 +261,7 @@ def main(argv=None) -> int:
         return 128 + signal.SIGPIPE
     except (ValueError, KeyError, OSError) as exc:
         code, text = 3, f"error: {exc}"
-    print(("\n" if _open_line else "") + text, file=sys.stderr)
+    print(text, file=sys.stderr)
     return code
 
 

@@ -78,15 +78,15 @@ def _workers(tp, work: int, threads: int) -> int:
     return min(threads, tp.rows, max(1, work // _WORK_PER_WORKER))
 
 
-def _sum_row_blocks(tp, ms: ModulusSet, threads: int, series: bool = False,
-                    progress=None) -> list:
+def _sum_row_blocks(tp, ms: ModulusSet, threads: int, series: bool = False
+                    ) -> list:
     """torus.series_residues if series, else torus.coefficient_residues,
     over blocks of grid rows, summed modulo each prime as Python ints.
     There are at most `threads` blocks, fewer when the predicted work does
     not pay for a fork (_workers).  Block k takes every n-th row from row
     k, as the orbit representatives crowd into the first rows.  On Linux
     forked children sum blocks 1..n-1 and send back int64 residues (below
-    2^31); a dead one raises WorkerError.  progress(done, n) counts."""
+    2^31); a dead one raises WorkerError."""
     fn = torus.series_residues if series else torus.coefficient_residues
     n = _workers(tp, torus.predicted_work(tp, ms.primes, series), threads)
     blocks = [(tp, ms.primes, range(k, tp.rows, n)) for k in range(n)]
@@ -102,19 +102,17 @@ def _sum_row_blocks(tp, ms: ModulusSet, threads: int, series: bool = False,
                     os._exit(1)
             os.close(fds.pop())
             pids.append(pid)
-        for done, block in enumerate(blocks, 1):
-            if done == 1 or not fds:
+        for k, block in enumerate(blocks, 1):
+            if k == 1 or not fds:
                 part = np.array(fn(*block), np.int64)
             else:
-                with open(fds[done - 2], "rb", closefd=False) as pipe:
+                with open(fds[k - 2], "rb", closefd=False) as pipe:
                     data = pipe.read()
                 if len(data) != part.nbytes:  # it died before it was done
-                    raise WorkerError(f"row block {done} of {n} sent "
+                    raise WorkerError(f"row block {k} of {n} sent "
                                       f"{len(data)} of {part.nbytes} bytes")
                 part = np.frombuffer(data, np.int64).reshape(part.shape)
             total = total + part  # n parts below 2^31 stay below 2^63
-            if progress:
-                progress(done, n)
     finally:  # reap every child, and first stop any still running
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -210,7 +208,7 @@ def series_from_json(obj) -> Series:
 
 
 def constant_term_series(h: LaurentPolynomial, P: int, threads: int = 1,
-                         use_split2: bool = True, progress=None) -> Series:
+                         use_split2: bool = True) -> Series:
     """a_p = [h^p]_0 for p = 0..P, exactly, in one pass over one grid.
 
     Every power shares the grid planned for a_P and one set of primes whose
@@ -220,10 +218,9 @@ def constant_term_series(h: LaurentPolynomial, P: int, threads: int = 1,
     worker, at most `threads` and fewer when the predicted work does not
     pay for a fork; each block returns partial sums of all P + 1 terms, and
     results are identical for any thread count because each block is exact
-    field arithmetic.  progress(done, total) counts row blocks.  If P *
-    shift lies off the support of h^P, so does p * shift for every p >= 1:
-    a_1..a_P are 0, without a plan.  Raises ValueError unless P is an
-    integer in [0, torus.MAX_SERIES).
+    field arithmetic.  If P * shift lies off the support of h^P, so does
+    p * shift for every p >= 1: a_1..a_P are 0, without a plan.  Raises
+    ValueError unless P is an integer in [0, torus.MAX_SERIES).
     """
     P = _integer(P, "series length")
     if not 0 <= P < torus.MAX_SERIES:
@@ -233,7 +230,7 @@ def constant_term_series(h: LaurentPolynomial, P: int, threads: int = 1,
     if prepared is None:    # P * shift off the support for every P >= 1
         return Series(h, (1,) + (0,) * P)
     tp, ms = prepared
-    sums = _sum_row_blocks(tp, ms, threads, series=True, progress=progress)
+    sums = _sum_row_blocks(tp, ms, threads, series=True)
     return Series(h, tuple(reconstruct(r, ms) for r in sums))
 
 

@@ -78,7 +78,8 @@ def inverse(rows):
 @lru_cache(maxsize=32)
 def automorphisms(terms, steps: int = MAX_STEPS) -> tuple[Matrix, ...]:
     """Every B in GL_n(Z) with c_(Be) = c_e; terms is ((c, e), ...).  A
-    search of more than `steps` nodes gives the identity only."""
+    search of more than `steps` nodes gives the identity only; one within
+    them returns at most `steps` maps, one per leaf."""
     n = len(terms[0][1])
     E = np.array([e for _, e in terms], dtype=np.int64).reshape(len(terms), n)
     identity = (tuple(map(tuple, np.eye(n, dtype=int).tolist())),)

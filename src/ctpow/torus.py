@@ -46,10 +46,11 @@ a point under the automorphisms that map the inner variable's fibres to
 fibres (row inner of B is +-e_inner; without an inner variable, all) and
 fix i.  H is the set of distinct grid maps s -> B[grid, grid]^T s mod M
 they give; `ctpow bench` prints |H|.  One number bounds the symmetry
-used, the points of a chunk of _ROWS grid rows: a search past that many
-nodes (1024 to symmetry.MAX_STEPS), or an H of more maps, gives none.  The
-point of least flat index stands for its orbit, weighted |H| / #{A in H :
-A s = s} (symmetry.orbits).  The planner may first change coordinates by a
+used, the points of a chunk of _ROWS grid rows (at most
+symmetry.MAX_STEPS): a search past that many nodes gives none, and one
+within it returns at most that many maps.  The point of least flat index
+stands for its orbit, weighted |H| / #{A in H : A s = s}
+(symmetry.orbits).  The planner may first change coordinates by a
 unimodular U, [h^p]_i = [(h o U)^p]_(U i), to sum a direction with a
 larger stabiliser exactly.
 
@@ -137,17 +138,16 @@ def _layout(nf: NormalizedPolynomial, target, p: int, inners) -> TorusPlan:
 def _acting(G, tp: TorusPlan) -> tuple[Matrix, ...]:
     """The distinct A = B[grid, grid]^T for the B in G that map the inner
     variable's fibres to fibres (row inner of B is +-e_inner); none if a
-    variable is off the grid, if the weights of a batch could reach 2**31,
-    or if H has more maps than a chunk has points, the number that also
-    bounds plan's search (symmetry.orbits then takes about |H| / (points
-    per representative) passes per chunk)."""
+    variable is off the grid or if the weights of a batch could reach
+    2**31.  plan's search budget bounds |H|: G has at most one map per
+    node searched."""
     if tp.inner is not None:
         G = G[~np.delete(G[:, tp.inner], tp.inner, axis=1).any(axis=1)]
     # np.unique(axis=0) would import numpy.ma: 35 ms in a fresh process
     A = tuple(dict.fromkeys(tuple(map(tuple, a)) for a in G[:, tp.grid][
         :, :, tp.grid].transpose(0, 2, 1).tolist()))
     return A if (len(tp.grid) + (tp.inner is not None) == G.shape[1]
-                 and 2 <= len(A) <= min(_ROWS, tp.rows) * tp.M
+                 and 2 <= len(A)
                  and _BATCH * tp.M * len(A) < 1 << 31) else ()
 
 
@@ -159,18 +159,18 @@ def plan(nf: NormalizedPolynomial, target, p: int, use_split2: bool = True
     largest M on the grid is summed exactly; ties go to the last.  Variables
     absent from f with target 0 are left off the grid.  A grid of two or
     more variables gets H from an automorphism search of at most one node
-    per point of a chunk of grid rows (at least 1024), the bound _acting
-    puts on |H|; a longer search gives the identity.  With use_split2 the
-    first U of symmetry.coordinate_changes (of the first 8) that strictly
-    enlarges H without raising M changes the coordinates: its first row is
-    summed exactly, and the plan holds h o U and U i
-    (symmetry.in_coordinates) instead of nf and target."""
+    per point of a chunk of grid rows, which also bounds |H|; a longer
+    search gives the identity.  With use_split2 the first U of
+    symmetry.coordinate_changes (of the first 8) that strictly enlarges H
+    without raising M changes the coordinates: its first row is summed
+    exactly, and the plan holds h o U and U i (symmetry.in_coordinates)
+    instead of nf and target."""
     tp = _layout(nf, target, p, range(nf.n) if use_split2 else ())
     if len(tp.grid) < 2:
         return tp                  # one row: numpy call overhead dominates
     terms = symmetry.laurent_terms(nf)
-    G = symmetry.automorphisms(terms, min(symmetry.MAX_STEPS, max(
-        1 << 10, min(_ROWS, tp.rows) * tp.M)))
+    G = symmetry.automorphisms(terms, min(symmetry.MAX_STEPS,
+                                          min(_ROWS, tp.rows) * tp.M))
     G = np.array(G, dtype=np.int64).reshape(len(G), nf.n, nf.n)
     index = np.array(target, dtype=np.int64) - p * np.array(nf.shift)
     G = G[(G @ index == index).all(axis=1)]      # those that fix the index

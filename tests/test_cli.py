@@ -78,8 +78,7 @@ def test_series_dwork(capsys):
     assert obj["terms"][5] == "120"
     assert obj["terms"][10] == "113400"
     assert obj["poly"]["variables"] == ["X", "Y", "Z", "T"]
-    assert "series:" in err  # progress goes to stderr
-    assert err.rstrip().endswith("row blocks")  # counted in grid row blocks
+    assert err == ""
 
 
 def test_series_negative_count_exits_3(capsys):
@@ -312,8 +311,7 @@ def test_a_closed_stdout_exits_141_without_an_error_line(capsys):
     with mock.patch.object(sys, "stdout", Closed()):
         code = main(["series", "--fixture", "39", "--count", "3",
                      "--threads", "1"])
-    assert (code, capsys.readouterr().err) == (
-        141, "\rseries: 1/1 row blocks\n")
+    assert (code, capsys.readouterr().err) == (141, "")
     # a real pipe closed before the write, and no error at exit either:
     # block-buffered, a short result meets the closed pipe only in a flush
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -396,7 +394,8 @@ def test_dead_worker_exits_5(monkeypatch, capsys):
 
 @pytest.mark.skipif(sys.platform != "linux",
                     reason="row blocks run in forked workers only on Linux")
-def test_an_error_after_partial_progress_starts_a_line(monkeypatch, capsys):
+def test_a_dead_series_worker_exits_5_with_one_error_line(monkeypatch,
+                                                         capsys):
     import ctpow.torus
     real = ctpow.torus.series_residues
     _two_cpus(monkeypatch)
@@ -410,10 +409,8 @@ def test_an_error_after_partial_progress_starts_a_line(monkeypatch, capsys):
     code, out, err = run(capsys, "series", "--fixture", "39", "--count",
                          "10", "--threads", "2")
     assert (code, out) == (5, "")
-    # the progress line is ended before the one error line
-    assert err == ("\rseries: 1/2 row blocks\n"
-                   "error: worker failed: row block 2 of 2 sent 0 of 176 "
+    assert err == ("error: worker failed: row block 2 of 2 sent 0 of 176 "
                    "bytes\n")
-    # a later error starts no blank line
+    # a later error is one line too
     code, _, err = run(capsys, "bench", "--fixture", "39", "--power", "-3")
     assert (code, err) == (3, "error: negative power\n")

@@ -174,14 +174,32 @@ def _four_cpus(monkeypatch):
     monkeypatch.setattr(recurrence, "_WORK_PER_WORKER", 1)
 
 
-def test_series_progress_counts_row_blocks(monkeypatch):
+def _row_blocks(monkeypatch, kernel):
+    """Record the blocks the caller sums with torus.<kernel> (rows.step is
+    the number of blocks), and count the forks."""
+    caller, real, fork = os.getpid(), getattr(torus, kernel), os.fork
+    steps, forks = [], []
+
+    def recorded(tp, primes, rows=None):
+        if os.getpid() == caller:
+            steps.append(rows.step)
+        return real(tp, primes, rows)
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(torus, kernel, recorded)
+    monkeypatch.setattr(os, "fork", counted)
+    return steps, forks
+
+
+def test_series_runs_one_row_block_per_worker(monkeypatch):
     _four_cpus(monkeypatch)
-    seen = []
-    s = constant_term_series(sample_polynomial("dwork4"), 10, threads=2,
-                             progress=lambda *counts: seen.append(counts))
-    total = seen[-1][1]
-    assert total == 2                 # one block per worker
-    assert seen == [(k, total) for k in range(1, total + 1)]
+    steps, forks = _row_blocks(monkeypatch, "series_residues")
+    s = constant_term_series(sample_polynomial("dwork4"), 10, threads=2)
+    # two blocks, each summed by the caller or by a forked worker
+    assert set(steps) == {2} and len(steps) + len(forks) == 2
     assert s.terms[10] == known_family("dwork4", 10)
 
 
@@ -193,12 +211,11 @@ def test_workers_only_where_the_predicted_work_pays(monkeypatch):
         raise AssertionError("forked a worker the work does not pay for")
 
     # sample 39's series to 34 (2.5M reductions) runs in the caller alone
+    steps, _ = _row_blocks(monkeypatch, "series_residues")
     monkeypatch.setattr(os, "fork", refused)
-    seen = []
     h = sample_polynomial("39")
-    s = constant_term_series(h, 34, threads=4,
-                             progress=lambda *counts: seen.append(counts))
-    assert seen == [(1, 1)]
+    s = constant_term_series(h, 34, threads=4)
+    assert steps == [1]
     assert s.terms[34] == 3211309377627488368871951072460527618304240
     # its series to 59 (39.2M) pays for two, decided without the kernel
     monkeypatch.setattr(torus, "series_residues", refused)
@@ -235,11 +252,10 @@ def test_row_block_workers_are_reaped_on_success_death_and_interrupt(
     _four_cpus(monkeypatch)
     h = sample_polynomial("39")
     want = exact_coefficient(h, 12, threads=1)
-    seen = []
-    s = constant_term_series(h, 12, threads=3,
-                             progress=lambda *counts: seen.append(counts))
+    steps, forks = _row_blocks(monkeypatch, "series_residues")
+    s = constant_term_series(h, 12, threads=3)
     assert s.terms[12] == want
-    assert seen == [(1, 3), (2, 3), (3, 3)]
+    assert (steps, len(forks)) == ([3], 2)
     _no_child_left()
 
     caller, real = os.getpid(), torus.coefficient_residues

@@ -186,7 +186,7 @@ def test_plan_bounds_the_symmetry_search():
     assert time.perf_counter() - t0 < 1
     assert (tp.U, tp.H, tp.nf, tp.target) == (None, (), nf, (20, 20, 20))
     # 46080 signed permutations of 6 variables: at p = 2 (243 grid points)
-    # the search stops after 1024 nodes; the plan stays exact
+    # the search stops after 243 nodes; the plan stays exact
     h = parse_laurent(" + ".join(f"X{k} + X{k}^-1" for k in range(6)))
     nf = normalize(h)
     t0 = time.perf_counter()
@@ -196,13 +196,14 @@ def test_plan_bounds_the_symmetry_search():
     primes = _primes(tp, 2)
     assert torus.coefficient_residues(tp, primes) \
         == tuple(12 % q for q in primes)
-    # H with more maps than a chunk has points is not used: the 4-variable
-    # cross-polytope's 48 distinct grid maps at p = 2 (9 rows of 3 points),
-    # but at p = 3 and 5 (the 96 that fix the inner variable's fibres act
-    # in pairs: flipping the inner variable alone moves no grid point)
+    # the 4-variable cross-polytope's 384 maps take 633 nodes to find, more
+    # than a chunk has points at p = 2, 3 and 5 (27, 64 and 216): no H.  At
+    # p = 10 a chunk has 121 rows of 11 points, and 48 distinct grid maps
+    # act (the 96 that fix the inner variable's fibres act in pairs:
+    # flipping the inner variable alone moves no grid point)
     h = parse_laurent(" + ".join(f"X{k} + X{k}^-1" for k in range(4)))
     nf = normalize(h)
-    for p, order in [(2, 0), (3, 48), (5, 48)]:
+    for p, order in [(2, 0), (3, 0), (5, 0), (10, 48)]:
         tp = torus.plan(nf, tuple(p * s for s in nf.shift), p)
         assert len(tp.H) == order
         primes = _primes(tp, p)
@@ -220,8 +221,8 @@ def test_plan_bounds_the_symmetry_search():
     tp = torus.plan(nf, tuple(50 * s for s in nf.shift), 50)
     assert (tp.M, len(tp.H)) == (51, 384)
     # sum_k c_k (X_k + 1/X_k) in 8 variables, c = 1,1,2,2,3,4,5,6: its 1024
-    # maps take 1759 nodes, past the floor of 1024 while a chunk has 384 or
-    # 512 points (p = 2 and 3), so the plan has no symmetry
+    # maps take 1759 nodes, past the 384 or 512 points of a chunk (p = 2
+    # and 3), so the plan has no symmetry
     h = parse_laurent(" + ".join(f"{c}*X{k} + {c}*X{k}^-1" for k, c in
                                  enumerate((1, 1, 2, 2, 3, 4, 5, 6))))
     nf = normalize(h)
@@ -231,6 +232,20 @@ def test_plan_bounds_the_symmetry_search():
     primes = _primes(tp, 2)
     assert torus.coefficient_residues(tp, primes) \
         == tuple(naive_power_coeff(h, 2) % q for q in primes)
+
+
+def test_the_search_budget_bounds_the_group():
+    # plan no longer tests |H| against the points of a chunk: a search of at
+    # most that many nodes returns at most that many maps
+    polys = [sample_polynomial(name)
+             for name in ("39", "24", "38", "41", "dwork4")]
+    polys += [parse_laurent(" + ".join(f"X{k} + X{k}^-1" for k in range(n)))
+              for n in range(2, 6)]
+    for h in polys:
+        nf = normalize(h)
+        for p in range(2, 41):
+            tp = torus.plan(nf, tuple(p * s for s in nf.shift), p)
+            assert len(tp.H) <= min(torus._ROWS, tp.rows) * tp.M, (h, p)
 
 
 def test_benchmark_plans_are_pinned():
