@@ -1,43 +1,18 @@
-"""Scaling study: time, traced memory, and operation counts against the power.
+"""The paired timing file: the north-star cases of CASES, on one thread
+(at most 2 workers in the cases ending in _t2), into BENCH_<n>.json.
 
-Prints one row per power for a chosen sample: wall time for the full exact
-computation (torus engine), the peak memory in MiB that tracemalloc traces
-(numpy reports its buffers to it) during one torus engine call on one prime
-(the quantity that should grow linearly in p), and
-the elementwise multiplications of the reference engine's node walk with
-split2 on (X1 summed by the trinomial formula) and off (every variable's
-nodes walked and f powered at each).
+Each case runs in a child process of its own, at least five times in about
+2 s (once past 5 s), in three rounds.  The best run, and the median and
+quartiles of all of them, each round's median and the row-block workers of
+the run, go into one column of FILE (created if missing; other columns are
+kept) with the git revision, the Python and numpy versions and the core
+count; FILE's "cases" says what each case computes.  --src picks the source
+tree to time, into the column "change".  With --parent SRC the tree SRC is
+timed too, into the column "parent": the two trees alternate case by case
+(which goes first alternates as well), so that paired runs are made at the
+same time, and their results must agree:
 
-With --series P1,P2,... it times constant_term_series(sample, P) on one
-thread instead and prints the nanoseconds per grid point, power (p = 1..P)
-and prime:
-
-    python scripts/bench_scaling.py --fixture 39 --series 10,20,40
-
-With --json FILE it times the north-star cases on one thread instead:
-exact_coefficient of sample 39 at p = 40, 80 and 150, of samples 24 and 38
-at p = 40, the constant term series of sample 39 to p = 59 and of sample 38
-to p = 34, search_recurrence on sample 39's 60 terms, exact_coefficient at
-p = 20 and 40 of a polynomial without lattice symmetries (a seeded random
-23-term polynomial in 4 variables with distinct coefficients, so that the
-whole grid is summed), exact_coefficient of the walk X + 1/X + Y + 1/Y
-at p = 256 and index (1, 3), of sum_k c_k (X_k + 1/X_k) in 8 variables
-(c = 1,1,2,2,3,4,5,6) at p = 3, of the 4-variable cross-polytope
-sum_k (X_k + 1/X_k) at p = 5 and of the 5-variable one at p = 50; and
-sample 39 at p = 40 and 80 and its series to 59 on at most 2 workers as
-well (the cases ending in _t2: fewer when the predicted work does not pay
-for a fork).  Each case runs in
-a child process of its own, at least five times in about 2 s (once past
-5 s), in three rounds.  The best run, and the median and quartiles of all
-of them, each round's median and the row-block workers of the run, go into
-one column of FILE (created if
-missing; other columns are kept) with the git revision, the Python and
-numpy versions and the core count.  --src picks the source tree to time.
-With --parent SRC the tree SRC is timed too, into the column "parent": the
-two trees alternate case by case (which goes first alternates as well), so
-that paired runs are made at the same time, and their results must agree:
-
-    python scripts/bench_scaling.py --json BENCH_15.json --parent ../parent/src
+    python scripts/bench_scaling.py --json BENCH_27.json --parent ../parent/src
 """
 
 import argparse
@@ -51,98 +26,29 @@ import statistics
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--fixture", default="39")
-    ap.add_argument("--powers", default="5,10,20,40,80")
-    ap.add_argument("--threads", type=int, default=0)
-    ap.add_argument("--series", metavar="P1,P2,...",
-                    help="time one-thread constant term series instead")
     ap.add_argument("--json", metavar="FILE",
-                    help="time the north-star cases into FILE instead")
-    ap.add_argument("--column", default="change",
-                    help="column of the --json file to write")
+                    help="time the north-star cases into FILE")
     ap.add_argument("--src", type=Path, help="source tree to time",
                     default=Path(__file__).resolve().parents[1] / "src")
     ap.add_argument("--parent", metavar="SRC",
-                    help="with --json, time this source tree too, paired")
+                    help="time this source tree too, paired")
     ap.add_argument("--case", choices=CASES, help=argparse.SUPPRESS)
     args = ap.parse_args()
     sys.path.insert(0, str(args.src))
     if args.case:
         print(json.dumps(run_case(args.case)))
-        return
-    if args.json:
-        trees = {args.column: args.src}
+    elif args.json:
+        trees = {"change": args.src}
         if args.parent:
             trees = {"parent": Path(args.parent), **trees}
         north_star(Path(args.json), trees)
-        return
-
-    from ctpow import torus
-    from ctpow.engine import Counters, coefficient_mod_prime
-    from ctpow.fixtures import SAMPLE_NAMES, sample_polynomial
-    from ctpow.laurent import normalize
-    from ctpow.recurrence import _prepare, exact_coefficient
-    from ctpow.rns import select_primes
-    if args.fixture not in SAMPLE_NAMES:
-        ap.error(f"--fixture must be one of {', '.join(SAMPLE_NAMES)}")
-    h = sample_polynomial(args.fixture)
-    nf = normalize(h)
-    if args.series:
-        series_table(args.fixture, h, nf,
-                     [int(x) for x in args.series.split(",")])
-        return
-    q = select_primes(1 << 30).primes[0]
-    print(f"sample {args.fixture}, cleared shape "
-          f"{tuple(d + 1 for d in nf.degrees)}, reference prime {q}")
-    header = (f"{'p':>4} {'digits':>7} {'total s':>9} {'peak MiB':>9} "
-              f"{'mults on':>12} {'mults off':>12}")
-    print(header)
-    print("-" * len(header))
-
-    for p in (int(x) for x in args.powers.split(",")):
-        t0 = time.perf_counter()
-        value = exact_coefficient(h, p, threads=args.threads)
-        dt = time.perf_counter() - t0
-
-        tp, ms = _prepare(h, p)          # the run's plan, its first prime
-        tracemalloc.start()
-        torus.coefficient_residues(tp, ms.primes[:1])
-        peak = tracemalloc.get_traced_memory()[1] / (1 << 20)
-        tracemalloc.stop()
-        counts = {}
-        for flag in (True, False):
-            c = Counters()
-            coefficient_mod_prime(nf, tuple(p * s for s in nf.shift), p, q,
-                                  flag, c)
-            counts[flag] = c.mults
-        print(f"{p:>4} {len(str(value)):>7} {dt:>9.2f} {peak:>9.2f} "
-              f"{counts[True]:>12} {counts[False]:>12}")
-
-
-def series_table(name, h, nf, counts):
-    from ctpow.recurrence import _prepare, constant_term_series
-    print(f"sample {name} series, cleared shape "
-          f"{tuple(d + 1 for d in nf.degrees)}, one thread")
-    header = (f"{'P':>4} {'M':>4} {'grid pts':>9} {'primes':>6} "
-              f"{'total s':>8} {'ns/(pt*power*prime)':>20}")
-    print(header)
-    print("-" * len(header))
-    for P in counts:
-        tp, ms = _prepare(h, P)     # what constant_term_series uses
-        primes = len(ms.primes)
-        points = tp.M ** len(tp.grid)
-        t0 = time.perf_counter()
-        constant_term_series(h, P, threads=1)
-        dt = time.perf_counter() - t0
-        ns = 1e9 * dt / (points * P * primes) if P else float("nan")
-        print(f"{P:>4} {tp.M:>4} {points:>9} {primes:>6} {dt:>8.3f} "
-              f"{ns:>20.1f}")
+    else:
+        ap.error("the following arguments are required: --json")
 
 
 def _timed(fn, *args, **kwargs):
@@ -280,18 +186,23 @@ def north_star(path: Path, trees: dict):
             for col, src in order[::-1] if (r + i) % 2 else order:
                 out = subprocess.run(
                     [sys.executable, __file__, "--case", case, "--src",
-                     str(src)], capture_output=True, text=True, check=True)
+                     str(src)], capture_output=True, text=True)
+                if out.returncode:
+                    sys.exit(f"case {case} failed on {col} ({src}):\n"
+                             f"{out.stderr}")
                 rec = json.loads(out.stdout.splitlines()[-1])
                 times[col][case] += rec["times"]
                 medians[col][case].append(statistics.median(rec["times"]))
                 workers[col][case] = rec["workers"]
-                results.setdefault(case.removesuffix("_t2"), set()).add(
-                    rec["result"])
                 meta[col] = {"python": rec["python"], "numpy": rec["numpy"]}
+                # every tree and thread count gives the same result
+                found = results.setdefault(case.removesuffix("_t2"), set())
+                found.add(rec["result"])
+                if len(found) > 1:
+                    sys.exit(f"case {case} on {col} disagrees with an "
+                             f"earlier run:\n" + "\n".join(sorted(found)))
             print(case, {col: medians[col][case][-1] for col in trees},
                   flush=True)
-    # every tree and thread count gives the same result
-    assert all(len(found) == 1 for found in results.values()), results
     record = json.loads(path.read_text()) if path.exists() else {}
     record["cases"] = {
         "coeffS_pN": "exact_coefficient(sample S, N), constant term",

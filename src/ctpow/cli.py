@@ -78,17 +78,17 @@ def cmd_findop(args) -> int:
     s = series_from_json(json.loads(Path(args.series).read_text()))
     hits = search_recurrence(s, args.max_length, args.max_degree,
                              extra=args.extra)
-    if not hits:
-        _emit("no operator found", args.out)
-        return 0
     blocks = [recurrence_to_operator(rec).to_text() for rec in hits]
-    _emit("\n\n".join(blocks), args.out)
+    _emit("\n\n".join(blocks) or "no operator found", args.out)
     return 0
 
 
 def cmd_bench(args) -> int:
     h = _load_polynomial(args)
-    powers = sorted({int(p) for p in args.power.split(",")})
+    try:
+        powers = sorted({int(p) for p in args.power.split(",")})
+    except ValueError:
+        raise LaurentError(f"bad powers {args.power!r}; expected P1,P2,...")
     w = total_weight(h)
     threads = _resolve_threads(args.threads)
     lines = [f"polynomial: {to_expr_string(h)}",

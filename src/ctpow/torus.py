@@ -315,9 +315,9 @@ def _omega_powers(M: int, q):
 
 def representatives(tp: TorusPlan) -> int:
     """The number of orbits of tp.H on the grid: the points summed."""
-    return sum(len(symmetry.orbits(tp.maps, tp.M, np.arange(
-        r, min(r + _ROWS, tp.rows)), tp.M if tp.grid else 1)[3])
-               for r in range(0, tp.rows, _ROWS))
+    H, M = tp.maps, tp.M
+    return sum(len(symmetry.orbits(H, M, np.arange(r, min(r + _ROWS, tp.rows)),
+                                   M)[3]) for r in range(0, tp.rows, _ROWS))
 
 
 def predicted_work(tp: TorusPlan, primes, series: bool) -> int:
@@ -380,11 +380,10 @@ def _class_values(tp: TorusPlan, primes, rows):
     group = np.zeros((n_classes * (d_last + 1), len(terms)),
                      dtype=float if len(terms) < 1 << 22 else np.int64)
     group[classes * (d_last + 1) + lasts, np.arange(len(terms))] = 1
-    L = M if last else 1                               # points per row
 
     # one batch of T points, refilled from the chunks: class values, the
     # powers of omega and then the twist, and weight at each point
-    T = min(_BATCH, len(rows)) * L
+    T = min(_BATCH, len(rows)) * M
     vals = np.empty((n_classes, nq, T), dtype=np.int64)
     w, wt = np.empty((nq, T), dtype=np.int64), np.empty(T, dtype=np.int64)
     tmp = np.empty_like(vals)
@@ -394,7 +393,7 @@ def _class_values(tp: TorusPlan, primes, rows):
     for i in range(0, len(rows), _ROWS):
         row = np.array(rows[i:i + _ROWS], dtype=np.int64)
         R = len(row)
-        O, r_idx, l_idx, orbit = symmetry.orbits(H, M, row, L)
+        O, r_idx, l_idx, orbit = symmetry.orbits(H, M, row, M)
         # the coefficients of each class in the last variable, per row ...
         ph = E @ O % M
         gathered = term_tab[:, np.arange(len(terms))[:, None], ph]

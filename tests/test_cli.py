@@ -223,6 +223,13 @@ def test_bench_refuses_a_negative_power(capsys):
         assert "error: negative power" in err and "Traceback" not in err
 
 
+def test_bench_bad_power_list(capsys):
+    code, out, err = run(capsys, "bench", "--fixture", "dwork4",
+                         "--power", "2,x")
+    assert (code, out) == (3, "")
+    assert err == "error: bad powers '2,x'; expected P1,P2,...\n"
+
+
 def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path,
                                                               capsys):
     f = tmp_path / "s.json"

@@ -38,8 +38,7 @@ SCRIPT_RUNS = {
     "discover_operators.py": [("--samples dwork4 --count 12 --max-length 2 "
                                "--threads 1", "=== sample dwork4")],
     "reproduce_constant.py": [("--power 10 --threads 1", "polynomial:")],
-    "bench_scaling.py": [("--powers 5 --threads 1", "peak MiB"),
-                         ("--series 5", "grid pts")],
+    "bench_scaling.py": [("--case cross4_p5", '"result"')],
 }
 
 
