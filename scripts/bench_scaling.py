@@ -30,7 +30,9 @@ from pathlib import Path
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--json", metavar="FILE",
                     help="time the north-star cases into FILE")
     ap.add_argument("--src", type=Path, help="source tree to time",
