@@ -135,20 +135,28 @@ def _layout(nf: NormalizedPolynomial, target, p: int, inners) -> TorusPlan:
                      1 + max((need[k] for k in grid), default=0))
 
 
-def _acting(G, tp: TorusPlan) -> tuple[Matrix, ...]:
-    """The distinct A = B[grid, grid]^T for the B in G that map the inner
-    variable's fibres to fibres (row inner of B is +-e_inner); none if a
-    variable is off the grid or if the weights of a batch could reach
-    2**31.  plan's search budget bounds |H|: G has at most one map per
-    node searched."""
+def _acting(G, tp: TorusPlan) -> TorusPlan:
+    """tp with H: the distinct A = B[grid, grid]^T for the B in G that map
+    the inner variable's fibres to fibres (row inner of B is +-e_inner);
+    none if a variable is off the grid or if the weights of a batch could
+    reach 2**31.  plan's search budget bounds |H|: G has at most one map per
+    node searched.  The grid variable that the most maps keep in place
+    (column k of A zero off the diagonal) goes last, the latest on a tie,
+    so that those maps send rows to rows (symmetry.least_rows)."""
     if tp.inner is not None:
         G = G[~np.delete(G[:, tp.inner], tp.inner, axis=1).any(axis=1)]
     # np.unique(axis=0) would import numpy.ma: 35 ms in a fresh process
     A = tuple(dict.fromkeys(tuple(map(tuple, a)) for a in G[:, tp.grid][
         :, :, tp.grid].transpose(0, 2, 1).tolist()))
-    return A if (len(tp.grid) + (tp.inner is not None) == G.shape[1]
-                 and 2 <= len(A)
-                 and _BATCH * tp.M * len(A) < 1 << 31) else ()
+    if not (len(tp.grid) + (tp.inner is not None) == G.shape[1]
+            and 2 <= len(A) and _BATCH * tp.M * len(A) < 1 << 31):
+        return tp
+    g = len(tp.grid)
+    kept = (np.array(A) * (1 - np.eye(g, dtype=np.int64)) == 0).all(axis=1)
+    last = max(range(g), key=lambda k: (kept[:, k].sum(), k))
+    order = [k for k in range(g) if k != last] + [last]
+    return replace(tp, grid=tuple(tp.grid[k] for k in order), H=tuple(
+        tuple(tuple(a[i][j] for j in order) for i in order) for a in A))
 
 
 def plan(nf: NormalizedPolynomial, target, p: int, use_split2: bool = True
@@ -174,15 +182,15 @@ def plan(nf: NormalizedPolynomial, target, p: int, use_split2: bool = True
     G = np.array(G, dtype=np.int64).reshape(len(G), nf.n, nf.n)
     index = np.array(target, dtype=np.int64) - p * np.array(nf.shift)
     G = G[(G @ index == index).all(axis=1)]      # those that fix the index
-    tp = replace(tp, H=_acting(G, tp))
+    tp = _acting(G, tp)
     least = max(len(tp.H), 1)
     for U in islice(symmetry.coordinate_changes(terms, G, least), 8) \
             if use_split2 and len(G) > least else ():
         nf2, target2 = symmetry.in_coordinates(nf, target, p, U)
-        tp2 = _layout(nf2, target2, p, (0,))
-        H2 = _acting(U @ G @ symmetry.inverse(U)[0], tp2)
-        if len(H2) > least and tp2.M <= tp.M:
-            return replace(tp2, U=tuple(map(tuple, U.tolist())), H=H2)
+        tp2 = _acting(U @ G @ symmetry.inverse(U)[0],
+                      _layout(nf2, target2, p, (0,)))
+        if len(tp2.H) > least and tp2.M <= tp.M:
+            return replace(tp2, U=tuple(map(tuple, U.tolist())))
     return tp
 
 
@@ -316,8 +324,9 @@ def _omega_powers(M: int, q):
 def representatives(tp: TorusPlan) -> int:
     """The number of orbits of tp.H on the grid: the points summed."""
     H, M = tp.maps, tp.M
-    return sum(len(symmetry.orbits(H, M, np.arange(r, min(r + _ROWS, tp.rows)),
-                                   M)[3]) for r in range(0, tp.rows, _ROWS))
+    orbits = symmetry.orbit_pass(H, M, M)
+    return sum(len(orbits(row)[3]) for row in
+               symmetry.least_rows(H, M, range(tp.rows), _BATCH // 2))
 
 
 def predicted_work(tp: TorusPlan, primes, series: bool) -> int:
@@ -381,54 +390,59 @@ def _class_values(tp: TorusPlan, primes, rows):
                      dtype=float if len(terms) < 1 << 22 else np.int64)
     group[classes * (d_last + 1) + lasts, np.arange(len(terms))] = 1
 
-    # one batch of T points, refilled from the chunks: class values, the
-    # powers of omega and then the twist, and weight at each point
-    T = min(_BATCH, len(rows)) * M
+    # one batch of at most T points: class values, the powers of omega and
+    # then the twist, and a scratch
+    T, H = min(_BATCH, len(rows)) * M, tp.maps
     vals = np.empty((n_classes, nq, T), dtype=np.int64)
-    w, wt = np.empty((nq, T), dtype=np.int64), np.empty(T, dtype=np.int64)
-    tmp = np.empty_like(vals)
+    w, tmp = np.empty((nq, T), dtype=np.int64), np.empty_like(vals)
     vu, wu, tu, om, qu = (x.view(np.uint64) for x in (vals, w, tmp, omega, qs))
-    filled = 0
-    H = tp.maps
-    for i in range(0, len(rows), _ROWS):
-        row = np.array(rows[i:i + _ROWS], dtype=np.int64)
-        R = len(row)
-        O, r_idx, l_idx, orbit = symmetry.orbits(H, M, row, M)
+
+    def values(chunks):
+        """(vals, w, weight) at the representatives of the chunks (O, r, l,
+        weight) that symmetry.orbits gave."""
+        O, r, l, weight = zip(*chunks)
+        offsets = np.cumsum([0] + [x.shape[1] for x in O[:-1]]).tolist()
+        O, l = np.concatenate(O, axis=1), np.concatenate(l)
+        r = np.concatenate([x + k for x, k in zip(r, offsets)])
+        n = len(r)
         # the coefficients of each class in the last variable, per row ...
         ph = E @ O % M
         gathered = term_tab[:, np.arange(len(terms))[:, None], ph]
         P = (group @ gathered.transpose(1, 0, 2).reshape(len(terms), -1))
-        P = P.astype(np.int64).reshape(n_classes, d_last + 1, nq, R) % qs
+        P = P.astype(np.int64).reshape(n_classes, d_last + 1, nq, -1) % qs
         Pu = P.view(np.uint64)
-        # ... summed at the kept points with omega^((e - shift) l), four
-        # products per reduction, as many points at a time as fill the batch
-        a = 0
-        while a < len(orbit):
-            n = min(len(orbit) - a, T - filled)
-            sel, out = slice(a, a + n), slice(filled, filled + n)
-            acc, t, o = vu[..., out], tu[..., out], wu[:, out]
-            for e in range(d_last + 1):
-                x = acc if e == 0 else t
-                np.take(Pu[:, e], r_idx[sel], axis=-1, out=x, mode="clip")
-                if e != shift_last:
-                    np.take(om, (e - shift_last) * l_idx[sel] % M, axis=1,
-                            out=o, mode="clip")
-                    np.multiply(x, o, out=x)
-                if e:
-                    np.add(acc, t, out=acc)
-                if e % 4 == 3 or e == d_last:
-                    _reduce(acc, qu, t)
-            if twist.any():
-                w[:, out] = omega[:, ((twist[:-1] @ O)[r_idx[sel]]
-                                      + twist[-1] * l_idx[sel]) % M]
-            wt[out] = orbit[sel]
-            a, filled = a + n, filled + n
+        # ... summed at the points with omega^((e - shift) l), four products
+        # per reduction
+        acc, t, o = vu[..., :n], tu[..., :n], wu[:, :n]
+        for e in range(d_last + 1):
+            x = acc if e == 0 else t
+            np.take(Pu[:, e], r, axis=-1, out=x, mode="clip")
+            if e != shift_last:
+                np.take(om, (e - shift_last) * l % M, axis=1, out=o,
+                        mode="clip")
+                np.multiply(x, o, out=x)
+            if e:
+                np.add(acc, t, out=acc)
+            if e % 4 == 3 or e == d_last:
+                _reduce(acc, qu, t)
+        if twist.any():
+            w[:, :n] = omega[:, ((twist[:-1] @ O)[r] + twist[-1] * l) % M]
+        return (vals[..., :n], w[:, :n] if twist.any() else None,
+                np.concatenate(weight))
+
+    # the representatives of chunks of _BATCH / 2 kept rows fill the batches
+    batch, filled, orbits = [], 0, symmetry.orbit_pass(H, M, M)
+    for row in symmetry.least_rows(H, M, rows, _BATCH // 2):
+        O, r, l, weight = orbits(row)
+        while len(r):
+            n = min(len(r), T - filled)
+            batch.append((O, r[:n], l[:n], weight[:n]))
+            r, l, weight, filled = r[n:], l[n:], weight[n:], filled + n
             if filled == T:
-                yield vals, w if twist.any() else None, wt
-                filled = 0
-    if filled:
-        yield (vals[..., :filled], w[:, :filled] if twist.any() else None,
-               wt[:filled])
+                yield values(batch)
+                batch, filled = [], 0
+    if batch:
+        yield values(batch)
 
 
 def coefficient_residues(tp: TorusPlan, primes, rows: range | None = None

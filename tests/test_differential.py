@@ -190,7 +190,7 @@ def test_orbit_sums_agree_on_symmetrised_polynomials(case):
 
 
 @pytest.mark.parametrize("text,p,index", [
-    ("X + X^-1 + Y + Y^-1 + Z + Z^-1", 8, (0, 1, 1)),
+    ("X + X^-1 + Y + Y^-1 + Z + Z^-1", 8, (2, 1, 1)),
     ("X + X^-1 + 2*Y + Y^-1 + 3*Z + Z^-1 + X*Y + X^-1*Y", 6, (0, 1, 1))])
 def test_twisted_orbit_sums_with_a_shifted_last_variable(text, p, index):
     # the one path that keeps a twist omega^(-i.s): a grid index i that is
