@@ -164,6 +164,8 @@ def _workers_of(h, power, index, threads, series):
 
 
 def _revision(src: Path) -> str:
+    """The git revision of the checkout that holds the tree src, marked
+    +uncommitted if src has changes; exits if src is in no checkout."""
     git = ["git", "-C", str(src.resolve().parent)]
     try:
         rev = subprocess.run(git + ["rev-parse", "--short", "HEAD"],
@@ -172,12 +174,15 @@ def _revision(src: Path) -> str:
                                capture_output=True, text=True).stdout.strip()
     except OSError:
         rev, dirty = "", ""
-    return (rev or "unknown") + ("+uncommitted" if dirty else "")
+    if not rev:
+        sys.exit(f"{src} is not in a git checkout: its revision is unknown")
+    return rev + ("+uncommitted" if dirty else "")
 
 
 def north_star(path: Path, trees: dict):
     """Time every case of CASES in a child process per tree and round, the
     trees alternating, into one column of `path` per tree."""
+    revisions = {col: _revision(src) for col, src in trees.items()}
     times = {col: {case: [] for case in CASES} for col in trees}
     medians = {col: {case: [] for case in CASES} for col in trees}
     workers = {col: {} for col in trees}
@@ -230,12 +235,12 @@ def north_star(path: Path, trees: dict):
                 "and median of all runs, the runs, and each round's median "
                 "(a round runs a case at least 5 times in 2 s, or once "
                 "past 5 s, in a child process of its own)"}
-    for col, src in trees.items():
+    for col, revision in revisions.items():
         stats = {case: dict(_summary(t), round_medians=medians[col][case],
                             workers=workers[col][case])
                  for case, t in times[col].items()}
         record.setdefault("columns", {})[col] = {
-            "revision": _revision(src), **meta[col],
+            "revision": revision, **meta[col],
             "cores": os.cpu_count(),
             "seconds": {case: st["best"] for case, st in stats.items()},
             "stats": stats}

@@ -104,7 +104,8 @@ def select_primes(bound: int, min_exclusive: int = 1, max_bits: int = 31,
     return ModulusSet(tuple(primes))
 
 
-def _prime_factors(n: int) -> list[int]:
+@lru_cache(maxsize=16)          # once per M for all of a run's primes
+def _prime_factors(n: int) -> tuple[int, ...]:
     out = []
     d = 2
     while d * d <= n:
@@ -115,7 +116,7 @@ def _prime_factors(n: int) -> list[int]:
         d += 1
     if n > 1:
         out.append(n)
-    return out
+    return tuple(out)
 
 
 def root_of_unity(M: int, q: int) -> int:

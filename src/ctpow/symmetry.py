@@ -192,113 +192,80 @@ def in_coordinates(nf, target, p: int, U):
     return nf2, tuple(int(i) + p * s for i, s in zip(index, nf2.shift))
 
 
-def _prefix_weights(A: np.ndarray, M: int) -> np.ndarray:
-    """(m, g - 1): M^(g-2-k) for the k < j, j the number of leading outer
-    rows of A (shape (m, g, g)) with A[k, -1] = 0, and 0 past them.  The
-    first j coordinates of A s depend on the row of s alone."""
-    return np.cumprod(A[:, :-1, -1] == 0, axis=1) * M ** np.arange(
-        A.shape[1] - 2, -1, -1, dtype=np.int64)
-
-
-def _prefix_order(A: np.ndarray, W: np.ndarray, M: int, O: np.ndarray):
-    """For each map of A and each row of outer coordinates O (shape (g - 1,
-    R)), with W = _prefix_weights(A, M): below 0 where the first j
-    coordinates of A s are lexicographically below the row's own, above 0
-    where above, 0 on a tie (always, for j = 0)."""
+def _prefix_order(A: np.ndarray, M: int, O: np.ndarray) -> np.ndarray:
+    """(m, R): how the first j coordinates of A s, j the leading rows k < g
+    - 1 with A[k, -1] = 0 and so fixed by the row, compare with the row's
+    own (outer coordinates O, (g - 1, R)): below 0, 0 or above 0."""
+    W = np.cumprod(A[:, :-1, -1] == 0, axis=1) * M ** np.arange(
+        len(O) - 1, -1, -1, dtype=np.int64)
     return ((A[:, :-1, :-1] @ O % M - O) * W[:, :, None]).sum(axis=1)
 
 
 def least_rows(H: np.ndarray, M: int, rows: range, size: int):
-    """The rows of `rows` (of Z_M^g, ascending) that can hold the least
-    point of an orbit under s -> A s mod M, A in H, in arrays of `size`
-    rows, the last one shorter.  A row whose prefix some A sends below its
-    own (_prefix_order) maps every point to a lower flat index and is
-    dropped.  One map per distinct prefix is tested, on M size rows at a
-    time and k maps at a time over the c rows left, k c <= M size."""
+    """The rows of `rows` that can hold the least point of an orbit of H,
+    ascending, at most `size` at a time: a row whose prefix an A sends
+    below its own maps all its points lower.  One A per prefix, on M size
+    rows at a time, k at a time over the c rows left: k c <= M size."""
     A = H[H[:, 0, -1] == 0] if len(H) else H
-    W = _prefix_weights(A, M) if len(A) else None
-    if W is not None:                    # the same prefix, the same order
-        first = {a.tobytes(): i for i, a in enumerate(
-            A[:, :-1, :-1] * (W != 0)[:, :, None])}
-        A, W = A[list(first.values())], W[list(first.values())]
+    if len(A):
+        P = A[:, :-1, :-1] * np.cumprod(A[:, :-1, -1] == 0, axis=1)[..., None]
+        A = A[list({a.tobytes(): i for i, a in enumerate(P)}.values())]
     strides = M ** np.arange(H.shape[1] - 2, -1, -1, dtype=np.int64)
-    kept = np.empty(0, dtype=np.int64)
     for i in range(0, len(rows), M * size):
         r = rows[i:i + M * size]
         row, j = np.arange(r.start, r.stop, r.step, dtype=np.int64), 0
         while j < len(A) and len(row):
             k = M * size // len(row)
-            row = row[(_prefix_order(A[j:j + k], W[j:j + k], M, row // strides[
-                :, None] % M) >= 0).all(axis=0)]
+            row = row[(_prefix_order(A[j:j + k], M, row // strides[:, None]
+                                     % M) >= 0).all(axis=0)]
             j += k
-        kept = np.concatenate([kept, row])
-        n = len(kept) - len(kept) % size
-        yield from (kept[k:k + size] for k in range(0, n, size))
-        kept = kept[n:]
-    if len(kept):
-        yield kept
+        yield from (row[k:k + size] for k in range(0, len(row), size))
 
 
 def orbits(H: np.ndarray, M: int, row, L: int):
     """The R rows `row` of Z_M^g (L points each) under s -> A s mod M, A in
     H (distinct, shape (|H|, g, g)): their outer coordinates O, and of each
     point whose flat index is the least of its orbit the index r into `row`,
-    the column l and |H| / #{A in H : A s = s}; orbit_pass(H, M, L)(row)."""
-    return orbit_pass(H, M, L)(row)
-
-
-def orbit_pass(H: np.ndarray, M: int, L: int):
-    """orbits(H, M, row, L) as a function of row.  A s is a row part plus a
-    column part, each reduced once per row or column.  The maps with
-    A[0, -1] != 0 come first; the maps go four at a time over all R L
-    points while half are kept, then k at a time over the c kept, k *
-    max(c, R, L) <= 2 R L, each block only on the points of the rows where
-    one of its maps sends the row's prefix to or below the row's own
-    (_prefix_order): at most (10 g + 8) R L elements."""
-    g = H.shape[1]
+    the column l and |H| / #{A in H : A s = s}.  A s is a row part plus a
+    column part, each reduced once per row or column; the maps go five at a
+    time over all R L points while half are kept, then k at a time over the
+    c kept, k * max(c, R, L) <= 2 R L, on the rows where one sends the
+    prefix to or below the row's own: at most (10 g + 8) R L elements."""
+    g, R = H.shape[1], len(row)
     strides = M ** np.arange(g - 1, -1, -1, dtype=np.int64)
+    O = row // strides[1:, None] % M
     cols = np.arange(L, dtype=np.int64)
+    flat, stab = (row[:, None] * L + cols).ravel(), np.ones(R * L, np.int64)
     maps = H[(H != np.eye(g, dtype=np.int64)).any(axis=(1, 2))]
-    maps = maps[np.argsort(maps[:, :1, -1:].reshape(-1) == 0, kind="stable")]
-    Ar, cp = maps[:, :, :-1], maps[:, :, -1:] * cols % M
-    W = _prefix_weights(maps, M) if len(maps) else None
 
-    def images(i, k, O, r=None, l=None):     # of all points, or of (r, l)
-        rp = Ar[i:i + k] @ O % M
-        img = ((rp[..., None] + cp[i:i + k, :, None]).reshape(len(rp), g, -1)
-               if r is None else rp[:, :, r] + cp[i:i + k, :, l])
+    def images(A, r=None, l=None):               # of all points, or of (r, l)
+        rp, cp = A[:, :, :-1] @ O % M, A[:, :, -1:] * cols % M
+        img = ((rp[..., None] + cp[:, :, None]).reshape(len(A), g, -1)
+               if r is None else rp[:, :, r] + cp[:, :, l])
         # below M the unsigned x - M wraps past 2**63: the minimum is x mod M
         u = img.view(np.uint64)
         np.minimum(u, u - np.uint64(M), out=u)
-        f = img[:, 0].copy()                 # the flat index, by Horner
+        f = img[:, 0].copy()                     # the flat index, by Horner
         for x in img[:, 1:].transpose(1, 0, 2):
             f *= M
             f += x
         return f
 
-    def run(row):
-        R = len(row)
-        O = row // strides[1:, None] % M
-        flat = (row[:, None] * L + cols).ravel()
-        keep, stab, i = np.ones(R * L, dtype=bool), np.ones(R * L, np.int64), 0
-        while i < len(maps) and 2 * np.count_nonzero(keep) >= R * L:
-            f = images(i, 4, O)
-            keep &= (f >= flat).all(axis=0)
-            stab += (f == flat).sum(axis=0)
-            i += 4
-        r, l = np.divmod(np.flatnonzero(keep), L)
-        flat, stab = flat[keep], stab[keep]
-        while i < len(maps) and len(r):
-            k = max(1, 2 * R * L // max(len(r), R, L))
-            t = (_prefix_order(maps[i:i + k], W[i:i + k], M, O) <= 0
-                 ).any(axis=0)[r]
-            if t.any():
-                f = images(i, k, O, r[t], l[t])
-                keep = ~t
-                keep[t] = (f >= flat[t]).all(axis=0)
-                stab[t] += (f == flat[t]).sum(axis=0)
-                stab = stab[keep]
-                r, l, flat = r[keep], l[keep], flat[keep]
-            i += k
-        return O, r, l, len(H) // stab if len(H) else np.ones_like(r)
-    return run
+    keep, i = np.ones(R * L, dtype=bool), 0
+    while i < len(maps) and 2 * np.count_nonzero(keep) >= R * L:
+        f = images(maps[i:i + 5])
+        keep &= (f >= flat).all(axis=0)
+        stab += (f == flat).sum(axis=0)
+        i += 5
+    r, l = np.divmod(np.flatnonzero(keep), L)
+    flat, stab = flat[keep], stab[keep]
+    while i < len(maps) and len(r):
+        A = maps[i:i + max(1, 2 * R * L // max(len(r), R, L))]
+        t = (_prefix_order(A, M, O) <= 0).any(axis=0)[r]
+        f, keep = images(A, r[t], l[t]), ~t
+        keep[t] = (f >= flat[t]).all(axis=0)
+        stab[t] += (f == flat[t]).sum(axis=0)
+        stab = stab[keep]
+        r, l, flat = r[keep], l[keep], flat[keep]
+        i += len(A)
+    return O, r, l, len(H) // stab if len(H) else np.ones_like(r)

@@ -54,22 +54,25 @@ stands for its orbit, weighted |H| / #{A in H : A s = s}
 unimodular U, [h^p]_i = [(h o U)^p]_(U i), to sum a direction with a
 larger stabiliser exactly.
 
-The class values A, B, C of h (or h) are evaluated in chunks of _ROWS grid
-rows of M points (a row is the last grid variable), only at the orbit
-representatives, in batches of _BATCH * M points, so the live elements per
-prime stay O(p).  Per row the terms add up to each class's coefficients
-P_e in the last variable, the phases (e - shift).s of the outer variables
-from one table; a point's value is one lazy dot sum_e P_e omega^((e -
-shift) l), one reduction per four products and class.  All primes share
-each numpy call but the divisions of a batch of _LONG or more points per
-prime: x - (x // q_i) q_i, one call per prime, as numpy divides by a
-scalar by multiply and shift (Granlund and Montgomery, 1994).  Residues
-are int64 below 2**31: a product of two stays below 2**62 and a sum of two
-below 2**63 (of four, below 2**64 as uint64), at any P; a batch's weights
-add up to less than 2**31.  P < MAX_SERIES = 2**16 is a size guard: every
-grid variable has more than P points.  K_j, g_p and the scales are prefix
-products mod q in log2 n numpy steps with one inverse per prime
-(Montgomery's trick), and omega^(k..2k-1) = omega^(0..k-1) omega^k.
+The class values A, B, C of h (or h) are evaluated only at the orbit
+representatives, in chunks of _BATCH / 2 grid rows (a row is the last grid
+variable, M points) and batches of _BATCH * M points, so the live elements
+per prime stay O(p).  The last variable is the one that the most maps keep
+in place, so that they act on rows, and a row whose leading coordinates
+some A in H sends below its own maps all its points lower:
+symmetry.least_rows drops it before the orbit pass.  Per row the terms add
+up to each class's coefficients P_e in the last variable, the phases (e -
+shift).s of the outer variables from one table; a point's value is one lazy
+dot sum_e P_e omega^((e - shift) l), one reduction per four products and
+class.  All primes share each numpy call but the divisions of a batch of
+_LONG or more points per prime: x - (x // q_i) q_i, one call per prime, as
+numpy divides by a scalar by multiply and shift (Granlund and Montgomery,
+1994).  Residues are int64 below 2**31: a product of two stays below 2**62
+and a sum of two below 2**63 (of four, below 2**64 as uint64), at any P; a
+batch's weights add up to less than 2**31.  P < MAX_SERIES = 2**16 is a
+size guard: every grid variable has more than P points.  K_j, g_p and the
+scales are prefix products mod q in log2 n numpy steps with one inverse per
+prime (Montgomery's trick), and omega^(k..2k-1) = omega^(0..k-1) omega^k.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ from .laurent import NormalizedPolynomial
 from .rns import root_of_unity
 from .symmetry import Matrix
 
-# grid rows per chunk; one row holds M points for every prime
+# grid rows whose points bound the symmetry search; one row holds M points
 _ROWS = 128
 # orbit representatives per batch, in grid rows of M points
 _BATCH = 64
@@ -140,9 +143,8 @@ def _acting(G, tp: TorusPlan) -> TorusPlan:
     the inner variable's fibres to fibres (row inner of B is +-e_inner);
     none if a variable is off the grid or if the weights of a batch could
     reach 2**31.  plan's search budget bounds |H|: G has at most one map per
-    node searched.  The grid variable that the most maps keep in place
-    (column k of A zero off the diagonal) goes last, the latest on a tie,
-    so that those maps send rows to rows (symmetry.least_rows)."""
+    node searched.  The variable that the most A keep in place (column zero
+    off the diagonal) goes last on the grid, the latest on a tie."""
     if tp.inner is not None:
         G = G[~np.delete(G[:, tp.inner], tp.inner, axis=1).any(axis=1)]
     # np.unique(axis=0) would import numpy.ma: 35 ms in a fresh process
@@ -154,7 +156,7 @@ def _acting(G, tp: TorusPlan) -> TorusPlan:
     g = len(tp.grid)
     kept = (np.array(A) * (1 - np.eye(g, dtype=np.int64)) == 0).all(axis=1)
     last = max(range(g), key=lambda k: (kept[:, k].sum(), k))
-    order = [k for k in range(g) if k != last] + [last]
+    order = sorted(range(g), key=lambda k: k == last)
     return replace(tp, grid=tuple(tp.grid[k] for k in order), H=tuple(
         tuple(tuple(a[i][j] for j in order) for i in order) for a in A))
 
@@ -324,8 +326,7 @@ def _omega_powers(M: int, q):
 def representatives(tp: TorusPlan) -> int:
     """The number of orbits of tp.H on the grid: the points summed."""
     H, M = tp.maps, tp.M
-    orbits = symmetry.orbit_pass(H, M, M)
-    return sum(len(orbits(row)[3]) for row in
+    return sum(len(symmetry.orbits(H, M, row, M)[3]) for row in
                symmetry.least_rows(H, M, range(tp.rows), _BATCH // 2))
 
 
@@ -397,13 +398,8 @@ def _class_values(tp: TorusPlan, primes, rows):
     w, tmp = np.empty((nq, T), dtype=np.int64), np.empty_like(vals)
     vu, wu, tu, om, qu = (x.view(np.uint64) for x in (vals, w, tmp, omega, qs))
 
-    def values(chunks):
-        """(vals, w, weight) at the representatives of the chunks (O, r, l,
-        weight) that symmetry.orbits gave."""
-        O, r, l, weight = zip(*chunks)
-        offsets = np.cumsum([0] + [x.shape[1] for x in O[:-1]]).tolist()
-        O, l = np.concatenate(O, axis=1), np.concatenate(l)
-        r = np.concatenate([x + k for x, k in zip(r, offsets)])
+    def values(chunks):     # at the points (r, l) of the rows of O, joined
+        O, r, l, weight = (np.concatenate(x, axis=-1) for x in zip(*chunks))
         n = len(r)
         # the coefficients of each class in the last variable, per row ...
         ph = E @ O % M
@@ -427,16 +423,16 @@ def _class_values(tp: TorusPlan, primes, rows):
                 _reduce(acc, qu, t)
         if twist.any():
             w[:, :n] = omega[:, ((twist[:-1] @ O)[r] + twist[-1] * l) % M]
-        return (vals[..., :n], w[:, :n] if twist.any() else None,
-                np.concatenate(weight))
+        return vals[..., :n], w[:, :n] if twist.any() else None, weight
 
     # the representatives of chunks of _BATCH / 2 kept rows fill the batches
-    batch, filled, orbits = [], 0, symmetry.orbit_pass(H, M, M)
+    batch, filled = [], 0
     for row in symmetry.least_rows(H, M, rows, _BATCH // 2):
-        O, r, l, weight = orbits(row)
+        O, r, l, weight = symmetry.orbits(H, M, row, M)
         while len(r):
             n = min(len(r), T - filled)
-            batch.append((O, r[:n], l[:n], weight[:n]))
+            batch.append((O, r[:n] + sum(b[0].shape[1] for b in batch), l[:n],
+                          weight[:n]))
             r, l, weight, filled = r[n:], l[n:], weight[n:], filled + n
             if filled == T:
                 yield values(batch)

@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -51,6 +52,26 @@ def test_scripts_run_from_any_directory(script, tmp_path):
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, (args, done.stderr)
         assert line in done.stdout, (args, done.stdout)
+
+
+def test_bench_scaling_stops_on_a_tree_outside_git(tmp_path):
+    # a copy of src/ in no git checkout has no revision to record: the run
+    # stops with one line naming it before any case runs, as --src or
+    # --parent
+    tree = tmp_path / "copy" / "src"
+    shutil.copytree(ROOT / "src", tree,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    out = tmp_path / "BENCH.json"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    for flag in ("--src", "--parent"):
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "bench_scaling.py"),
+             "--json", str(out), flag, str(tree)], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode != 0, flag
+        assert done.stderr.splitlines() == [
+            f"{tree} is not in a git checkout: its revision is unknown"], flag
+        assert done.stdout == "" and not out.exists(), flag
 
 
 def _fresh_import(**env_vars):

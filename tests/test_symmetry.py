@@ -9,7 +9,7 @@ from ctpow import torus
 from ctpow.fixtures import sample_polynomial
 from ctpow.laurent import make_polynomial, normalize, parse_laurent
 from ctpow.symmetry import (MAX_TERMS, automorphisms, coordinate_changes,
-                            orbits)
+                            least_rows, orbits)
 
 
 def identity(n):
@@ -229,3 +229,40 @@ def test_orbits_against_brute_force(H, M):
                 want.append((flat, len(orbit)))
         _, r, l, weight = orbits(H, M, row, M)
         assert list(zip((row[r] * M + l).tolist(), weight.tolist())) == want
+
+
+def _least_points(H, M, rows):
+    """(flat index, orbit size) of each point of the rows that is the least
+    of its orbit, by brute force."""
+    g = H.shape[1]
+    strides = [M ** k for k in range(g - 1, -1, -1)]
+    least = []
+    for flat in (r * M + l for r in rows for l in range(M)):
+        s = [flat // k % M for k in strides]
+        orbit = {sum(k * (sum(a * x for a, x in zip(A, s)) % M)
+                      for k, A in zip(strides, B)) for B in H.tolist()}
+        if min(orbit) == flat:
+            least.append((flat, len(orbit)))
+    return least
+
+
+@pytest.mark.parametrize("H", list(_orbit_groups()))
+@pytest.mark.parametrize("M", [2, 3, 5, 7])
+def test_least_rows_drop_no_least_point(H, M):
+    # the rows that the row test drops hold no least point, and the orbits
+    # of the kept rows, in chunks, are those of all rows; on every row and
+    # on the odd rows, a block of the row-block workers
+    n_rows = M ** (H.shape[1] - 1)
+    for rows in (range(n_rows), range(1, n_rows, 2)):
+        want = _least_points(H, M, rows)
+        for size in (1, 3, n_rows):
+            chunks = list(least_rows(H, M, rows, size))
+            kept = np.concatenate(chunks).tolist() if chunks else []
+            assert all(0 < len(c) <= size for c in chunks)
+            assert sorted(kept) == kept and set(kept) <= set(rows)
+            assert {flat // M for flat, _ in want} <= set(kept)
+            got = []
+            for row in chunks:
+                _, r, l, weight = orbits(H, M, row, M)
+                got += zip((row[r] * M + l).tolist(), weight.tolist())
+            assert got == want

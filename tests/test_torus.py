@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ctpow import torus
+from ctpow import symmetry, torus
 from ctpow.fixtures import sample_polynomial
 from ctpow.laurent import make_polynomial, normalize, parse_laurent
 from ctpow.oracle import naive_power_coeff
@@ -260,6 +260,42 @@ def test_benchmark_plans_are_pinned():
             assert (tp.inner, tp.M, len(tp.H), len(ms.primes)) \
                 == (inner, M, order, count), (name, p)
             assert (tp.U[0] if tp.U else None) == row, (name, p)
+
+
+def test_kept_rows_of_the_benchmark_plans():
+    # the rows that can hold an orbit representative at p = 40 (1681 rows):
+    # sample 38 keeps half only because its swap moves to the outer
+    # variables, which the grid order gives it
+    for name, kept in [("39", 461), ("24", 861), ("38", 861)]:
+        tp, _ = _prepare(sample_polynomial(name), 40)
+        assert tp.rows == 1681
+        assert sum(map(len, symmetry.least_rows(tp.maps, tp.M, range(
+            tp.rows), torus._BATCH // 2))) == kept, name
+    tp, _ = _prepare(sample_polynomial("38"), 40)
+    assert tp.grid == (1, 2, 0)
+
+
+@pytest.mark.parametrize("name", ["39", "24", "38", "dwork4"])
+def test_samples_in_the_grid_order_match_the_oracle(name):
+    # coefficients on and off the centre and the series, with and without
+    # the exactly summed variable, under the grid order that puts last the
+    # variable the most maps keep in place
+    h = sample_polynomial(name)
+    nf = normalize(h)
+    P = 7
+    want = [naive_power_coeff(h, p) for p in range(P + 1)]
+    for flag in (True, False):
+        tp = _series_plan(nf, P, flag)
+        assert len(tp.H) > 1, (name, flag)
+        primes = _primes(tp, P)
+        assert torus.series_residues(tp, primes) \
+            == [tuple(a % q for q in primes) for a in want]
+        for index in [(0, 0, 0, 0), (1, 0, -1, 0), (0, 1, 0, 0)]:
+            target = tuple(i + P * s for i, s in zip(index, nf.shift))
+            tp = torus.plan(nf, target, P, flag)
+            primes = _primes(tp, P)
+            assert torus.coefficient_residues(tp, primes) == tuple(
+                naive_power_coeff(h, P, index) % q for q in primes)
 
 
 def test_orbit_weights_cover_the_grid():
