@@ -193,9 +193,9 @@ def in_coordinates(nf, target, p: int, U):
 
 
 def _prefix_order(A: np.ndarray, M: int, O: np.ndarray) -> np.ndarray:
-    """(m, R): how the first j coordinates of A s, j the leading rows k < g
-    - 1 with A[k, -1] = 0 and so fixed by the row, compare with the row's
-    own (outer coordinates O, (g - 1, R)): below 0, 0 or above 0."""
+    """(m, R): below 0, 0 or above 0 as the first j coordinates of A s
+    compare with the row's own (O: outer coordinates, (g - 1, R)); j counts
+    the leading rows k < g - 1 of A with A[k, -1] = 0: the row fixes them."""
     W = np.cumprod(A[:, :-1, -1] == 0, axis=1) * M ** np.arange(
         len(O) - 1, -1, -1, dtype=np.int64)
     return ((A[:, :-1, :-1] @ O % M - O) * W[:, :, None]).sum(axis=1)

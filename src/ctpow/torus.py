@@ -46,16 +46,16 @@ a point under the automorphisms that map the inner variable's fibres to
 fibres (row inner of B is +-e_inner; without an inner variable, all) and
 fix i.  H is the set of distinct grid maps s -> B[grid, grid]^T s mod M
 they give; `ctpow bench` prints |H|.  One number bounds the symmetry
-used, the points of a chunk of _ROWS grid rows (at most
-symmetry.MAX_STEPS): a search past that many nodes gives none, and one
-within it returns at most that many maps.  The point of least flat index
+used, the points of _ROWS grid rows (at most symmetry.MAX_STEPS): a
+search past that many nodes gives none, and one within it returns at
+most that many maps.  The point of least flat index
 stands for its orbit, weighted |H| / #{A in H : A s = s}
 (symmetry.orbits).  The planner may first change coordinates by a
 unimodular U, [h^p]_i = [(h o U)^p]_(U i), to sum a direction with a
 larger stabiliser exactly.
 
 The class values A, B, C of h (or h) are evaluated only at the orbit
-representatives, in chunks of _BATCH / 2 grid rows (a row is the last grid
+representatives, in chunks of _BATCH / 2 kept rows (a row is the last grid
 variable, M points) and batches of _BATCH * M points, so the live elements
 per prime stay O(p).  The last variable is the one that the most maps keep
 in place, so that they act on rows, and a row whose leading coordinates
@@ -87,7 +87,8 @@ from .laurent import NormalizedPolynomial
 from .rns import root_of_unity
 from .symmetry import Matrix
 
-# grid rows whose points bound the symmetry search; one row holds M points
+# grid rows whose points bound the symmetry search, and per chunk of the
+# reference engine; one row holds M points for every prime
 _ROWS = 128
 # orbit representatives per batch, in grid rows of M points
 _BATCH = 64
@@ -169,7 +170,7 @@ def plan(nf: NormalizedPolynomial, target, p: int, use_split2: bool = True
     largest M on the grid is summed exactly; ties go to the last.  Variables
     absent from f with target 0 are left off the grid.  A grid of two or
     more variables gets H from an automorphism search of at most one node
-    per point of a chunk of grid rows, which also bounds |H|; a longer
+    per point of _ROWS grid rows, which also bounds |H|; a longer
     search gives the identity.  With use_split2 the first U of
     symmetry.coordinate_changes (of the first 8) that strictly enlarges H
     without raising M changes the coordinates: its first row is summed
