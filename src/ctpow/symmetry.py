@@ -265,7 +265,6 @@ def orbits(H: np.ndarray, M: int, row, L: int):
         f, keep = images(A, r[t], l[t]), ~t
         keep[t] = (f >= flat[t]).all(axis=0)
         stab[t] += (f == flat[t]).sum(axis=0)
-        stab = stab[keep]
-        r, l, flat = r[keep], l[keep], flat[keep]
+        stab, r, l, flat = stab[keep], r[keep], l[keep], flat[keep]
         i += len(A)
     return O, r, l, len(H) // stab if len(H) else np.ones_like(r)

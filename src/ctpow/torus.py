@@ -57,22 +57,22 @@ larger stabiliser exactly.
 The class values A, B, C of h (or h) are evaluated only at the orbit
 representatives, in chunks of _BATCH / 2 kept rows (a row is the last grid
 variable, M points) and batches of _BATCH * M points, so the live elements
-per prime stay O(p).  The last variable is the one that the most maps keep
-in place, so that they act on rows, and a row whose leading coordinates
-some A in H sends below its own maps all its points lower:
-symmetry.least_rows drops it before the orbit pass.  Per row the terms add
-up to each class's coefficients P_e in the last variable, the phases (e -
-shift).s of the outer variables from one table; a point's value is one lazy
-dot sum_e P_e omega^((e - shift) l), one reduction per four products and
-class.  All primes share each numpy call but the divisions of a batch of
-_LONG or more points per prime: x - (x // q_i) q_i, one call per prime, as
-numpy divides by a scalar by multiply and shift (Granlund and Montgomery,
-1994).  Residues are int64 below 2**31: a product of two stays below 2**62
-and a sum of two below 2**63 (of four, below 2**64 as uint64), at any P; a
-batch's weights add up to less than 2**31.  P < MAX_SERIES = 2**16 is a
-size guard: every grid variable has more than P points.  K_j, g_p and the
-scales are prefix products mod q in log2 n numpy steps with one inverse per
-prime (Montgomery's trick), and omega^(k..2k-1) = omega^(0..k-1) omega^k.
+per prime stay O(p).  The last variable is the one the most maps keep in
+place, so that they map rows to rows; a row whose leading coordinates an A
+sends below its own holds no representative (symmetry.least_rows).  Per row
+the terms add up to each class's coefficients P_e in the last variable, the
+phases (e - shift).s of the outer variables from one table; a point's value
+is one lazy dot sum_e P_e omega^((e - shift) l), one reduction per four
+products and class.  All primes share each numpy call but the divisions of
+a batch of _LONG or more points per prime: x - (x // q_i) q_i, one call per
+prime, as numpy divides by a scalar by multiply and shift (Granlund and
+Montgomery, 1994).  Residues are int64 below 2**31: a product of two stays
+below 2**62 and a sum of two below 2**63 (of four, below 2**64 as uint64),
+at any P; a batch's weights add up to less than 2**31.  P < MAX_SERIES =
+2**16 is a size guard: every grid variable has more than P points.  K_j,
+g_p and the scales are prefix products mod q in log2 n numpy steps with one
+inverse per prime (Montgomery's trick), and omega^(k..2k-1) =
+omega^(0..k-1) omega^k.
 """
 
 from __future__ import annotations
@@ -355,7 +355,7 @@ def predicted_work(tp: TorusPlan, primes, series: bool) -> int:
 
 def _class_values(tp: TorusPlan, primes, rows):
     """The class values of h at the orbit representatives (symmetry.orbits)
-    of the grid rows in `rows`, in batches of _BATCH * M points.
+    of `rows`, in batches of _BATCH * M points, _ROWS * M without maps.
 
     Yields (vals, w, weight): vals (classes, primes, K) holds the sum of
     each class of terms (by exponent of the inner variable in f; one class
@@ -392,9 +392,11 @@ def _class_values(tp: TorusPlan, primes, rows):
                      dtype=float if len(terms) < 1 << 22 else np.int64)
     group[classes * (d_last + 1) + lasts, np.arange(len(terms))] = 1
 
-    # one batch of at most T points: class values, the powers of omega and
-    # then the twist, and a scratch
-    T, H = min(_BATCH, len(rows)) * M, tp.maps
+    # chunks of _BATCH / 2 kept rows, or of _ROWS rows where no map acts and
+    # the orbit pass only lists points; one batch of at most T points: class
+    # values, the powers of omega and then the twist, and a scratch
+    H, size = tp.maps, _BATCH // 2 if tp.H else _ROWS
+    T = min(max(_BATCH, size), len(rows)) * M
     vals = np.empty((n_classes, nq, T), dtype=np.int64)
     w, tmp = np.empty((nq, T), dtype=np.int64), np.empty_like(vals)
     vu, wu, tu, om, qu = (x.view(np.uint64) for x in (vals, w, tmp, omega, qs))
@@ -426,9 +428,8 @@ def _class_values(tp: TorusPlan, primes, rows):
             w[:, :n] = omega[:, ((twist[:-1] @ O)[r] + twist[-1] * l) % M]
         return vals[..., :n], w[:, :n] if twist.any() else None, weight
 
-    # the representatives of chunks of _BATCH / 2 kept rows fill the batches
-    batch, filled = [], 0
-    for row in symmetry.least_rows(H, M, rows, _BATCH // 2):
+    batch, filled = [], 0            # the chunks' representatives, in order
+    for row in symmetry.least_rows(H, M, rows, size):
         O, r, l, weight = symmetry.orbits(H, M, row, M)
         while len(r):
             n = min(len(r), T - filled)
