@@ -55,7 +55,7 @@ unimodular U, [h^p]_i = [(h o U)^p]_(U i), to sum a direction with a
 larger stabiliser exactly.
 
 The class values A, B, C of h (or h) are evaluated only at the orbit
-representatives, in chunks of _BATCH / 2 kept rows (a row is the last grid
+representatives, in chunks of _BATCH kept rows (a row is the last grid
 variable, M points) and batches of _BATCH * M points, so the live elements
 per prime stay O(p).  The last variable is the one the most maps keep in
 place, so that they map rows to rows; a row whose leading coordinates an A
@@ -328,7 +328,7 @@ def representatives(tp: TorusPlan) -> int:
     """The number of orbits of tp.H on the grid: the points summed."""
     H, M = tp.maps, tp.M
     return sum(len(symmetry.orbits(H, M, row, M)[3]) for row in
-               symmetry.least_rows(H, M, range(tp.rows), _BATCH // 2))
+               symmetry.least_rows(H, M, range(tp.rows), _BATCH))
 
 
 def predicted_work(tp: TorusPlan, primes, series: bool) -> int:
@@ -392,10 +392,10 @@ def _class_values(tp: TorusPlan, primes, rows):
                      dtype=float if len(terms) < 1 << 22 else np.int64)
     group[classes * (d_last + 1) + lasts, np.arange(len(terms))] = 1
 
-    # chunks of _BATCH / 2 kept rows, or of _ROWS rows where no map acts and
+    # chunks of _BATCH kept rows, or of _ROWS rows where no map acts and
     # the orbit pass only lists points; one batch of at most T points: class
     # values, the powers of omega and then the twist, and a scratch
-    H, size = tp.maps, _BATCH // 2 if tp.H else _ROWS
+    H, size = tp.maps, _BATCH if tp.H else _ROWS
     T = min(max(_BATCH, size), len(rows)) * M
     vals = np.empty((n_classes, nq, T), dtype=np.int64)
     w, tmp = np.empty((nq, T), dtype=np.int64), np.empty_like(vals)

@@ -270,7 +270,7 @@ def test_kept_rows_of_the_benchmark_plans():
         tp, _ = _prepare(sample_polynomial(name), 40)
         assert tp.rows == 1681
         assert sum(map(len, symmetry.least_rows(tp.maps, tp.M, range(
-            tp.rows), torus._BATCH // 2))) == kept, name
+            tp.rows), torus._BATCH))) == kept, name
     tp, _ = _prepare(sample_polynomial("38"), 40)
     assert tp.grid == (1, 2, 0)
 
