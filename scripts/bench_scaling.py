@@ -97,6 +97,8 @@ CASES = {
     "coeff39_p150": ("coeff", "39", 150, 1),
     "series39_P59": ("series", "39", 59, 1),
     "series39_P59_t2": ("series", "39", 59, 2),
+    "series39_P34": ("series", "39", 34, 1),
+    "series24_P34": ("series", "24", 34, 1),
     "series38_P34": ("series", "38", 34, 1),
     "search39_8_4": ("search", "39", 59, (8, 4)),
     "nosym_p20": ("coeff", "nosym", 20, 1),

@@ -56,8 +56,9 @@ larger stabiliser exactly.
 
 The class values A, B, C of h (or h) are evaluated only at the orbit
 representatives, in chunks of _BATCH kept rows (a row is the last grid
-variable, M points) and batches of _BATCH * M points, so the live elements
-per prime stay O(p).  The last variable is the one the most maps keep in
+variable, M points), each chunk's tables built once, and batches of
+_BATCH * M points, twice that for the series, whose pass holds fewer
+arrays per point; the live elements per prime stay O(p).  The last variable is the one the most maps keep in
 place, so that they map rows to rows; a row whose leading coordinates an A
 sends below its own holds no representative (symmetry.least_rows).  Per row
 the terms add up to each class's coefficients P_e in the last variable, the
@@ -68,7 +69,8 @@ a batch of _LONG or more points per prime: x - (x // q_i) q_i, one call per
 prime, as numpy divides by a scalar by multiply and shift (Granlund and
 Montgomery, 1994).  Residues are int64 below 2**31: a product of two stays
 below 2**62 and a sum of two below 2**63 (of four, below 2**64 as uint64),
-at any P; a batch's weights add up to less than 2**31.  P < MAX_SERIES =
+at any P; each weight is at most |H|, and a coefficient batch's weights
+add up to less than 2**31 (the series sums no weights).  P < MAX_SERIES =
 2**16 is a size guard: every grid variable has more than P points.  K_j,
 g_p and the scales are prefix products mod q in log2 n numpy steps with one
 inverse per prime (Montgomery's trick), and omega^(k..2k-1) =
@@ -142,8 +144,8 @@ def _layout(nf: NormalizedPolynomial, target, p: int, inners) -> TorusPlan:
 def _acting(G, tp: TorusPlan) -> TorusPlan:
     """tp with H: the distinct A = B[grid, grid]^T for the B in G that map
     the inner variable's fibres to fibres (row inner of B is +-e_inner);
-    none if a variable is off the grid or if the weights of a batch could
-    reach 2**31.  plan's search budget bounds |H|: G has at most one map per
+    none if a variable is off the grid or if the weights of a coefficient
+    batch could reach 2**31.  plan's search budget bounds |H|: G has at most one map per
     node searched.  The variable that the most A keep in place (column zero
     off the diagonal) goes last on the grid, the latest on a tie."""
     if tp.inner is not None:
@@ -353,15 +355,17 @@ def predicted_work(tp: TorusPlan, primes, series: bool) -> int:
     return reps * len(primes) * per_point
 
 
-def _class_values(tp: TorusPlan, primes, rows):
+def _class_values(tp: TorusPlan, primes, rows, batch: int = _BATCH):
     """The class values of h at the orbit representatives (symmetry.orbits)
-    of `rows`, in batches of _BATCH * M points, _ROWS * M without maps.
+    of `rows`, in batches of batch * M points, _ROWS * M without maps.
 
     Yields (vals, w, weight): vals (classes, primes, K) holds the sum of
     each class of terms (by exponent of the inner variable in f; one class
     without one) of h at the K points, w (primes, K) omega^(-i.s) there,
     i = target - p * shift (None if i is 0 on the grid), and weight (K,)
-    the orbit sizes, which add up to less than 2**31.
+    the orbit sizes, each at most |H| (at batch _BATCH they add up to less
+    than 2**31).  Between batches only vals and the current chunk (its
+    orbits and tables) are kept.
     """
     nf, M = tp.nf, tp.M
     nq = len(primes)
@@ -393,26 +397,27 @@ def _class_values(tp: TorusPlan, primes, rows):
     group[classes * (d_last + 1) + lasts, np.arange(len(terms))] = 1
 
     # chunks of _BATCH kept rows, or of _ROWS rows where no map acts and
-    # the orbit pass only lists points; one batch of at most T points: class
-    # values, the powers of omega and then the twist, and a scratch
+    # the orbit pass only lists points; batches of at most T points
     H, size = tp.maps, _BATCH if tp.H else _ROWS
-    T = min(max(_BATCH, size), len(rows)) * M
+    T = min(max(batch, size), len(rows)) * M
     vals = np.empty((n_classes, nq, T), dtype=np.int64)
-    w, tmp = np.empty((nq, T), dtype=np.int64), np.empty_like(vals)
-    vu, wu, tu, om, qu = (x.view(np.uint64) for x in (vals, w, tmp, omega, qs))
+    om, qu = omega.view(np.uint64), qs.view(np.uint64)
 
-    def values(chunks):     # at the points (r, l) of the rows of O, joined
-        O, r, l, weight = (np.concatenate(x, axis=-1) for x in zip(*chunks))
-        n = len(r)
-        # the coefficients of each class in the last variable, per row ...
+    def tables(O):      # the coefficients P_e of each class, per row of O
         ph = E @ O % M
         gathered = term_tab[:, np.arange(len(terms))[:, None], ph]
         P = (group @ gathered.transpose(1, 0, 2).reshape(len(terms), -1))
         P = P.astype(np.int64).reshape(n_classes, d_last + 1, nq, -1) % qs
-        Pu = P.view(np.uint64)
-        # ... summed at the points with omega^((e - shift) l), four products
-        # per reduction
-        acc, t, o = vu[..., :n], tu[..., :n], wu[:, :n]
+        return P.view(np.uint64)
+
+    def values(chunks):     # at the points (r, l) of the rows of O, joined
+        O, Pu, r, l, weight = (np.concatenate(x, -1) for x in zip(*chunks))
+        n = len(r)
+        # the chunks' P summed at the points with omega^((e - shift) l),
+        # four products per reduction; t and the powers o are scratch
+        acc = vals[..., :n].view(np.uint64)
+        scratch = np.empty((n_classes + 1, nq, n), dtype=np.uint64)
+        t, o = scratch[:-1], scratch[-1]
         for e in range(d_last + 1):
             x = acc if e == 0 else t
             np.take(Pu[:, e], r, axis=-1, out=x, mode="clip")
@@ -424,23 +429,24 @@ def _class_values(tp: TorusPlan, primes, rows):
                 np.add(acc, t, out=acc)
             if e % 4 == 3 or e == d_last:
                 _reduce(acc, qu, t)
-        if twist.any():
-            w[:, :n] = omega[:, ((twist[:-1] @ O)[r] + twist[-1] * l) % M]
-        return vals[..., :n], w[:, :n] if twist.any() else None, weight
+        w = omega[:, ((twist[:-1] @ O)[r] + twist[-1] * l) % M] \
+            if twist.any() else None
+        return vals[..., :n], w, weight
 
-    batch, filled = [], 0            # the chunks' representatives, in order
+    parts, filled = [], 0            # the chunks' representatives, in order
     for row in symmetry.least_rows(H, M, rows, size):
         O, r, l, weight = symmetry.orbits(H, M, row, M)
+        Pu = tables(O)                  # once, if two batches share O
         while len(r):
             n = min(len(r), T - filled)
-            batch.append((O, r[:n] + sum(b[0].shape[1] for b in batch), l[:n],
-                          weight[:n]))
+            parts.append((O, Pu, r[:n] + sum(b[0].shape[1] for b in parts),
+                          l[:n], weight[:n]))
             r, l, weight, filled = r[n:], l[n:], weight[n:], filled + n
             if filled == T:
-                yield values(batch)
-                batch, filled = [], 0
-    if batch:
-        yield values(batch)
+                yield values(parts)
+                parts, filled = [], 0
+    if parts:
+        yield values(parts)
 
 
 def coefficient_residues(tp: TorusPlan, primes, rows: range | None = None
@@ -526,15 +532,19 @@ def series_residues(tp: TorusPlan, primes, rows: range | None = None
     qs = np.array(primes, dtype=np.int64)[:, None]
     S = np.zeros((P + 1, len(primes)), dtype=np.int64)
     g, scale = _series_tables(P, tp.M, len(tp.grid), tp.inner is not None, qs)
-    for vals, _, weight in _class_values(tp, primes, rows):
+    for vals, _, weight in _class_values(tp, primes, rows, 2 * _BATCH):
         a, d = vals[0], None                # h itself without tp.inner
         if tp.inner is not None:
             # A is the class of x^0; unless x has exponents of both signs
-            # (shift 1: x^-1, x^0, x^1) only A^p reaches x^0, so BC = 0
+            # (shift 1: x^-1, x^0, x^1) only A^p reaches x^0, so BC = 0;
+            # D = A^2 + 4 (q - BC) < 2**63 goes to the spare class rows
             s = tp.nf.shift[tp.inner]
-            a, d = vals[s], _mulmod(vals[s], vals[s], qs)
+            a, (d, t) = vals[s], (vals[k] for k in range(3) if k != s)
             if s == 1:
-                d = (d - 4 * _mulmod(vals[0], vals[2], qs)) % qs
+                _reduce(np.multiply(d, t, out=t), qs, d)
+                np.left_shift(np.subtract(qs, t, out=t), 2, out=t)
+            np.multiply(a, a, out=d)
+            _reduce(np.add(d, t, out=d) if s == 1 else d, qs, t)
         for p, u in enumerate(_trinomial_powers(a, d, weight, g, qs)):
             S[p] += u.sum(axis=-1)
         S %= qs[:, 0]

@@ -311,6 +311,50 @@ def test_orbit_weights_cover_the_grid():
         assert len(tp.H) > 1 and seen == tp.M ** len(tp.grid), name
 
 
+def _split_batch_ends(tp, batch):
+    """The batch ends of _class_values at `batch` rows that fall inside a
+    chunk of _BATCH kept rows, over all rows."""
+    H, M = tp.maps, tp.M
+    ends = set(itertools.accumulate(
+        len(symmetry.orbits(H, M, row, M)[1])
+        for row in symmetry.least_rows(H, M, range(tp.rows), torus._BATCH)))
+    sizes = [len(wt) for _, _, wt in
+             torus._class_values(tp, _primes(tp, tp.p)[:1], None, batch)]
+    return [k for k in itertools.accumulate(sizes) if k not in ends]
+
+
+def test_orbit_weights_cover_the_grid_in_series_batches():
+    # at the batch size of the series pass, with chunks that straddle two
+    # batches, every grid point is still counted once over any row cover
+    for name in ("39", "24", "dwork4"):
+        tp = _series_plan(normalize(sample_polynomial(name)), 34)
+        primes = _primes(tp, 34)[:1]
+        seen = sum(int(wt.sum()) for k in range(3) for _, _, wt in
+                   torus._class_values(tp, primes, range(k, tp.rows, 3),
+                                       2 * torus._BATCH))
+        assert _split_batch_ends(tp, 2 * torus._BATCH), name
+        assert len(tp.H) > 1 and seen == tp.M ** len(tp.grid), name
+
+
+@pytest.mark.parametrize("name", ["39", "24"])
+def test_series_with_split_chunks_matches_coefficient_batches(monkeypatch,
+                                                              name):
+    # a series to P = 34 whose batches split chunks, term by term against
+    # the same series in the batches of the coefficient kernel, and against
+    # the sum over blocks of _BATCH rows, where no chunk is split
+    tp, ms = _prepare(sample_polynomial(name), 34)
+    assert _split_batch_ends(tp, 2 * torus._BATCH), name
+    got = torus.series_residues(tp, ms.primes)
+    parts = [torus.series_residues(tp, ms.primes, range(k, k + torus._BATCH))
+             for k in range(0, tp.rows, torus._BATCH)]
+    assert got == [tuple(sum(xs) % q for xs, q in zip(zip(*terms), ms.primes))
+                   for terms in zip(*parts)]
+    real = torus._class_values
+    monkeypatch.setattr(torus, "_class_values", lambda tp, primes, rows, _:
+                        real(tp, primes, rows, torus._BATCH))
+    assert torus.series_residues(tp, ms.primes) == got
+
+
 def _central_trinomial(a, b, c, p, q):
     """[x^0](c/x + a + b*x)^p mod q with Python ints."""
     return sum(math.factorial(p) // (math.factorial(j) ** 2
@@ -585,3 +629,21 @@ def test_live_elements_per_prime_grow_linearly_in_p():
             peaks.append(peak)
         for small, big in zip(peaks, peaks[1:]):
             assert 1.6 <= big / small <= 2.4, (kernel.__name__, peaks)
+
+
+@pytest.mark.parametrize("name", ["39", "24", "38"])
+def test_traced_peaks_grow_linearly_in_full_batches(name):
+    # at p = 40 and 80 both kernels run three or more full batches, so the
+    # traced peak of one prime follows M, not the size of the last batch
+    nf = normalize(sample_polynomial(name))
+    for kernel in (_coefficient_kernel, _series_kernel):
+        peaks = []
+        for p in (40, 80):
+            fn, tp, primes = kernel(nf, p)
+            tracemalloc.start()
+            try:
+                fn(tp, primes)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert 1.6 <= peaks[1] / peaks[0] <= 2.4, (kernel.__name__, peaks)
