@@ -56,9 +56,9 @@ larger stabiliser exactly.
 
 The class values A, B, C of h (or h) are evaluated only at the orbit
 representatives, in chunks of _BATCH kept rows (a row is the last grid
-variable, M points), each chunk's tables built once, and batches of
-_BATCH * M points, twice that for the series, whose pass holds fewer
-arrays per point; the live elements per prime stay O(p).  The last variable is the one the most maps keep in
+variable, M points) with tables built once per chunk, and batches of
+_BATCH * M points (2 _BATCH M in the series), so the live elements per
+prime stay O(p).  The last variable is the one the most maps keep in
 place, so that they map rows to rows; a row whose leading coordinates an A
 sends below its own holds no representative (symmetry.least_rows).  Per row
 the terms add up to each class's coefficients P_e in the last variable, the
@@ -69,12 +69,11 @@ a batch of _LONG or more points per prime: x - (x // q_i) q_i, one call per
 prime, as numpy divides by a scalar by multiply and shift (Granlund and
 Montgomery, 1994).  Residues are int64 below 2**31: a product of two stays
 below 2**62 and a sum of two below 2**63 (of four, below 2**64 as uint64),
-at any P; each weight is at most |H|, and a coefficient batch's weights
-add up to less than 2**31 (the series sums no weights).  P < MAX_SERIES =
-2**16 is a size guard: every grid variable has more than P points.  K_j,
-g_p and the scales are prefix products mod q in log2 n numpy steps with one
-inverse per prime (Montgomery's trick), and omega^(k..2k-1) =
-omega^(0..k-1) omega^k.
+at any P; a weight is at most |H|, and a coefficient batch's weights add
+up to less than 2**31.  P < MAX_SERIES = 2**16 is a size guard: every grid
+variable has more than P points.  K_j, g_p and the scales are prefix
+products mod q in log2 n numpy steps with one inverse per prime
+(Montgomery's trick), and omega^(k..2k-1) = omega^(0..k-1) omega^k.
 """
 
 from __future__ import annotations
@@ -144,8 +143,8 @@ def _layout(nf: NormalizedPolynomial, target, p: int, inners) -> TorusPlan:
 def _acting(G, tp: TorusPlan) -> TorusPlan:
     """tp with H: the distinct A = B[grid, grid]^T for the B in G that map
     the inner variable's fibres to fibres (row inner of B is +-e_inner);
-    none if a variable is off the grid or if the weights of a coefficient
-    batch could reach 2**31.  plan's search budget bounds |H|: G has at most one map per
+    none if a variable is off the grid or if _BATCH M points' weights could
+    reach 2**31.  plan's search budget bounds |H|: G has at most one map per
     node searched.  The variable that the most A keep in place (column zero
     off the diagonal) goes last on the grid, the latest on a tie."""
     if tp.inner is not None:
@@ -363,9 +362,8 @@ def _class_values(tp: TorusPlan, primes, rows, batch: int = _BATCH):
     each class of terms (by exponent of the inner variable in f; one class
     without one) of h at the K points, w (primes, K) omega^(-i.s) there,
     i = target - p * shift (None if i is 0 on the grid), and weight (K,)
-    the orbit sizes, each at most |H| (at batch _BATCH they add up to less
-    than 2**31).  Between batches only vals and the current chunk (its
-    orbits and tables) are kept.
+    the orbit sizes (at most |H|; below 2**31 in all at batch _BATCH).
+    Only vals and the current chunk's orbits and tables outlive a batch.
     """
     nf, M = tp.nf, tp.M
     nq = len(primes)
@@ -411,7 +409,8 @@ def _class_values(tp: TorusPlan, primes, rows, batch: int = _BATCH):
         return P.view(np.uint64)
 
     def values(chunks):     # at the points (r, l) of the rows of O, joined
-        O, Pu, r, l, weight = (np.concatenate(x, -1) for x in zip(*chunks))
+        O, Pu, r, l, weight = (x[0] if len(x) == 1 else np.concatenate(
+            x, -1) for x in zip(*chunks))
         n = len(r)
         # the chunks' P summed at the points with omega^((e - shift) l),
         # four products per reduction; t and the powers o are scratch
