@@ -75,16 +75,35 @@ def inverse(rows):
                     dtype=np.int64).reshape(n, n), d
 
 
-@lru_cache(maxsize=32)
+# [nodes, maps] of the full search of terms, or [the largest budget that
+# ran out, None], for the latest 32 terms
+_searched = lru_cache(maxsize=32)(lambda terms: [-1, None])
+
+
 def automorphisms(terms, steps: int = MAX_STEPS) -> tuple[Matrix, ...]:
     """Every B in GL_n(Z) with c_(Be) = c_e; terms is ((c, e), ...).  A
     search of more than `steps` nodes gives the identity only; one within
-    them returns at most `steps` maps, one per leaf."""
+    them returns at most `steps` maps, one per leaf.  A budget is answered
+    from the record of terms' searches (_searched); one above the largest
+    that ran out searches again, with at least twice that (to MAX_STEPS),
+    so that rising budgets cost O(the largest) nodes in all."""
+    known = _searched(terms)
+    if known[1] is None and steps > known[0]:
+        known[:] = _search(terms, max(steps, min(2 * known[0], MAX_STEPS)))
+    return known[1] if known[0] <= steps and known[1] else (
+        tuple(map(tuple, np.eye(len(terms[0][1]), dtype=int).tolist())),)
+
+
+automorphisms.cache_clear = _searched.cache_clear
+
+
+def _search(terms, steps: int):
+    """(nodes, maps) of a search within `steps` nodes, else (steps, None);
+    maps () stands for the identity only."""
     n = len(terms[0][1])
     E = np.array([e for _, e in terms], dtype=np.int64).reshape(len(terms), n)
-    identity = (tuple(map(tuple, np.eye(n, dtype=int).tolist())),)
     if not 0 < n <= 8 or len(E) > MAX_TERMS or not _basis(E.tolist()):
-        return identity
+        return 0, ()
     lo, hi = E.min(axis=0), E.max(axis=0)
     strides = np.cumprod(np.r_[1, hi[:-1] - lo[:-1] + 1])
     codes = (E - lo) @ strides
@@ -136,16 +155,16 @@ def automorphisms(terms, steps: int = MAX_STEPS) -> tuple[Matrix, ...]:
 
     extend([])
     if left[0] < 0:
-        return identity
+        return steps, None
     adj, det = inverse(E[basis])
     bt = adj @ E[np.array(leaves)]               # det * B^T, one per leaf
     bt = bt[~(bt % det).any(axis=(1, 2))] // det
     # a map that sends the terms to distinct like terms permutes the
     # support, which spans Q^n, so det B = +-1; 256 maps at a time
-    return tuple(tuple(map(tuple, b.T.tolist()))
-                 for k in range(0, len(bt), 256) for b, im in zip(
-                     bt[k:k + 256], find(E @ bt[k:k + 256]).tolist())
-                 if (cls[im] == cls[:-1]).all() and len(set(im)) == len(E))
+    return steps - left[0], tuple(
+        tuple(map(tuple, b.T.tolist())) for k in range(0, len(bt), 256)
+        for b, im in zip(bt[k:k + 256], find(E @ bt[k:k + 256]).tolist())
+        if (cls[im] == cls[:-1]).all() and len(set(im)) == len(E))
 
 
 def coordinate_changes(terms, G: np.ndarray, least: int):

@@ -64,20 +64,25 @@ sends below its own holds no representative (symmetry.least_rows).  Per row
 the terms add up to each class's coefficients P_e in the last variable, the
 phases (e - shift).s of the outer variables from one table; a point's value
 is one lazy dot sum_e P_e omega^((e - shift) l), one reduction per four
-products and class.  All primes share each numpy call but the divisions of
-a batch of _LONG or more points per prime: x - (x // q_i) q_i, one call per
-prime, as numpy divides by a scalar by multiply and shift (Granlund and
-Montgomery, 1994).  Residues are int64 below 2**31: a product of two stays
-below 2**62 and a sum of two below 2**63 (of four, below 2**64 as uint64),
-at any P; a weight is at most |H|, and a coefficient batch's weights add
-up to less than 2**31.  P < MAX_SERIES = 2**16 is a size guard: every grid
-variable has more than P points.  K_j, g_p and the scales are prefix
-products mod q in log2 n numpy steps with one inverse per prime
+products and class.  All primes share each numpy call; a reduction is
+x - (x // q) q by the (primes, 1) column q.  numpy divides by an invariant
+by multiply and shift (Granlund and Montgomery, 1994), but its iterator
+buffers an op that broadcasts q against rows of at most half the ufunc
+buffer (8192 elements by default), and a buffered division divides each
+element: 3.9 against 0.53 ns per element on a (6, 2624) batch.  So the
+per-prime arithmetic runs on a buffer of _BUF elements (_unbuffered); the
+results never depend on it.  Residues are int64 below 2**31: a product of
+two stays below 2**62 and a sum of two below 2**63 (of four, below 2**64 as
+uint64), at any P; a weight is at most |H|, and a coefficient batch's
+weights add up to less than 2**31.  P < MAX_SERIES = 2**16 is a size guard:
+every grid variable has more than P points.  K_j, g_p and the scales are
+prefix products mod q in log2 n numpy steps with one inverse per prime
 (Montgomery's trick), and omega^(k..2k-1) = omega^(0..k-1) omega^k.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import islice
 
@@ -93,8 +98,8 @@ from .symmetry import Matrix
 _ROWS = 128
 # orbit representatives per batch, in grid rows of M points
 _BATCH = 64
-# rows of at least this many points per prime are reduced prime by prime
-_LONG = 1024
+# numpy's ufunc buffer, in elements, while the kernels run (see _unbuffered)
+_BUF = 256
 # series lengths P must stay below this size guard
 MAX_SERIES = 1 << 16
 
@@ -198,18 +203,30 @@ def plan(nf: NormalizedPolynomial, target, p: int, use_split2: bool = True
     return tp
 
 
+@contextmanager
+def _unbuffered(x):
+    """numpy's ufunc buffer at _BUF elements inside, the caller's size after
+    (errstate scopes it per thread in numpy >= 2.0, the finally before), for
+    the arithmetic on x (..., primes, points); no change for one prime (q
+    acts as a scalar) or at most _BUF / 2 points, buffered at either size."""
+    if x.shape[-2] == 1 or x.shape[-1] <= _BUF // 2:
+        yield
+        return
+    with np.errstate():
+        old = np.setbufsize(_BUF)
+        try:
+            yield
+        finally:
+            np.setbufsize(old)
+
+
 def _reduce(x, q, tmp=None):
     """x mod q in place for x >= 0 and q (primes, 1, ...) aligned with the
-    last axes of x, or one prime as (1, ..., 1); tmp is shaped like x."""
-    if x.size < _LONG * q.size:
-        return np.remainder(x, q, out=x)
-    tmp = np.empty_like(x) if tmp is None else tmp
-    xu, tu = x.view(np.uint64), tmp.view(np.uint64)   # unsigned divides faster
-    for i, qi in enumerate(q.ravel().tolist()):
-        at = (..., i, *[slice(None)] * (q.ndim - 1)) if q.size > 1 else ()
-        np.floor_divide(xu[at], qi, out=tu[at])
-    tmp *= q
-    x -= tmp
+    last axes of x, or one prime as (1, ..., 1); tmp is shaped like x.  One
+    unsigned floor division for all primes (unsigned divides faster)."""
+    u = np.floor_divide(x.view(np.uint64), q.view(np.uint64),
+                        out=None if tmp is None else tmp.view(np.uint64))
+    x -= np.multiply(u, q.view(np.uint64), out=u).view(x.dtype)
     return x
 
 
@@ -417,17 +434,18 @@ def _class_values(tp: TorusPlan, primes, rows, batch: int = _BATCH):
         acc = vals[..., :n].view(np.uint64)
         scratch = np.empty((n_classes + 1, nq, n), dtype=np.uint64)
         t, o = scratch[:-1], scratch[-1]
-        for e in range(d_last + 1):
-            x = acc if e == 0 else t
-            np.take(Pu[:, e], r, axis=-1, out=x, mode="clip")
-            if e != shift_last:
-                np.take(om, (e - shift_last) * l % M, axis=1, out=o,
-                        mode="clip")
-                np.multiply(x, o, out=x)
-            if e:
-                np.add(acc, t, out=acc)
-            if e % 4 == 3 or e == d_last:
-                _reduce(acc, qu, t)
+        with _unbuffered(acc):
+            for e in range(d_last + 1):
+                x = acc if e == 0 else t
+                np.take(Pu[:, e], r, axis=-1, out=x, mode="clip")
+                if e != shift_last:
+                    np.take(om, (e - shift_last) * l % M, axis=1, out=o,
+                            mode="clip")
+                    np.multiply(x, o, out=x)
+                if e:
+                    np.add(acc, t, out=acc)
+                if e % 4 == 3 or e == d_last:
+                    _reduce(acc, qu, t)
         w = omega[:, ((twist[:-1] @ O)[r] + twist[-1] * l) % M] \
             if twist.any() else None
         return vals[..., :n], w, weight
@@ -468,12 +486,13 @@ def coefficient_residues(tp: TorusPlan, primes, rows: range | None = None
     K = _trinomial_weights(p, abs(m), qs)
     total = np.zeros(len(primes), dtype=np.int64)
     for vals, w, weight in _class_values(tp, primes, rows):
-        if tp.inner is None:
-            value = _powmod(vals[0], p, qs)
-        else:
-            value = _trinomial(vals[1], vals[2], vals[0], p, m, K, qs)
-        if w is not None:
-            value = _mulmod(value, w, qs)
+        with _unbuffered(vals):
+            if tp.inner is None:
+                value = _powmod(vals[0], p, qs)
+            else:
+                value = _trinomial(vals[1], vals[2], vals[0], p, m, K, qs)
+            if w is not None:
+                value = _mulmod(value, w, qs)
         total = (total + value @ weight) % qs[:, 0]
     return tuple(int(x) * pow(tp.M, -len(tp.grid), q) % q
                  for x, q in zip(total.tolist(), primes))
@@ -532,19 +551,20 @@ def series_residues(tp: TorusPlan, primes, rows: range | None = None
     S = np.zeros((P + 1, len(primes)), dtype=np.int64)
     g, scale = _series_tables(P, tp.M, len(tp.grid), tp.inner is not None, qs)
     for vals, _, weight in _class_values(tp, primes, rows, 2 * _BATCH):
-        a, d = vals[0], None                # h itself without tp.inner
-        if tp.inner is not None:
-            # A is the class of x^0; unless x has exponents of both signs
-            # (shift 1: x^-1, x^0, x^1) only A^p reaches x^0, so BC = 0;
-            # D = A^2 + 4 (q - BC) < 2**63 goes to the spare class rows
-            s = tp.nf.shift[tp.inner]
-            a, (d, t) = vals[s], (vals[k] for k in range(3) if k != s)
-            if s == 1:
-                _reduce(np.multiply(d, t, out=t), qs, d)
-                np.left_shift(np.subtract(qs, t, out=t), 2, out=t)
-            np.multiply(a, a, out=d)
-            _reduce(np.add(d, t, out=d) if s == 1 else d, qs, t)
-        for p, u in enumerate(_trinomial_powers(a, d, weight, g, qs)):
-            S[p] += u.sum(axis=-1)
+        with _unbuffered(vals):
+            a, d = vals[0], None            # h itself without tp.inner
+            if tp.inner is not None:
+                # A is the class of x^0; unless x has exponents of both signs
+                # (shift 1: x^-1, x^0, x^1) only A^p reaches x^0, so BC = 0;
+                # D = A^2 + 4 (q - BC) < 2**63 goes to the spare class rows
+                s = tp.nf.shift[tp.inner]
+                a, (d, t) = vals[s], (vals[k] for k in range(3) if k != s)
+                if s == 1:
+                    _reduce(np.multiply(d, t, out=t), qs, d)
+                    np.left_shift(np.subtract(qs, t, out=t), 2, out=t)
+                np.multiply(a, a, out=d)
+                _reduce(np.add(d, t, out=d) if s == 1 else d, qs, t)
+            for p, u in enumerate(_trinomial_powers(a, d, weight, g, qs)):
+                S[p] += u.sum(axis=-1)
         S %= qs[:, 0]
     return list(map(tuple, (S * scale.T % qs[:, 0]).tolist()))

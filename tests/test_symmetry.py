@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from ctpow import torus
+from ctpow import symmetry, torus
 from ctpow.fixtures import sample_polynomial
 from ctpow.laurent import make_polynomial, normalize, parse_laurent
 from ctpow.symmetry import (MAX_TERMS, automorphisms, coordinate_changes,
@@ -144,6 +144,44 @@ def test_large_supports_and_groups_get_the_identity_only():
     t0 = time.perf_counter()
     assert automorphisms(_cross_polytope(6)) == (identity(6),)
     assert time.perf_counter() - t0 < 5
+
+
+def test_recorded_searches_answer_every_budget(monkeypatch):
+    # the 4-variable cross-polytope's full search takes 633 nodes: budgets
+    # in any order give what a search from scratch gives
+    terms = _cross_polytope(4)
+    budgets = [700, 10, 632, 633, 5000, 100, 632, 1 << 14]
+    fresh = []
+    for steps in budgets:
+        automorphisms.cache_clear()
+        fresh.append(automorphisms(terms, steps))
+    automorphisms.cache_clear()
+    assert [automorphisms(terms, steps) for steps in budgets] == fresh
+    assert [len(G) for G in fresh] == [384, 1, 1, 384, 384, 1, 1, 384]
+    # planning the 5-variable cross-polytope at p = 2..40 in one process
+    # asks for 39 rising budgets, all below the 6331 nodes of its full
+    # search; the record gives the plans of a search from scratch at every
+    # power, searching again only past the largest budget that ran out,
+    # with at least twice that budget
+    nf = normalize(parse_laurent(" + ".join(f"X{k} + X{k}^-1"
+                                            for k in range(5))))
+
+    def plan(p):
+        return torus.plan(nf, tuple(p * s for s in nf.shift), p)
+
+    fresh = []
+    for p in range(2, 41):
+        automorphisms.cache_clear()
+        fresh.append(plan(p))
+    asked, searched = [], []
+    ask, search = symmetry.automorphisms, symmetry._search
+    monkeypatch.setattr(symmetry, "automorphisms", lambda terms, steps: (
+        asked.append(steps), ask(terms, steps))[1])
+    monkeypatch.setattr(symmetry, "_search", lambda terms, steps: (
+        searched.append(steps), search(terms, steps))[1])
+    automorphisms.cache_clear()
+    assert [plan(p) for p in range(2, 41)] == fresh
+    assert len(set(asked)) == 39 and len(searched) < 10, searched
 
 
 def _stabiliser(G, u, index):

@@ -1,6 +1,8 @@
+import contextlib
 import itertools
 import math
 import random
+import threading
 import time
 import tracemalloc
 
@@ -419,6 +421,14 @@ def test_trinomial_against_python_ints():
                  for k in range(8)] for i, q in enumerate(primes)], (p, m)
 
 
+@contextlib.contextmanager
+def _buffer(size):
+    """numpy's ufunc buffer at `size` elements inside, the caller's after."""
+    with np.errstate():
+        np.setbufsize(size)
+        yield
+
+
 def _reduce_input(shape, q, dtype, rng):
     """Random values up to the largest the kernels reduce, 4 (q - 1)^2 as
     uint64 (a block of four products) or (q - 1)^2 as int64, with each row
@@ -430,12 +440,13 @@ def _reduce_input(shape, q, dtype, rng):
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
-@pytest.mark.parametrize("n", [5, 255, 342, 3000])
+@pytest.mark.parametrize("n", [5, 255, 342, 3000, 4100])
 def test_reduce_against_remainder_and_python_ints(n, dtype):
     # (classes, primes, n) against (primes, 1), and the reference engine's
-    # (R, L) against one prime as (1, 1); 3n and 4n points per prime fall
-    # below torus._LONG for n = 5 and 255 and reach it for 342 and 3000, so
-    # both paths run, and a long path that reduced only row 0 would fail
+    # (4, n) against one prime as (1, 1), on numpy's default buffer and on
+    # torus._BUF: rows of n = 5 points per prime are at most half of either
+    # buffer, 255, 342 and 3000 only of the default one, and 4100 of
+    # neither, so both iterator paths run; reducing one row would fail
     rng = np.random.default_rng(n)
     primes = select_primes(1 << 92, congruent_to_1_mod=41).primes
     qs = np.array(primes, dtype=dtype)[:, None]
@@ -445,33 +456,99 @@ def test_reduce_against_remainder_and_python_ints(n, dtype):
             for c in x]
     engine_x = _reduce_input((4, n), primes[0], dtype, rng)
     engine_want = [[v % primes[0] for v in row] for row in engine_x.tolist()]
+    assert (n <= torus._BUF // 2, n <= np.getbufsize() // 2) \
+        == (n == 5, n < 4100)
     for x, q, want in ((x, qs, want), (engine_x, qs[:1], engine_want)):
-        assert (x.size >= torus._LONG * q.size) == (n > 255)
         assert np.remainder(x, q).tolist() == want
-        for tmp in (None, np.empty_like(x)):
-            y = x.copy()
-            assert torus._reduce(y, q, tmp) is y
-            assert y.dtype == x.dtype and y.tolist() == want
+        for size in (np.getbufsize(), torus._BUF):
+            with _buffer(size):
+                for tmp in (None, np.empty_like(x)):
+                    y = x.copy()
+                    assert torus._reduce(y, q, tmp) is y
+                    assert y.dtype == x.dtype and y.tolist() == want
 
 
 def test_kernels_on_long_rows_repeat_the_short_rows():
-    # the point values of test_trinomial_against_python_ints, repeated
-    # past torus._LONG points per prime, give the same values repeated
+    # the point values of test_trinomial_against_python_ints, in rows of 8
+    # points per prime, repeated past half of torus._BUF and past half of
+    # numpy's default buffer, on either buffer, give the same values repeated
     primes = select_primes(1 << 61, congruent_to_1_mod=4).primes[:2]
     qs = np.array(primes, dtype=np.int64)[:, None]
     rng = np.random.default_rng(5)
     A, B, C = (np.stack([_reduce_input(8, q, np.int64, rng) % q
                          for q in primes]) for _ in range(3))
-    reps = torus._LONG // 8 + 1
+    runs = [(reps, size) for reps in (torus._BUF // 16 + 1,
+                                      np.getbufsize() // 16 + 1)
+            for size in (np.getbufsize(), torus._BUF)]
     for p in (0, 1, 2, 7, 16, 33):
         for m in {-p, -1, 0, 2, p} & set(range(-p, p + 1)):
             K = torus._trinomial_weights(p, abs(m), qs)
             short = torus._trinomial(A, B, C, p, m, K, qs)
-            assert torus._trinomial(*(np.tile(x, reps) for x in (A, B, C)),
-                                    p, m, K, qs).tolist() \
-                == np.tile(short, reps).tolist(), (p, m)
-        assert torus._powmod(np.tile(A, reps), p, qs).tolist() \
-            == np.tile(torus._powmod(A, p, qs), reps).tolist()
+            for reps, size in runs:
+                with _buffer(size):
+                    long = torus._trinomial(
+                        *(np.tile(x, reps) for x in (A, B, C)), p, m, K, qs)
+                assert long.tolist() == np.tile(short, reps).tolist(), \
+                    (p, m, reps)
+        for reps, size in runs:
+            with _buffer(size):
+                long = torus._powmod(np.tile(A, reps), p, qs)
+            assert long.tolist() \
+                == np.tile(torus._powmod(A, p, qs), reps).tolist()
+
+
+def test_kernels_restore_the_callers_buffer_size(monkeypatch):
+    # numpy's buffer size after each kernel, and after a kernel that raises
+    # inside the scope, is the caller's; a thread beside the scope keeps its
+    # own size throughout.  Sample 39 at p = 20 runs batches of 1344 points
+    # for each of its primes, where the scope sets torus._BUF; it leaves the
+    # size alone for one prime or for rows of at most torus._BUF / 2 points
+    tp, ms = _prepare(sample_polynomial("39"), 20)
+    assert len(ms.primes) > 1
+    default = np.getbufsize()
+    with np.errstate():
+        np.setbufsize(4096)
+        for fn in (torus.coefficient_residues, torus.series_residues):
+            fn(tp, ms.primes)
+            assert np.getbufsize() == 4096, fn.__name__
+        seen = []
+
+        def raising(*args):
+            seen.append(np.getbufsize())
+            raise ArithmeticError("in the scope")
+
+        monkeypatch.setattr(torus, "_trinomial", raising)
+        with pytest.raises(ArithmeticError):
+            torus.coefficient_residues(tp, ms.primes)
+        assert seen == [torus._BUF] and np.getbufsize() == 4096
+        for shape in ((1, 1344), (6, 128)):
+            with torus._unbuffered(np.empty(shape)):
+                assert np.getbufsize() == 4096, shape
+    assert np.getbufsize() == default
+
+    # each phase: the thread reads its size between two barriers
+    barrier, beside = threading.Barrier(2, timeout=30), []
+
+    def other_thread():
+        np.setbufsize(1024)
+        for _ in range(3):               # before, inside and after the scope
+            barrier.wait()
+            beside.append(np.getbufsize())
+            barrier.wait()
+
+    def phase():
+        barrier.wait()
+        barrier.wait()
+
+    thread = threading.Thread(target=other_thread)
+    thread.start()
+    phase()
+    with torus._unbuffered(np.empty((6, 1344))):
+        phase()
+        assert np.getbufsize() == torus._BUF
+    phase()
+    thread.join()
+    assert beside == [1024] * 3 and np.getbufsize() == default
 
 
 def _next_prime(n):
