@@ -65,19 +65,21 @@ the terms add up to each class's coefficients P_e in the last variable, the
 phases (e - shift).s of the outer variables from one table; a point's value
 is one lazy dot sum_e P_e omega^((e - shift) l), one reduction per four
 products and class.  All primes share each numpy call; a reduction is
-x - (x // q) q by the (primes, 1) column q.  numpy divides by an invariant
-by multiply and shift (Granlund and Montgomery, 1994), but its iterator
-buffers an op that broadcasts q against rows of at most half the ufunc
-buffer (8192 elements by default), and a buffered division divides each
-element: 3.9 against 0.53 ns per element on a (6, 2624) batch.  So the
-per-prime arithmetic runs on a buffer of _BUF elements (_unbuffered); the
-results never depend on it.  Residues are int64 below 2**31: a product of
-two stays below 2**62 and a sum of two below 2**63 (of four, below 2**64 as
-uint64), at any P; a weight is at most |H|, and a coefficient batch's
-weights add up to less than 2**31.  P < MAX_SERIES = 2**16 is a size guard:
-every grid variable has more than P points.  K_j, g_p and the scales are
-prefix products mod q in log2 n numpy steps with one inverse per prime
-(Montgomery's trick), and omega^(k..2k-1) = omega^(0..k-1) omega^k.
+x - (x // q) q by the (primes, 1) column q (one np.remainder call below
+_SMALL elements, where numpy's per-call cost dominates).  numpy divides by
+an invariant by multiply and shift (Granlund and Montgomery, 1994), but
+its iterator buffers an op that broadcasts q against rows of at most half
+the ufunc buffer (8192 elements by default), and a buffered division
+divides each element: 3.9 against 0.53 ns per element on a (6, 2624)
+batch.  So the per-prime arithmetic runs on a buffer of _BUF elements
+(_unbuffered); the results never depend on it.  Residues are int64 below
+2**31: a product of two stays below 2**62 and a sum of two below 2**63 (of
+four, below 2**64 as uint64), at any P; a weight is at most |H|, and a
+coefficient batch's weights add up to less than 2**31.  P < MAX_SERIES =
+2**16 is a size guard: every grid variable has more than P points.  K_j,
+g_p and the scales are prefix products mod q in log2 n numpy steps with
+one inverse per prime (Montgomery's trick), and omega^(k..2k-1) =
+omega^(0..k-1) omega^k.
 """
 
 from __future__ import annotations
@@ -100,6 +102,8 @@ _ROWS = 128
 _BATCH = 64
 # numpy's ufunc buffer, in elements, while the kernels run (see _unbuffered)
 _BUF = 256
+# batches of fewer elements are reduced by one np.remainder call (_reduce)
+_SMALL = 1024
 # series lengths P must stay below this size guard
 MAX_SERIES = 1 << 16
 
@@ -223,7 +227,11 @@ def _unbuffered(x):
 def _reduce(x, q, tmp=None):
     """x mod q in place for x >= 0 and q (primes, 1, ...) aligned with the
     last axes of x, or one prime as (1, ..., 1); tmp is shaped like x.  One
-    unsigned floor division for all primes (unsigned divides faster)."""
+    unsigned floor division for all primes (unsigned divides faster), then a
+    multiply and a subtract; below _SMALL elements numpy's per-call cost
+    outweighs the division, and one np.remainder call divides each."""
+    if x.size < _SMALL:
+        return np.remainder(x, q, out=x)
     u = np.floor_divide(x.view(np.uint64), q.view(np.uint64),
                         out=None if tmp is None else tmp.view(np.uint64))
     x -= np.multiply(u, q.view(np.uint64), out=u).view(x.dtype)

@@ -446,7 +446,9 @@ def test_reduce_against_remainder_and_python_ints(n, dtype):
     # (4, n) against one prime as (1, 1), on numpy's default buffer and on
     # torus._BUF: rows of n = 5 points per prime are at most half of either
     # buffer, 255, 342 and 3000 only of the default one, and 4100 of
-    # neither, so both iterator paths run; reducing one row would fail
+    # neither, so both iterator paths run; below torus._SMALL elements (n =
+    # 5, and the engine's rows at 255) np.remainder runs instead.  Reducing
+    # one row would fail
     rng = np.random.default_rng(n)
     primes = select_primes(1 << 92, congruent_to_1_mod=41).primes
     qs = np.array(primes, dtype=dtype)[:, None]
@@ -458,6 +460,8 @@ def test_reduce_against_remainder_and_python_ints(n, dtype):
     engine_want = [[v % primes[0] for v in row] for row in engine_x.tolist()]
     assert (n <= torus._BUF // 2, n <= np.getbufsize() // 2) \
         == (n == 5, n < 4100)
+    assert (x.size < torus._SMALL, engine_x.size < torus._SMALL) \
+        == (n == 5, n <= 255)
     for x, q, want in ((x, qs, want), (engine_x, qs[:1], engine_want)):
         assert np.remainder(x, q).tolist() == want
         for size in (np.getbufsize(), torus._BUF):
