@@ -76,8 +76,9 @@ def inverse(rows):
 
 
 # [nodes, maps] of the full search of terms, or [the largest budget that
-# ran out, None], for the latest 32 terms
-_searched = lru_cache(maxsize=32)(lambda terms: [-1, None])
+# ran out, None], then the identity, for the latest 32 terms
+_searched = lru_cache(maxsize=32)(lambda terms: [-1, None, (tuple(
+    map(tuple, np.eye(len(terms[0][1]), dtype=int).tolist())),)])
 
 
 def automorphisms(terms, steps: int = MAX_STEPS) -> tuple[Matrix, ...]:
@@ -89,9 +90,8 @@ def automorphisms(terms, steps: int = MAX_STEPS) -> tuple[Matrix, ...]:
     so that rising budgets cost O(the largest) nodes in all."""
     known = _searched(terms)
     if known[1] is None and steps > known[0]:
-        known[:] = _search(terms, max(steps, min(2 * known[0], MAX_STEPS)))
-    return known[1] if known[0] <= steps and known[1] else (
-        tuple(map(tuple, np.eye(len(terms[0][1]), dtype=int).tolist())),)
+        known[:2] = _search(terms, max(steps, min(2 * known[0], MAX_STEPS)))
+    return known[1] if known[0] <= steps and known[1] else known[2]
 
 
 automorphisms.cache_clear = _searched.cache_clear
