@@ -9,7 +9,7 @@ recurrence (differential operator) discovery.
 
 import os
 
-# int64 arithmetic needs no BLAS: keep OpenBLAS from starting busy threads
+# uint64 arithmetic needs no BLAS: keep OpenBLAS from starting busy threads
 if _pin := "OPENBLAS_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 from .fixtures import sample_operator, sample_polynomial

@@ -27,9 +27,9 @@ exponent of X1 with split2, one class without), and Horner evaluates them
 along the row.  No intermediate polynomial is stored, so the live
 auxiliary elements stay O(chunk * max_k N_k), linear in p.
 
-Residues are kept in numpy int64 arrays.  All moduli are below 2**31, so a
-product of two residues stays below 2**62 and a sum of two such products
-below 2**63; nothing here can overflow.
+Residues are kept in numpy uint64 arrays, as in the torus kernels.  All
+moduli are below 2**31, so a product of two residues stays below 2**62 and
+a sum of two such products below 2**63; nothing here can overflow.
 
 Work is instrumented: a Counters passed to coefficient_mod_prime adds up
 the rows walked with and without split2, the points powered and the walk's
@@ -102,7 +102,7 @@ def _walk(A: np.ndarray, i, p: int, q: int, split: bool,
     variables, all but X1 with split and all without, where G is
     f(s)^p, or the trinomial sum over X1 with split; row_k is row i_k."""
     N = tuple(p * (n - 1) for n in A.shape)
-    qs = np.array([[q]], dtype=np.int64)
+    qs = np.array([[q]], dtype=np.uint64)
     first = int(split)                       # the variable along a row
     outer = range(first + 1, A.ndim)         # the variables across rows
     shape = tuple(N[k] + 1 for k in outer)
@@ -112,18 +112,18 @@ def _walk(A: np.ndarray, i, p: int, q: int, split: bool,
     E = np.argwhere(A)
     coeffs = A[tuple(E.T)][:, None]
     classes, d = (A.shape[0] if split else 1), A.shape[first] - 1
-    group = np.zeros((classes * (d + 1), len(E)), dtype=np.int64)
+    group = np.zeros((classes * (d + 1), len(E)), dtype=np.uint64)
     group[E[:, 0] * (d + 1) * split + E[:, first], np.arange(len(E))] = 1
     # s^e mod q for the nodes s and exponents e of each outer variable
     powers = {}
     for k in outer:
-        table = np.ones((N[k] + 1, A.shape[k]), dtype=np.int64)
+        table = np.ones((N[k] + 1, A.shape[k]), dtype=np.uint64)
         table[:, 1:] = np.arange(N[k] + 1)[:, None]
         powers[k] = torus._cumprod_mod(table, q)
     rows = {k: np.array(interp.inverse_vandermonde_row(N[k], i[k], q).entries,
-                        dtype=np.int64) for k in range(first, A.ndim)}
+                        dtype=np.uint64) for k in range(first, A.ndim)}
     K = torus._trinomial_weights(p, 0, qs) if split else None
-    u = np.arange(L, dtype=np.int64)
+    u = np.arange(L, dtype=np.uint64)
     held = (sum(t.size for t in (*powers.values(), *rows.values()))
             + (K.size if split else 0)
             + (len(E) + classes * (d + 1) + 2) * R
@@ -190,7 +190,7 @@ def coefficient_mod_prime(nf: NormalizedPolynomial, i, p: int, q: int,
         return 0
     if p == 0:
         return 1 % q
-    A = np.zeros(tuple(d + 1 for d in nf.degrees), dtype=np.int64)
+    A = np.zeros(tuple(d + 1 for d in nf.degrees), dtype=np.uint64)
     for c, e in nf.terms:
         A[e] = c % q
     if p == 1:

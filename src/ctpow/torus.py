@@ -57,29 +57,29 @@ larger stabiliser exactly.
 The class values A, B, C of h (or h) are evaluated only at the orbit
 representatives, in chunks of _BATCH kept rows (a row is the last grid
 variable, M points) with tables built once per chunk, and batches of
-_BATCH * M points (2 _BATCH M in the series), so the live elements per
-prime stay O(p).  The last variable is the one the most maps keep in
-place, so that they map rows to rows; a row whose leading coordinates an A
-sends below its own holds no representative (symmetry.least_rows).  Per row
-the terms add up to each class's coefficients P_e in the last variable, the
-phases (e - shift).s of the outer variables from one table; a point's value
-is one lazy dot sum_e P_e omega^((e - shift) l), one reduction per four
-products and class.  All primes share each numpy call; a reduction is
-x - (x // q) q by the (primes, 1) column q (one np.remainder call below
-_SMALL elements, where numpy's per-call cost dominates).  numpy divides by
-an invariant by multiply and shift (Granlund and Montgomery, 1994), but
-its iterator buffers an op that broadcasts q against rows of at most half
-the ufunc buffer (8192 elements by default), and a buffered division
-divides each element: 3.9 against 0.53 ns per element on a (6, 2624)
-batch.  So the per-prime arithmetic runs on a buffer of _BUF elements
-(_unbuffered); the results never depend on it.  Residues are int64 below
-2**31: a product of two stays below 2**62 and a sum of two below 2**63 (of
-four, below 2**64 as uint64), at any P; a weight is at most |H|, and a
-coefficient batch's weights add up to less than 2**31.  P < MAX_SERIES =
-2**16 is a size guard: every grid variable has more than P points.  K_j,
-g_p and the scales are prefix products mod q in log2 n numpy steps with
-one inverse per prime (Montgomery's trick), and omega^(k..2k-1) =
-omega^(0..k-1) omega^k.
+_BATCH M points (2 _BATCH M in the series), so the live elements per prime
+stay O(p).  The last variable is the one the most maps keep in place, so that
+they map rows to rows; a row whose leading coordinates an A sends below its
+own holds no representative (symmetry.least_rows).  Per row the terms add
+up to each class's coefficients P_e at the exponents e of the last variable
+that occur, the phases (e - shift).s of the outer variables from one table;
+a point's value is one lazy dot sum_e P_e omega^((e - shift) l), one
+reduction per four products and class.  All primes share each numpy call; a
+reduction is x - (x // q) q by the (primes, 1) column q, in three calls.
+numpy divides by an invariant by multiply and shift (Granlund and
+Montgomery, 1994), but its iterator buffers an op that broadcasts q against
+rows of at most half the ufunc buffer (8192 elements by default), and a
+buffered division divides each element: 3.9 against 0.53 ns per element on
+a (6, 2624) batch.  So the per-prime arithmetic runs on a buffer of _BUF
+elements (_unbuffered); the results never depend on it.  Residues are
+uint64 below 2**31 from the moment they are built (numpy turns uint64 with
+an int64 array into float64, exact only below 2**53): a product of two
+stays below 2**62 and a sum of four below 2**64, at any P; a weight is at
+most |H|, and a coefficient batch's weights add up to less than 2**31.
+P < MAX_SERIES = 2**16 is a size guard: every grid variable has more than
+P points.  K_j, g_p and the scales are prefix products mod q in log2 n
+numpy steps with one inverse per prime (Montgomery's trick), and
+omega^(k..2k-1) = omega^(0..k-1) omega^k.
 """
 
 from __future__ import annotations
@@ -102,8 +102,6 @@ _ROWS = 128
 _BATCH = 64
 # numpy's ufunc buffer, in elements, while the kernels run (see _unbuffered)
 _BUF = 256
-# batches of fewer elements are reduced by one np.remainder call (_reduce)
-_SMALL = 1024
 # series lengths P must stay below this size guard
 MAX_SERIES = 1 << 16
 
@@ -227,14 +225,10 @@ def _unbuffered(x):
 def _reduce(x, q, tmp=None):
     """x mod q in place for x >= 0 and q (primes, 1, ...) aligned with the
     last axes of x, or one prime as (1, ..., 1); tmp is shaped like x.  One
-    unsigned floor division for all primes (unsigned divides faster), then a
-    multiply and a subtract; below _SMALL elements numpy's per-call cost
-    outweighs the division, and one np.remainder call divides each."""
-    if x.size < _SMALL:
-        return np.remainder(x, q, out=x)
-    u = np.floor_divide(x.view(np.uint64), q.view(np.uint64),
-                        out=None if tmp is None else tmp.view(np.uint64))
-    x -= np.multiply(u, q.view(np.uint64), out=u).view(x.dtype)
+    floor division for all primes, then a multiply and a subtract."""
+    u = np.floor_divide(x, q, out=tmp)
+    u *= q
+    x -= u
     return x
 
 
@@ -268,8 +262,8 @@ def _inverses(a, q):
     """1/a mod q for a (primes, n), every entry nonzero mod q: Montgomery's
     trick, prefix products, one inverse per prime, then suffix products."""
     pre = _cumprod_mod(a, q)
-    last = [pow(x, -1, y)
-            for x, y in zip(pre[:, -1].tolist(), q[:, 0].tolist())]
+    last = np.array([pow(x, -1, y) for x, y in zip(
+        pre[:, -1].tolist(), q[:, 0].tolist())], dtype=a.dtype)
     out = _cumprod_mod(np.column_stack([a[:, 1:], last])[:, ::-1], q)[:, ::-1]
     out[:, 1:] = out[:, 1:] * pre[:, :-1] % q
     return out
@@ -279,7 +273,7 @@ def _trinomial_weights(p: int, m: int, qs) -> np.ndarray:
     """K_j = p!/(j! (j+m)! (p-m-2j)!) mod q for j = 0..(p-m)//2, per prime
     q in qs (primes, 1), from a table of k! and one batch of inverses of
     the denominators; every q exceeds p."""
-    k = np.maximum(np.arange(p + 1, dtype=np.int64), 1)
+    k = np.maximum(np.arange(p + 1, dtype=np.uint64), 1)
     f = _cumprod_mod(np.broadcast_to(k, (len(qs), p + 1)), qs)
     j = np.arange((p - m) // 2 + 1)
     d = f[:, j] * f[:, j + m] % qs * f[:, p - m - 2 * j] % qs
@@ -303,7 +297,6 @@ def _trinomial(a, b, c, p: int, m: int, K, q):
     acc <- acc u^4 + v^(J-j0-3) sum_(k<4) K_(j0+k) u^k v^(3-k), then for
     the r = (J+1) mod 4 lowest j, acc u^r + v^(J+1-r) sum_(j<r) K_j u^j
     v^(r-1-j).  As uint64, a block's four products add up exactly."""
-    a, b, c, K, q = (x.view(np.uint64) for x in (a, b, c, K, q))
     b, c = (c, b) if m < 0 else (b, c)
     L = p - abs(m)
     J = L // 2
@@ -336,14 +329,14 @@ def _trinomial(a, b, c, p: int, m: int, K, q):
         acc = _mulmod(acc, a, q)
     if m:
         acc = _mulmod(acc, _powmod(b, abs(m), q), q)
-    return acc.view(np.int64)
+    return acc
 
 
 def _omega_powers(M: int, q):
     """omega^k mod q for k < M, omega = root_of_unity(M, q), per prime of q
     (primes, 1), by doubling: omega^(k..2k-1) = omega^(0..k-1) omega^k."""
-    step = np.array([[root_of_unity(M, x)] for x in q[:, 0].tolist()])
-    out, k = np.ones((len(q), M), dtype=np.int64), 1
+    step = np.array([[root_of_unity(M, x)] for x in q[:, 0].tolist()], q.dtype)
+    out, k = np.ones((len(q), M), dtype=np.uint64), 1
     while k < M:
         out[:, k:2 * k] = out[:, :min(k, M - k)] * step % q
         step, k = step * step % q, 2 * k
@@ -362,13 +355,14 @@ def predicted_work(tp: TorusPlan, primes, series: bool) -> int:
     coefficient_residues, or of series_residues if series, on all rows:
     representatives, estimated as ceil(M^g / |H|), times primes times
     reductions per point.  Per point the class values take one per class
-    and four products; the trinomial ten for the powers of u and v, three
-    per block of four j and about 2 log2 |m| for b^|m|; pointwise powering
-    about 2 log2 p; the series pass two per power (one without an inner
-    variable)."""
-    p, d_last = tp.p, tp.nf.degrees[tp.grid[-1]] if tp.grid else 0
+    and four exponents of the last variable that occur; the trinomial ten
+    for the powers of u and v, three per block of four j and about
+    2 log2 |m| for b^|m|; pointwise powering about 2 log2 p; the series
+    pass two per power (one without an inner variable)."""
+    p = tp.p
+    n_exps = len({e[tp.grid[-1]] for _, e in tp.nf.terms}) if tp.grid else 1
     reps = -(-tp.M ** len(tp.grid) // max(len(tp.H), 1))
-    per_point = (1 if tp.inner is None else 3) * (d_last // 4 + 1)
+    per_point = (1 if tp.inner is None else 3) * ((n_exps - 1) // 4 + 1)
     if series:
         per_point += p * (1 if tp.inner is None else 2)
     elif tp.inner is None:
@@ -392,79 +386,78 @@ def _class_values(tp: TorusPlan, primes, rows, batch: int = _BATCH):
     """
     nf, M = tp.nf, tp.M
     nq = len(primes)
-    qs = np.array(primes, dtype=np.int64)[:, None]
+    qs = np.array(primes, dtype=np.uint64)[:, None]
     rows = range(tp.rows) if rows is None else rows
-    # each term's class (its exponent in f's inner variable), its exponent
-    # in the last grid variable, and h's exponents in the outer ones; the
-    # column of zeros appended stands for an absent inner or last variable
+    # each term's class (its exponent in f's inner variable), the index of
+    # its exponent among the last grid variable's, and h's exponents in the
+    # outer ones; a column of zeros stands for an absent inner or last one
     terms = nf.terms
     X = np.array([e + (0,) for _, e in terms], dtype=np.int64)
     outer, last = tp.grid[:-1], tp.grid[-1:]
     classes = X[:, -1 if tp.inner is None else tp.inner]
-    lasts = X[:, last[0] if last else -1]
+    col = X[:, last[0] if last else -1].tolist()
+    exps = sorted(set(col))         # a dict, not np.unique: 15 us a call
+    lasts = list(map({e: k for k, e in enumerate(exps)}.get, col))
     E = X[:, list(outer)] - np.array([nf.shift[k] for k in outer], np.int64)
     shift_last = nf.shift[last[0]] if last else 0
     twist = np.array([(tp.p * nf.shift[k] - tp.target[k]) % M
                       for k in tp.grid], np.int64)
-    n_classes = 3 if tp.inner is not None else 1
-    d_last = int(lasts.max())
+    n_classes, n_exps = 3 if tp.inner is not None else 1, len(exps)
 
     omega = _omega_powers(M, qs)
     # each term's coefficient times those powers, and which (class, last
     # exponent) group of P it adds to, in float64 (BLAS) while it is exact
     coeffs = np.array([[c % q for c, _ in terms] for q in primes],
-                      dtype=np.int64)
+                      dtype=np.uint64)
     term_tab = _mulmod(omega[:, None, :], coeffs[:, :, None], qs[:, :, None])
-    group = np.zeros((n_classes * (d_last + 1), len(terms)),
-                     dtype=float if len(terms) < 1 << 22 else np.int64)
-    group[classes * (d_last + 1) + lasts, np.arange(len(terms))] = 1
+    group = np.zeros((n_classes * n_exps, len(terms)),
+                     dtype=float if len(terms) < 1 << 22 else np.uint64)
+    group[classes * n_exps + lasts, np.arange(len(terms))] = 1
 
     # chunks of _BATCH kept rows, or of _ROWS rows where no map acts and
     # the orbit pass only lists points; batches of at most T points
     H, size = tp.maps, _BATCH if tp.H else _ROWS
     T = min(max(batch, size), len(rows)) * M
-    vals = np.empty((n_classes, nq, T), dtype=np.int64)
-    om, qu = omega.view(np.uint64), qs.view(np.uint64)
+    vals = np.empty((n_classes, nq, T), dtype=np.uint64)
 
     def tables(O):      # the coefficients P_e of each class, per row of O
         ph = E @ O % M
         gathered = term_tab[:, np.arange(len(terms))[:, None], ph]
         P = (group @ gathered.transpose(1, 0, 2).reshape(len(terms), -1))
-        P = P.astype(np.int64).reshape(n_classes, d_last + 1, nq, -1) % qs
-        return P.view(np.uint64)
+        return P.astype(np.uint64).reshape(n_classes, n_exps, nq, -1) % qs
 
     def values(chunks):     # at the points (r, l) of the rows of O, joined
-        O, Pu, r, l, weight = (x[0] if len(x) == 1 else np.concatenate(
+        O, P, r, l, weight = (x[0] if len(x) == 1 else np.concatenate(
             x, -1) for x in zip(*chunks))
         n = len(r)
         # the chunks' P summed at the points with omega^((e - shift) l),
         # four products per reduction; t and the powers o are scratch
-        acc = vals[..., :n].view(np.uint64)
+        acc = vals[..., :n]
         scratch = np.empty((n_classes + 1, nq, n), dtype=np.uint64)
         t, o = scratch[:-1], scratch[-1]
         with _unbuffered(acc):
-            for e in range(d_last + 1):
-                x = acc if e == 0 else t
-                np.take(Pu[:, e], r, axis=-1, out=x, mode="clip")
+            for k, e in enumerate(exps):
+                x = acc if k == 0 else t
+                np.take(P[:, k], r, axis=-1, out=x, mode="clip")
                 if e != shift_last:
-                    np.take(om, (e - shift_last) * l % M, axis=1, out=o,
-                            mode="clip")
+                    np.take(omega, (e - shift_last) % M * l % M, axis=1,
+                            out=o, mode="clip")
                     np.multiply(x, o, out=x)
-                if e:
+                if k:
                     np.add(acc, t, out=acc)
-                if e % 4 == 3 or e == d_last:
-                    _reduce(acc, qu, t)
+                if k % 4 == 3 or k == n_exps - 1:
+                    _reduce(acc, qs, t)
         w = omega[:, ((twist[:-1] @ O)[r] + twist[-1] * l) % M] \
             if twist.any() else None
-        return vals[..., :n], w, weight
+        return acc, w, weight.astype(np.uint64)
 
     parts, filled = [], 0            # the chunks' representatives, in order
     for row in symmetry.least_rows(H, M, rows, size):
         O, r, l, weight = symmetry.orbits(H, M, row, M)
-        Pu = tables(O)                  # once, if two batches share O
+        P = tables(O)                   # once, if two batches share O
         while len(r):
             n = min(len(r), T - filled)
-            parts.append((O, Pu, r[:n] + sum(b[0].shape[1] for b in parts),
+            parts.append((O, P, r[:n] + sum(b[0].shape[1] for b in parts),
                           l[:n], weight[:n]))
             r, l, weight, filled = r[n:], l[n:], weight[n:], filled + n
             if filled == T:
@@ -489,10 +482,10 @@ def coefficient_residues(tp: TorusPlan, primes, rows: range | None = None
     target, p = tp.target, tp.p
     if any(not 0 <= t <= p * d for t, d in zip(target, tp.nf.degrees)):
         return (0,) * len(primes)
-    qs = np.array(primes, dtype=np.int64)[:, None]
+    qs = np.array(primes, dtype=np.uint64)[:, None]
     m = target[tp.inner] - p if tp.inner is not None else 0
     K = _trinomial_weights(p, abs(m), qs)
-    total = np.zeros(len(primes), dtype=np.int64)
+    total = np.zeros(len(primes), dtype=np.uint64)
     for vals, w, weight in _class_values(tp, primes, rows):
         with _unbuffered(vals):
             if tp.inner is None:
@@ -530,12 +523,12 @@ def _trinomial_powers(a, d, w, g, q):
 def _series_tables(P: int, M: int, dims: int, inner: bool, qs):
     """g as _trinomial_powers takes it and the scale (primes, P + 1) of
     a_p, (2p-1)!!/(p! M^dims), or M^-dims (primes, 1) without inner."""
-    k = np.arange(1, P + 1, dtype=np.int64)
+    k = np.arange(1, P + 1, dtype=np.uint64)
     # the inverses of M, of k = 1..P and of (2k-1)(2k-3) for k = 2..P
-    a = np.concatenate([[M], k, (2 * k[1:] - 1) * (2 * k[1:] - 3)])
+    a = np.concatenate([[np.uint64(M)], k, (2 * k[1:] - 1) * (2 * k[1:] - 3)])
     inv = _inverses(np.tile(a, (len(qs), 1)) % qs, qs)
-    g = np.zeros((P + 1, len(qs), 1), dtype=np.int64)
-    g[2:, :, 0] = (-(k[1:] - 1) ** 2 % qs * inv[:, P + 1:] % qs).T
+    g = np.zeros((P + 1, len(qs), 1), dtype=np.uint64)
+    g[2:, :, 0] = ((qs - (k[1:] - 1) ** 2 % qs) * inv[:, P + 1:] % qs).T
     scale = _powmod(inv[:, :1], dims, qs)
     if not inner:
         return g, scale
@@ -555,8 +548,8 @@ def series_residues(tp: TorusPlan, primes, rows: range | None = None
     each prime, to the full terms.
     """
     P = tp.p
-    qs = np.array(primes, dtype=np.int64)[:, None]
-    S = np.zeros((P + 1, len(primes)), dtype=np.int64)
+    qs = np.array(primes, dtype=np.uint64)[:, None]
+    S = np.zeros((P + 1, len(primes)), dtype=np.uint64)
     g, scale = _series_tables(P, tp.M, len(tp.grid), tp.inner is not None, qs)
     for vals, _, weight in _class_values(tp, primes, rows, 2 * _BATCH):
         with _unbuffered(vals):

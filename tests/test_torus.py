@@ -402,7 +402,7 @@ def test_trinomial_against_python_ints():
     # v = a^2 both q - 1 (a^2 = -1 needs q = 1 mod 4), so every monomial
     # of a block is q - 1 and its four products add up past 2**63
     primes = select_primes(1 << 61, congruent_to_1_mod=4).primes[:2]
-    qs = np.array(primes, dtype=np.int64)[:, None]
+    qs = np.array(primes, dtype=np.uint64)[:, None]
     rng = random.Random(3)
     a, b, c = ([[rng.randrange(q) for _ in range(8)] for q in primes]
                for _ in range(3))
@@ -412,7 +412,7 @@ def test_trinomial_against_python_ints():
         a[i][7] = next(s for g in range(2, 50)
                        if (s := pow(g, (q - 1) // 4, q)) ** 2 % q == q - 1)
         b[i][7], c[i][7] = 1, q - 1
-    A, B, C = (np.array(x, dtype=np.int64) for x in (a, b, c))
+    A, B, C = (np.array(x, dtype=np.uint64) for x in (a, b, c))
     for p in range(34):
         for m in range(-p, p + 1):
             K = torus._trinomial_weights(p, abs(m), qs)
@@ -446,9 +446,8 @@ def test_reduce_against_remainder_and_python_ints(n, dtype):
     # (4, n) against one prime as (1, 1), on numpy's default buffer and on
     # torus._BUF: rows of n = 5 points per prime are at most half of either
     # buffer, 255, 342 and 3000 only of the default one, and 4100 of
-    # neither, so both iterator paths run; below torus._SMALL elements (n =
-    # 5, and the engine's rows at 255) np.remainder runs instead.  Reducing
-    # one row would fail
+    # neither, so both iterator paths run.  The kernels reduce uint64; int64
+    # reduces the same way.  Reducing one row would fail
     rng = np.random.default_rng(n)
     primes = select_primes(1 << 92, congruent_to_1_mod=41).primes
     qs = np.array(primes, dtype=dtype)[:, None]
@@ -460,8 +459,6 @@ def test_reduce_against_remainder_and_python_ints(n, dtype):
     engine_want = [[v % primes[0] for v in row] for row in engine_x.tolist()]
     assert (n <= torus._BUF // 2, n <= np.getbufsize() // 2) \
         == (n == 5, n < 4100)
-    assert (x.size < torus._SMALL, engine_x.size < torus._SMALL) \
-        == (n == 5, n <= 255)
     for x, q, want in ((x, qs, want), (engine_x, qs[:1], engine_want)):
         assert np.remainder(x, q).tolist() == want
         for size in (np.getbufsize(), torus._BUF):
@@ -477,10 +474,11 @@ def test_kernels_on_long_rows_repeat_the_short_rows():
     # points per prime, repeated past half of torus._BUF and past half of
     # numpy's default buffer, on either buffer, give the same values repeated
     primes = select_primes(1 << 61, congruent_to_1_mod=4).primes[:2]
-    qs = np.array(primes, dtype=np.int64)[:, None]
+    qs = np.array(primes, dtype=np.uint64)[:, None]
     rng = np.random.default_rng(5)
     A, B, C = (np.stack([_reduce_input(8, q, np.int64, rng) % q
-                         for q in primes]) for _ in range(3))
+                         for q in primes]).astype(np.uint64)
+               for _ in range(3))
     runs = [(reps, size) for reps in (torus._BUF // 16 + 1,
                                       np.getbufsize() // 16 + 1)
             for size in (np.getbufsize(), torus._BUF)]
@@ -574,7 +572,7 @@ def test_trinomial_weights_against_big_integers():
     for p in range(301):
         primes = (_PIPELINE_PRIMES if p <= 60 else _PIPELINE[p % 3]) \
             + (_next_prime(2 * p),)
-        qs = np.array(primes, dtype=np.int64)[:, None]
+        qs = np.array(primes, dtype=np.uint64)[:, None]
         ms = range(p + 1) if p <= 60 else sorted(
             {0, 1, 2, p // 3, p - 1, p})
         for m in ms:
@@ -587,10 +585,10 @@ def test_trinomial_weights_against_big_integers():
 def test_inverses_and_prefix_products():
     rng = random.Random(9)
     primes = _PIPELINE_PRIMES[:3] + (7,)
-    qs = np.array(primes, dtype=np.int64)[:, None]
+    qs = np.array(primes, dtype=np.uint64)[:, None]
     for n in (1, 2, 3, 5, 8, 33):
         a = np.array([[rng.randrange(1, q) for _ in range(n)]
-                      for q in primes], dtype=np.int64)
+                      for q in primes], dtype=np.uint64)
         pre = torus._cumprod_mod(a, qs)
         inv = torus._inverses(a, qs)
         for i, q in enumerate(primes):
@@ -603,7 +601,7 @@ def test_inverses_and_prefix_products():
 @pytest.mark.parametrize("M", [1, 2, 3, 41, 257, 258, 1025])
 def test_omega_powers_by_doubling(M):
     primes = select_primes(1 << 61, congruent_to_1_mod=M).primes[:2]
-    qs = np.array(primes, dtype=np.int64)[:, None]
+    qs = np.array(primes, dtype=np.uint64)[:, None]
     assert torus._omega_powers(M, qs).tolist() == [
         [pow(root_of_unity(M, q), k, q) for k in range(M)] for q in primes]
 
@@ -614,7 +612,7 @@ def test_series_tables_against_a_pow_loop(P):
         primes = select_primes(1 << 92, 2 * P, congruent_to_1_mod=M).primes
         g, scale = torus._series_tables(
             P, M, len(grid), inner is not None,
-            np.array(primes, dtype=np.int64)[:, None])
+            np.array(primes, dtype=np.uint64)[:, None])
         assert g.shape == (P + 1, len(primes), 1)
         assert g[2:, :, 0].tolist() == [
             [-(p - 1) ** 2 * pow((2 * p - 1) * (2 * p - 3), -1, q) % q
@@ -679,6 +677,77 @@ def test_off_centre_indices_match_the_oracle(text, p, index):
         primes = _primes(tp, p)
         assert torus.coefficient_residues(tp, primes) \
             == tuple(want % q for q in primes)
+
+
+@pytest.mark.parametrize("text,index,want", [
+    ("X^20000 + X^-1", (0,), 0),
+    ("X^20000 + X^-1", (19998,), 3),
+    ("X*Y + X^-1 + Y^-1 + X^60*Y^-60", (0, 0), 6),
+    ("X*Y + X^-1 + Y^-1 + X^60*Y^-60", (59, -61), 6),
+])
+def test_sparse_last_variables_match_the_oracle(monkeypatch, text, index,
+                                                want):
+    # the class values run over the exponents of the last grid variable that
+    # occur, not over its whole degree: the reductions stay within twice the
+    # predicted work (which counts the distinct exponents, two here, against
+    # a degree of 20001 or 61; the term table of one row is the rest), and
+    # the series kernel agrees too
+    h = parse_laurent(text)
+    nf, p = normalize(h), 3
+    assert naive_power_coeff(h, p, index) == want
+    seen, real = [], torus._reduce
+
+    def counted(x, q, tmp=None):
+        seen.append(x.size)
+        return real(x, q, tmp)
+
+    monkeypatch.setattr(torus, "_reduce", counted)
+    target = tuple(i + p * s for i, s in zip(index, nf.shift))
+    for flag in (True, False):
+        tp = torus.plan(nf, target, p, flag)
+        primes = _primes(tp, p)
+        seen.clear()
+        assert torus.coefficient_residues(tp, primes) \
+            == tuple(want % q for q in primes)
+        assert sum(seen) <= 2 * torus.predicted_work(tp, primes, False)
+    if not any(index):
+        tp = _series_plan(nf, p)
+        primes = _primes(tp, 2 * p)
+        assert torus.series_residues(tp, primes) == [
+            tuple(naive_power_coeff(h, k) % q for q in primes)
+            for k in range(p + 1)]
+
+
+@pytest.mark.parametrize("text,p,index,flag", [
+    ("39", 10, (0, 0, 0, 0), True),            # maps, an inner variable
+    ("X + X^-1 + Y + Y^-1", 9, (3, -2), True),  # twisted: w is built
+    ("2*X^2*Y - X + 3*Y^-1", 6, (0, 0), False),  # no maps, no inner
+])
+def test_residue_arrays_are_uint64(text, p, index, flag):
+    # numpy turns uint64 with an int64 array into float64 without a word,
+    # which loses digits past 2**53: every residue array the kernels build
+    # is uint64, and each holds residues
+    h = sample_polynomial(text) if text == "39" else parse_laurent(text)
+    nf = normalize(h)
+    tp = torus.plan(nf, tuple(i + p * s for i, s in zip(index, nf.shift)),
+                    p, flag)
+    assert bool(tp.H) == (text == "39")
+    primes = _primes(tp, 2 * p)
+    qs = np.array(primes, dtype=np.uint64)[:, None]
+    twisted = False
+    for vals, w, weight in torus._class_values(tp, primes, None):
+        twisted |= w is not None
+        for x in (vals, weight) + ((w,) if w is not None else ()):
+            assert x.dtype == np.uint64
+        assert (vals < qs).all()
+    assert twisted == any(index)
+    m = tp.target[tp.inner] - p if tp.inner is not None else 0
+    tables = [torus._omega_powers(tp.M, qs),
+              torus._trinomial_weights(p, abs(m), qs)]
+    for inner in (True, False):
+        tables += torus._series_tables(p, tp.M, len(tp.grid), inner, qs)
+    for x in tables:
+        assert x.dtype == np.uint64 and (x < qs).all()
 
 
 def _coefficient_kernel(nf, p):
