@@ -336,7 +336,7 @@ def _omega_powers(M: int, q):
     """omega^k mod q for k < M, omega = root_of_unity(M, q), per prime of q
     (primes, 1), by doubling: omega^(k..2k-1) = omega^(0..k-1) omega^k."""
     step = np.array([[root_of_unity(M, x)] for x in q[:, 0].tolist()], q.dtype)
-    out, k = np.ones((len(q), M), dtype=np.uint64), 1
+    out, k = np.ones((len(q), M), dtype=q.dtype), 1
     while k < M:
         out[:, k:2 * k] = out[:, :min(k, M - k)] * step % q
         step, k = step * step % q, 2 * k
