@@ -30,12 +30,6 @@ auxiliary elements stay O(chunk * max_k N_k), linear in p.
 Residues are kept in numpy uint64 arrays, as in the torus kernels.  All
 moduli are below 2**31, so a product of two residues stays below 2**62 and
 a sum of two such products below 2**63; nothing here can overflow.
-
-Work is instrumented: a Counters passed to coefficient_mod_prime adds up
-the rows walked with and without split2, the points powered and the walk's
-elementwise multiplications, all from the walk's shape, and its
-AllocationMeter tracks the peak number of live auxiliary field elements
-(input tensor excluded; the rows, from interp's cache, count as held).
 """
 
 from __future__ import annotations
@@ -62,7 +56,8 @@ class ModulusTooSmall(EngineError):
 
 @dataclass
 class AllocationMeter:
-    """The current and peak number of live auxiliary field elements."""
+    """The current and peak number of live auxiliary field elements (input
+    tensor excluded; the rows, from interp's cache, count as held)."""
     current: int = 0
     peak: int = 0
 
@@ -77,23 +72,14 @@ class AllocationMeter:
 
 @dataclass
 class Counters:
+    """What coefficient_mod_prime's walks did: rows walked with split2 and
+    without, points powered, and elementwise multiplications, per point as
+    torus._trinomial_work or torus._powmod_work counts them; the meter."""
     base_invocations: int = 0
     pow_mod_calls: int = 0
     split2_calls: int = 0
     mults: int = 0
     meter: AllocationMeter = field(default_factory=AllocationMeter)
-
-
-def _trinomial_mults(p: int) -> int:
-    """Elementwise multiplications per point of torus._trinomial at m = 0:
-    ten for the powers of u and v, four per block of four j and three more
-    per later block (two at j = 0), the r lowest j, and a for odd p."""
-    J = p // 2
-    r = (J + 1) % 4
-    n = 10 + 2 * (r > 0) + (r + (r == 3)) * (r > 1) + (p & 1)
-    for j0 in range(J - 3, -1, -4):
-        n += 4 if j0 == J - 3 else 6 + (j0 > 0)
-    return n
 
 
 def _walk(A: np.ndarray, i, p: int, q: int, split: bool,
@@ -160,8 +146,8 @@ def _walk(A: np.ndarray, i, p: int, q: int, split: bool,
     else:
         c.base_invocations += n_rows
         c.pow_mod_calls += points
-    per_point = (_trinomial_mults(p) if split
-                 else p.bit_count() + p.bit_length() - 1)
+    per_point = (torus._trinomial_work(p, 0)[0] if split
+                 else torus._powmod_work(p))
     # term and row-weight products per row; Horner, G and the row per point
     c.mults += (n_rows * (len(E) + 1) * len(outer) + n_rows
                 + points * (classes * d + per_point + 1))

@@ -64,10 +64,10 @@ def _resolve_threads(threads: int) -> int:
 
 # predicted reductions (torus.predicted_work) per forked row-block worker.
 # Medians on 2 shared vCPUs, one worker against two: sample 39 at p = 40
-# (2.1M) took 0.0230 against 0.0207 s (BENCH_20.json) and 0.0209 against
+# (1.9M) took 0.0230 against 0.0207 s (BENCH_20.json) and 0.0209 against
 # 0.0221 s (BENCH_21.json); the series of samples 39, 24 and 38 to 34
 # (2.5M to 7.6M) used as much CPU as wall time on two workers.  Sample 39
-# at p = 80 (48.9M) gained 1.4-1.8x and its series to 59 (39.2M) 1.3-1.7x.
+# at p = 80 (44.6M) gained 1.4-1.8x and its series to 59 (39.2M) 1.3-1.7x.
 _WORK_PER_WORKER = 1 << 24
 
 

@@ -241,20 +241,20 @@ def least_rows(H: np.ndarray, M: int, rows: range, size: int):
         yield from (row[k:k + size] for k in range(0, len(row), size))
 
 
-def orbits(H: np.ndarray, M: int, row, L: int):
-    """The R rows `row` of Z_M^g (L points each) under s -> A s mod M, A in
+def orbits(H: np.ndarray, M: int, row):
+    """The R rows `row` of Z_M^g (M points each) under s -> A s mod M, A in
     H (distinct, shape (|H|, g, g)): their outer coordinates O, and of each
     point whose flat index is the least of its orbit the index r into `row`,
     the column l and |H| / #{A in H : A s = s}.  A s is a row part plus a
     column part, each reduced once per row or column; the maps go five at a
-    time over all R L points while half are kept, then k at a time over the
-    c kept, k * max(c, R, L) <= 2 R L, on the rows where one sends the
-    prefix to or below the row's own: at most (10 g + 8) R L elements."""
+    time over all R M points while half are kept, then k at a time over the
+    c kept, k * max(c, R, M) <= 2 R M, on the rows where one sends the
+    prefix to or below the row's own: at most (10 g + 8) R M elements."""
     g, R = H.shape[1], len(row)
     strides = M ** np.arange(g - 1, -1, -1, dtype=np.int64)
     O = row // strides[1:, None] % M
-    cols = np.arange(L, dtype=np.int64)
-    flat, stab = (row[:, None] * L + cols).ravel(), np.ones(R * L, np.int64)
+    cols = np.arange(M, dtype=np.int64)
+    flat, stab = (row[:, None] * M + cols).ravel(), np.ones(R * M, np.int64)
     maps = H[(H != np.eye(g, dtype=np.int64)).any(axis=(1, 2))]
 
     def images(A, r=None, l=None):               # of all points, or of (r, l)
@@ -270,16 +270,16 @@ def orbits(H: np.ndarray, M: int, row, L: int):
             f += x
         return f
 
-    keep, i = np.ones(R * L, dtype=bool), 0
-    while i < len(maps) and 2 * np.count_nonzero(keep) >= R * L:
+    keep, i = np.ones(R * M, dtype=bool), 0
+    while i < len(maps) and 2 * np.count_nonzero(keep) >= R * M:
         f = images(maps[i:i + 5])
         keep &= (f >= flat).all(axis=0)
         stab += (f == flat).sum(axis=0)
         i += 5
-    r, l = np.divmod(np.flatnonzero(keep), L)
+    r, l = np.divmod(np.flatnonzero(keep), M)
     flat, stab = flat[keep], stab[keep]
     while i < len(maps) and len(r):
-        A = maps[i:i + max(1, 2 * R * L // max(len(r), R, L))]
+        A = maps[i:i + max(1, 2 * R * M // max(len(r), R, M))]
         t = (_prefix_order(A, M, O) <= 0).any(axis=0)[r]
         f, keep = images(A, r[t], l[t]), ~t
         keep[t] = (f >= flat[t]).all(axis=0)

@@ -19,17 +19,15 @@ polynomials in the other variables, and m = t_x - p >= 0,
     K_j = p! / (j! (j+m)! (p-m-2j)!),
 
 with B and C swapped when m < 0, by homogeneous Horner in u = BC and
-v = A^2 four j per step (Paterson-Stockmeyer, blocks of 4 from the top j):
-three reductions per point and four j (the block's sum in uint64, the
-step and v^4i) after ten for the powers of u and v.  Without such a
-variable, or with use_split2 off, every variable is on the grid and
-h(omega^s)^p is powered pointwise.
+v = A^2, four j per step (Paterson-Stockmeyer; _trinomial_work counts the
+work).  Without such a variable, or with use_split2 off, every variable is
+on the grid and h(omega^s)^p is powered pointwise.
 
 A series a_0..a_P takes one pass over the grid planned for a_P, which is
 valid for every p <= P.  With h = C/x + A + B*x in the inner variable x,
 U_p = p! [x^0] h^p obeys U_p = (2p-1) A U_(p-1) - (p-1)^2 D U_(p-2),
 D = A^2 - 4BC.  The pass runs it on w V_p = w U_p / (2p-1)!!, with w the
-orbit weight of the point (below), two reductions per point and power:
+orbit weight of the point (below):
 
     V_0 = w, V_1 = w A, V_p = A V_(p-1) + g_p (D V_(p-2) mod q) mod q,
     g_p = -(p-1)^2 / ((2p-1)(2p-3)) mod q,
@@ -63,23 +61,20 @@ they map rows to rows; a row whose leading coordinates an A sends below its
 own holds no representative (symmetry.least_rows).  Per row the terms add
 up to each class's coefficients P_e at the exponents e of the last variable
 that occur, the phases (e - shift).s of the outer variables from one table;
-a point's value is one lazy dot sum_e P_e omega^((e - shift) l), one
-reduction per four products and class.  All primes share each numpy call; a
-reduction is x - (x // q) q by the (primes, 1) column q, in three calls.
-numpy divides by an invariant by multiply and shift (Granlund and
-Montgomery, 1994), but its iterator buffers an op that broadcasts q against
-rows of at most half the ufunc buffer (8192 elements by default), and a
-buffered division divides each element: 3.9 against 0.53 ns per element on
-a (6, 2624) batch.  So the per-prime arithmetic runs on a buffer of _BUF
-elements (_unbuffered); the results never depend on it.  Residues are
-uint64 below 2**31 from the moment they are built (numpy turns uint64 with
-an int64 array into float64, exact only below 2**53): a product of two
-stays below 2**62 and a sum of four below 2**64, at any P; a weight is at
-most |H|, and a coefficient batch's weights add up to less than 2**31.
-P < MAX_SERIES = 2**16 is a size guard: every grid variable has more than
-P points.  K_j, g_p and the scales are prefix products mod q in log2 n
-numpy steps with one inverse per prime (Montgomery's trick), and
-omega^(k..2k-1) = omega^(0..k-1) omega^k.
+a point's value is one lazy dot sum_e P_e omega^((e - shift) l).  All
+primes share each numpy call, and a reduction divides by the (primes, 1)
+column q (_reduce).  numpy divides by an invariant by multiply and shift
+(Granlund and Montgomery, 1994), but its iterator buffers an op that
+broadcasts q against rows of at most half the ufunc buffer (8192 elements
+by default), and a buffered division divides each element: 3.9 against
+0.53 ns per element on a (6, 2624) batch.  So the per-prime arithmetic
+runs on a buffer of _BUF elements (_unbuffered); the results never depend
+on it.  Residues are uint64 below 2**31 from the moment they are built
+(numpy turns uint64 with an int64 array into float64, exact only below
+2**53): a product of two stays below 2**62 and a sum of four below 2**64,
+at any P; a weight is at most |H|, and a coefficient batch's weights add
+up to less than 2**31.  P < MAX_SERIES = 2**16 is a size guard: every grid
+variable has more than P points.
 """
 
 from __future__ import annotations
@@ -238,8 +233,7 @@ def _mulmod(a, b, q):
 
 def _powmod(v, e: int, q):
     """Elementwise v**e mod q by binary powering."""
-    result = np.ones_like(v)
-    base = v
+    result, base = np.ones_like(v), v
     while e:
         if e & 1:
             result = _mulmod(result, base, q)
@@ -247,6 +241,11 @@ def _powmod(v, e: int, q):
         if e:
             base = _mulmod(base, base, q)
     return result
+
+
+def _powmod_work(e: int) -> int:
+    """The products per element of _powmod(v, e, q), each one reduction."""
+    return max(e.bit_count() + e.bit_length() - 1, 0)
 
 
 def _cumprod_mod(a, q):
@@ -292,44 +291,60 @@ def _dot(xs, ys, q, out, tmp):
 
 def _trinomial(a, b, c, p: int, m: int, K, q):
     """[(c/x + a + b*x)^p]_(x^m) pointwise, given K for |m| (primes first,
-    then j, then axes that broadcast against a): sum_j K_j u^j v^(J-j), u =
-    bc, v = a^2, in blocks of four j from the top, j0 = J-3, J-7, ...:
-    acc <- acc u^4 + v^(J-j0-3) sum_(k<4) K_(j0+k) u^k v^(3-k), then for
-    the r = (J+1) mod 4 lowest j, acc u^r + v^(J+1-r) sum_(j<r) K_j u^j
-    v^(r-1-j).  As uint64, a block's four products add up exactly."""
+    then j, then axes that broadcast against a): b^|m| a^(L mod 2) sum_j
+    K_j u^j v^(J-j), L = p - |m|, J = L // 2, u = bc, v = a^2, from the
+    top j down.  The s = (J+1) mod 4 or 4 highest j give acc = sum_(k<s)
+    K_(J+1-s+k) u^k v^(s-1-k), then blocks of four j, j0 = J-s-3, ..., 4, 0,
+    acc <- acc u^4 + v^(J-j0-3) sum_(k<4) K_(j0+k) u^k v^(3-k).  Only the
+    powers that are read are built."""
     b, c = (c, b) if m < 0 else (b, c)
     L = p - abs(m)
     J = L // 2
-    r = (J + 1) % 4
-    u, v = _mulmod(b, c, q), _mulmod(a, a, q)
-    u2, v2 = _mulmod(u, u, q), _mulmod(v, v, q)
-    # u^k v^(3-k) for k = 0..3, then u^4 and v^4
-    mono = (_mulmod(v2, v, q), _mulmod(v2, u, q), _mulmod(u2, v, q),
-            _mulmod(u2, u, q))
-    u4, v4 = _mulmod(u2, u2, q), _mulmod(v2, v2, q)
-    acc, pw = np.zeros_like(a), np.ones_like(a)       # pw = v^(J-j0-3)
-    w, tmp = np.empty_like(a), np.empty_like(a)
-    for j0 in range(J - 3, -1, -4):
-        _dot(mono, [K[:, j:j + 1] for j in range(j0, j0 + 4)], q, w, tmp)
-        if j0 == J - 3:                     # the top block: acc = w, pw = v^4
-            acc, w, pw[...] = w, acc, v4
-        else:
-            _dot((acc, pw), (u4, w), q, acc, tmp)
-            if j0:
-                _dot((pw,), (v4,), q, pw, tmp)
-    del u4, v4
-    if r > 1:
-        low = (v, u) if r == 2 else (v2, _mulmod(u, v, q), u2)
-        _dot(low, [K[:, j:j + 1] for j in range(r)], q, w, tmp)
-    if r:
-        _dot((acc, pw), ((u, u2, mono[3])[r - 1], w if r > 1 else K[:, :1]),
-             q, acc, tmp)
-    del u, v, u2, v2, mono, pw, w, tmp        # unused in the tail: lower peak
-    if L & 1:
-        acc = _mulmod(acc, a, q)
-    if m:
-        acc = _mulmod(acc, _powmod(b, abs(m), q), q)
+    s = (J + 1) % 4 or 4
+    # b^|m| first, so that its scratch is freed before the sum's arrays
+    factors = [_powmod(b, abs(m), q)] * (m != 0) + [a] * (L & 1)
+    if J:
+        u, v = _mulmod(b, c, q), _mulmod(a, a, q)
+    if J > 1:
+        u2, v2 = _mulmod(u, u, q), _mulmod(v, v, q)
+    if J > 2:                                   # u^k v^(3-k), k = 0..3
+        mono = (_mulmod(v2, v, q), _mulmod(v2, u, q), _mulmod(u2, v, q),
+                _mulmod(u2, u, q))
+    Kj = [K[:, j:j + 1] for j in range(J + 1)]
+    acc, w, tmp = np.empty_like(a), np.empty_like(a), np.empty_like(a)
+    if s == 1:
+        acc[...] = Kj[J]
+    else:
+        _dot(mono if s == 4 else (v, u) if s == 2 else (
+            v2, _mulmod(u, v, q), u2), Kj[J + 1 - s:], q, acc, tmp)
+    if J > 3:                                   # blocks below the top j
+        u4 = _mulmod(u2, u2, q)
+        v4 = _mulmod(v2, v2, q) if J > 6 else None
+        pw = (v, v2, mono[0], v4)[s - 1].copy()     # v^(J-j0-3)
+    for j0 in range(J - s - 3, -1, -4):
+        _dot(mono, Kj[j0:j0 + 4], q, w, tmp)
+        _dot((acc, pw), (u4, w), q, acc, tmp)
+        if j0:
+            _dot((pw,), (v4,), q, pw, tmp)
+    for x in factors:
+        _dot((acc,), (x,), q, acc, tmp)
     return acc
+
+
+def _trinomial_work(p: int, m: int) -> tuple[int, int]:
+    """(products, reductions) per point of _trinomial(..., p, m, ...): one
+    of each per _mulmod, n products and one reduction per _dot of n terms."""
+    L = p - abs(m)
+    J = L // 2
+    s = (J + 1) % 4 or 4
+    blocks = (J + 1 - s) // 4
+    # _mulmods: u, v; u^2, v^2; the block monomials; u^4; v^4; uv; pw v^4
+    # per block but the first; b^|m| and the factors b^|m| and a
+    ones = (2 * (J > 0) + 2 * (J > 1) + 4 * (J > 2) + (J > 3) + (J > 6)
+            + (s == 3) + max(blocks - 1, 0) + (L & 1)
+            + (m != 0) * (_powmod_work(abs(m)) + 1))
+    # _dots: the top j's sum, per block its sum and acc u^4 + pw w
+    return ones + s * (s > 1) + 6 * blocks, ones + (s > 1) + 2 * blocks
 
 
 def _omega_powers(M: int, q):
@@ -346,7 +361,7 @@ def _omega_powers(M: int, q):
 def representatives(tp: TorusPlan) -> int:
     """The number of orbits of tp.H on the grid: the points summed."""
     H, M = tp.maps, tp.M
-    return sum(len(symmetry.orbits(H, M, row, M)[3]) for row in
+    return sum(len(symmetry.orbits(H, M, row)[3]) for row in
                symmetry.least_rows(H, M, range(tp.rows), _BATCH))
 
 
@@ -355,10 +370,9 @@ def predicted_work(tp: TorusPlan, primes, series: bool) -> int:
     coefficient_residues, or of series_residues if series, on all rows:
     representatives, estimated as ceil(M^g / |H|), times primes times
     reductions per point.  Per point the class values take one per class
-    and four exponents of the last variable that occur; the trinomial ten
-    for the powers of u and v, three per block of four j and about
-    2 log2 |m| for b^|m|; pointwise powering about 2 log2 p; the series
-    pass two per power (one without an inner variable)."""
+    and four exponents of the last variable that occur; the trinomial and
+    pointwise powering what _trinomial_work and _powmod_work count; the
+    series pass two per power (one without an inner variable)."""
     p = tp.p
     n_exps = len({e[tp.grid[-1]] for _, e in tp.nf.terms}) if tp.grid else 1
     reps = -(-tp.M ** len(tp.grid) // max(len(tp.H), 1))
@@ -366,10 +380,9 @@ def predicted_work(tp: TorusPlan, primes, series: bool) -> int:
     if series:
         per_point += p * (1 if tp.inner is None else 2)
     elif tp.inner is None:
-        per_point += 2 * p.bit_length()
+        per_point += _powmod_work(p)
     else:
-        m = abs(tp.target[tp.inner] - p)
-        per_point += 10 + 3 * ((p - m) // 8 + 1) + 2 * m.bit_length()
+        per_point += _trinomial_work(p, tp.target[tp.inner] - p)[1]
     return reps * len(primes) * per_point
 
 
@@ -453,7 +466,7 @@ def _class_values(tp: TorusPlan, primes, rows, batch: int = _BATCH):
 
     parts, filled = [], 0            # the chunks' representatives, in order
     for row in symmetry.least_rows(H, M, rows, size):
-        O, r, l, weight = symmetry.orbits(H, M, row, M)
+        O, r, l, weight = symmetry.orbits(H, M, row)
         P = tables(O)                   # once, if two batches share O
         while len(r):
             n = min(len(r), T - filled)

@@ -265,7 +265,7 @@ def test_orbits_against_brute_force(H, M):
                          for k, A in zip(strides, B)) for B in H.tolist()}
             if min(orbit) == flat:
                 want.append((flat, len(orbit)))
-        _, r, l, weight = orbits(H, M, row, M)
+        _, r, l, weight = orbits(H, M, row)
         assert list(zip((row[r] * M + l).tolist(), weight.tolist())) == want
 
 
@@ -301,6 +301,6 @@ def test_least_rows_drop_no_least_point(H, M):
             assert {flat // M for flat, _ in want} <= set(kept)
             got = []
             for row in chunks:
-                _, r, l, weight = orbits(H, M, row, M)
+                _, r, l, weight = orbits(H, M, row)
                 got += zip((row[r] * M + l).tolist(), weight.tolist())
             assert got == want

@@ -318,7 +318,7 @@ def _split_batch_ends(tp, batch):
     chunk of _BATCH kept rows, over all rows."""
     H, M = tp.maps, tp.M
     ends = set(itertools.accumulate(
-        len(symmetry.orbits(H, M, row, M)[1])
+        len(symmetry.orbits(H, M, row)[1])
         for row in symmetry.least_rows(H, M, range(tp.rows), torus._BATCH)))
     sizes = [len(wt) for _, _, wt in
              torus._class_values(tp, _primes(tp, tp.p)[:1], None, batch)]
@@ -419,6 +419,50 @@ def test_trinomial_against_python_ints():
             assert torus._trinomial(A, B, C, p, m, K, qs).tolist() == [
                 [_trinomial_coefficient(a[i][k], b[i][k], c[i][k], p, m, q)
                  for k in range(8)] for i, q in enumerate(primes)], (p, m)
+
+
+def test_trinomial_and_powmod_do_the_work_they_state(monkeypatch):
+    # the elements that _reduce sees in one call, and the products of its
+    # _mulmod and _dot calls, are _trinomial_work's counts times the points
+    # for every tail J mod 4 and J < 7, where only the powers that a block
+    # or the tail reads are built, and _powmod_work's for e = 0..40
+    primes = select_primes(1 << 61, congruent_to_1_mod=4).primes[:2]
+    qs = np.array(primes, dtype=np.uint64)[:, None]
+    rng = np.random.default_rng(11)
+    A, B, C = (np.stack([rng.integers(0, q, 5, dtype=np.uint64)
+                         for q in primes]) for _ in range(3))
+    seen = {"reduced": 0, "products": 0}
+    reduce, mulmod, dot = torus._reduce, torus._mulmod, torus._dot
+
+    def counted_reduce(x, q, tmp=None):
+        seen["reduced"] += x.size
+        return reduce(x, q, tmp)
+
+    def counted_mulmod(a, b, q):
+        out = mulmod(a, b, q)
+        seen["products"] += out.size
+        return out
+
+    def counted_dot(xs, ys, q, out, tmp):
+        seen["products"] += len(xs) * out.size
+        dot(xs, ys, q, out, tmp)
+
+    monkeypatch.setattr(torus, "_reduce", counted_reduce)
+    monkeypatch.setattr(torus, "_mulmod", counted_mulmod)
+    monkeypatch.setattr(torus, "_dot", counted_dot)
+    for p in range(14):
+        for m in {-1, 0, 1, 3} & set(range(-p, p + 1)):
+            K = torus._trinomial_weights(p, abs(m), qs)
+            seen.update(reduced=0, products=0)
+            torus._trinomial(A, B, C, p, m, K, qs)
+            products, reductions = torus._trinomial_work(p, m)
+            assert (seen["products"], seen["reduced"]) \
+                == (products * A.size, reductions * A.size), (p, m)
+    for e in range(41):
+        seen.update(reduced=0, products=0)
+        torus._powmod(A, e, qs)
+        assert seen["products"] == seen["reduced"] \
+            == torus._powmod_work(e) * A.size, e
 
 
 @contextlib.contextmanager
@@ -631,30 +675,34 @@ def test_series_tables_against_a_pow_loop(P):
 def test_rescaled_trinomial_recurrence_to_high_powers():
     # w V_p (2p-1)!!/p! = w [x^0](c/x + a + bx)^p for every p <= 200, for
     # two primes at once, with both signs present (b, c != 0) and with
-    # BC = 0, for weights w all one and for orbit sizes up to 1152
+    # BC = 0, for weights w all one and for orbit sizes up to 1152; a, d,
+    # g, q and w are uint64 and shaped as series_residues builds them
     P = 200
     primes = select_primes(1 << 61, 2 * P, congruent_to_1_mod=12).primes[:2]
-    q3 = np.array(primes, dtype=np.int64)[:, None, None]
+    qs = np.array(primes, dtype=np.uint64)[:, None]
     rng = random.Random(7)
     a, b, c = ([[rng.randrange(1, q) for _ in range(4)] for q in primes]
                for _ in range(3))
     for row in c:
         row[3] = 0                               # the last point has BC = 0
-    A, B, C = (np.array(x, dtype=np.int64)[:, None, :] for x in (a, b, c))
-    D = (A * A % q3 - 4 * (B * C % q3)) % q3
-    g = np.zeros((P + 1, 2, 1, 1), dtype=np.int64)
+    A = np.array(a, dtype=np.uint64)
+    D = np.array([[(x * x - 4 * y * z) % q for x, y, z in zip(*xyz)]
+                  for *xyz, q in zip(a, b, c, primes)], dtype=np.uint64)
+    g = np.zeros((P + 1, 2, 1), dtype=np.uint64)
     for p in range(2, P + 1):
-        g[p, :, 0, 0] = [-(p - 1) ** 2 * pow((2 * p - 1) * (2 * p - 3), -1, q)
-                         % q for q in primes]
+        g[p, :, 0] = [-(p - 1) ** 2 * pow((2 * p - 1) * (2 * p - 3), -1, q)
+                      % q for q in primes]
     for w in ([1] * 4, [rng.randint(1, 1152) for _ in range(4)]):
-        powers = torus._trinomial_powers(A, D, np.array(w), g, q3)
+        powers = torus._trinomial_powers(A, D, np.array(w, dtype=np.uint64),
+                                         g, qs)
         for p, v in enumerate(powers):
+            assert v.dtype == np.uint64
             for i, q in enumerate(primes):
                 # (2p-1)!! / p!
                 scale = math.prod(range(1, 2 * p, 2)) \
                     * pow(math.factorial(p), -1, q)
                 for k in range(4):
-                    assert int(v[i, 0, k]) * scale % q == w[k] * \
+                    assert int(v[i, k]) * scale % q == w[k] * \
                         _central_trinomial(a[i][k], b[i][k], c[i][k], p, q) \
                         % q, (p, q, k)
         assert p == P
