@@ -290,13 +290,13 @@ def _dot(xs, ys, q, out, tmp):
 
 
 def _trinomial(a, b, c, p: int, m: int, K, q):
-    """[(c/x + a + b*x)^p]_(x^m) pointwise, given K for |m| (primes first,
-    then j, then axes that broadcast against a): b^|m| a^(L mod 2) sum_j
-    K_j u^j v^(J-j), L = p - |m|, J = L // 2, u = bc, v = a^2, from the
-    top j down.  The s = (J+1) mod 4 or 4 highest j give acc = sum_(k<s)
-    K_(J+1-s+k) u^k v^(s-1-k), then blocks of four j, j0 = J-s-3, ..., 4, 0,
-    acc <- acc u^4 + v^(J-j0-3) sum_(k<4) K_(j0+k) u^k v^(3-k).  Only the
-    powers that are read are built."""
+    """[(c/x + a + b*x)^p]_(x^m) pointwise for |m| <= p, given K for |m|
+    (primes first, then j, then axes that broadcast against a): b^|m|
+    a^(L mod 2) sum_j K_j u^j v^(J-j), L = p - |m|, J = L // 2, u = bc,
+    v = a^2, from the top j down.  The s = (J+1) mod 4 or 4 highest j give
+    acc = sum_(k<s) K_(J+1-s+k) u^k v^(s-1-k), then blocks of four j, j0 =
+    J-s-3, ..., 4, 0: acc <- acc u^4 + v^(J-j0-3) sum_(k<4) K_(j0+k) u^k
+    v^(3-k).  Only the powers that are read are built."""
     b, c = (c, b) if m < 0 else (b, c)
     L = p - abs(m)
     J = L // 2

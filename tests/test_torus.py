@@ -423,9 +423,9 @@ def test_trinomial_against_python_ints():
 
 def test_trinomial_and_powmod_do_the_work_they_state(monkeypatch):
     # the elements that _reduce sees in one call, and the products of its
-    # _mulmod and _dot calls, are _trinomial_work's counts times the points
-    # for every tail J mod 4 and J < 7, where only the powers that a block
-    # or the tail reads are built, and _powmod_work's for e = 0..40
+    # _mulmod and _dot calls, are _trinomial_work's counts times the points:
+    # J < 7, where some powers of u and v go unbuilt, every size of the top
+    # group and L of both parities; and _powmod_work's for e = 0..40
     primes = select_primes(1 << 61, congruent_to_1_mod=4).primes[:2]
     qs = np.array(primes, dtype=np.uint64)[:, None]
     rng = np.random.default_rng(11)
