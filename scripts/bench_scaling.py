@@ -107,6 +107,8 @@ CASES = {
     "sum8_p3": ("coeff", "sum8", 3, 1),
     "cross4_p5": ("coeff", "cross4", 5, 1),
     "cross5_p50": ("coeff", "cross5", 50, 1),
+    "dwork4_p80": ("coeff", "dwork4", 80, 1),
+    "dwork4_p150": ("coeff", "dwork4", 150, 1),
 }
 # the polynomials of the cases that are not samples
 POLYS = {
@@ -125,6 +127,7 @@ def run_case(name: str) -> dict:
     from ctpow import fixtures
     from ctpow.fixtures import sample_polynomial
     from ctpow.laurent import parse_laurent
+    from ctpow.oracle import known_family
     from ctpow.recurrence import (constant_term_series, exact_coefficient,
                                   search_recurrence)
     import numpy
@@ -149,6 +152,8 @@ def run_case(name: str) -> dict:
         value = [rec.polys for rec in hits]
     if name == "coeff39_p150":
         assert value == fixtures.SAMPLE39_POWER150_CONSTANT
+    if poly == "dwork4":
+        assert value == known_family("dwork4", power)
     if poly == "walk":
         # with X = uv and Y = u/v the power is (u + 1/u)^256 (v + 1/v)^256
         assert value == math.comb(256, 130) * math.comb(256, 127)
@@ -231,6 +236,8 @@ def north_star(path: Path, trees: dict):
         "cross5_p50": "exact_coefficient(sum of X_k + 1/X_k over 5 "
                       "variables, 50): 384 of its 3840 lattice maps act "
                       "on the grid",
+        "dwork4_pN": "exact_coefficient(X + Y + Z + T + 1/(XYZT), N), "
+                     "constant term: (5k)!/(k!)^5 for N = 5k",
         "threads": "1; at most 2 workers in the cases ending in _t2, and "
                    "stats' workers is the row blocks the run used",
         "unit": "s; seconds: the best of all runs; stats: best, quartiles "

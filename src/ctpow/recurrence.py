@@ -144,8 +144,7 @@ def exact_coefficient(h: LaurentPolynomial, p: int, index=None,
                       threads: int = 1) -> int:
     """Exact [h^p]_index (default: the constant term) via the torus engine."""
     threads = _resolve_threads(threads)
-    prepared = _prepare(h, p, index)       # 0 off the support, unplanned
-    if prepared is None:
+    if not (prepared := _prepare(h, p, index)):    # 0 off the support
         return 0
     tp, ms = prepared
     return reconstruct(_sum_row_blocks(tp, ms, threads), ms)
@@ -226,9 +225,8 @@ def constant_term_series(h: LaurentPolynomial, P: int, threads: int = 1,
     if not 0 <= P < torus.MAX_SERIES:
         raise ValueError(f"series length must be in [0, {torus.MAX_SERIES})")
     threads = _resolve_threads(threads)
-    prepared = _prepare(h, P, use_split2=use_split2)
-    if prepared is None:    # P * shift off the support for every P >= 1
-        return Series(h, (1,) + (0,) * P)
+    if not (prepared := _prepare(h, P, use_split2=use_split2)):
+        return Series(h, (1,) + (0,) * P)   # off the support for P >= 1
     tp, ms = prepared
     sums = _sum_row_blocks(tp, ms, threads, series=True)
     return Series(h, tuple(reconstruct(r, ms) for r in sums))

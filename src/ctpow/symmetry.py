@@ -170,11 +170,11 @@ def _search(terms, steps: int):
 def coordinate_changes(terms, G: np.ndarray, least: int):
     """Unimodular U whose rows u have u.e in {-1, 0, 1} on the support, by
     the order of the stabiliser {B in G : B^T u = +-u} of the first row,
-    while it exceeds `least`.  G has more than one map, which automorphisms
-    finds only for n <= 8 and a support that spans Q^n.  Such u are fixed
-    by their values on a basis, so 3^n <= 6561 candidates cover all; the
-    256 of least |u|_1 are ranked.  The other rows are picked greedily; a u
-    without a completion is skipped."""
+    while it exceeds `least`; every +-B^T u (B in G) has u's order and its
+    own U.  G has more than one map, which automorphisms finds only for
+    n <= 8 and a support that spans Q^n.  Such u are fixed by their values
+    on a basis, so 3^n <= 6561 candidates cover all; the 256 of least |u|_1
+    are ranked, the other rows picked greedily: a u without them is skipped."""
     pts = [e for _, e in terms]
     adj, det = inverse([pts[i] for i in _basis(pts)])
     u = np.array(list(product((-1, 0, 1), repeat=len(pts[0])))) @ adj.T

@@ -81,7 +81,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import islice
 
 import numpy as np
 
@@ -173,12 +172,14 @@ def plan(nf: NormalizedPolynomial, target, p: int, use_split2: bool = True
     largest M on the grid is summed exactly; ties go to the last.  Variables
     absent from f with target 0 are left off the grid.  A grid of two or
     more variables gets H from an automorphism search of at most one node
-    per point of _ROWS grid rows, which also bounds |H|; a longer
-    search gives the identity.  With use_split2 the first U of
-    symmetry.coordinate_changes (of the first 8) that strictly enlarges H
-    without raising M changes the coordinates: its first row is summed
-    exactly, and the plan holds h o U and U i (symmetry.in_coordinates)
-    instead of nf and target."""
+    per point of _ROWS grid rows, which also bounds |H|; a longer search
+    gives the identity.  With use_split2 the first U of
+    symmetry.coordinate_changes that strictly enlarges H without raising M
+    changes the coordinates: its first row u is summed exactly, and the
+    plan holds h o U and U i (symmetry.in_coordinates) instead of nf and
+    target.  A u whose H is too small rules out every +-B^T u, B in G: B
+    acts trivially on u's grid iff w (B - I) is in Z u for every w, which
+    does not depend on U's other rows, so each class is laid out once."""
     tp = _layout(nf, target, p, range(nf.n) if use_split2 else ())
     if len(tp.grid) < 2:
         return tp                  # one row: numpy call overhead dominates
@@ -189,14 +190,18 @@ def plan(nf: NormalizedPolynomial, target, p: int, use_split2: bool = True
     index = np.array(target, dtype=np.int64) - p * np.array(nf.shift)
     G = G[(G @ index == index).all(axis=1)]      # those that fix the index
     tp = _acting(G, tp)
-    least = max(len(tp.H), 1)
-    for U in islice(symmetry.coordinate_changes(terms, G, least), 8) \
+    least, seen = max(len(tp.H), 1), set()
+    for U in symmetry.coordinate_changes(terms, G, least) \
             if use_split2 and len(G) > least else ():
+        if tuple(U[0].tolist()) in seen:
+            continue
         nf2, target2 = symmetry.in_coordinates(nf, target, p, U)
         tp2 = _acting(U @ G @ symmetry.inverse(U)[0],
                       _layout(nf2, target2, p, (0,)))
         if len(tp2.H) > least and tp2.M <= tp.M:
             return replace(tp2, U=tuple(map(tuple, U.tolist())))
+        if len(tp2.H) <= least:     # and so is each +-B^T u = +-u G
+            seen.update(map(tuple, np.r_[U[0] @ G, -U[0] @ G].tolist()))
     return tp
 
 
@@ -367,23 +372,26 @@ def representatives(tp: TorusPlan) -> int:
 
 def predicted_work(tp: TorusPlan, primes, series: bool) -> int:
     """The modular reductions (elements that _reduce sees) of a run of
-    coefficient_residues, or of series_residues if series, on all rows:
-    representatives, estimated as ceil(M^g / |H|), times primes times
-    reductions per point.  Per point the class values take one per class
-    and four exponents of the last variable that occur; the trinomial and
-    pointwise powering what _trinomial_work and _powmod_work count; the
-    series pass two per power (one without an inner variable)."""
-    p = tp.p
-    n_exps = len({e[tp.grid[-1]] for _, e in tp.nf.terms}) if tp.grid else 1
+    coefficient_residues, or of series_residues if series, on all rows: per
+    prime the term table (terms times M) and the series' scale, and per
+    representative (ceil(M^g / |H|), exact without H) one per class and
+    four exponents of the last variable that occur, then what
+    _trinomial_work or _powmod_work counts and one for a twist off the
+    centre, or in the series V_1 = w A, two per later power (one without an
+    inner variable) and D's one, or two where x takes both signs (shift 1)."""
+    nf, p, inner = tp.nf, tp.p, tp.inner
+    n_exps = len({e[tp.grid[-1]] for _, e in nf.terms}) if tp.grid else 1
     reps = -(-tp.M ** len(tp.grid) // max(len(tp.H), 1))
-    per_point = (1 if tp.inner is None else 3) * ((n_exps - 1) // 4 + 1)
+    per_point = (1 if inner is None else 3) * ((n_exps - 1) // 4 + 1)
     if series:
-        per_point += p * (1 if tp.inner is None else 2)
-    elif tp.inner is None:
-        per_point += _powmod_work(p)
+        per_point += p if inner is None else 2 * p + (nf.shift[inner] == 1)
     else:
-        per_point += _trinomial_work(p, tp.target[tp.inner] - p)[1]
-    return reps * len(primes) * per_point
+        per_point += any((p * nf.shift[k] - tp.target[k]) % tp.M
+                         for k in tp.grid) + (
+            _powmod_work(p) if inner is None else
+            _trinomial_work(p, tp.target[inner] - p)[1])
+    return len(primes) * (len(nf.terms) * tp.M + reps * per_point
+                          + series * _powmod_work(len(tp.grid)))
 
 
 def _class_values(tp: TorusPlan, primes, rows, batch: int = _BATCH):
@@ -501,10 +509,8 @@ def coefficient_residues(tp: TorusPlan, primes, rows: range | None = None
     total = np.zeros(len(primes), dtype=np.uint64)
     for vals, w, weight in _class_values(tp, primes, rows):
         with _unbuffered(vals):
-            if tp.inner is None:
-                value = _powmod(vals[0], p, qs)
-            else:
-                value = _trinomial(vals[1], vals[2], vals[0], p, m, K, qs)
+            value = (_powmod(vals[0], p, qs) if tp.inner is None else
+                     _trinomial(vals[1], vals[2], vals[0], p, m, K, qs))
             if w is not None:
                 value = _mulmod(value, w, qs)
         total = (total + value @ weight) % qs[:, 0]

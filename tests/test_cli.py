@@ -293,10 +293,11 @@ def test_bench_prints_the_plan(capsys):
     assert code == 0
     assert ("plan p=10: U=yes inner=(1, 0, 1, -1) M=11 |H|=6 "
             "points=231/1331") in out
-    assert " work=6660 workers=1\n" in out
+    assert " work=7166 workers=1\n" in out
     code, out, _ = run(capsys, "bench", "--fixture", "dwork4", "--power", "5",
                        "--threads", "1")
-    assert "plan p=5: U=no inner=T M=6 |H|=6 points=56/216" in out
+    assert ("plan p=5: U=yes inner=(1, 1, 0, -1) M=6 |H|=8 "
+            "points=48/216") in out
 
 
 def test_bench_reports_the_prime_budget(capsys):

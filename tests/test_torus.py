@@ -264,6 +264,34 @@ def test_benchmark_plans_are_pinned():
             assert (tp.U[0] if tp.U else None) == row, (name, p)
 
 
+def test_dwork4_plans_sum_the_direction_with_eight_maps():
+    # the first class of directions past the eight candidates the planner
+    # once tried: (1, 1, 0, -1) leaves 8 grid maps, against 6 for every
+    # axis, at the same M = p + 1
+    for p in (10, 40):
+        tp, _ = _prepare(sample_polynomial("dwork4"), p)
+        assert (tp.U[0], tp.inner, tp.M, len(tp.H)) \
+            == ((1, 1, 0, -1), 0, p + 1, 8), p
+
+
+@pytest.mark.parametrize("name, p, before, after", [
+    ("cross4", 10, 4, 1), ("dwork4", 10, 8, 2)])
+def test_each_class_of_directions_is_laid_out_once(monkeypatch, name, p,
+                                                   before, after):
+    # the candidates of coordinate_changes that lie in one class under the
+    # index-fixing automorphisms have the same grid group: once one is
+    # rejected for it, the rest are skipped.  `before` is what the planner
+    # laid out when it tried the first 8 candidates
+    h = (parse_laurent(" + ".join(f"X{k} + X{k}^-1" for k in range(4)))
+         if name == "cross4" else sample_polynomial(name))
+    nf = normalize(h)
+    calls, real = [], symmetry.in_coordinates
+    monkeypatch.setattr(symmetry, "in_coordinates",
+                        lambda *args: calls.append(args) or real(*args))
+    torus.plan(nf, tuple(p * s for s in nf.shift), p)
+    assert len(calls) == after < before
+
+
 def test_kept_rows_of_the_benchmark_plans():
     # the rows that can hold an orbit representative at p = 40 (1681 rows):
     # sample 38 keeps half only because its swap moves to the outer
@@ -376,11 +404,17 @@ def _trinomial_coefficient(a, b, c, p, m, q):
 
 
 @pytest.mark.parametrize("text, p", [("39", 12),
-                                     ("X + X^-1 + Y + Y^-1", 40)])
+                                     ("X + X^-1 + Y + Y^-1", 40),
+                                     ("X + X^-1 + Y + Y^-1", 256),
+                                     ("X + X^-1 + Y^2", 20)])
 @pytest.mark.parametrize("series", [False, True])
 def test_predicted_work_counts_the_reductions(monkeypatch, text, p, series):
+    # exact where no map acts, so that every point is a representative (the
+    # one-row grids, and sample 39 off the centre): the term table, the
+    # twist off the centre, V_1 = w A, D where x has exponents of both
+    # signs (the walk, not X + 1/X + Y^2) and the series' scale.  With H
+    # the representatives are estimated as ceil(M^g / |H|)
     h = sample_polynomial(text) if text == "39" else parse_laurent(text)
-    tp, ms = _prepare(h, p)
     seen, real = [], torus._reduce
 
     def counted(x, q, tmp=None):
@@ -388,10 +422,16 @@ def test_predicted_work_counts_the_reductions(monkeypatch, text, p, series):
         return real(x, q, tmp)
 
     monkeypatch.setattr(torus, "_reduce", counted)
-    (torus.series_residues if series else torus.coefficient_residues)(
-        tp, ms.primes)
-    work = torus.predicted_work(tp, ms.primes, series)
-    assert 0.75 * sum(seen) <= work <= 1.25 * sum(seen)
+    for index in (None, (1, 3, 0, 0)[:len(h.variables)])[:2 - series]:
+        tp, ms = _prepare(h, p, index)
+        seen.clear()
+        (torus.series_residues if series else torus.coefficient_residues)(
+            tp, ms.primes)
+        work = torus.predicted_work(tp, ms.primes, series)
+        if tp.H:
+            assert 0.75 * sum(seen) <= work <= 1.25 * sum(seen), index
+        else:
+            assert work == sum(seen), index
 
 
 def test_trinomial_against_python_ints():
@@ -831,7 +871,7 @@ def test_live_elements_per_prime_grow_linearly_in_p():
             assert 1.6 <= big / small <= 2.4, (kernel.__name__, peaks)
 
 
-@pytest.mark.parametrize("name", ["39", "24", "38"])
+@pytest.mark.parametrize("name", ["39", "24", "38", "dwork4"])
 def test_traced_peaks_grow_linearly_in_full_batches(name):
     # at p = 40 and 80 both kernels run three or more full batches, so the
     # traced peak of one prime follows M, not the size of the last batch
