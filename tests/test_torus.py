@@ -265,23 +265,22 @@ def test_benchmark_plans_are_pinned():
 
 
 def test_dwork4_plans_sum_the_direction_with_eight_maps():
-    # the first class of directions past the eight candidates the planner
-    # once tried: (1, 1, 0, -1) leaves 8 grid maps, against 6 for every
-    # axis, at the same M = p + 1
+    # (1, 1, 0, -1) leaves 8 grid maps at the same M = p + 1, against 6 for
+    # the ten candidates ranked before it, the four axes among them
     for p in (10, 40):
         tp, _ = _prepare(sample_polynomial("dwork4"), p)
         assert (tp.U[0], tp.inner, tp.M, len(tp.H)) \
             == ((1, 1, 0, -1), 0, p + 1, 8), p
 
 
-@pytest.mark.parametrize("name, p, before, after", [
-    ("cross4", 10, 4, 1), ("dwork4", 10, 8, 2)])
+@pytest.mark.parametrize("name, p, laid_out", [("cross4", 10, 1),
+                                               ("dwork4", 10, 2)])
 def test_each_class_of_directions_is_laid_out_once(monkeypatch, name, p,
-                                                   before, after):
+                                                   laid_out):
     # the candidates of coordinate_changes that lie in one class under the
     # index-fixing automorphisms have the same grid group: once one is
-    # rejected for it, the rest are skipped.  `before` is what the planner
-    # laid out when it tried the first 8 candidates
+    # rejected for it, the rest are skipped.  cross4's 4 candidates are one
+    # class; dwork4's first 10 are one class, and the 11th is accepted
     h = (parse_laurent(" + ".join(f"X{k} + X{k}^-1" for k in range(4)))
          if name == "cross4" else sample_polynomial(name))
     nf = normalize(h)
@@ -289,7 +288,7 @@ def test_each_class_of_directions_is_laid_out_once(monkeypatch, name, p,
     monkeypatch.setattr(symmetry, "in_coordinates",
                         lambda *args: calls.append(args) or real(*args))
     torus.plan(nf, tuple(p * s for s in nf.shift), p)
-    assert len(calls) == after < before
+    assert len(calls) == laid_out
 
 
 def test_kept_rows_of_the_benchmark_plans():
